@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import MultiPoly, format_rational
+from .poly import MultiPoly, accumulate, format_rational
 
 __all__ = [
     "DomainError",
@@ -135,15 +135,8 @@ class Element:
         return bool(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for basis, coeff in other.terms.items():
-            s = out.get(basis, 0) + coeff
-            if s:
-                out[basis] = s
-            else:
-                out.pop(basis, None)
         e = Element()
-        e.terms = out
+        e.terms = accumulate(dict(self.terms), other.terms.items())
         return e
 
     def __neg__(self):

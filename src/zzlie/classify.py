@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linsolve import LinearSystem
-from .poly import MultiPoly, UsageError, format_rational, proportionality, rational_root_scan, symbol
+from .poly import MultiPoly, UsageError, accumulate, format_rational, proportionality, rational_root_scan, symbol
 
 __all__ = [
     "ClassificationParams",
@@ -73,41 +73,17 @@ def _guard_literal(p, i, j, k):
     return left and right
 
 
-def _guard_conservative(p, i, j, k):
-    """Skip whenever any normalization denominator factor vanishes.
-
-    The literal condition admits a handful of equations at indices where
-    the basis normalization behind the recurrence degenerates; solving with
-    those admitted makes even on-case parameter points inconsistent.  This
-    stricter guard drops every equation touching a degenerate factor and is
-    the one the window solver uses.
-    """
-    if not p.is_numeric():
-        return True
-    for factor in (i - p.alpha, i + k - p.alpha, j + p.alpha, j + k + p.alpha):
-        if factor == 0:
-            return False
-    return True
-
-
 def recurrence_equation(p, i, j, k):
     """One instance of the recurrence as unknown -> coefficient, plus guard.
 
     The relation is returned moved to one side (= 0).  A violated side
     condition sets ``skipped`` instead of raising.
     """
-    coeffs = {}
-
-    def put(key, c):
-        s = coeffs.get(key, 0) + c
-        if isinstance(s, Fraction) and s == 0:
-            coeffs.pop(key, None)
-        else:
-            coeffs[key] = s
-
-    put((i + k, j), -p.alpha + i + p.betam1 * k)
-    put((i, j + k), p.alpha + j + p.beta1 * k)
-    put((i, j), -Fraction(i + j - k))
+    coeffs = accumulate({}, [
+        ((i + k, j), -p.alpha + i + p.betam1 * k),
+        ((i, j + k), p.alpha + j + p.beta1 * k),
+        ((i, j), -Fraction(i + j - k)),
+    ])
     return {
         "coeffs": coeffs,
         "skipped": not _guard_literal(p, i, j, k),
@@ -138,13 +114,13 @@ class WindowSolution:
         }
 
 
-def solve_c_window(p, window, guard="literal"):
+def solve_c_window(p, window):
     """Exact window solve of the recurrence with c_{0,0} = 2*alpha.
 
     Equations range over |i|,|j|,|k| <= window with all referenced unknowns
-    inside the window, admitted under the chosen side-condition guard
-    (skips are counted).  The uniqueness flag holds when every unpinned
-    unknown lies on the window boundary.
+    inside the window, admitted under the side condition read as printed
+    (``_guard_literal``; skips are counted).  The uniqueness flag holds when
+    every unpinned unknown lies on the window boundary.
 
     On an inconsistent system the certificate names a contradicting
     equation subset; values and undetermined unknowns then describe the
@@ -155,9 +131,6 @@ def solve_c_window(p, window, guard="literal"):
         raise UsageError("window solving needs numeric parameters")
     if window < 2:
         raise UsageError("window must be >= 2")
-    guard_fn = {"literal": _guard_literal, "conservative": _guard_conservative}.get(guard)
-    if guard_fn is None:
-        raise UsageError(f"unknown guard {guard!r}")
     rng = range(-window, window + 1)
     unknowns = [(i, j) for i in rng for j in rng]
     system = LinearSystem()
@@ -175,7 +148,7 @@ def solve_c_window(p, window, guard="literal"):
             for k in rng:
                 if abs(i + k) > window or abs(j + k) > window:
                     continue
-                if not guard_fn(p, i, j, k):
+                if not _guard_literal(p, i, j, k):
                     skipped += 1
                     continue
                 if i == 0 and j == 0:
@@ -365,17 +338,13 @@ def check_impossibility(alpha, window):
     rng = range(-window, window + 1)
     # |i+j| <= window keeps the coupled unknown d'_{0,i+j} inside the set
     unknowns = [(i, j) for i in rng for j in rng if abs(i + j) <= window]
-    index = set(unknowns)
     system = LinearSystem()
     for i, j in unknowns:
         for k in rng:
-            coeffs = {}
-            coeffs[(i, j)] = Fraction(4 * alpha - 7 * i - 7 * j - k)
-            c0 = coeffs.get((0, i + j), Fraction(0)) - (4 * alpha + 9 * i - 7 * j - k)
-            if c0:
-                coeffs[(0, i + j)] = c0
-            else:
-                coeffs.pop((0, i + j), None)
+            coeffs = accumulate({}, [
+                ((i, j), 4 * alpha - 7 * i - 7 * j - k),
+                ((0, i + j), -(4 * alpha + 9 * i - 7 * j - k)),
+            ])
             if coeffs:
                 system.add_equation(coeffs, 0, ("eq", i, j, k))
     rank = system.rank()

@@ -1,14 +1,22 @@
-"""Incremental exact linear solving over the rationals.
+"""Exact solving over the rationals: linear systems and scalar propagation.
 
-Rows are sparse maps unknown -> Fraction with a constant term.  Every row
-added to the system carries an opaque tag; reduced rows remember which tags
-combined into them, so a contradiction yields a certificate naming the
-original equations with no common solution.
+``LinearSystem`` keeps rows as sparse maps unknown -> Fraction with a
+constant term.  Every row added to the system carries an opaque tag; reduced
+rows remember which tags combined into them, so a contradiction yields a
+certificate naming the original equations with no common solution.
+
+``propagate_scalars`` solves the multiplicative systems behind the diagonal
+isomorphism and intertwiner searches: one worklist pass from unit seeds,
+then a check of every equation.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import prod
+
+from .poly import accumulate
 
 __all__ = ["LinearSystem"]
 
@@ -30,19 +38,9 @@ class LinearSystem:
                 continue
             factor = coeffs.pop(var)
             prow, pconst, pcombo = piv
-            for v, c in prow.items():
-                s = coeffs.get(v, Fraction(0)) - factor * c
-                if s:
-                    coeffs[v] = s
-                else:
-                    coeffs.pop(v, None)
+            accumulate(coeffs, prow.items(), -factor)
             const -= factor * pconst
-            for tag, c in pcombo.items():
-                s = combo.get(tag, Fraction(0)) - factor * c
-                if s:
-                    combo[tag] = s
-                else:
-                    combo.pop(tag, None)
+            accumulate(combo, pcombo.items(), -factor)
         return coeffs, const, combo
 
     def add_equation(self, coeffs, const, tag):
@@ -70,13 +68,9 @@ class LinearSystem:
             if not factor:
                 continue
             prow.pop(var)
-            for v, c in row.items():
-                s = prow.get(v, Fraction(0)) - factor * c
-                if s:
-                    prow[v] = s
-                else:
-                    prow.pop(v, None)
-            self.pivots[pvar] = (prow, pconst - factor * const, _sub(pcombo, factor, combo))
+            accumulate(prow, row.items(), -factor)
+            accumulate(pcombo, combo.items(), -factor)
+            self.pivots[pvar] = (prow, pconst - factor * const, pcombo)
         self.pivots[var] = (row, const, combo)
         return True
 
@@ -111,12 +105,36 @@ class LinearSystem:
         return sorted(self.contradiction, key=repr)
 
 
-def _sub(combo, factor, other):
-    out = dict(combo)
-    for tag, c in other.items():
-        s = out.get(tag, Fraction(0)) - factor * c
-        if s:
-            out[tag] = s
-        else:
-            out.pop(tag, None)
-    return out
+def propagate_scalars(unknowns, equations, seeds):
+    """Nonzero scalars x with c_lhs * x[t] == c_rhs * prod(x[s] for s in sources).
+
+    ``equations`` holds (t, c_lhs, sources, c_rhs) tuples with nonzero
+    coefficients.  Starting from x = 1 on ``seeds``, an equation fixes an
+    unknown once that unknown is its only unset occurrence; a repeated
+    occurrence (t among the sources, a squared source) is never solved for.
+    Unknowns never reached get the gauge value 1.  Every equation is then
+    checked, so a returned map (unknown -> Fraction, in ``unknowns`` order)
+    is a genuine solution; None means the equations force a contradiction.
+    """
+    x = {s: Fraction(1) for s in seeds}
+    by_unknown = defaultdict(list)
+    for eq in equations:
+        for u in {eq[0], *eq[2]}:
+            by_unknown[u].append(eq)
+    work = list(x)
+    while work:
+        for t, c_lhs, sources, c_rhs in by_unknown[work.pop()]:
+            unset = [u for u in (t, *sources) if u not in x]
+            if len(unset) != 1:
+                continue
+            u = unset[0]
+            if u == t:
+                x[u] = c_rhs * prod(x[s] for s in sources) / c_lhs
+            else:
+                x[u] = c_lhs * x[t] / (c_rhs * prod(x[s] for s in sources if s != u))
+            work.append(u)
+    values = {u: x.get(u, Fraction(1)) for u in unknowns}
+    for t, c_lhs, sources, c_rhs in equations:
+        if c_lhs * values[t] != c_rhs * prod(values[s] for s in sources):
+            return None
+    return values

@@ -3,7 +3,8 @@
 Rationals are ``fractions.Fraction`` (arbitrary precision, always canonical).
 Polynomials are stored as a sparse map from exponent vectors to rational
 coefficients; zero coefficients are never stored, so equality of the term
-maps is equality of polynomials.
+maps is equality of polynomials.  ``accumulate`` is the one sparse
+linear-combination step that every layer builds its sums with.
 """
 
 from __future__ import annotations
@@ -49,12 +50,39 @@ def format_rational(value):
     return f"{f.numerator}/{f.denominator}"
 
 
+def accumulate(acc, terms, factor=None):
+    """acc[key] += factor * c for every (key, c) in ``terms``, in place.
+
+    ``terms`` is an iterable of (key, coefficient) pairs, such as a map's
+    ``items()``.  Sums that come out falsy (a zero Fraction or a zero
+    MultiPoly) are dropped, so ``acc`` never stores a zero.  With no factor
+    the coefficients are added as they are; multiplying by one would cost a
+    full product for MultiPoly coefficients.  Returns ``acc``.
+    """
+    get = acc.get
+    for key, c in terms:
+        s = get(key, 0) + (c if factor is None else factor * c)
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 def _coerce_coeff(value):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     raise UsageError(f"cannot use {value!r} as a polynomial coefficient")
+
+
+def _mono_mul(exps, mono):
+    """The monomial exps * mono, with ``exps`` given as a name -> exponent dict."""
+    exps = dict(exps)
+    for name, e in mono:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 class MultiPoly:
@@ -131,14 +159,7 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._as_poly(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return MultiPoly(out)
+        return MultiPoly(accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -156,16 +177,7 @@ class MultiPoly:
         out = {}
         for m1, c1 in self.terms.items():
             d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                exps = dict(d1)
-                for name, e in m2:
-                    exps[name] = exps.get(name, 0) + e
-                mono = tuple(sorted(exps.items()))
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+            accumulate(out, ((_mono_mul(d1, m2), c2) for m2, c2 in other.terms.items()), c1)
         return MultiPoly(out)
 
     __rmul__ = __mul__

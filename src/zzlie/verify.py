@@ -4,7 +4,8 @@ The windowed checks sweep every basis pair/triple with |i|, |j| <= W and
 compare exactly; a check "passes" iff its report carries no witnesses.  The
 symbolic checks expand the Jacobi sum with all index components and
 parameters as polynomial symbols, proving the identity for every value at
-once.
+once.  The diagonal-isomorphism search turns the window's brackets into
+multiplicative equations and solves them with ``propagate_scalars``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import AlgebraSpec, BasisElement, Element, window_indices, _c_coeff
-from .poly import MultiPoly, symbol
+from .linsolve import propagate_scalars
+from .poly import MultiPoly, accumulate, symbol
 
 __all__ = [
     "ViolationReport",
@@ -71,15 +73,8 @@ def check_antisymmetry(alg, window, max_witnesses=20):
     for a in idxs:
         for b in idxs:
             report.checked_count += 1
-            ab, ba = bb(a, b), bb(b, a)
             bad = Element()
-            bad.terms = dict(ab)
-            for basis, coeff in ba.items():
-                s = bad.terms.get(basis, 0) + coeff
-                if s:
-                    bad.terms[basis] = s
-                else:
-                    bad.terms.pop(basis, None)
+            bad.terms = accumulate(dict(bb(a, b)), bb(b, a).items())
             if bad:
                 report.witnesses.append(((a, b), bad))
                 if len(report.witnesses) >= max_witnesses:
@@ -116,12 +111,7 @@ def check_jacobi(alg, window, max_witnesses=20):
                         t = basis.index
                         if not in_domain(*t):
                             continue
-                        for basis2, coeff2 in bb(t, w).items():
-                            s = acc.get(basis2, 0) + coeff * coeff2
-                            if s:
-                                acc[basis2] = s
-                            else:
-                                acc.pop(basis2, None)
+                        accumulate(acc, bb(t, w).items(), coeff)
                 if acc:
                     bad = Element()
                     bad.terms = acc
@@ -240,12 +230,11 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window, seeds=((1, 0), (0
     land on a B central generator of matching degree.  Returns the witness
     map (A index -> scalar) or None.
 
-    The scalars are found by propagating the multiplicative constraints from
-    unit seeds (the residual gauge freedom of a diagonal rescaling) and then
-    verified against every window equation, so a returned witness is always
-    genuine.
+    The scalars are found by ``propagate_scalars`` from unit seeds (the
+    residual gauge freedom of a diagonal rescaling), which verifies every
+    window equation, so a returned witness is always genuine.
     """
-    idxs = [t for t in window_indices_any(alg_a, window)]
+    idxs = window_indices(alg_a, window)
     idx_set = set(idxs)
     central = alg_b.central_degrees() if hasattr(alg_b, "central_degrees") else {}
 
@@ -261,7 +250,6 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window, seeds=((1, 0), (0
     # Equations c_a * lam_t == c_b * lam_a * lam_b, one per basis target.
     equations = []
     for a in idxs:
-        ma, mb_ok = index_map(a), True
         for b in idxs:
             ma, mb = index_map(a), index_map(b)
             if not (alg_b.in_domain(*ma) and alg_b.in_domain(*mb)):
@@ -289,46 +277,5 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window, seeds=((1, 0), (0
                     return None  # would force some scalar to zero
                 if t not in idx_set:
                     continue  # target scalar outside the window: no constraint
-                equations.append((t, ca, a, b, cb))
-
-    lam = {}
-    for s in seeds:
-        if s in idx_set:
-            lam[s] = Fraction(1)
-    changed = True
-    while changed:
-        changed = False
-        for t, ca, a, b, cb in equations:
-            ka, kb, kt = lam.get(a), lam.get(b), lam.get(t)
-            if ka is not None and kb is not None:
-                val = cb * ka * kb / ca
-                if kt is None:
-                    lam[t] = val
-                    changed = True
-                elif kt != val:
-                    return None
-            elif kt is not None and ka is not None and a != b:
-                val = ca * kt / (cb * ka)
-                if lam.get(b) is None:
-                    lam[b] = val
-                    changed = True
-            elif kt is not None and kb is not None and a != b:
-                val = ca * kt / (cb * kb)
-                if lam.get(a) is None:
-                    lam[a] = val
-                    changed = True
-    for t in idxs:
-        lam.setdefault(t, Fraction(1))
-    for t, ca, a, b, cb in equations:
-        if ca * lam[t] != cb * lam[a] * lam[b]:
-            return None
-    return lam
-
-
-def window_indices_any(alg, window):
-    return [
-        (i, j)
-        for i in range(-window, window + 1)
-        for j in range(-window, window + 1)
-        if alg.in_domain(i, j)
-    ]
+                equations.append((t, ca, (a, b), cb))
+    return propagate_scalars(idxs, equations, [s for s in seeds if s in idx_set])

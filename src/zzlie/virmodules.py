@@ -7,15 +7,18 @@ Three families with basis {v_k | k in Z}, all weight multiplicities one:
 * ``b_paren`` -- L_i v_k = k v_{i+k} for k != -i, L_i v_{-i} = -i(i+alpha) v_0
 
 The action always lands at index i+k, so each family is given by one
-piecewise coefficient function.
+piecewise coefficient function.  A reducible ``a_ab`` module is represented
+by its subquotient: the same spec with one index ``removed`` from the
+support.  Intertwiners are found with ``propagate_scalars``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .poly import format_rational
+from .linsolve import propagate_scalars
+from .poly import accumulate, format_rational
 from .verify import ViolationReport
 
 __all__ = [
@@ -33,9 +36,16 @@ MODULE_FAMILIES = ("a_ab", "a_paren", "b_paren")
 
 @dataclass(frozen=True)
 class ModuleSpec:
+    """A module family and its parameters.
+
+    ``removed`` is the one index left out of the support of an ``a_ab``
+    subquotient (see ``irreducible_subquotient``); None keeps all of Z.
+    """
+
     family: str
     alpha: Fraction
     beta: Fraction | None = None
+    removed: int | None = None
 
     def __post_init__(self):
         if self.family not in MODULE_FAMILIES:
@@ -47,9 +57,14 @@ class ModuleSpec:
             object.__setattr__(self, "beta", Fraction(self.beta))
         elif self.beta is not None:
             raise ValueError(f"family {self.family!r} takes no beta")
+        if self.removed is not None:
+            if self.family != "a_ab":
+                raise ValueError("only a_ab modules have a removed index")
+            if type(self.removed) is not int:
+                raise ValueError(f"removed index must be an integer, got {self.removed!r}")
 
     def supports(self, k):
-        return True
+        return k != self.removed
 
     def coeff(self, i, k):
         """The scalar with L_i v_k = coeff * v_{i+k}."""
@@ -90,15 +105,8 @@ class ModVector:
         return bool(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
         v = ModVector()
-        v.terms = out
+        v.terms = accumulate(dict(self.terms), other.terms.items())
         return v
 
     def __neg__(self):
@@ -131,42 +139,15 @@ class ModVector:
 
 def act(m, i, x):
     """Linear extension of the basis action of L_i."""
-    out = ModVector()
+    image = []
     for k, c in x.terms.items():
         if not m.supports(k):
             raise ValueError(f"v_{k} is outside the module support")
-        coeff = c * m.coeff(i, k)
-        target = i + k
-        if coeff and m.supports(target):
-            s = out.terms.get(target, Fraction(0)) + coeff
-            if s:
-                out.terms[target] = s
-            else:
-                out.terms.pop(target, None)
+        if m.supports(i + k):
+            image.append((i + k, c * m.coeff(i, k)))
+    out = ModVector()
+    accumulate(out.terms, image)
     return out
-
-
-class SubquotientModule:
-    """A reducible two-parameter module with the index -alpha removed.
-
-    For beta = 0 the removed vector spans a trivial submodule and the action
-    here is the quotient action (terms landing at -alpha dropped); for
-    beta = 1 the removed index is never hit, so this is the complementary
-    submodule.  Either way the support is Z minus one point.
-    """
-
-    def __init__(self, parent, removed):
-        self.family = parent.family
-        self.alpha = parent.alpha
-        self.beta = parent.beta
-        self.parent = parent
-        self.removed = removed
-
-    def supports(self, k):
-        return k != self.removed
-
-    def coeff(self, i, k):
-        return self.parent.coeff(i, k)
 
 
 def irreducible_subquotient(m):
@@ -175,14 +156,17 @@ def irreducible_subquotient(m):
     Reducibility is read off the action coefficient alpha + k + beta*i: an
     index k0 is degenerate when every coefficient out of k0 vanishes
     (beta = 0, k0 = -alpha) or every coefficient into k0 vanishes (beta = 1,
-    k0 = -alpha, since alpha + k + i = alpha + k0 there).
+    k0 = -alpha, since alpha + k + i = alpha + k0 there).  For beta = 0 the
+    removed vector spans a trivial submodule and the action on the rest is
+    the quotient action (terms landing at k0 dropped); for beta = 1 the
+    removed index is never hit, so the rest is the complementary submodule.
     """
     if m.family != "a_ab":
         raise ValueError("subquotients are defined for the two-parameter family")
     k0 = -m.alpha
     if k0.denominator != 1 or m.beta not in (0, 1):
         return m
-    return SubquotientModule(m, int(k0))
+    return replace(m, removed=int(k0))
 
 
 def check_module_axiom(m, window):
@@ -210,9 +194,10 @@ def find_intertwiner(m1, m2, window):
     """Nonzero scalars c_k with c-rescaled m1-action equal to the m2-action.
 
     The intertwining condition per (i, k) with all indices in the window is
-    coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k.  Scalars propagate from a
-    unit seed (the global-scale gauge) and the full window is re-verified,
-    so a returned witness is always genuine; None means no witness exists.
+    coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k.  ``propagate_scalars`` solves
+    them from a unit seed (the global-scale gauge) and re-verifies the full
+    window, so a returned witness is always genuine; None means no witness
+    exists.
     """
     support = [k for k in range(-window, window + 1) if m1.supports(k)]
     if not support:
@@ -229,26 +214,5 @@ def find_intertwiner(m1, m2, window):
                 continue
             if c1 == 0 or c2 == 0:
                 return None  # would force a scalar to zero
-            equations.append((t, c1, k, c2))
-    scal = {support[0]: Fraction(1)}
-    changed = True
-    while changed:
-        changed = False
-        for t, c1, k, c2 in equations:
-            ck, ct = scal.get(k), scal.get(t)
-            if ck is not None:
-                val = c2 * ck / c1
-                if ct is None:
-                    scal[t] = val
-                    changed = True
-                elif ct != val:
-                    return None
-            elif ct is not None:
-                scal[k] = c1 * ct / c2
-                changed = True
-    for k in support:
-        scal.setdefault(k, Fraction(1))
-    for t, c1, k, c2 in equations:
-        if c1 * scal[t] != c2 * scal[k]:
-            return None
-    return scal
+            equations.append((t, c1, (k,), c2))
+    return propagate_scalars(support, equations, support[:1])

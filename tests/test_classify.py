@@ -24,6 +24,15 @@ def test_recurrence_origin_instance_is_trivial():
     assert not eq["skipped"]
 
 
+def test_recurrence_symbolic_zero_coefficients_are_pruned():
+    # at i = alpha, k = 0 every coefficient cancels, symbolic or not
+    symbolic = ClassificationParams(1, symbol("beta1"), symbol("betam1"))
+    assert recurrence_equation(symbolic, 1, 0, 0)["coeffs"] == {}
+    assert recurrence_equation(ClassificationParams(1, 2, 3), 1, 0, 0)["coeffs"] == {}
+    eq = recurrence_equation(symbolic, 0, 0, 2)
+    assert eq["coeffs"][(2, 0)] == -1 + 2 * symbol("betam1")
+
+
 def test_recurrence_axis_instance():
     p = ClassificationParams(1, 2, 3)
     eq = recurrence_equation(p, 0, 0, 4)
@@ -62,8 +71,6 @@ def test_solve_rejects_symbolic_and_small_windows():
         solve_c_window(ClassificationParams(symbol("alpha"), 1, 1), 3)
     with pytest.raises(UsageError):
         solve_c_window(ClassificationParams(1, 1, 1), 1)
-    with pytest.raises(UsageError):
-        solve_c_window(ClassificationParams(1, 1, 1), 3, guard="bogus")
 
 
 def test_linear_closed_form_case():
@@ -99,15 +106,6 @@ def test_contradictory_params_certified():
     assert s.infeasible
     assert s.certificate
     assert all(tag[0] in ("eq", "norm") for tag in s.certificate)
-
-
-def test_conservative_guard_reports_degenerate_lines():
-    s = solve_c_window(ClassificationParams(1, 2, -4), 3, guard="conservative")
-    assert s.skipped > 0
-    assert not s.infeasible
-    # the unconstrained unknowns sit on the lines i = alpha and j = -alpha
-    for i, j in s.undetermined:
-        assert i == 1 or j == -1 or abs(i) == 3 or abs(j) == 3
 
 
 def test_degeneracy_note_surfaces():

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from zzlie.cli import main
 
@@ -164,3 +167,48 @@ def test_classify_impossibility(capsys):
 def test_classify_missing_flags(capsys):
     assert main(["classify", "solve", "--alpha", "1", "--window", "3"]) == 2
     assert main(["classify", "solve"]) == 2
+
+
+# The README commands (table on stdout) and two subquotient runs, with the
+# sha256 of their stdout; any change in output bytes fails the case.
+GOLDEN = {
+    "bracket-d": (
+        ["bracket", "--family", "d", "--alpha", "1", "--beta", "3",
+         "--left=1,-1", "--right=2,1"],
+        "0910beddb613586493143b25419d0f7f2b22f2c48b60084c4f1b65fcd503cff6"),
+    "table-vir-csv": (
+        ["table", "--family", "vir", "--alpha", "1/2", "--window", "2",
+         "--format", "csv"],
+        "abb837ed584ec3b28cac508bcd670897a1c3979641b7145b067c6a3ca179fbda"),
+    "verify-jacobi-block-sym": (
+        ["verify", "jacobi", "--family", "block", "--alpha", "1", "--beta", "2",
+         "--a1", "sym", "--a2", "sym", "--a2p", "sym", "--window", "2"],
+        "2c0f67de6d275ea957c0ac2129e1ffea4ac1904ae065af3f5e05e86f1af18089"),
+    "module-check": (
+        ["module", "check", "--family", "a_ab", "--alpha", "1/2", "--beta", "0",
+         "--window", "4"],
+        "631370844b58ebf890feb1040888ba9f850b0aa4b4fb5ba1fb079280b0b7a554"),
+    "classify-solve": (
+        ["classify", "solve", "--alpha", "1", "--beta1", "2", "--betam1=-4",
+         "--window", "4"],
+        "bf72e838c2c6cfd30d7e785983b224ddc67ef0761cac757cdc2e58980487c43f"),
+    "classify-impossibility": (
+        ["classify", "impossibility", "--alpha", "2/5", "--window", "3"],
+        "1e755e879cc82cbee438bc1c6198b8ee325c772cff8883703ea05534fedc2d4a"),
+    "module-intertwine-subquotients": (
+        ["module", "intertwine", "--family", "a_ab", "--alpha", "0", "--beta", "0",
+         "--subquotient", "--family2", "a_ab", "--alpha2", "0", "--beta2", "1",
+         "--subquotient2", "--window", "6"],
+        "5aedee8ea08bf38581efc5fa0557b3bc627475680fb275690713dd140e4d8b2c"),
+    "module-check-subquotient": (
+        ["module", "check", "--family", "a_ab", "--alpha", "0", "--beta", "1",
+         "--subquotient", "--window", "4"],
+        "74d92bf917b4bb6032f43988d801f3879a7e198682148265b833e8973373fb0d"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", list(GOLDEN.values()), ids=list(GOLDEN))
+def test_golden_output(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,7 +1,9 @@
+import hashlib
 import random
 from fractions import Fraction
 
 from zzlie.algebras import AlgebraSpec, BasisElement, Element
+from zzlie.linsolve import propagate_scalars
 from zzlie.poly import symbol
 from zzlie.verify import (
     QuotientC,
@@ -176,6 +178,35 @@ def test_quotient_isomorphism_to_half_plane_block():
     assert list(left.terms) == [BasisElement("L", 1, -1)]
     image = target.basis_bracket((0, -1), (1, 0))
     assert list(image.terms) == [BasisElement("C1")]
+
+
+def test_quotient_isomorphism_witness_is_pinned():
+    lam = find_diagonal_isomorphism(
+        QuotientC(1), AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0), lambda t: t, 4
+    )
+    items = sorted(lam.items())
+    assert len(items) == 54
+    assert {v for _, v in items} == {-1, 1}
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == (
+        "45681cc79155845d1b52d3d40194f1d8b3d92b256edce06c1cc63c77bf4f8d5e"
+    )
+
+
+def test_propagate_scalars_repeated_occurrences():
+    one = Fraction(1)
+    # target equal to its source (an i = 0 intertwiner equation): only checked
+    assert propagate_scalars([0], [(0, one, (0,), one)], [0]) == {0: 1}
+    assert propagate_scalars([0, 1], [(0, one, (0,), 2 * one)], [1]) is None
+    # target equal to one source (b = (0,0)): the other source is solved
+    eqs = [("a", 3 * one, ("a", "z"), 2 * one)]
+    assert propagate_scalars(["a", "z"], eqs, ["a"]) == {"a": 1, "z": Fraction(3, 2)}
+    # a squared source is solved forwards, never backwards
+    eqs = [("t", one, ("a", "a"), 4 * one)]
+    assert propagate_scalars(["a", "t"], eqs, ["a"]) == {"a": 1, "t": 4}
+    assert propagate_scalars(["a", "t"], eqs, ["t"]) is None
+    # values travel along a chain in both directions from the seed
+    eqs = [(1, 2 * one, (0,), one), (2, one, (1,), 3 * one)]
+    assert propagate_scalars([0, 1, 2], eqs, [1]) == {0: 2, 1: 1, 2: 3}
 
 
 def test_symbolic_jacobi_single_term_rule():

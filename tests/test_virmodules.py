@@ -97,6 +97,7 @@ def test_subquotient_detection():
     full = irreducible_subquotient(ModuleSpec("a_ab", Fraction(1, 2), 0))
     assert isinstance(full, ModuleSpec)  # irreducible, returned unchanged
     sub = irreducible_subquotient(ModuleSpec("a_ab", 0, 0))
+    assert sub == ModuleSpec("a_ab", 0, 0, removed=0)
     assert not sub.supports(0) and sub.supports(1)
     sub = irreducible_subquotient(ModuleSpec("a_ab", -3, 1))
     assert not sub.supports(3)
@@ -107,6 +108,10 @@ def test_subquotient_detection():
 def test_subquotient_rejects_other_families():
     with pytest.raises(ValueError):
         irreducible_subquotient(ModuleSpec("a_paren", 1))
+    with pytest.raises(ValueError):
+        ModuleSpec("a_paren", 1, removed=0)
+    with pytest.raises(ValueError):
+        ModuleSpec("a_ab", 0, 0, removed=Fraction(0))
 
 
 def test_subquotients_satisfy_module_axiom():
