@@ -20,7 +20,7 @@ parameters) coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import MultiPoly, accumulate, format_rational
@@ -192,6 +192,10 @@ class AlgebraSpec:
 
     ``literal_c_index`` switches the ``c``/``cbar`` bracket to the
     grading-breaking target index variant kept for diagnostics.
+
+    The domain data (punctured points and central degrees) is computed once
+    at construction and kept outside the dataclass fields, so equality,
+    hashing, ``repr`` and ``dataclasses.replace`` see only the parameters.
     """
 
     family: str
@@ -235,43 +239,38 @@ class AlgebraSpec:
                 raise ValueError(f"{name} only applies to families {_CENTRAL_FAMILIES}")
             if not isinstance(val, MultiPoly):
                 object.__setattr__(self, name, Fraction(val))
+        # The punctures (-alpha, beta) and (-2 alpha, 2 beta), where integral,
+        # are also the degrees of the central generators C1 and C2.
+        excluded, central = frozenset(), {}
+        if self.family in _CENTRAL_FAMILIES:
+            c1 = (_as_int(-self.alpha), _as_int(self.beta))
+            c2 = (_as_int(-2 * self.alpha), _as_int(2 * self.beta))
+            excluded = frozenset(p for p in (c1, c2) if None not in p)
+            if None not in c2:
+                central["C2"] = c2
+                if None not in c1:
+                    central["C1"] = c1
+        object.__setattr__(self, "_excluded", excluded)
+        object.__setattr__(self, "_central", central)
 
     # -- domain ------------------------------------------------------------
 
     def excluded_points(self):
         """The punctured lattice points, where integral."""
-        if self.family not in _CENTRAL_FAMILIES:
-            return frozenset()
-        pts = []
-        for point in ((-self.alpha, self.beta), (-2 * self.alpha, 2 * self.beta)):
-            pi, pj = _as_int(point[0]), _as_int(point[1])
-            if pi is not None and pj is not None:
-                pts.append((pi, pj))
-        return frozenset(pts)
+        return self._excluded
 
     def in_domain(self, i, j):
-        if self.family in ("vir", "d", "c", "cbar"):
-            return True
         if self.family == "bplus-" and j < -1:
             return False
         if self.family == "bplus+" and j > 1:
             return False
-        return (i, j) not in self.excluded_points()
+        return (i, j) not in self._excluded
 
     # -- central generators -------------------------------------------------
 
     def central_degrees(self):
         """Degrees of the present central generators, keyed "C1"/"C2"."""
-        if self.family not in _CENTRAL_FAMILIES:
-            return {}
-        out = {}
-        c1 = (_as_int(-self.alpha), _as_int(self.beta))
-        c2 = (_as_int(-2 * self.alpha), _as_int(2 * self.beta))
-        if None not in c2:
-            out["C2"] = c2
-            if None not in c1:
-                out["C1"] = c1
-        return out
+        return dict(self._central)
 
     # -- brackets ------------------------------------------------------------
 
@@ -309,7 +308,7 @@ class AlgebraSpec:
         ti, tj = i + k, j + ell
         if coeff and self.in_domain(ti, tj):
             out = out + Element.single(_L(ti, tj), coeff)
-        central = self.central_degrees()
+        central = self._central
         if "C1" in central and (ti, tj) == central["C1"] and self.a1 is not None:
             c = (alpha * j + beta * i) * self.a1
             out = out + Element.single(BasisElement("C1"), c)

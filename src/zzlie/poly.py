@@ -210,7 +210,7 @@ class MultiPoly:
 
     def substitute(self, assignment):
         """Partial evaluation: replace the given symbols by rationals."""
-        result = MultiPoly()
+        out = {}
         for mono, c in self.terms.items():
             factor = _coerce_coeff(c)
             rest = {}
@@ -219,9 +219,8 @@ class MultiPoly:
                     factor *= _coerce_coeff(assignment[name]) ** e
                 else:
                     rest[name] = e
-            if factor:
-                result = result + MultiPoly({tuple(sorted(rest.items())): factor})
-        return result
+            accumulate(out, ((tuple(sorted(rest.items())), factor),))
+        return MultiPoly(out)
 
     def eval(self, assignment):
         """Full exact evaluation; every occurring symbol must be assigned."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebras import AlgebraSpec, BasisElement, Element, window_indices, _c_coeff
+from .algebras import AlgebraSpec, Element, window_indices
 from .linsolve import propagate_scalars
 from .poly import MultiPoly, accumulate, symbol
 
@@ -92,25 +92,34 @@ def check_jacobi(alg, window, max_witnesses=20):
     idxs = window_indices(alg, window)
     bb = _pair_cache(alg)
     in_domain = alg.in_domain
+    outer_cache = {}
+
+    def outer(u, v):
+        # (index, coeff) of the L terms of [u, v] that lie in the domain;
+        # only those can be bracketed again.
+        key = (u, v)
+        got = outer_cache.get(key)
+        if got is None:
+            got = outer_cache[key] = [
+                ((basis.i, basis.j), coeff)
+                for basis, coeff in bb(u, v).items()
+                if basis.kind == "L" and in_domain(basis.i, basis.j)
+            ]
+        return got
+
     report = ViolationReport("jacobi", 0)
     n = len(idxs)
     for x in range(n):
         a = idxs[x]
         for y in range(x, n):
             b = idxs[y]
-            ab = bb(a, b)
+            ab = outer(a, b)
             for z in range(y, n):
                 c = idxs[z]
                 report.checked_count += 1
                 acc = {}
-                for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-                    outer = ab if (u, v) == (a, b) else bb(u, v)
-                    for basis, coeff in outer.items():
-                        if basis.kind != "L":
-                            continue
-                        t = basis.index
-                        if not in_domain(*t):
-                            continue
+                for terms, w in ((ab, c), (outer(b, c), a), (outer(c, a), b)):
+                    for t, coeff in terms:
                         accumulate(acc, bb(t, w).items(), coeff)
                 if acc:
                     bad = Element()

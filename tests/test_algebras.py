@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,89 @@ def test_central_degrees():
     }
     assert AlgebraSpec("block", Fraction(1, 3), 2).central_degrees() == {}
     assert AlgebraSpec("vir", 1).central_degrees() == {}
+
+
+_ALPHAS = (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3))
+_BETAS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
+
+
+def _domain_grid():
+    """Every family over the parameter grid, central ones with a centre."""
+    for alpha in _ALPHAS:
+        for family in ("vir", "c", "cbar"):
+            yield AlgebraSpec(family, alpha)
+        for family in ("bplus-", "bplus+"):
+            yield AlgebraSpec(family, alpha, a1=1, a2=2, a2p=-1)
+        for beta in _BETAS:
+            yield AlgebraSpec("d", alpha, beta)
+            yield AlgebraSpec("block", alpha, beta, a1=1, a2=2, a2p=-1)
+
+
+def _expected_domain(spec):
+    """Punctures, central degrees and membership from the definition."""
+    central = {}
+    if spec.family in ("block", "bplus-", "bplus+"):
+        for kind, m in (("C1", 1), ("C2", 2)):
+            pi, pj = -m * spec.alpha, m * spec.beta
+            if pi.denominator == 1 and pj.denominator == 1:
+                central[kind] = (int(pi), int(pj))
+        if "C2" not in central:
+            central = {}
+    excluded = frozenset(central.values())
+
+    def member(i, j):
+        if spec.family == "bplus-" and j < -1:
+            return False
+        if spec.family == "bplus+" and j > 1:
+            return False
+        return (i, j) not in excluded
+
+    return excluded, central, member
+
+
+def test_domain_data_matches_definition():
+    for spec in _domain_grid():
+        excluded, central, member = _expected_domain(spec)
+        assert spec.excluded_points() == excluded, spec
+        assert spec.central_degrees() == central, spec
+        for i in range(-4, 5):
+            for j in range(-4, 5):
+                assert spec.in_domain(i, j) == member(i, j), (spec, i, j)
+
+
+def test_central_degrees_copy_is_private():
+    for spec in _domain_grid():
+        central = spec.central_degrees()
+        pairs = [
+            (a, (deg[0] - a[0], deg[1] - a[1]))
+            for deg in central.values()
+            for a in [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
+        ] + [((1, 0), (0, 1)), ((-1, 1), (2, 0))]
+        pairs = [(a, b) for a, b in pairs if spec.in_domain(*a) and spec.in_domain(*b)]
+        before = [spec.basis_bracket(a, b) for a, b in pairs]
+        central.clear()
+        central["C1"] = (0, 0)
+        assert spec.central_degrees() == _expected_domain(spec)[1]
+        assert [spec.basis_bracket(a, b) for a, b in pairs] == before
+
+
+def test_equal_parameters_give_equal_specs():
+    for spec in _domain_grid():
+        twin = AlgebraSpec(
+            spec.family, spec.alpha, spec.beta, spec.a1, spec.a2, spec.a2p
+        )
+        assert twin == spec and hash(twin) == hash(spec)
+        assert dataclasses.replace(spec) == spec
+        assert repr(twin) == (
+            f"AlgebraSpec(family={spec.family!r}, alpha={spec.alpha!r}, "
+            f"beta={spec.beta!r}, a1={spec.a1!r}, a2={spec.a2!r}, "
+            f"a2p={spec.a2p!r}, literal_c_index=False)"
+        )
+    assert repr(AlgebraSpec("block", 1, 2, a1=1)) == (
+        "AlgebraSpec(family='block', alpha=Fraction(1, 1), beta=Fraction(2, 1), "
+        "a1=Fraction(1, 1), a2=None, a2p=None, literal_c_index=False)"
+    )
+    assert AlgebraSpec("block", 1, 2) != AlgebraSpec("block", 1, 2, a1=1)
 
 
 # -- tables -------------------------------------------------------------------

@@ -83,6 +83,25 @@ def test_poly_eval():
         poly_eval(x, {})
 
 
+def test_substitute_many_terms_matches_termwise_sum():
+    x, y, z = symbol("x"), symbol("y"), symbol("z")
+    p = (x + 2 * y - z + Fraction(1, 3)) ** 7
+    assert len(p.terms) >= 100
+    assignment = {"x": Fraction(-2, 3), "z": Fraction(5)}
+    expected = MultiPoly()
+    for mono, c in p.terms.items():
+        term = const(c)
+        for name, e in mono:
+            base = const(assignment[name]) if name in assignment else symbol(name)
+            term = term * base**e
+        expected = expected + term
+    got = p.substitute(assignment)
+    assert got == expected
+    assert got.symbols() == {"y"}
+    with pytest.raises(UsageError):
+        p.eval(assignment)
+
+
 def test_eval_constraint_root():
     # root of the quintic factor list, confirmed by direct substitution
     b = symbol("beta1")

@@ -212,3 +212,33 @@ def test_propagate_scalars_repeated_occurrences():
 def test_symbolic_jacobi_single_term_rule():
     alpha = symbol("alpha")
     assert symbolic_jacobi(lambda i, j, k, ell: (k - i) + (ell - j) * alpha)
+
+
+def _pinned_sweep_specs():
+    sym = {name: symbol(name) for name in ("a1", "a2", "a2p")}
+    return [
+        AlgebraSpec("vir", Fraction(1, 2)),
+        AlgebraSpec("d", 1, Fraction(-1, 3)),
+        AlgebraSpec("c", Fraction(2, 3)),
+        AlgebraSpec("cbar", Fraction(-3, 2)),
+        AlgebraSpec("block", 1, 2, a1=3, a2=Fraction(1, 2), a2p=-1),
+        AlgebraSpec("block", 1, 2, **sym),
+        AlgebraSpec("bplus-", 1, a1=1, a2=2, a2p=Fraction(1, 3)),
+        AlgebraSpec("bplus+", 1, a1=-2, a2=1, a2p=1),
+    ]
+
+
+def _pinned_sweep_digest():
+    h = hashlib.sha256()
+    for spec in _pinned_sweep_specs():
+        for alg in (spec, CorruptedPair(spec, ((1, 0), (1, 1)))):
+            for check in (check_jacobi, check_antisymmetry, check_grading):
+                h.update(repr(check(alg, 2).to_json()).encode())
+    return h.hexdigest()
+
+
+def test_sweep_reports_are_pinned():
+    # Guards the counts, witnesses and witness order of the windowed sweeps.
+    assert _pinned_sweep_digest() == (
+        "1a294128d50a448ec77707787543ee13becdba131b2b52ec420ec196c2770f14"
+    )
