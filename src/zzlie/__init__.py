@@ -12,10 +12,7 @@ from .algebras import (
     BasisElement,
     DomainError,
     Element,
-    basis_bracket,
-    bracket,
     factorial_ratio,
-    in_domain,
     structure_table,
 )
 from .classify import (
@@ -30,11 +27,8 @@ from .poly import (
     MultiPoly,
     Rational,
     UsageError,
-    coefficient_of,
-    const,
     format_rational,
     parse_rational,
-    poly_eval,
     rational_root_scan,
     symbol,
 )
@@ -66,10 +60,7 @@ __all__ = [
     "BasisElement",
     "DomainError",
     "Element",
-    "basis_bracket",
-    "bracket",
     "factorial_ratio",
-    "in_domain",
     "structure_table",
     "ClassificationParams",
     "check_impossibility",
@@ -80,11 +71,8 @@ __all__ = [
     "MultiPoly",
     "Rational",
     "UsageError",
-    "coefficient_of",
-    "const",
     "format_rational",
     "parse_rational",
-    "poly_eval",
     "rational_root_scan",
     "symbol",
     "QuotientC",

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MultiPoly, accumulate, format_rational
+from .poly import MultiPoly, SparseVector, format_rational
 
 __all__ = [
     "DomainError",
@@ -31,9 +31,6 @@ __all__ = [
     "BasisElement",
     "Element",
     "factorial_ratio",
-    "in_domain",
-    "basis_bracket",
-    "bracket",
     "structure_table",
 ]
 
@@ -44,12 +41,6 @@ _CENTRAL_FAMILIES = ("block", "bplus-", "bplus+")
 
 class DomainError(ValueError):
     """An index outside the algebra's basis index set was used."""
-
-
-def _frac(value):
-    if isinstance(value, MultiPoly):
-        return value
-    return Fraction(value)
 
 
 def _as_int(value):
@@ -105,61 +96,18 @@ def _basis_sort_key(b):
     return (_SORT_KEY[b.kind], b.i or 0, b.j or 0)
 
 
-class Element:
+class Element(SparseVector):
     """A finite linear combination of basis elements.
 
-    Coefficients are Fractions, or MultiPoly when symbolic central
-    parameters are in play; zero coefficients are never stored.
+    Coefficients are stored as given: Fractions, or MultiPoly when symbolic
+    central parameters are in play.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for basis, coeff in terms.items():
-                if coeff:
-                    self.terms[basis] = coeff
+    __slots__ = ()
 
     @classmethod
     def single(cls, basis, coeff):
-        e = cls()
-        if coeff:
-            e.terms[basis] = coeff
-        return e
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        e = Element()
-        e.terms = accumulate(dict(self.terms), other.terms.items())
-        return e
-
-    def __neg__(self):
-        e = Element()
-        e.terms = {b: -c for b, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        e = Element()
-        if factor:
-            for b, c in self.terms.items():
-                p = c * factor
-                if p:
-                    e.terms[b] = p
-        return e
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.terms == other.terms
+        return cls._from_pruned({basis: coeff} if coeff else {})
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -181,9 +129,6 @@ class Element:
         return " + ".join(
             f"({self.terms[b]})*{b!r}" for b in sorted(self.terms, key=_basis_sort_key)
         )
-
-
-ZERO = Element()
 
 
 @dataclass(frozen=True)
@@ -304,7 +249,7 @@ class AlgebraSpec:
     def _block_bracket(self, i, j, k, ell):
         alpha, beta = self.alpha, self.beta
         out = Element()
-        coeff = (i + alpha) * (ell - beta) - (j - beta) * (k + alpha)
+        coeff = (i * ell - j * k) + alpha * (ell - j) + beta * (k - i)
         ti, tj = i + k, j + ell
         if coeff and self.in_domain(ti, tj):
             out = out + Element.single(_L(ti, tj), coeff)
@@ -351,20 +296,6 @@ def _c_coeff(alpha, i, j, k, ell):
     if j <= -2 and ell <= -2:
         return Fraction(0)
     return -_c_coeff(alpha, k, ell, i, j)
-
-
-# Module-level forms of the spec operations.
-
-def in_domain(spec, idx):
-    return spec.in_domain(*idx)
-
-
-def basis_bracket(spec, a, b):
-    return spec.basis_bracket(a, b)
-
-
-def bracket(spec, x, y):
-    return spec.bracket(x, y)
 
 
 def window_indices(spec, window):

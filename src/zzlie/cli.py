@@ -15,7 +15,7 @@ import sys
 
 from . import algebras, classify, verify, virmodules
 from .algebras import AlgebraSpec, DomainError, structure_table, table_to_json
-from .poly import UsageError, parse_rational, symbol
+from .poly import UsageError, format_rational, parse_rational, symbol
 
 
 def _param(text, name):
@@ -209,7 +209,6 @@ def _cmd_module(args):
     if witness is None:
         _emit({"found": False}, args)
         return 1
-    from .poly import format_rational
 
     _emit(
         {

@@ -74,13 +74,6 @@ class LinearSystem:
         self.pivots[var] = (row, const, combo)
         return True
 
-    def value_of(self, var):
-        """The forced value of var, or None if var is still free/coupled."""
-        piv = self.pivots.get(var)
-        if piv is None or piv[0]:
-            return None
-        return piv[1]
-
     def solved_values(self):
         return {
             var: const

@@ -1,10 +1,12 @@
 """Exact coefficient arithmetic: rationals and sparse multivariate polynomials.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, always canonical).
-Polynomials are stored as a sparse map from exponent vectors to rational
-coefficients; zero coefficients are never stored, so equality of the term
-maps is equality of polynomials.  ``accumulate`` is the one sparse
-linear-combination step that every layer builds its sums with.
+Polynomials are stored as a sparse map from exponent vectors (sorted tuples
+of (name, positive exponent) pairs) to rational coefficients; zero
+coefficients are never stored, so equality of the term maps is equality of
+polynomials.  ``accumulate`` is the one sparse linear-combination step that
+every layer builds its sums with, and ``SparseVector`` is the one linear
+combination type that algebra elements and module vectors share.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ __all__ = [
     "format_rational",
     "MultiPoly",
     "symbol",
-    "const",
-    "coefficient_of",
-    "poly_eval",
     "rational_root_scan",
 ]
 
@@ -30,10 +29,6 @@ class UsageError(ValueError):
 
 
 Rational = Fraction
-
-# A symbol is just its name; exponent vectors are sorted tuples of
-# (name, positive exponent) pairs.
-Monomial = tuple
 
 
 def parse_rational(text):
@@ -69,6 +64,54 @@ def accumulate(acc, terms, factor=None):
     return acc
 
 
+class SparseVector:
+    """A finite linear combination: a map key -> coefficient, zeros pruned.
+
+    Results are built with ``_from_pruned`` around a dict that is already
+    pruned, so a subclass constructor that converts its input runs only on
+    what a caller passes in, never on intermediate vectors.  Vectors of
+    different types never compare equal.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _from_pruned(cls, terms):
+        v = object.__new__(cls)
+        v.terms = terms
+        return v
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        return self._from_pruned(accumulate(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._from_pruned({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        # Exact coefficients have no zero divisors: a nonzero factor keeps
+        # every term nonzero.
+        if not factor:
+            return self._from_pruned({})
+        return self._from_pruned({k: c * factor for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+
 def _coerce_coeff(value):
     if isinstance(value, Fraction):
         return value
@@ -92,7 +135,8 @@ class MultiPoly:
 
     def __init__(self, terms=None):
         # Internal: `terms` must already be canonical (no zero coefficients,
-        # monomial keys sorted, exponents positive).  Use symbol()/const().
+        # monomial keys sorted, exponents positive).  Use symbol() or
+        # MultiPoly.const().
         self.terms = {} if terms is None else terms
 
     # -- constructors ------------------------------------------------------
@@ -101,10 +145,6 @@ class MultiPoly:
     def const(cls, value):
         c = _coerce_coeff(value)
         return cls({} if c == 0 else {(): c})
-
-    @classmethod
-    def symbol(cls, name):
-        return cls({((name, 1),): Fraction(1)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -254,19 +294,8 @@ class MultiPoly:
 
 
 def symbol(name):
-    return MultiPoly.symbol(name)
-
-
-def const(value):
-    return MultiPoly.const(value)
-
-
-def coefficient_of(p, name, degree):
-    return p.coefficient_of(name, degree)
-
-
-def poly_eval(p, assignment):
-    return p.eval(assignment)
+    """The polynomial consisting of the one symbol ``name``."""
+    return MultiPoly({((name, 1),): Fraction(1)})
 
 
 def rational_root_scan(p, candidates):

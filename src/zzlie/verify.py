@@ -6,6 +6,11 @@ symbolic checks expand the Jacobi sum with all index components and
 parameters as polynomial symbols, proving the identity for every value at
 once.  The diagonal-isomorphism search turns the window's brackets into
 multiplicative equations and solves them with ``propagate_scalars``.
+
+An algebra here is anything with three methods: ``in_domain(i, j)``,
+``basis_bracket(a, b)`` returning an ``Element``, and ``central_degrees()``
+mapping each present central generator ("C1"/"C2") to its degree.
+``AlgebraSpec`` and ``QuotientC`` both provide them.
 """
 
 from __future__ import annotations
@@ -73,10 +78,9 @@ def check_antisymmetry(alg, window, max_witnesses=20):
     for a in idxs:
         for b in idxs:
             report.checked_count += 1
-            bad = Element()
-            bad.terms = accumulate(dict(bb(a, b)), bb(b, a).items())
+            bad = accumulate(dict(bb(a, b)), bb(b, a).items())
             if bad:
-                report.witnesses.append(((a, b), bad))
+                report.witnesses.append(((a, b), Element(bad)))
                 if len(report.witnesses) >= max_witnesses:
                     return report
     return report
@@ -122,9 +126,7 @@ def check_jacobi(alg, window, max_witnesses=20):
                     for t, coeff in terms:
                         accumulate(acc, bb(t, w).items(), coeff)
                 if acc:
-                    bad = Element()
-                    bad.terms = acc
-                    report.witnesses.append(((a, b, c), bad))
+                    report.witnesses.append(((a, b, c), Element(acc)))
                     if len(report.witnesses) >= max_witnesses:
                         return report
     return report
@@ -133,7 +135,7 @@ def check_jacobi(alg, window, max_witnesses=20):
 def check_grading(alg, window, max_witnesses=20):
     """Every L term must sit at the index sum; central terms at their degree."""
     idxs = window_indices(alg, window)
-    central = alg.central_degrees() if hasattr(alg, "central_degrees") else {}
+    central = alg.central_degrees()
     report = ViolationReport("grading", 0)
     for a in idxs:
         for b in idxs:
@@ -245,7 +247,7 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window, seeds=((1, 0), (0
     """
     idxs = window_indices(alg_a, window)
     idx_set = set(idxs)
-    central = alg_b.central_degrees() if hasattr(alg_b, "central_degrees") else {}
+    central = alg_b.central_degrees()
 
     def resolve(t):
         m = index_map(t)

@@ -18,14 +18,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .linsolve import propagate_scalars
-from .poly import accumulate, format_rational
+from .poly import SparseVector, accumulate, format_rational
 from .verify import ViolationReport
 
 __all__ = [
     "ModuleSpec",
     "ModVector",
     "act",
-    "action_coeff",
     "check_module_axiom",
     "irreducible_subquotient",
     "find_intertwiner",
@@ -68,65 +67,30 @@ class ModuleSpec:
 
     def coeff(self, i, k):
         """The scalar with L_i v_k = coeff * v_{i+k}."""
-        return action_coeff(self, i, k)
+        alpha = self.alpha
+        if self.family == "a_ab":
+            return alpha + k + self.beta * i
+        if self.family == "a_paren":
+            if k == 0:
+                return Fraction(i) * (i + alpha)
+            return Fraction(i + k)
+        # b_paren
+        if k == -i:
+            return -Fraction(i) * (i + alpha)
+        return Fraction(k)
 
 
-def action_coeff(m, i, k):
-    alpha = m.alpha
-    if m.family == "a_ab":
-        return alpha + k + m.beta * i
-    if m.family == "a_paren":
-        if k == 0:
-            return Fraction(i) * (i + alpha)
-        return Fraction(i + k)
-    # b_paren
-    if k == -i:
-        return -Fraction(i) * (i + alpha)
-    return Fraction(k)
+class ModVector(SparseVector):
+    """A finite linear combination of the v_k with Fraction coefficients."""
 
-
-class ModVector:
-    """A finite linear combination of the v_k, zero coefficients pruned."""
-
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = Fraction(c)
+        self.terms = {k: Fraction(c) for k, c in terms.items() if c} if terms else {}
 
     @classmethod
     def basis(cls, k):
         return cls({k: 1})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        v = ModVector()
-        v.terms = accumulate(dict(self.terms), other.terms.items())
-        return v
-
-    def __neg__(self):
-        v = ModVector()
-        v.terms = {k: -c for k, c in self.terms.items()}
-        return v
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        v = ModVector()
-        if factor:
-            v.terms = {k: c * factor for k, c in self.terms.items()}
-        return v
-
-    def __eq__(self, other):
-        if not isinstance(other, ModVector):
-            return NotImplemented
-        return self.terms == other.terms
 
     def to_json(self):
         return {str(k): format_rational(self.terms[k]) for k in sorted(self.terms)}
@@ -145,9 +109,7 @@ def act(m, i, x):
             raise ValueError(f"v_{k} is outside the module support")
         if m.supports(i + k):
             image.append((i + k, c * m.coeff(i, k)))
-    out = ModVector()
-    accumulate(out.terms, image)
-    return out
+    return ModVector._from_pruned(accumulate({}, image))
 
 
 def irreducible_subquotient(m):

@@ -11,7 +11,10 @@ from zzlie.algebras import (
     Element,
     factorial_ratio,
     structure_table,
+    window_indices,
 )
+from zzlie.poly import MultiPoly, symbol
+from zzlie.virmodules import ModVector
 
 
 def L(i, j):
@@ -90,6 +93,21 @@ def test_block_second_center():
     result = spec.basis_bracket((0, 1), (-2, 3))
     # lands at (-2, 4) = (-2 alpha, 2 beta): a2*(alpha*j+beta*i) + a2p*(alpha+i)
     assert result.terms.get(BasisElement("C2")) == Fraction(1 * 1 + 1 * 1)
+
+
+def test_block_coefficient_expansion_matches_determinant_form():
+    i, j, k, ell = (symbol(n) for n in ("i", "j", "k", "ell"))
+    alpha, beta = symbol("alpha"), symbol("beta")
+    determinant = (i + alpha) * (ell - beta) - (j - beta) * (k + alpha)
+    expansion = (i * ell - j * k) + alpha * (ell - j) + beta * (k - i)
+    assert isinstance(expansion, MultiPoly)
+    assert expansion == determinant
+    spec = AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2))
+    for a in window_indices(spec, 2):
+        for b in window_indices(spec, 2):
+            (ia, ja), (ib, jb) = a, b
+            coeff = (ia + spec.alpha) * (jb - spec.beta) - (ja - spec.beta) * (ib + spec.alpha)
+            assert spec.basis_bracket(a, b) == single(ia + ib, ja + jb, coeff)
 
 
 def test_c_diagonal_case():
@@ -300,6 +318,38 @@ def test_element_json_schema():
     assert elem.to_json() == {
         "terms": [{"basis": {"kind": "L", "i": 1, "j": -2}, "coeff": "3/4"}]
     }
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda terms: Element({L(*k): c for k, c in terms.items()}), ModVector],
+    ids=["Element", "ModVector"],
+)
+def test_sparse_vector_semantics(make):
+    x = make({(0, 0): 2, (1, 0): 0})
+    y = make({(0, 0): Fraction(1, 3), (2, 0): -1})
+    assert len(x.terms) == 1
+    for result in (x + y, x - y, -x, x.scale(Fraction(3))):
+        assert type(result) is type(x)
+    assert (x + y).terms == make({(0, 0): Fraction(7, 3), (2, 0): -1}).terms
+    assert x.scale(0).is_zero() and not x.scale(0)
+    assert (x - x).is_zero() and (x - x).terms == {}
+    assert x == make({(0, 0): 2}) and x != y
+
+
+def test_sparse_vector_coefficients_and_types():
+    v = ModVector({0: 2, 1: 0})
+    assert v.terms == {0: Fraction(2)}
+    assert type(v.terms[0]) is Fraction
+    p = symbol("a1") + 1
+    e = Element({L(0, 0): p, L(1, 0): 0})
+    assert e.terms == {L(0, 0): p} and e.terms[L(0, 0)] is p
+    same = Element({0: Fraction(2)})
+    assert same.terms == v.terms
+    assert same != v and v != same
+    assert hash(e) == hash(Element({L(0, 0): p}))
+    with pytest.raises(TypeError):
+        hash(v)
 
 
 indices = st.tuples(st.integers(-4, 4), st.integers(-4, 4))

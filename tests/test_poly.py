@@ -6,11 +6,8 @@ from hypothesis import given, strategies as st
 from zzlie.poly import (
     MultiPoly,
     UsageError,
-    coefficient_of,
-    const,
     format_rational,
     parse_rational,
-    poly_eval,
     proportionality,
     rational_root_scan,
     symbol,
@@ -69,18 +66,18 @@ def test_poly_scalar_scale():
 def test_coefficient_of_extraction():
     i, alpha, beta = symbol("i"), symbol("alpha"), symbol("beta")
     p = 3 * i * i * alpha + i * beta
-    assert coefficient_of(p, "i", 2) == 3 * alpha
-    assert coefficient_of(p, "i", 1) == beta
+    assert p.coefficient_of("i", 2) == 3 * alpha
+    assert p.coefficient_of("i", 1) == beta
     x = symbol("x")
-    assert coefficient_of(x + 1, "x", 5).is_zero()
+    assert (x + 1).coefficient_of("x", 5).is_zero()
 
 
 def test_poly_eval():
     x = symbol("x")
-    assert poly_eval(x * x - 1, {"x": Fraction(2)}) == 3
-    assert poly_eval(MultiPoly(), {}) == 0
+    assert (x * x - 1).eval({"x": Fraction(2)}) == 3
+    assert MultiPoly().eval({}) == 0
     with pytest.raises(UsageError):
-        poly_eval(x, {})
+        x.eval({})
 
 
 def test_substitute_many_terms_matches_termwise_sum():
@@ -90,9 +87,9 @@ def test_substitute_many_terms_matches_termwise_sum():
     assignment = {"x": Fraction(-2, 3), "z": Fraction(5)}
     expected = MultiPoly()
     for mono, c in p.terms.items():
-        term = const(c)
+        term = MultiPoly.const(c)
         for name, e in mono:
-            base = const(assignment[name]) if name in assignment else symbol(name)
+            base = MultiPoly.const(assignment[name]) if name in assignment else symbol(name)
             term = term * base**e
         expected = expected + term
     got = p.substitute(assignment)
@@ -107,7 +104,7 @@ def test_eval_constraint_root():
     b = symbol("beta1")
     a = symbol("alpha")
     p = b * b * (b + 1) * (b + 2) * (b - 1) * (b + 3) * a * a
-    assert poly_eval(p, {"beta1": Fraction(-3), "alpha": Fraction(1)}) == 0
+    assert p.eval({"beta1": Fraction(-3), "alpha": Fraction(1)}) == 0
 
 
 def test_rational_root_scan():
@@ -128,7 +125,7 @@ def test_rational_root_scan_rejects_multivariate():
 small_polys = st.builds(
     lambda terms: sum(
         (c * symbol("x") ** e * symbol("y") ** f for (e, f), c in terms.items()),
-        const(0),
+        MultiPoly.const(0),
     ),
     st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -147,10 +144,10 @@ def test_poly_self_difference_is_zero(p):
 def test_eval_decomposes_over_coefficients(p, xv, yv):
     sigma = {"x": xv, "y": yv}
     total = sum(
-        poly_eval(coefficient_of(p, "x", d), {"y": yv}) * xv**d
+        p.coefficient_of("x", d).eval({"y": yv}) * xv**d
         for d in range(p.degree_in("x") + 1)
     )
-    assert poly_eval(p, sigma) == total
+    assert p.eval(sigma) == total
 
 
 def test_proportionality():
