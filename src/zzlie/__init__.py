@@ -25,7 +25,6 @@ from .classify import (
 )
 from .poly import (
     MultiPoly,
-    Rational,
     UsageError,
     format_rational,
     parse_rational,
@@ -69,7 +68,6 @@ __all__ = [
     "recurrence_equation",
     "solve_c_window",
     "MultiPoly",
-    "Rational",
     "UsageError",
     "format_rational",
     "parse_rational",

@@ -3,7 +3,8 @@
 Subcommands: bracket, table, verify, module, classify.  Output is
 deterministic (sorted keys, canonical "p/q" rationals) and identical in
 information across --format json|csv|text.  Exit codes: 0 success / all
-checks pass, 1 violation or infeasibility found, 2 usage error.
+checks pass, 1 violation or infeasibility found, 2 usage error or an
+``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, DomainError, ValueError) as exc:
+    except (UsageError, DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 __all__ = [
     "UsageError",
-    "Rational",
     "parse_rational",
     "format_rational",
     "MultiPoly",
@@ -26,9 +25,6 @@ __all__ = [
 
 class UsageError(ValueError):
     """Raised when an operation is called outside its contract."""
-
-
-Rational = Fraction
 
 
 def parse_rational(text):
@@ -161,14 +157,6 @@ class MultiPoly:
                 names.add(name)
         return names
 
-    def is_constant(self):
-        return all(mono == () for mono in self.terms)
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise UsageError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
-
     def degree_in(self, name):
         deg = 0
         for mono in self.terms:
@@ -267,7 +255,7 @@ class MultiPoly:
         missing = self.symbols() - set(assignment)
         if missing:
             raise UsageError(f"unassigned symbols: {sorted(missing)}")
-        return self.substitute(assignment).constant_value()
+        return self.substitute(assignment).terms.get((), Fraction(0))
 
     # -- serialization -----------------------------------------------------
 

@@ -1,11 +1,14 @@
 """Windowed and symbolic verification of the defining identities.
 
 The windowed checks sweep every basis pair/triple with |i|, |j| <= W and
-compare exactly; a check "passes" iff its report carries no witnesses.  The
+compare exactly; a check "passes" iff its report carries no witnesses.  Every
+windowed check runs through ``ViolationReport.sweep``, which collects the
+witnesses in sweep order and stops at ``MAX_WITNESSES`` (20) of them.  The
 symbolic checks expand the Jacobi sum with all index components and
 parameters as polynomial symbols, proving the identity for every value at
 once.  The diagonal-isomorphism search turns the window's brackets into
-multiplicative equations and solves them with ``propagate_scalars``.
+multiplicative equations and solves them with ``propagate_scalars`` from the
+unit seeds (1, 0) and (0, 1).
 
 An algebra here is anything with three methods: ``in_domain(i, j)``,
 ``basis_bracket(a, b)`` returning an ``Element``, and ``central_degrees()``
@@ -16,9 +19,10 @@ mapping each present central generator ("C1"/"C2") to its degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement, product
 
-from .algebras import AlgebraSpec, Element, window_indices
+from .algebras import AlgebraSpec, BasisElement, Element, window_indices
 from .linsolve import propagate_scalars
 from .poly import MultiPoly, accumulate, symbol
 
@@ -35,12 +39,32 @@ __all__ = [
     "find_diagonal_isomorphism",
 ]
 
+MAX_WITNESSES = 20
+
 
 @dataclass
 class ViolationReport:
     check: str
     checked_count: int
     witnesses: list = field(default_factory=list)
+
+    @classmethod
+    def sweep(cls, check, cases, defect):
+        """Run ``defect(*case)`` over ``cases`` in order and report what it finds.
+
+        ``defect`` returns the witness details of one case (empty when the
+        case passes); each detail becomes one witness at that case.  The
+        sweep stops once ``MAX_WITNESSES`` witnesses are collected, and
+        ``checked_count`` is the number of cases run up to then.
+        """
+        witnesses = []
+        count = 0
+        for count, case in enumerate(cases, 1):
+            for detail in defect(*case):
+                witnesses.append((case, detail))
+                if len(witnesses) == MAX_WITNESSES:
+                    return cls(check, count, witnesses)
+        return cls(check, count, witnesses)
 
     @property
     def ok(self):
@@ -57,36 +81,19 @@ class ViolationReport:
         }
 
 
-def _pair_cache(alg):
-    cache = {}
-
-    def bb(a, b):
-        key = (a, b)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = alg.basis_bracket(a, b).terms
-        return got
-
-    return bb
-
-
-def check_antisymmetry(alg, window, max_witnesses=20):
+def check_antisymmetry(alg, window):
     """Witness every ordered pair with [a,b] != -[b,a]."""
     idxs = window_indices(alg, window)
-    bb = _pair_cache(alg)
-    report = ViolationReport("antisymmetry", 0)
-    for a in idxs:
-        for b in idxs:
-            report.checked_count += 1
-            bad = accumulate(dict(bb(a, b)), bb(b, a).items())
-            if bad:
-                report.witnesses.append(((a, b), Element(bad)))
-                if len(report.witnesses) >= max_witnesses:
-                    return report
-    return report
+    bb = cache(lambda a, b: alg.basis_bracket(a, b).terms)
+
+    def defect(a, b):
+        bad = accumulate(dict(bb(a, b)), bb(b, a).items())
+        return (Element(bad),) if bad else ()
+
+    return ViolationReport.sweep("antisymmetry", product(idxs, repeat=2), defect)
 
 
-def check_jacobi(alg, window, max_witnesses=20):
+def check_jacobi(alg, window):
     """Sweep unordered basis triples; witness each nonzero cyclic sum.
 
     With symbolic central parameters a triple passes only if its sum is the
@@ -94,63 +101,44 @@ def check_jacobi(alg, window, max_witnesses=20):
     parameter value at once.
     """
     idxs = window_indices(alg, window)
-    bb = _pair_cache(alg)
+    bb = cache(lambda a, b: alg.basis_bracket(a, b).terms)
     in_domain = alg.in_domain
-    outer_cache = {}
 
+    @cache
     def outer(u, v):
         # (index, coeff) of the L terms of [u, v] that lie in the domain;
         # only those can be bracketed again.
-        key = (u, v)
-        got = outer_cache.get(key)
-        if got is None:
-            got = outer_cache[key] = [
-                ((basis.i, basis.j), coeff)
-                for basis, coeff in bb(u, v).items()
-                if basis.kind == "L" and in_domain(basis.i, basis.j)
-            ]
-        return got
+        return [
+            ((basis.i, basis.j), coeff)
+            for basis, coeff in bb(u, v).items()
+            if basis.kind == "L" and in_domain(basis.i, basis.j)
+        ]
 
-    report = ViolationReport("jacobi", 0)
-    n = len(idxs)
-    for x in range(n):
-        a = idxs[x]
-        for y in range(x, n):
-            b = idxs[y]
-            ab = outer(a, b)
-            for z in range(y, n):
-                c = idxs[z]
-                report.checked_count += 1
-                acc = {}
-                for terms, w in ((ab, c), (outer(b, c), a), (outer(c, a), b)):
-                    for t, coeff in terms:
-                        accumulate(acc, bb(t, w).items(), coeff)
-                if acc:
-                    report.witnesses.append(((a, b, c), Element(acc)))
-                    if len(report.witnesses) >= max_witnesses:
-                        return report
-    return report
+    def defect(a, b, c):
+        acc = {}
+        for terms, w in ((outer(a, b), c), (outer(b, c), a), (outer(c, a), b)):
+            for t, coeff in terms:
+                accumulate(acc, bb(t, w).items(), coeff)
+        return (Element(acc),) if acc else ()
+
+    cases = combinations_with_replacement(idxs, 3)
+    return ViolationReport.sweep("jacobi", cases, defect)
 
 
-def check_grading(alg, window, max_witnesses=20):
+def check_grading(alg, window):
     """Every L term must sit at the index sum; central terms at their degree."""
     idxs = window_indices(alg, window)
     central = alg.central_degrees()
-    report = ViolationReport("grading", 0)
-    for a in idxs:
-        for b in idxs:
-            report.checked_count += 1
-            total = (a[0] + b[0], a[1] + b[1])
-            for basis in alg.basis_bracket(a, b).terms:
-                if basis.kind == "L":
-                    bad = basis.index != total
-                else:
-                    bad = central.get(basis.kind) != total
-                if bad:
-                    report.witnesses.append(((a, b), basis))
-                    if len(report.witnesses) >= max_witnesses:
-                        return report
-    return report
+
+    def defect(a, b):
+        total = (a[0] + b[0], a[1] + b[1])
+        return [
+            basis
+            for basis in alg.basis_bracket(a, b).terms
+            if (basis.index if basis.kind == "L" else central.get(basis.kind)) != total
+        ]
+
+    return ViolationReport.sweep("grading", product(idxs, repeat=2), defect)
 
 
 # -- symbolic Jacobi ---------------------------------------------------------
@@ -181,11 +169,10 @@ def symbolic_jacobi(coeff_fn):
     return total == 0
 
 
-def symbolic_jacobi_D(coeff_fn=None):
+def symbolic_jacobi_D():
     """Jacobi for the uniform two-parameter family, all eight symbols free."""
     alpha, beta = symbol("alpha"), symbol("beta")
-    fn = coeff_fn or _d_coeff_poly
-    return symbolic_jacobi(lambda i, j, k, ell: fn(i, j, k, ell, alpha, beta))
+    return symbolic_jacobi(lambda i, j, k, ell: _d_coeff_poly(i, j, k, ell, alpha, beta))
 
 
 def symbolic_jacobi_vir():
@@ -225,68 +212,51 @@ class QuotientC:
 
     def basis_bracket(self, a, b):
         full = self.upstairs.basis_bracket(a, b)
-        out = Element()
-        for basis, coeff in full.terms.items():
-            if basis.kind == "L" and basis.j <= -2:
-                continue
-            out.terms[basis] = coeff
-        return out
+        return Element(
+            {basis: c for basis, c in full.terms.items() if basis.kind != "L" or basis.j > -2}
+        )
 
 
-def find_diagonal_isomorphism(alg_a, alg_b, index_map, window, seeds=((1, 0), (0, 1))):
+def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     """Nonzero scalars lambda_idx making rescaled brackets of A match B.
 
     ``index_map`` must be an additive bijection on the window (grading
     compatible); A-side basis indices whose image is not a B basis index may
     land on a B central generator of matching degree.  Returns the witness
-    map (A index -> scalar) or None.
+    map (A index -> scalar) or None.  A-side central terms raise
+    ``ValueError``, before any other outcome for the same pair.
 
-    The scalars are found by ``propagate_scalars`` from unit seeds (the
-    residual gauge freedom of a diagonal rescaling), which verifies every
-    window equation, so a returned witness is always genuine.
+    The scalars are found by ``propagate_scalars`` from the unit seeds
+    (1, 0) and (0, 1) (the residual gauge freedom of a diagonal rescaling),
+    which verifies every window equation, so a returned witness is always
+    genuine.
     """
     idxs = window_indices(alg_a, window)
     idx_set = set(idxs)
-    central = alg_b.central_degrees()
+    central = {deg: BasisElement(kind) for kind, deg in alg_b.central_degrees().items()}
 
-    def resolve(t):
+    def image(t):
         m = index_map(t)
         if alg_b.in_domain(*m):
-            return ("L", m)
-        for kind, deg in central.items():
-            if deg == m:
-                return (kind,)
-        return None
+            return BasisElement("L", *m)
+        return central.get(m)
 
     # Equations c_a * lam_t == c_b * lam_a * lam_b, one per basis target.
     equations = []
-    for a in idxs:
-        for b in idxs:
-            ma, mb = index_map(a), index_map(b)
-            if not (alg_b.in_domain(*ma) and alg_b.in_domain(*mb)):
-                continue
-            ea = alg_a.basis_bracket(a, b)
-            eb = alg_b.basis_bracket(ma, mb)
-            lhs = {}
-            for basis, coeff in ea.terms.items():
-                if basis.kind != "L":
-                    raise ValueError("A-side central terms are not supported")
-                key = resolve(basis.index)
-                if key is None:
-                    return None  # A term has no image at all
-                lhs[key] = (basis.index, coeff)
-            rhs = {}
-            for basis, coeff in eb.terms.items():
-                key = ("L", basis.index) if basis.kind == "L" else (basis.kind,)
-                rhs[key] = coeff
-            for key in set(lhs) | set(rhs):
-                t, ca = lhs.get(key, (None, Fraction(0)))
-                cb = rhs.get(key, Fraction(0))
-                if ca == 0 and cb == 0:
-                    continue
-                if ca == 0 or cb == 0:
-                    return None  # would force some scalar to zero
-                if t not in idx_set:
-                    continue  # target scalar outside the window: no constraint
-                equations.append((t, ca, (a, b), cb))
-    return propagate_scalars(idxs, equations, [s for s in seeds if s in idx_set])
+    for a, b in product(idxs, repeat=2):
+        ma, mb = index_map(a), index_map(b)
+        if not (alg_b.in_domain(*ma) and alg_b.in_domain(*mb)):
+            continue
+        ea = alg_a.basis_bracket(a, b).terms
+        if any(basis.kind != "L" for basis in ea):
+            raise ValueError("A-side central terms are not supported")
+        eb = dict(alg_b.basis_bracket(ma, mb).terms)
+        for basis, ca in ea.items():
+            cb = eb.pop(image(basis.index), None)
+            if cb is None:
+                return None  # an A term without a B image: its scalar would vanish
+            if basis.index in idx_set:  # else the target scalar is unconstrained
+                equations.append((basis.index, ca, (a, b), cb))
+        if eb:
+            return None  # a B term without an A preimage forces a zero scalar
+    return propagate_scalars(idxs, equations, [s for s in ((1, 0), (0, 1)) if s in idx_set])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 from .linsolve import propagate_scalars
 from .poly import SparseVector, accumulate, format_rational
@@ -134,22 +135,16 @@ def irreducible_subquotient(m):
 def check_module_axiom(m, window):
     """[L_i, L_j] v_k = (j-i) L_{i+j} v_k, exactly, over the sweep window."""
     rng = range(-window, window + 1)
-    report = ViolationReport("module-axiom", 0)
-    for k in rng:
-        if not m.supports(k):
-            continue
-        vk = ModVector.basis(k)
-        for i in rng:
-            for j in rng:
-                report.checked_count += 1
-                lhs = act(m, i, act(m, j, vk)) - act(m, j, act(m, i, vk))
-                rhs = act(m, i + j, vk).scale(Fraction(j - i))
-                bad = lhs - rhs
-                if bad:
-                    report.witnesses.append(((i, j, k), bad))
-                    if len(report.witnesses) >= 20:
-                        return report
-    return report
+    # L_i v_k depends on one index pair; the sweep reuses it for every partner.
+    image = cache(lambda i, k: act(m, i, ModVector.basis(k)))
+
+    def defect(i, j, k):
+        lhs = act(m, i, image(j, k)) - act(m, j, image(i, k))
+        bad = lhs - image(i + j, k).scale(Fraction(j - i))
+        return (bad,) if bad else ()
+
+    cases = ((i, j, k) for k in rng if m.supports(k) for i in rng for j in rng)
+    return ViolationReport.sweep("module-axiom", cases, defect)
 
 
 def find_intertwiner(m1, m2, window):

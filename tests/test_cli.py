@@ -105,6 +105,19 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["terms"]
 
 
+@pytest.mark.parametrize("where", ["missing/result.json", "."])
+def test_out_path_errors_exit_two(tmp_path, capsys, where):
+    # a missing directory, then a directory in place of a file
+    code = main([
+        "bracket", "--family", "vir", "--alpha", "1",
+        "--left", "0,1", "--right", "2,0", "--out", str(tmp_path / where),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_module_check_and_intertwine(capsys):
     code, out = run(
         capsys, "module", "check", "--family", "a_ab", "--alpha", "1/2",

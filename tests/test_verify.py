@@ -2,6 +2,8 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from zzlie.algebras import AlgebraSpec, BasisElement, Element
 from zzlie.linsolve import propagate_scalars
 from zzlie.poly import symbol
@@ -79,13 +81,13 @@ def test_symbolic_jacobi_rejects_mutation():
     def sign_flip(i, j, k, ell, a=alpha, b=beta):
         return b * (i * ell - j * k) - (k - i) + (ell - j) * a
 
-    assert symbolic_jacobi_D(sign_flip)
+    assert symbolic_jacobi(sign_flip)
 
     def broken(i, j, k, ell, a=alpha, b=beta):
         # (k + i) destroys antisymmetry and genuinely breaks the identity
         return b * (i * ell - j * k) + (k + i) + (ell - j) * a
 
-    assert not symbolic_jacobi_D(broken)
+    assert not symbolic_jacobi(broken)
 
 
 def test_symbolic_specializes_to_numeric():
@@ -139,6 +141,25 @@ def test_grading_literal_index_variant_fails():
     assert check_grading(AlgebraSpec("c", 1), 2).ok
 
 
+@pytest.mark.parametrize(
+    "check, stop", [(check_antisymmetry, 41), (check_jacobi, 44), (check_grading, 42)]
+)
+def test_sweeps_stop_at_the_witness_cap(check, stop):
+    report = check(AlgebraSpec("c", 1, literal_c_index=True), 2)
+    assert len(report.witnesses) == 20
+    assert report.checked_count == stop
+
+
+def test_capped_sweep_reports_are_pinned():
+    spec = AlgebraSpec("c", 1, literal_c_index=True)
+    h = hashlib.sha256()
+    for check in (check_antisymmetry, check_jacobi, check_grading):
+        h.update(repr(check(spec, 2).to_json()).encode())
+    assert h.hexdigest() == (
+        "6a0d75d2c50e759a04bca840581a840a34ccd5be9605f138e5d8ab839435ef0e"
+    )
+
+
 def test_report_json_shape():
     report = check_grading(AlgebraSpec("vir", 1), 1)
     data = report.to_json()
@@ -165,6 +186,19 @@ def test_distinct_alpha_not_isomorphic():
     lam = find_diagonal_isomorphism(
         AlgebraSpec("vir", 1), AlgebraSpec("vir", 2), lambda t: t, 3
     )
+    assert lam is None
+
+
+def test_isomorphism_outcomes_without_witness():
+    block = AlgebraSpec("block", 1, 2, a1=1, a2=1, a2p=1)
+    with pytest.raises(ValueError, match="central"):
+        find_diagonal_isomorphism(block, block, lambda t: t, 2)
+    lam = find_diagonal_isomorphism(
+        AlgebraSpec("vir", 1), AlgebraSpec("d", 1, 1), lambda t: t, 2
+    )
+    assert lam is None
+    # the c family keeps the terms at j <= -2 that the quotient drops
+    lam = find_diagonal_isomorphism(QuotientC(1), AlgebraSpec("c", 1), lambda t: t, 2)
     assert lam is None
 
 

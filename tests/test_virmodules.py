@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -91,6 +92,31 @@ class MutatedExceptional:
 
 def test_module_axiom_finds_injected_fault():
     assert not check_module_axiom(MutatedExceptional(1), 3).ok
+
+
+def test_module_axiom_stops_at_the_witness_cap():
+    report = check_module_axiom(MutatedExceptional(1), 4)
+    assert len(report.witnesses) == 20
+    assert report.checked_count == 347
+
+
+def test_module_axiom_reports_are_pinned():
+    # Guards the counts, witnesses and witness order of the module sweep.
+    h = hashlib.sha256()
+    for m in (
+        ModuleSpec("a_ab", Fraction(1, 2), 0),
+        ModuleSpec("a_ab", Fraction(-2, 3), Fraction(5, 2)),
+        ModuleSpec("a_paren", 1),
+        ModuleSpec("b_paren", -2),
+        irreducible_subquotient(ModuleSpec("a_ab", 0, 0)),
+        irreducible_subquotient(ModuleSpec("a_ab", 0, 1)),
+        MutatedExceptional(1),
+    ):
+        report = check_module_axiom(m, 4)
+        h.update(repr((report.check, report.checked_count, report.witnesses)).encode())
+    assert h.hexdigest() == (
+        "ec5881d09523f8bc442554cb2c6c4327e46b23544ed7b6f8b5944c27471a472f"
+    )
 
 
 def test_subquotient_detection():
