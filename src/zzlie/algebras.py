@@ -70,6 +70,11 @@ class BasisElement:
         if self.kind == "L" and (self.i is None or self.j is None):
             raise ValueError("L basis elements need an index")
 
+    @classmethod
+    def of(cls, key):
+        """The basis element of a raw bracket-term key: ``(i, j)``, "C1" or "C2"."""
+        return cls(key) if isinstance(key, str) else cls("L", *key)
+
     @property
     def index(self):
         return (self.i, self.j)
@@ -85,8 +90,9 @@ class BasisElement:
         return "c1" if self.kind == "C1" else "c2"
 
 
-def _L(i, j):
-    return BasisElement("L", i, j)
+def _single(key, coeff):
+    """One raw bracket term, or none when the coefficient vanishes."""
+    return ((key, coeff),) if coeff else ()
 
 
 _SORT_KEY = {"L": 0, "C1": 1, "C2": 2}
@@ -108,6 +114,11 @@ class Element(SparseVector):
     @classmethod
     def single(cls, basis, coeff):
         return cls._from_pruned({basis: coeff} if coeff else {})
+
+    @classmethod
+    def from_terms(cls, terms):
+        """The element of raw ``(key, coeff)`` terms (distinct keys, nonzero coeffs)."""
+        return cls._from_pruned({BasisElement.of(key): c for key, c in terms})
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -219,8 +230,14 @@ class AlgebraSpec:
 
     # -- brackets ------------------------------------------------------------
 
-    def basis_bracket(self, a, b):
-        """[L_a, L_b] as an Element; inputs must be in the domain."""
+    def bracket_terms(self, a, b):
+        """[L_a, L_b] as a tuple of raw ``(key, coeff)`` terms, zeros dropped.
+
+        A key is the index pair ``(i, j)`` of an L term, or ``"C1"``/``"C2"``
+        for a central generator; each key occurs at most once, L before C1
+        before C2.  Inputs must be in the domain, else ``DomainError``.
+        ``basis_bracket`` is the same bracket as an ``Element``.
+        """
         (i, j), (k, ell) = a, b
         if not self.in_domain(i, j):
             raise DomainError(f"{a} not in domain of {self.family}")
@@ -228,10 +245,10 @@ class AlgebraSpec:
             raise DomainError(f"{b} not in domain of {self.family}")
         if self.family == "vir":
             coeff = Fraction(k - i) + (ell - j) * self.alpha
-            return Element.single(_L(i + k, j + ell), coeff)
+            return _single((i + k, j + ell), coeff)
         if self.family == "d":
             coeff = self.beta * (i * ell - j * k) + (k - i) + (ell - j) * self.alpha
-            return Element.single(_L(i + k, j + ell), coeff)
+            return _single((i + k, j + ell), coeff)
         if self.family in _CENTRAL_FAMILIES:
             return self._block_bracket(i, j, k, ell)
         # c / cbar
@@ -244,27 +261,30 @@ class AlgebraSpec:
             ti, tj = i + k, j + ell
         if self.family == "cbar":
             tj = -tj
-        return Element.single(_L(ti, tj), coeff)
+        return _single((ti, tj), coeff)
+
+    def basis_bracket(self, a, b):
+        """[L_a, L_b] as an Element; inputs must be in the domain."""
+        return Element.from_terms(self.bracket_terms(a, b))
 
     def _block_bracket(self, i, j, k, ell):
         alpha, beta = self.alpha, self.beta
-        out = Element()
+        terms = []
         coeff = (i * ell - j * k) + alpha * (ell - j) + beta * (k - i)
         ti, tj = i + k, j + ell
         if coeff and self.in_domain(ti, tj):
-            out = out + Element.single(_L(ti, tj), coeff)
+            terms.append(((ti, tj), coeff))
         central = self._central
-        if "C1" in central and (ti, tj) == central["C1"] and self.a1 is not None:
-            c = (alpha * j + beta * i) * self.a1
-            out = out + Element.single(BasisElement("C1"), c)
-        if "C2" in central and (ti, tj) == central["C2"]:
+        if (ti, tj) == central.get("C1") and self.a1 is not None:
+            terms += _single("C1", (alpha * j + beta * i) * self.a1)
+        if (ti, tj) == central.get("C2"):
             c = 0
             if self.a2 is not None:
                 c = self.a2 * (alpha * j + beta * i)
             if self.a2p is not None:
                 c = c + self.a2p * (alpha + i)
-            out = out + Element.single(BasisElement("C2"), c)
-        return out
+            terms += _single("C2", c)
+        return tuple(terms)
 
     def bracket(self, x, y):
         """Bilinear extension; central generators are central."""

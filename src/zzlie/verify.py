@@ -11,16 +11,27 @@ multiplicative equations and solves them with ``propagate_scalars`` from the
 unit seeds (1, 0) and (0, 1).
 
 An algebra here is anything with three methods: ``in_domain(i, j)``,
-``basis_bracket(a, b)`` returning an ``Element``, and ``central_degrees()``
-mapping each present central generator ("C1"/"C2") to its degree.
+``bracket_terms(a, b)`` returning the bracket as raw ``(key, coeff)`` terms
+(key ``(i, j)`` for L, "C1"/"C2" for a central generator), and
+``central_degrees()`` mapping each present central generator to its degree.
 ``AlgebraSpec`` and ``QuotientC`` both provide them.
+
+The Jacobi kernel evaluates every bracket of the sweep once, then converts
+each Fraction coefficient c to the int c·D, where D is the LCM of all their
+denominators, so a triple's cyclic sum is a sum of int products: the triple
+fails iff that sum is nonzero, and the witness carries the true coefficient
+sum / D².  When a coefficient is a ``MultiPoly`` (symbolic central
+parameters), D is 1, nothing is converted, and the same loop sums exact
+polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
+from math import lcm
 
 from .algebras import AlgebraSpec, BasisElement, Element, window_indices
 from .linsolve import propagate_scalars
@@ -75,7 +86,11 @@ class ViolationReport:
             "check": self.check,
             "checked_count": self.checked_count,
             "witnesses": [
-                {"at": [list(t) for t in at], "detail": repr(detail)}
+                {
+                    # algebra witnesses sit at index pairs, module witnesses at ints
+                    "at": [list(t) if isinstance(t, tuple) else t for t in at],
+                    "detail": repr(detail),
+                }
                 for at, detail in self.witnesses
             ],
         }
@@ -84,42 +99,73 @@ class ViolationReport:
 def check_antisymmetry(alg, window):
     """Witness every ordered pair with [a,b] != -[b,a]."""
     idxs = window_indices(alg, window)
-    bb = cache(lambda a, b: alg.basis_bracket(a, b).terms)
+    bb = cache(alg.bracket_terms)
 
     def defect(a, b):
-        bad = accumulate(dict(bb(a, b)), bb(b, a).items())
-        return (Element(bad),) if bad else ()
+        bad = accumulate(dict(bb(a, b)), bb(b, a))
+        return (Element.from_terms(bad.items()),) if bad else ()
 
     return ViolationReport.sweep("antisymmetry", product(idxs, repeat=2), defect)
+
+
+def _integer_scaled(brackets):
+    """``(brackets, D)`` with every coefficient c replaced by the int c·D.
+
+    D is the LCM of all the coefficients' denominators.  When any
+    coefficient is a MultiPoly (a symbolic centre), D is 1 and nothing is
+    converted.
+    """
+    coeffs = [c for terms in brackets.values() for _, c in terms]
+    if any(isinstance(c, MultiPoly) for c in coeffs):
+        return brackets, 1
+    d = lcm(*{c.denominator for c in coeffs})
+
+    def scaled(c):
+        n, rest = divmod(c.numerator * d, c.denominator)
+        assert not rest, "D must clear every denominator"
+        return n
+
+    return {
+        pair: tuple((key, scaled(c)) for key, c in terms)
+        for pair, terms in brackets.items()
+    }, d
 
 
 def check_jacobi(alg, window):
     """Sweep unordered basis triples; witness each nonzero cyclic sum.
 
-    With symbolic central parameters a triple passes only if its sum is the
-    zero polynomial, which certifies the cocycle identity for every
-    parameter value at once.
+    Runs the integer-scaled kernel of the module docstring.  With symbolic
+    central parameters a triple passes only if its sum is the zero
+    polynomial, which certifies the cocycle identity for every parameter
+    value at once.
     """
     idxs = window_indices(alg, window)
-    bb = cache(lambda a, b: alg.basis_bracket(a, b).terms)
-    in_domain = alg.in_domain
-
-    @cache
-    def outer(u, v):
-        # (index, coeff) of the L terms of [u, v] that lie in the domain;
-        # only those can be bracketed again.
-        return [
-            ((basis.i, basis.j), coeff)
-            for basis, coeff in bb(u, v).items()
-            if basis.kind == "L" and in_domain(basis.i, basis.j)
-        ]
+    pairs = list(product(idxs, repeat=2))
+    brackets = {pair: alg.bracket_terms(*pair) for pair in pairs}
+    # Only the in-domain L terms of a window bracket are bracketed again.
+    targets = {
+        key
+        for terms in brackets.values()
+        for key, _ in terms
+        if not isinstance(key, str) and alg.in_domain(*key)
+    }
+    for pair in product(targets, idxs):
+        if pair not in brackets:
+            brackets[pair] = alg.bracket_terms(*pair)
+    brackets, d = _integer_scaled(brackets)
+    outer = {pair: [(t, c) for t, c in brackets[pair] if t in targets] for pair in pairs}
 
     def defect(a, b, c):
         acc = {}
-        for terms, w in ((outer(a, b), c), (outer(b, c), a), (outer(c, a), b)):
+        for terms, w in ((outer[a, b], c), (outer[b, c], a), (outer[c, a], b)):
             for t, coeff in terms:
-                accumulate(acc, bb(t, w).items(), coeff)
-        return (Element(acc),) if acc else ()
+                accumulate(acc, brackets[t, w], coeff)
+        if not acc:
+            return ()
+        witness = Element.from_terms(
+            (key, Fraction(s, d * d) if isinstance(s, int) else s) for key, s in acc.items()
+        )
+        return (witness,)
 
     cases = combinations_with_replacement(idxs, 3)
     return ViolationReport.sweep("jacobi", cases, defect)
@@ -133,9 +179,9 @@ def check_grading(alg, window):
     def defect(a, b):
         total = (a[0] + b[0], a[1] + b[1])
         return [
-            basis
-            for basis in alg.basis_bracket(a, b).terms
-            if (basis.index if basis.kind == "L" else central.get(basis.kind)) != total
+            BasisElement.of(key)
+            for key, _ in alg.bracket_terms(a, b)
+            if (central.get(key) if isinstance(key, str) else key) != total
         ]
 
     return ViolationReport.sweep("grading", product(idxs, repeat=2), defect)
@@ -210,11 +256,13 @@ class QuotientC:
     def central_degrees(self):
         return {}
 
+    def bracket_terms(self, a, b):
+        # the c family has no central generators: every key is an index pair
+        terms = self.upstairs.bracket_terms(a, b)
+        return tuple((key, c) for key, c in terms if key[1] > -2)
+
     def basis_bracket(self, a, b):
-        full = self.upstairs.basis_bracket(a, b)
-        return Element(
-            {basis: c for basis, c in full.terms.items() if basis.kind != "L" or basis.j > -2}
-        )
+        return Element.from_terms(self.bracket_terms(a, b))
 
 
 def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
@@ -233,13 +281,11 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     """
     idxs = window_indices(alg_a, window)
     idx_set = set(idxs)
-    central = {deg: BasisElement(kind) for kind, deg in alg_b.central_degrees().items()}
+    central = {deg: kind for kind, deg in alg_b.central_degrees().items()}
 
     def image(t):
         m = index_map(t)
-        if alg_b.in_domain(*m):
-            return BasisElement("L", *m)
-        return central.get(m)
+        return m if alg_b.in_domain(*m) else central.get(m)
 
     # Equations c_a * lam_t == c_b * lam_a * lam_b, one per basis target.
     equations = []
@@ -247,16 +293,16 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
         ma, mb = index_map(a), index_map(b)
         if not (alg_b.in_domain(*ma) and alg_b.in_domain(*mb)):
             continue
-        ea = alg_a.basis_bracket(a, b).terms
-        if any(basis.kind != "L" for basis in ea):
+        ea = alg_a.bracket_terms(a, b)
+        if any(isinstance(key, str) for key, _ in ea):
             raise ValueError("A-side central terms are not supported")
-        eb = dict(alg_b.basis_bracket(ma, mb).terms)
-        for basis, ca in ea.items():
-            cb = eb.pop(image(basis.index), None)
+        eb = dict(alg_b.bracket_terms(ma, mb))
+        for t, ca in ea:
+            cb = eb.pop(image(t), None)
             if cb is None:
                 return None  # an A term without a B image: its scalar would vanish
-            if basis.index in idx_set:  # else the target scalar is unconstrained
-                equations.append((basis.index, ca, (a, b), cb))
+            if t in idx_set:  # else the target scalar is unconstrained
+                equations.append((t, ca, (a, b), cb))
         if eb:
             return None  # a B term without an A preimage forces a zero scalar
     return propagate_scalars(idxs, equations, [s for s in ((1, 0), (0, 1)) if s in idx_set])

@@ -152,6 +152,48 @@ def test_out_of_domain_raises():
         spec.basis_bracket((-1, 2), (0, 0))
 
 
+def _raw_key(basis):
+    return basis.index if basis.kind == "L" else basis.kind
+
+
+def test_bracket_terms_match_basis_bracket():
+    specs = [
+        AlgebraSpec("vir", 1),
+        AlgebraSpec("d", 1, 3),
+        AlgebraSpec("block", 1, 2, a1=1, a2=1, a2p=1),
+        AlgebraSpec("bplus-", 1, a1=1, a2=2, a2p=Fraction(1, 3)),
+        AlgebraSpec("bplus+", 1, a1=-2, a2=1, a2p=1),
+        AlgebraSpec("c", Fraction(2, 3)),
+        AlgebraSpec("cbar", Fraction(2, 3)),
+    ]
+    grid = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+    central_seen, empty, refused = set(), 0, set()
+    for spec in specs:
+        for a in grid:
+            for b in grid:
+                if not (spec.in_domain(*a) and spec.in_domain(*b)):
+                    with pytest.raises(DomainError):
+                        spec.bracket_terms(a, b)
+                    with pytest.raises(DomainError):
+                        spec.basis_bracket(a, b)
+                    refused.update(p for p in (a, b) if p in spec.excluded_points())
+                    continue
+                terms = spec.bracket_terms(a, b)
+                assert isinstance(terms, tuple)
+                keys = [key for key, _ in terms]
+                assert len(set(keys)) == len(keys)
+                assert all(key in ("C1", "C2") or len(key) == 2 for key in keys)
+                assert all(c for _, c in terms), (spec, a, b, terms)
+                element = spec.basis_bracket(a, b)
+                assert dict(terms) == {_raw_key(x): c for x, c in element.terms.items()}
+                central_seen.update(key for key in keys if isinstance(key, str))
+                empty += not terms
+    assert central_seen == {"C1", "C2"}
+    assert empty > 0
+    # every puncture in the grid: block's (-1, 2), and both of each half-plane algebra
+    assert refused == {(-1, 2), (-1, -1), (-2, -2), (-1, 1), (-2, 2)}
+
+
 def test_bracket_bilinear():
     spec = AlgebraSpec("vir", 2)
     x = single(1, 0, 1) + single(0, 1, 1)

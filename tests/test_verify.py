@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -8,6 +9,7 @@ from zzlie.algebras import AlgebraSpec, BasisElement, Element
 from zzlie.linsolve import propagate_scalars
 from zzlie.poly import symbol
 from zzlie.verify import (
+    MAX_WITNESSES,
     QuotientC,
     check_antisymmetry,
     check_grading,
@@ -33,11 +35,11 @@ class CorruptedPair:
     def central_degrees(self):
         return self.inner.central_degrees()
 
-    def basis_bracket(self, a, b):
-        result = self.inner.basis_bracket(a, b)
+    def bracket_terms(self, a, b):
+        terms = self.inner.bracket_terms(a, b)
         if (a, b) == self.pair:
-            return -result
-        return result
+            return tuple((key, -c) for key, c in terms)
+        return terms
 
 
 def test_antisymmetry_clean_sweeps():
@@ -65,6 +67,69 @@ def test_jacobi_clean_sweeps():
 def test_jacobi_finds_injected_fault():
     bad = CorruptedPair(AlgebraSpec("vir", 1), ((1, 0), (2, 0)))
     assert not check_jacobi(bad, 2).ok
+
+
+def _reference_jacobi(alg, bracket, window):
+    """(checked_count, witnesses) of a Jacobi sweep summed with Element arithmetic.
+
+    ``bracket(a, b)`` returns an Element; every cyclic term is bracketed and
+    summed afresh, with no memo and no integer scaling.
+    """
+    idxs = [
+        (i, j)
+        for i in range(-window, window + 1)
+        for j in range(-window, window + 1)
+        if alg.in_domain(i, j)
+    ]
+    count, witnesses = 0, []
+    for count, (a, b, c) in enumerate(combinations_with_replacement(idxs, 3), 1):
+        total = Element()
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for basis, coeff in bracket(x, y).terms.items():
+                if basis.kind == "L" and alg.in_domain(basis.i, basis.j):
+                    total = total + bracket(basis.index, z).scale(coeff)
+        if total:
+            witnesses.append(((a, b, c), total))
+            if len(witnesses) == MAX_WITNESSES:
+                break
+    return count, witnesses
+
+
+def test_jacobi_matches_fraction_reference():
+    sym = {name: symbol(name) for name in ("a1", "a2", "a2p")}
+    # Each spec with the pair its CorruptedPair negates.  The block pairs
+    # bracket into the central degree, so their witnesses carry C2 (numeric)
+    # and C1 (symbolic) terms; the other two sweeps stop at the witness cap.
+    cases = [
+        (AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)), ((1, 0), (1, 1))),
+        (
+            AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2), a2=3, a2p=Fraction(-3, 4)),
+            ((0, 1), (-1, 2)),
+        ),
+        (AlgebraSpec("block", 1, 2, **sym), ((0, 1), (-1, 1))),
+        (AlgebraSpec("c", Fraction(2, 3), literal_c_index=True), ((1, 0), (1, 1))),
+    ]
+    denominators, kinds = set(), set()
+    for spec, pair in cases:
+        def corrupted(a, b, spec=spec, pair=pair):
+            result = spec.basis_bracket(a, b)
+            return -result if (a, b) == pair else result
+
+        bad = CorruptedPair(spec, pair)
+        for alg, bracket in ((spec, spec.basis_bracket), (bad, corrupted)):
+            report = check_jacobi(alg, 2)
+            count, witnesses = _reference_jacobi(alg, bracket, 2)
+            assert report.checked_count == count, spec
+            assert report.witnesses == witnesses, spec
+            assert repr(report.witnesses) == repr(witnesses), spec
+            for _, w in witnesses:
+                kinds.update(basis.kind for basis in w.terms)
+                denominators.update(
+                    c.denominator for c in w.terms.values() if isinstance(c, Fraction)
+                )
+    assert kinds == {"L", "C1", "C2"}
+    # a kernel that divides its integer sums by D instead of D^2 fails above
+    assert max(denominators) > 1
 
 
 def test_symbolic_jacobi_families():
@@ -173,6 +238,20 @@ def test_quotient_drops_low_terms():
     upstairs = AlgebraSpec("c", 1).basis_bracket((0, -1), (1, -1))
     assert not upstairs.is_zero()
     assert q.basis_bracket((0, -1), (1, -1)).is_zero()
+
+
+def test_quotient_bracket_terms_drop_low_degrees():
+    q, upstairs = QuotientC(Fraction(2, 3)), AlgebraSpec("c", Fraction(2, 3))
+    idxs = [(i, j) for i in range(-2, 3) for j in range(-1, 3)]
+    dropped = 0
+    for a in idxs:
+        for b in idxs:
+            full = upstairs.bracket_terms(a, b)
+            kept = tuple((key, c) for key, c in full if key[1] >= -1)
+            assert q.bracket_terms(a, b) == kept
+            assert q.basis_bracket(a, b) == Element.from_terms(kept)
+            dropped += len(full) - len(kept)
+    assert dropped > 0
 
 
 def test_identity_isomorphism():

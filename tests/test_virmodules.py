@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -98,6 +99,15 @@ def test_module_axiom_stops_at_the_witness_cap():
     report = check_module_axiom(MutatedExceptional(1), 4)
     assert len(report.witnesses) == 20
     assert report.checked_count == 347
+
+
+def test_module_axiom_report_serializes():
+    report = check_module_axiom(MutatedExceptional(1), 4)
+    data = json.loads(json.dumps(report.to_json()))
+    assert len(data["witnesses"]) == 20
+    positions = [w["at"] for w in data["witnesses"]]
+    assert positions == [list(at) for at, _ in report.witnesses]
+    assert all(len(at) == 3 and all(type(x) is int for x in at) for at in positions)
 
 
 def test_module_axiom_reports_are_pinned():
