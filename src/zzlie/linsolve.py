@@ -1,9 +1,12 @@
 """Exact solving over the rationals: linear systems and scalar propagation.
 
 ``LinearSystem`` keeps rows as sparse maps unknown -> Fraction with a
-constant term.  Every row added to the system carries an opaque tag; reduced
-rows remember which tags combined into them, so a contradiction yields a
-certificate naming the original equations with no common solution.
+constant term, in reduced row echelon form.  Every row added to the system
+carries an opaque tag, and the system remembers the rows that raised its
+rank.  Elimination tracks no provenance: at the first contradiction one
+transposed solve over those rows finds the combination that produces the
+contradicting row, and its tags form a minimal certificate of equations
+with no common solution.
 
 ``propagate_scalars`` solves the multiplicative systems behind the diagonal
 isomorphism and intertwiner searches: one worklist pass from unit seeds,
@@ -22,57 +25,87 @@ __all__ = ["LinearSystem"]
 
 
 class LinearSystem:
-    """Incremental reduced row echelon form with provenance tracking."""
+    """Incremental reduced row echelon form with an on-demand certificate.
+
+    The rows that raised the rank are linearly independent, so a
+    contradicting row is a unique combination of them plus a nonzero
+    constant.  Its certificate is the new row's tag with the tags of the
+    rows that combination uses; dropping any member leaves an independent,
+    hence consistent, set, so the certificate is minimal.
+    """
 
     def __init__(self):
-        # pivot unknown -> (row coeffs, constant, tag combination)
+        # unknown -> (row, constant, None); zzbench/tracing.py unpacks three fields
         self.pivots = {}
-        self.contradiction = None  # tag combination of an inconsistent row
+        self._installed = []  # (coeffs, tag) of each row that raised the rank
+        self.contradiction = None  # tag combination of the first inconsistent row
 
-    def _reduce(self, coeffs, const, combo):
+    def _eliminate(self, coeffs, const):
+        """Reduce a row against the pivots and install what is left.
+
+        Returns None once the row is installed as a new pivot; otherwise the
+        row reduced to 0 = c and c is returned (zero for a redundant row).
+        """
         coeffs = dict(coeffs)
-        combo = dict(combo)
         for var in list(coeffs):
             piv = self.pivots.get(var)
             if piv is None:
                 continue
             factor = coeffs.pop(var)
-            prow, pconst, pcombo = piv
+            prow, pconst, _ = piv
             accumulate(coeffs, prow.items(), -factor)
             const -= factor * pconst
-            accumulate(combo, pcombo.items(), -factor)
-        return coeffs, const, combo
-
-    def add_equation(self, coeffs, const, tag):
-        """Add sum(coeffs[v]*v) = const; returns False on contradiction.
-
-        A contradictory row is remembered (certificate) and not installed;
-        the rest of the system stays usable.
-        """
-        clean = {v: Fraction(c) for v, c in coeffs.items() if c}
-        coeffs, const, combo = self._reduce(clean, Fraction(const), {tag: Fraction(1)})
         if not coeffs:
-            if const:
-                if self.contradiction is None:
-                    self.contradiction = combo
-                return False
-            return True
+            return const
         var = min(coeffs)  # deterministic pivot choice
         lead = coeffs.pop(var)
         row = {v: c / lead for v, c in coeffs.items()}
         const = const / lead
-        combo = {t: c / lead for t, c in combo.items()}
         # back-substitute into existing pivot rows
-        for pvar, (prow, pconst, pcombo) in self.pivots.items():
+        for pvar, (prow, pconst, _) in self.pivots.items():
             factor = prow.get(var)
             if not factor:
                 continue
             prow.pop(var)
             accumulate(prow, row.items(), -factor)
-            accumulate(pcombo, combo.items(), -factor)
-            self.pivots[pvar] = (prow, pconst - factor * const, pcombo)
-        self.pivots[var] = (row, const, combo)
-        return True
+            self.pivots[pvar] = (prow, pconst - factor * const, None)
+        self.pivots[var] = (row, const, None)
+        return None
+
+    def _combination(self, coeffs, tag):
+        """Tag combination of the contradicting row ``coeffs`` tagged ``tag``.
+
+        Solves sum_t y_t * row_t = coeffs over the installed rows (unique, as
+        they are independent); the row minus that sum reads 0 = nonzero.
+        """
+        columns = defaultdict(dict)
+        for t, (row, _) in enumerate(self._installed):
+            for var, c in row.items():
+                columns[var][t] = c
+        dual = LinearSystem()
+        for var, column in columns.items():
+            dual._eliminate(column, coeffs.get(var, Fraction(0)))
+        y = dual.solved_values()
+        return accumulate(
+            {tag: Fraction(1)}, ((self._installed[t][1], -y_t) for t, y_t in y.items())
+        )
+
+    def add_equation(self, coeffs, const, tag):
+        """Add sum(coeffs[v]*v) = const; returns False on contradiction.
+
+        A contradictory row is not installed; the first one is remembered
+        (certificate) and the rest of the system stays usable.
+        """
+        clean = {v: Fraction(c) for v, c in coeffs.items() if c}
+        residue = self._eliminate(clean, Fraction(const))
+        if residue is None:
+            self._installed.append((clean, tag))
+            return True
+        if not residue:
+            return True
+        if self.contradiction is None:
+            self.contradiction = self._combination(clean, tag)
+        return False
 
     def solved_values(self):
         return {
@@ -92,7 +125,7 @@ class LinearSystem:
         return len(self.pivots)
 
     def certificate_tags(self):
-        """Tags of an inconsistent equation subset, or None if consistent."""
+        """Tags of a minimal inconsistent equation subset, or None if consistent."""
         if self.contradiction is None:
             return None
         return sorted(self.contradiction, key=repr)

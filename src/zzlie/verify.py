@@ -20,9 +20,9 @@ The Jacobi kernel evaluates every bracket of the sweep once, then converts
 each Fraction coefficient c to the int c·D, where D is the LCM of all their
 denominators, so a triple's cyclic sum is a sum of int products: the triple
 fails iff that sum is nonzero, and the witness carries the true coefficient
-sum / D².  When a coefficient is a ``MultiPoly`` (symbolic central
-parameters), D is 1, nothing is converted, and the same loop sums exact
-polynomials.
+sum / D².  A ``MultiPoly`` coefficient (symbolic central parameters) is
+multiplied by D instead, with D taken over the Fraction coefficients only,
+so the same loop sums int L-term products and exact polynomials.
 """
 
 from __future__ import annotations
@@ -109,18 +109,18 @@ def check_antisymmetry(alg, window):
 
 
 def _integer_scaled(brackets):
-    """``(brackets, D)`` with every coefficient c replaced by the int c·D.
+    """``(brackets, D)`` with every coefficient c replaced by c·D.
 
-    D is the LCM of all the coefficients' denominators.  When any
-    coefficient is a MultiPoly (a symbolic centre), D is 1 and nothing is
-    converted.
+    D is the LCM of the denominators of the Fraction coefficients, which
+    become ints; MultiPoly coefficients (a symbolic centre) are multiplied
+    by D and stay polynomials.
     """
     coeffs = [c for terms in brackets.values() for _, c in terms]
-    if any(isinstance(c, MultiPoly) for c in coeffs):
-        return brackets, 1
-    d = lcm(*{c.denominator for c in coeffs})
+    d = lcm(*{c.denominator for c in coeffs if not isinstance(c, MultiPoly)})
 
     def scaled(c):
+        if isinstance(c, MultiPoly):
+            return c * d if d > 1 else c
         n, rest = divmod(c.numerator * d, c.denominator)
         assert not rest, "D must clear every denominator"
         return n
@@ -155,6 +155,11 @@ def check_jacobi(alg, window):
     brackets, d = _integer_scaled(brackets)
     outer = {pair: [(t, c) for t, c in brackets[pair] if t in targets] for pair in pairs}
 
+    def unscaled(s):
+        if isinstance(s, int):
+            return Fraction(s, d * d)
+        return s * Fraction(1, d * d) if d > 1 else s
+
     def defect(a, b, c):
         acc = {}
         for terms, w in ((outer[a, b], c), (outer[b, c], a), (outer[c, a], b)):
@@ -162,9 +167,7 @@ def check_jacobi(alg, window):
                 accumulate(acc, brackets[t, w], coeff)
         if not acc:
             return ()
-        witness = Element.from_terms(
-            (key, Fraction(s, d * d) if isinstance(s, int) else s) for key, s in acc.items()
-        )
+        witness = Element.from_terms((key, unscaled(s)) for key, s in acc.items())
         return (witness,)
 
     cases = combinations_with_replacement(idxs, 3)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -184,3 +186,38 @@ def test_impossibility_system_only_zero():
 def test_impossibility_rejects_small_window():
     with pytest.raises(UsageError):
         check_impossibility(1, 1)
+
+
+# A feasible uniform point, the three infeasible points of the certificate
+# tests, an alpha = 1 point whose guard skips no equation, and two alpha = 1
+# points with skipped equations (one feasible, one infeasible).
+PINNED_POINTS = [
+    (Fraction(2, 5), Fraction(1, 2), Fraction(-5, 2)),
+    (Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 3), 2, -2),
+    (Fraction(1, 3), 0, 1),
+    (1, 2, -4),
+    (1, -3, 0),
+    (1, 1, 0),
+]
+
+
+def test_window_solutions_are_pinned():
+    # Guards values, flags, skip counts and certificates byte for byte.
+    h = hashlib.sha256()
+    for point in PINNED_POINTS:
+        for window in (3, 4, 5, 6):
+            solution = solve_c_window(ClassificationParams(*point), window)
+            h.update(json.dumps(solution.to_json()).encode())
+    assert h.hexdigest() == (
+        "6f1eb165cb895a5e8dabfdb65bcb324653a6dd04ec7d9fb96b99e470d1b07ba5"
+    )
+
+
+def test_impossibility_results_are_pinned():
+    h = hashlib.sha256()
+    for alpha in (Fraction(1, 5), Fraction(2, 5), Fraction(7, 5)):
+        h.update(json.dumps(check_impossibility(alpha, 10)).encode())
+    assert h.hexdigest() == (
+        "6b0f6d2b252ad0d7283c5afee0d76188e0cf43b5ec9d15944d0876b09e873141"
+    )

@@ -99,7 +99,8 @@ def test_jacobi_matches_fraction_reference():
     sym = {name: symbol(name) for name in ("a1", "a2", "a2p")}
     # Each spec with the pair its CorruptedPair negates.  The block pairs
     # bracket into the central degree, so their witnesses carry C2 (numeric)
-    # and C1 (symbolic) terms; the other two sweeps stop at the witness cap.
+    # and C1 (symbolic) terms; the half-integral symbolic block scales its
+    # polynomial terms by D = 2; the other two sweeps stop at the witness cap.
     cases = [
         (AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)), ((1, 0), (1, 1))),
         (
@@ -107,6 +108,7 @@ def test_jacobi_matches_fraction_reference():
             ((0, 1), (-1, 2)),
         ),
         (AlgebraSpec("block", 1, 2, **sym), ((0, 1), (-1, 1))),
+        (AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2), **sym), ((0, 1), (-1, 2))),
         (AlgebraSpec("c", Fraction(2, 3), literal_c_index=True), ((1, 0), (1, 1))),
     ]
     denominators, kinds = set(), set()
