@@ -62,14 +62,14 @@ class ClassificationParams:
 def _guard_literal(p, i, j, k):
     """The per-equation side condition, read as printed.
 
-    Each half may be discharged either by the factor pair being nonzero or
-    by the normalization parameter lying outside {0, 1}; symbolic
-    parameters make the condition vacuous.
+    Each half is discharged by the normalization parameter lying outside
+    {0, 1} (tested first: it is cheap and almost always true) or by the
+    factor pair being nonzero; symbolic parameters make it vacuous.
     """
     if not p.is_numeric():
         return True
-    left = (i - p.alpha) * (i + k - p.alpha) != 0 or p.betam1 not in (0, 1)
-    right = (j + p.alpha) * (j + k + p.alpha) != 0 or p.beta1 not in (0, 1)
+    left = p.betam1 not in (0, 1) or (i - p.alpha) * (i + k - p.alpha) != 0
+    right = p.beta1 not in (0, 1) or (j + p.alpha) * (j + k + p.alpha) != 0
     return left and right
 
 

@@ -10,13 +10,25 @@ The action always lands at index i+k, so each family is given by one
 piecewise coefficient function.  A reducible ``a_ab`` module is represented
 by its subquotient: the same spec with one index ``removed`` from the
 support.  Intertwiners are found with ``propagate_scalars``.
+
+The module-axiom sweep builds no vectors.  Both sides of
+[L_i, L_j] v_k = (j-i) L_{i+j} v_k sit at the one index i+j+k, so each case
+is the scalar identity s = 0 with
+
+    s = a(j,k) a(i,j+k) - a(i,k) a(j,i+k) - (j-i) a(i+j,k),
+
+where a(i,k) is the coefficient of L_i v_k, taken as 0 when v_{i+k} is
+outside the support (``act`` drops that term).  The a are read once and
+scaled to ints by the LCM D of their denominators, so s is summed in ints
+(the last term scaled by D once more) and a failing case's witness is
+s / D^2 v_{i+j+k}, which equals lhs - rhs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from math import lcm
 
 from .linsolve import propagate_scalars
 from .poly import SparseVector, accumulate, format_rational
@@ -133,15 +145,22 @@ def irreducible_subquotient(m):
 
 
 def check_module_axiom(m, window):
-    """[L_i, L_j] v_k = (j-i) L_{i+j} v_k, exactly, over the sweep window."""
+    """[L_i, L_j] v_k = (j-i) L_{i+j} v_k, exactly, over the sweep window.
+
+    Runs the scalar kernel of the module docstring on a table of the
+    coefficients with both indices in [-2W, 2W].  Only ``supports`` and
+    ``coeff`` are read from ``m``, so any object with those two methods can
+    be checked.
+    """
     rng = range(-window, window + 1)
-    # L_i v_k depends on one index pair; the sweep reuses it for every partner.
-    image = cache(lambda i, k: act(m, i, ModVector.basis(k)))
+    span = range(-2 * window, 2 * window + 1)
+    coeff = {(i, k): m.coeff(i, k) if m.supports(i + k) else 0 for i in span for k in span}
+    d = lcm(*{c.denominator for c in coeff.values()})
+    a = {p: c.numerator * (d // c.denominator) for p, c in coeff.items()}
 
     def defect(i, j, k):
-        lhs = act(m, i, image(j, k)) - act(m, j, image(i, k))
-        bad = lhs - image(i + j, k).scale(Fraction(j - i))
-        return (bad,) if bad else ()
+        s = a[j, k] * a[i, j + k] - a[i, k] * a[j, i + k] - (j - i) * d * a[i + j, k]
+        return (ModVector._from_pruned({i + j + k: Fraction(s, d * d)}),) if s else ()
 
     cases = ((i, j, k) for k in rng if m.supports(k) for i in rng for j in rng)
     return ViolationReport.sweep("module-axiom", cases, defect)

@@ -1,7 +1,10 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zzlie.cli import main
 
@@ -143,6 +146,39 @@ def test_module_check_and_intertwine(capsys):
         "--beta2", "1", "--subquotient2", "--window", "4",
     )
     assert code == 0
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).map(str)
+malformed = st.one_of(
+    st.sampled_from(["", " ", "1/0", "0/0", "x", "1/", "/2", "--1", "nan", "inf", "2.5", "1e3"]),
+    st.text(alphabet="0123456789/-+. e", max_size=5),
+)
+literals = rationals | malformed
+# (family, alpha, beta, subquotient): two branches of three are well formed, so
+# that many runs get past argument checking; None leaves a flag out.
+module_args = st.one_of(
+    st.tuples(st.just("a_ab"), rationals, rationals, st.booleans()),
+    st.tuples(st.sampled_from(["a_paren", "b_paren"]), rationals, st.none(), st.booleans()),
+    st.tuples(
+        st.none() | st.sampled_from(["a_ab", "a_paren", "b_paren", "vir", ""]),
+        st.none() | literals, st.none() | literals, st.booleans(),
+    ),
+)
+
+
+def module_flags(suffix, family, alpha, beta, subquotient):
+    flags = {"family": family, "alpha": alpha, "beta": beta}
+    argv = [f"--{name}{suffix}={value}" for name, value in flags.items() if value is not None]
+    return argv + ([f"--subquotient{suffix}"] if subquotient else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["check", "intertwine"]), module_args, module_args, st.integers(-2, 3))
+def test_module_commands_never_raise(action, first, second, window):
+    argv = ["module", action, f"--window={window}"]
+    argv += module_flags("", *first) + module_flags("2", *second)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
 
 
 def test_classify_constraints(capsys):

@@ -2,10 +2,14 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zzlie.verify import ViolationReport
 from zzlie.virmodules import (
+    MODULE_FAMILIES,
     ModuleSpec,
     ModVector,
     act,
@@ -127,6 +131,83 @@ def test_module_axiom_reports_are_pinned():
     assert h.hexdigest() == (
         "ec5881d09523f8bc442554cb2c6c4327e46b23544ed7b6f8b5944c27471a472f"
     )
+
+
+def act_reference_sweep(m, window):
+    """The module-axiom sweep through ``act`` and ModVector arithmetic."""
+    rng = range(-window, window + 1)
+    image = cache(lambda i, k: act(m, i, ModVector.basis(k)))
+
+    def defect(i, j, k):
+        lhs = act(m, i, image(j, k)) - act(m, j, image(i, k))
+        bad = lhs - image(i + j, k).scale(Fraction(j - i))
+        return (bad,) if bad else ()
+
+    cases = ((i, j, k) for k in rng if m.supports(k) for i in rng for j in rng)
+    return ViolationReport.sweep("module-axiom", cases, defect)
+
+
+class DroppedIndex:
+    """A module with one index left out of its support but not out of its action.
+
+    Unlike a real subquotient, the coefficients into and out of the dropped
+    index stay nonzero, so which terms the support drops decides cases.
+    """
+
+    def __init__(self, module, dropped):
+        self.module = module
+        self.dropped = dropped
+
+    def supports(self, k):
+        return k != self.dropped and self.module.supports(k)
+
+    def coeff(self, i, k):
+        return self.module.coeff(i, k)
+
+
+def assert_matches_act_reference(m, window):
+    report = check_module_axiom(m, window)
+    reference = act_reference_sweep(m, window)
+    assert report.checked_count == reference.checked_count
+    assert report.witnesses == reference.witnesses
+    assert repr(report.witnesses) == repr(reference.witnesses)
+    return report
+
+
+def test_module_axiom_matches_act_reference():
+    for m in (
+        ModuleSpec("a_ab", Fraction(1, 2), Fraction(-2, 3)),
+        irreducible_subquotient(ModuleSpec("a_ab", 2, 0)),
+        irreducible_subquotient(ModuleSpec("a_ab", -1, 1)),
+        ModuleSpec("b_paren", Fraction(2, 5)),
+    ):
+        assert assert_matches_act_reference(m, 4).ok
+    report = assert_matches_act_reference(MutatedExceptional(Fraction(1, 3)), 4)
+    assert any(w.terms[t].denominator > 1 for _, w in report.witnesses for t in w.terms)
+    for dropped in (-3, 0, 2):
+        double = DroppedIndex(ModuleSpec("a_ab", Fraction(1, 2), Fraction(5, 3)), dropped)
+        assert not assert_matches_act_reference(double, 4).ok
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(MODULE_FAMILIES),
+    st.one_of(st.integers(-4, 4).map(Fraction), rationals),
+    st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), rationals),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(-4, 4)),
+    st.integers(0, 3),
+)
+def test_module_axiom_kernel_property(family, alpha, beta, subquotient, dropped, window):
+    m = ModuleSpec(family, alpha, beta if family == "a_ab" else None)
+    if subquotient and family == "a_ab":
+        m = irreducible_subquotient(m)
+    if dropped is not None:
+        m = DroppedIndex(m, dropped)
+    assert_matches_act_reference(m, window)
 
 
 def test_subquotient_detection():
