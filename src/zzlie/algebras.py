@@ -14,7 +14,10 @@ components indexed by integer pairs:
 
 Basis brackets are pure functions of the spec; elements are finite linear
 combinations with exact rational (or polynomial, for symbolic central
-parameters) coefficients.
+parameters) coefficients.  A structure constant is evaluated as an int
+numerator, an integer polynomial in the indices over one spec-wide
+denominator D = lcm(den alpha, den beta), and becomes a Fraction once, when
+it is nonzero.
 """
 
 from __future__ import annotations
@@ -80,9 +83,7 @@ class BasisElement:
         return (self.i, self.j)
 
     def to_json(self):
-        if self.kind == "L":
-            return {"kind": "L", "i": self.i, "j": self.j}
-        return {"kind": self.kind}
+        return _key_json(self.index if self.kind == "L" else self.kind)
 
     def __repr__(self):
         if self.kind == "L":
@@ -93,6 +94,16 @@ class BasisElement:
 def _single(key, coeff):
     """One raw bracket term, or none when the coefficient vanishes."""
     return ((key, coeff),) if coeff else ()
+
+
+def _key_json(key):
+    """The JSON form of a raw bracket-term key, as ``BasisElement.to_json``."""
+    return {"kind": key} if isinstance(key, str) else {"kind": "L", "i": key[0], "j": key[1]}
+
+
+def _coeff_json(coeff):
+    """A coefficient as "p/q", or as records when it is a MultiPoly."""
+    return coeff.to_records() if isinstance(coeff, MultiPoly) else format_rational(coeff)
 
 
 _SORT_KEY = {"L": 0, "C1": 1, "C2": 2}
@@ -124,15 +135,12 @@ class Element(SparseVector):
         return hash(frozenset(self.terms.items()))
 
     def to_json(self):
-        out = []
-        for basis in sorted(self.terms, key=_basis_sort_key):
-            coeff = self.terms[basis]
-            if isinstance(coeff, MultiPoly):
-                coeff_json = coeff.to_records()
-            else:
-                coeff_json = format_rational(coeff)
-            out.append({"basis": basis.to_json(), "coeff": coeff_json})
-        return {"terms": out}
+        return {
+            "terms": [
+                {"basis": basis.to_json(), "coeff": _coeff_json(self.terms[basis])}
+                for basis in sorted(self.terms, key=_basis_sort_key)
+            ]
+        }
 
     def __repr__(self):
         if not self.terms:
@@ -149,8 +157,9 @@ class AlgebraSpec:
     ``literal_c_index`` switches the ``c``/``cbar`` bracket to the
     grading-breaking target index variant kept for diagnostics.
 
-    The domain data (punctured points and central degrees) is computed once
-    at construction and kept outside the dataclass fields, so equality,
+    The domain data (punctured points and central degrees) and the int
+    numerators alpha*D, beta*D over the common denominator D are computed
+    once at construction and kept outside the dataclass fields, so equality,
     hashing, ``repr`` and ``dataclasses.replace`` see only the parameters.
     """
 
@@ -208,6 +217,11 @@ class AlgebraSpec:
                     central["C1"] = c1
         object.__setattr__(self, "_excluded", excluded)
         object.__setattr__(self, "_central", central)
+        beta = Fraction(0) if self.beta is None else self.beta
+        den = math.lcm(self.alpha.denominator, beta.denominator)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_alpha_num", int(self.alpha * den))
+        object.__setattr__(self, "_beta_num", int(beta * den))
 
     # -- domain ------------------------------------------------------------
 
@@ -243,46 +257,49 @@ class AlgebraSpec:
             raise DomainError(f"{a} not in domain of {self.family}")
         if not self.in_domain(k, ell):
             raise DomainError(f"{b} not in domain of {self.family}")
-        if self.family == "vir":
-            coeff = Fraction(k - i) + (ell - j) * self.alpha
-            return _single((i + k, j + ell), coeff)
-        if self.family == "d":
-            coeff = self.beta * (i * ell - j * k) + (k - i) + (ell - j) * self.alpha
-            return _single((i + k, j + ell), coeff)
-        if self.family in _CENTRAL_FAMILIES:
+        family, den, a_num = self.family, self._den, self._alpha_num
+        if family == "vir":
+            n = (k - i) * den + (ell - j) * a_num
+            return (((i + k, j + ell), Fraction(n, den)),) if n else ()
+        if family == "d":
+            n = self._beta_num * (i * ell - j * k) + (k - i) * den + (ell - j) * a_num
+            return (((i + k, j + ell), Fraction(n, den)),) if n else ()
+        if family in _CENTRAL_FAMILIES:
             return self._block_bracket(i, j, k, ell)
         # c / cbar
-        if self.family == "cbar":
+        if family == "cbar":
             j, ell = -j, -ell
-        coeff = _c_coeff(self.alpha, i, j, k, ell)
+        n = _c_numerator(den, a_num, i, j, k, ell)
+        if not n:
+            return ()
         if self.literal_c_index:
             ti, tj = i + ell, k + j
         else:
             ti, tj = i + k, j + ell
-        if self.family == "cbar":
+        if family == "cbar":
             tj = -tj
-        return _single((ti, tj), coeff)
+        return (((ti, tj), Fraction(n, den)),)
 
     def basis_bracket(self, a, b):
         """[L_a, L_b] as an Element; inputs must be in the domain."""
         return Element.from_terms(self.bracket_terms(a, b))
 
     def _block_bracket(self, i, j, k, ell):
-        alpha, beta = self.alpha, self.beta
+        den, a_num, b_num = self._den, self._alpha_num, self._beta_num
         terms = []
-        coeff = (i * ell - j * k) + alpha * (ell - j) + beta * (k - i)
+        n = (i * ell - j * k) * den + a_num * (ell - j) + b_num * (k - i)
         ti, tj = i + k, j + ell
-        if coeff and self.in_domain(ti, tj):
-            terms.append(((ti, tj), coeff))
+        if n and self.in_domain(ti, tj):
+            terms.append(((ti, tj), Fraction(n, den)))
         central = self._central
         if (ti, tj) == central.get("C1") and self.a1 is not None:
-            terms += _single("C1", (alpha * j + beta * i) * self.a1)
+            terms += _single("C1", Fraction(a_num * j + b_num * i, den) * self.a1)
         if (ti, tj) == central.get("C2"):
             c = 0
             if self.a2 is not None:
-                c = self.a2 * (alpha * j + beta * i)
+                c = self.a2 * Fraction(a_num * j + b_num * i, den)
             if self.a2p is not None:
-                c = c + self.a2p * (alpha + i)
+                c = c + self.a2p * Fraction(a_num + den * i, den)
             terms += _single("C2", c)
         return tuple(terms)
 
@@ -299,23 +316,26 @@ class AlgebraSpec:
         return out
 
 
-def _c_coeff(alpha, i, j, k, ell):
-    """Structure constant of the c family, by (j, ell) region.
+def _c_numerator(den, a_num, i, j, k, ell):
+    """Structure constant of the c family times den, by (j, ell) region.
 
-    The regions not listed are filled in antisymmetrically.
+    ``a_num`` is alpha * den.  The regions not listed are filled in
+    antisymmetrically.
     """
     if j >= -1 and ell >= -1:
         if j == -1 and ell == -1:
-            return Fraction(k - i)
-        return Fraction(k * (j + 1) - (ell + 1) * i) + (ell - j) * alpha
+            return (k - i) * den
+        return (k * (j + 1) - (ell + 1) * i) * den + (ell - j) * a_num
     if j >= 0 and ell <= -2:
-        core = Fraction(k * (j + 1) - (ell + 1) * i) + (ell - j) * alpha
-        return factorial_ratio(-ell - 2, -ell - j - 2) * core
+        if j > -ell - 2:
+            return 0
+        core = (k * (j + 1) - (ell + 1) * i) * den + (ell - j) * a_num
+        return math.factorial(-ell - 2) // math.factorial(-ell - j - 2) * core
     if j == -1 and ell <= -2:
-        return -alpha + i
+        return i * den - a_num
     if j <= -2 and ell <= -2:
-        return Fraction(0)
-    return -_c_coeff(alpha, k, ell, i, j)
+        return 0
+    return -_c_numerator(den, a_num, k, ell, i, j)
 
 
 def window_indices(spec, window):
@@ -340,12 +360,23 @@ def structure_table(spec, window):
     ]
 
 
-def table_to_json(table):
+def table_to_json(spec, window):
+    """The structure table as JSON rows, built straight from the raw terms.
+
+    Rows are ``{"left", "right", "result"}`` in ``structure_table`` order;
+    ``result`` lists ``{"basis", "coeff"}`` terms in ``Element.to_json``
+    order, which is the raw-term order.
+    """
+    idxs = window_indices(spec, window)
     return [
         {
-            "left": list(row["left"]),
-            "right": list(row["right"]),
-            "result": row["result"].to_json()["terms"],
+            "left": list(a),
+            "right": list(b),
+            "result": [
+                {"basis": _key_json(key), "coeff": _coeff_json(c)}
+                for key, c in spec.bracket_terms(a, b)
+            ],
         }
-        for row in table
+        for a in idxs
+        for b in idxs
     ]

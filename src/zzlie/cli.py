@@ -15,7 +15,8 @@ import json
 import sys
 
 from . import algebras, classify, verify, virmodules
-from .algebras import AlgebraSpec, DomainError, structure_table, table_to_json
+# structure_table is not called here; zzbench/tracing.py wraps it on this module.
+from .algebras import AlgebraSpec, DomainError, structure_table, table_to_json  # noqa: F401
 from .poly import UsageError, format_rational, parse_rational, symbol
 
 
@@ -163,16 +164,12 @@ def _cmd_table(args):
     spec = _algebra_spec(args)
     if args.window < 0:
         raise UsageError("window must be >= 0")
-    table = table_to_json(structure_table(spec, args.window))
-    rows = [("left_i", "left_j", "right_i", "right_j", "terms")]
-    for row in table:
-        rows.append(
-            (
-                row["left"][0], row["left"][1],
-                row["right"][0], row["right"][1],
-                json.dumps(row["result"], sort_keys=True),
-            )
-        )
+    table = table_to_json(spec, args.window)
+    rows = None
+    if args.format != "json":
+        encode = json.JSONEncoder(sort_keys=True).encode
+        rows = [("left_i", "left_j", "right_i", "right_j", "terms")]
+        rows += [(*row["left"], *row["right"], encode(row["result"])) for row in table]
     _emit(table, args, rows=rows)
     return 0
 

@@ -11,6 +11,7 @@ combination type that algebra elements and module vectors share.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -27,17 +28,28 @@ class UsageError(ValueError):
     """Raised when an operation is called outside its contract."""
 
 
+_RATIONAL_LITERAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def parse_rational(text):
-    """Parse "p/q" or a plain integer literal into a Fraction."""
+    r"""Parse "p/q" or a plain integer literal into a Fraction.
+
+    After stripping whitespace the text must match ``[+-]?\d+(/\d+)?``;
+    anything else, decimals and exponents included, is a ``UsageError``, so
+    a short literal such as "1e10000000" cannot buy unbounded work.
+    """
+    literal = text.strip()
+    if not _RATIONAL_LITERAL.fullmatch(literal):
+        raise UsageError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational literal: {text!r}") from exc
 
 
 def format_rational(value):
     """Canonical "p/q" form, sign on the numerator, denominator always shown."""
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -194,6 +194,130 @@ def test_bracket_terms_match_basis_bracket():
     assert refused == {(-1, 2), (-1, -1), (-2, -2), (-1, 1), (-2, 2)}
 
 
+# -- kernel cross-check: the int-numerator kernel against Fraction formulas ---
+
+
+def _reference_c_coeff(alpha, i, j, k, ell):
+    """The c-family structure constant by (j, ell) region, in Fraction arithmetic."""
+    if j >= -1 and ell >= -1:
+        if j == -1 and ell == -1:
+            return Fraction(k - i)
+        return Fraction(k * (j + 1) - (ell + 1) * i) + (ell - j) * alpha
+    if j >= 0 and ell <= -2:
+        core = Fraction(k * (j + 1) - (ell + 1) * i) + (ell - j) * alpha
+        return factorial_ratio(-ell - 2, -ell - j - 2) * core
+    if j == -1 and ell <= -2:
+        return -alpha + i
+    if j <= -2 and ell <= -2:
+        return Fraction(0)
+    return -_reference_c_coeff(alpha, k, ell, i, j)
+
+
+def _reference_bracket_terms(spec, a, b):
+    """[L_a, L_b] as raw terms from the Fraction formulas of each family."""
+    (i, j), (k, ell) = a, b
+    alpha, beta = spec.alpha, spec.beta
+    terms = []
+    if spec.family == "vir":
+        terms.append(((i + k, j + ell), Fraction(k - i) + (ell - j) * alpha))
+    elif spec.family == "d":
+        coeff = beta * (i * ell - j * k) + (k - i) + (ell - j) * alpha
+        terms.append(((i + k, j + ell), coeff))
+    elif spec.family in ("block", "bplus-", "bplus+"):
+        target = (i + k, j + ell)
+        if spec.in_domain(*target):
+            terms.append((target, (i * ell - j * k) + alpha * (ell - j) + beta * (k - i)))
+        central = spec.central_degrees()
+        if target == central.get("C1") and spec.a1 is not None:
+            terms.append(("C1", (alpha * j + beta * i) * spec.a1))
+        if target == central.get("C2"):
+            c = 0
+            if spec.a2 is not None:
+                c = spec.a2 * (alpha * j + beta * i)
+            if spec.a2p is not None:
+                c = c + spec.a2p * (alpha + i)
+            terms.append(("C2", c))
+    else:
+        sign = -1 if spec.family == "cbar" else 1
+        jj, ll = sign * j, sign * ell
+        coeff = _reference_c_coeff(alpha, i, jj, k, ll)
+        ti, tj = (i + ll, k + jj) if spec.literal_c_index else (i + k, jj + ll)
+        terms.append(((ti, sign * tj), coeff))
+    return tuple((key, c) for key, c in terms if c)
+
+
+def _assert_kernel_matches_reference(spec, pairs):
+    for a, b in pairs:
+        if not (spec.in_domain(*a) and spec.in_domain(*b)):
+            with pytest.raises(DomainError):
+                spec.bracket_terms(a, b)
+            continue
+        got, expected = spec.bracket_terms(a, b), _reference_bracket_terms(spec, a, b)
+        assert got == expected, (spec, a, b)
+        assert [type(c) for _, c in got] == [type(c) for _, c in expected]
+
+
+_SYM_CENTRE = {"a1": symbol("a1"), "a2": symbol("a2"), "a2p": symbol("a2p")}
+_NUM_CENTRE = {"a1": Fraction(-2, 3), "a2": Fraction(5, 4), "a2p": Fraction(3, 7)}
+
+
+def test_bracket_terms_match_fraction_reference():
+    specs = [
+        AlgebraSpec("vir", Fraction(-5, 6)),
+        AlgebraSpec("d", Fraction(2, 3), Fraction(-7, 4)),
+        AlgebraSpec("block", 1, 2, **_NUM_CENTRE),
+        AlgebraSpec("block", Fraction(1, 2), Fraction(-3, 2), **_NUM_CENTRE),
+        AlgebraSpec("block", Fraction(-1, 2), Fraction(5, 2), **_SYM_CENTRE),
+        AlgebraSpec("bplus-", Fraction(1, 2), **_NUM_CENTRE),
+        AlgebraSpec("bplus-", 2, **_SYM_CENTRE),
+        AlgebraSpec("bplus+", Fraction(-3, 2), **_NUM_CENTRE),
+        AlgebraSpec("bplus+", 1, **_SYM_CENTRE),
+        AlgebraSpec("c", Fraction(2, 3)),
+        AlgebraSpec("c", Fraction(-3, 4), literal_c_index=True),
+        AlgebraSpec("cbar", Fraction(5, 3)),
+        AlgebraSpec("cbar", Fraction(1, 5), literal_c_index=True),
+    ]
+    grid = [(i, j) for i in range(-5, 6) for j in range(-5, 6)]
+    for spec in specs:
+        _assert_kernel_matches_reference(spec, [(a, b) for a in grid for b in grid])
+
+
+# integral values often enough that the punctures and centres occur
+_nonzero = (
+    st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    | st.integers(-3, 3).map(Fraction)
+).filter(bool)
+_centre = st.none() | st.fractions(min_value=-3, max_value=3, max_denominator=12) | st.just("sym")
+
+
+@st.composite
+def _specs(draw):
+    family = draw(st.sampled_from(["vir", "d", "block", "bplus-", "bplus+", "c", "cbar"]))
+    alpha = draw(_nonzero)
+    kwargs = {}
+    if family in ("d", "block"):
+        kwargs["beta"] = draw(_nonzero)
+    if family in ("block", "bplus-", "bplus+"):
+        for name in ("a1", "a2", "a2p"):
+            value = draw(_centre)
+            kwargs[name] = symbol(name) if value == "sym" else value
+    if family in ("c", "cbar"):
+        kwargs["literal_c_index"] = draw(st.booleans())
+    return AlgebraSpec(family, alpha, **kwargs)
+
+
+_index = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specs(), st.lists(st.tuples(_index, _index), min_size=1, max_size=10))
+def test_bracket_terms_fraction_reference_property(spec, pairs):
+    # also aim every left index at each central degree, where C1/C2 appear
+    targets = spec.central_degrees().values()
+    aimed = [(a, (t[0] - a[0], t[1] - a[1])) for a, _ in pairs for t in targets]
+    _assert_kernel_matches_reference(spec, pairs + aimed)
+
+
 def test_bracket_bilinear():
     spec = AlgebraSpec("vir", 2)
     x = single(1, 0, 1) + single(0, 1, 1)

@@ -76,6 +76,25 @@ def test_usage_errors_exit_two(capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("literal", ["1e10000000", "2.5", "1_0"])
+def test_non_integer_ratio_literals_exit_two(capsys, literal):
+    code = main(["module", "check", "--family", "a_ab", f"--alpha={literal}",
+                 "--beta", "1/2", "--window", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: not a rational literal")
+
+
+@pytest.mark.parametrize("literal, coeff", [("-7", "14/1"), (" 2/6 ", "-2/3"), ("3/4", "-3/2")])
+def test_rational_literals_parse(capsys, literal, coeff):
+    # in vir(alpha), [L(1,2), L(1,0)] = -2 alpha L(2,2)
+    code, out = run(capsys, "bracket", "--family", "vir", f"--alpha={literal}",
+                    "--left=1,2", "--right=1,0")
+    assert code == 0
+    assert json.loads(out)["terms"][0]["coeff"] == coeff
+
+
 def test_table_formats_agree(capsys):
     args = ["table", "--family", "vir", "--alpha", "1", "--window", "1"]
     code, as_json = run(capsys, *args, "--format", "json")
@@ -259,5 +278,71 @@ GOLDEN = {
 @pytest.mark.parametrize("argv, digest", list(GOLDEN.values()), ids=list(GOLDEN))
 def test_golden_output(capsys, argv, digest):
     code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# `table` in all three formats for every family: block, bplus- and bplus+ each
+# with a numeric and a symbolic centre (C1/C2 terms reached at W=2), and c/cbar
+# at W=3 so the factorial regions occur; sha256 of stdout.
+TABLE_FLAGS = {
+    "vir": ["--family", "vir", "--alpha", "1/2", "--window", "2"],
+    "d": ["--family", "d", "--alpha", "2/3", "--beta", "3/2", "--window", "2"],
+    "block": ["--family", "block", "--alpha", "1", "--beta", "2",
+              "--a1", "2", "--a2", "1/3", "--a2p=-3/2", "--window", "2"],
+    "block-sym": ["--family", "block", "--alpha", "1", "--beta", "2",
+                  "--a1", "sym", "--a2", "sym", "--a2p", "sym", "--window", "2"],
+    "bplus-": ["--family", "bplus-", "--alpha", "1",
+               "--a1=-1/2", "--a2", "3", "--a2p", "5/4", "--window", "2"],
+    "bplus--sym": ["--family", "bplus-", "--alpha", "1",
+                   "--a1", "sym", "--a2", "sym", "--a2p", "sym", "--window", "2"],
+    "bplus+": ["--family", "bplus+", "--alpha", "1/2",
+               "--a2", "2/7", "--a2p=-1", "--window", "2"],
+    "bplus+-sym": ["--family", "bplus+", "--alpha", "1",
+                   "--a1", "sym", "--a2", "sym", "--a2p", "sym", "--window", "2"],
+    "c": ["--family", "c", "--alpha", "2/3", "--window", "3"],
+    "cbar": ["--family", "cbar", "--alpha=-3/4", "--window", "3"],
+}
+TABLE_DIGESTS = {
+    ("vir", "json"): "8b427c8801ab8fa092e2e585210e2109d62f66944e550677580d591677c1ced5",
+    ("vir", "csv"): "abb837ed584ec3b28cac508bcd670897a1c3979641b7145b067c6a3ca179fbda",
+    ("vir", "text"): "6471c088f30b43e3a78c2a23d5bd4e1dd7099a98b3299a87f211bcb18c7400e6",
+    ("d", "json"): "48cb7da704019e4ec60f6b5851f62855cdf2bb70c7919981751066d37d155ea4",
+    ("d", "csv"): "e4da8ac4c8a66c9e2d181742a49e2dc1c5e0ac22a2178620809c62855e52a70d",
+    ("d", "text"): "dde1454a22559fb09ff47f32a1fc06113837c49d436ac89fb990b937ed1374dd",
+    ("block", "json"): "5d53346d286f9654dfedbdf6e0e44e9c94603e60c9a321f2fd6d3a1889187648",
+    ("block", "csv"): "1e543c3027606b98508844c853253a9a9984c3ee85cae5854b76804b349b578e",
+    ("block", "text"): "b17a2765835ad87ba39e022d410805e016dd2b59843f6ccfa0b9da68d5179fe0",
+    ("block-sym", "json"): "cf91214919ed5123aca1daa01b29ab26ae4a243eab48dcd4b6ff631e0f357afc",
+    ("block-sym", "csv"): "ad85c5cf5a6fd044642a90c9af08ab8466998e0de18d53912f9ccfa871b5d951",
+    ("block-sym", "text"): "ee2c68d648a87de107b6bc3813cc31ef2af785e3b0baa4c16f2e9f392c3ae777",
+    ("bplus-", "json"): "4642afec11d66c9843cee406ef011e2877ddeb3f36c6c78de30fb0634ec88d1d",
+    ("bplus-", "csv"): "89d3d7f30f70f1cc0602f5ab89482c6fe6c4f9a49a168f395273189514a801a4",
+    ("bplus-", "text"): "67c54919d91ec484e449ec7515fa2b864c47f577c4b03637d1622aa72073ecfd",
+    ("bplus--sym", "json"): "520ed948c3e3f53532ca7070b7600da0e10e6ffbb941ae661bda5ddca3c13add",
+    ("bplus--sym", "csv"): "8248503cb0ccb6766b0c7262476b39d0cbc5b0bb26eb9d9dcf295c909666d4e1",
+    ("bplus--sym", "text"): "956c4c7a4c058cb3eeac27a1cea23bef9fa734fb8bae281bb8c16779fcd407c0",
+    ("bplus+", "json"): "c976796e245457728edeaa0f04cd6927115a122a075126f218515c4a17290e6e",
+    ("bplus+", "csv"): "633d1e9e292bb78b5e44beb9dd08e6fbee5fee5ac7a4d4db65416fc55d196b27",
+    ("bplus+", "text"): "a2f75d1b0c9c6ddb2c5cae2b513ba4e8482ba15a3d437caf822cf933fab9d9aa",
+    ("bplus+-sym", "json"): "53f96cd774f42b2dcef77b853e86b5fd26f2b4d86ce1edccdca35f23f9d4f68b",
+    ("bplus+-sym", "csv"): "af1f5d80281f0d15a6c7af0a2bf6f6406ca66c5acee60c4cc7b2a1a657ef79a0",
+    ("bplus+-sym", "text"): "2c4044203aa3504906e8a80dafc34042e32a93e6b19c1e6cd1c9cd8db45b8655",
+    ("c", "json"): "db9242174c858cec31ff95ee2cdb5683134d171982380772059be9e34d4fb7f2",
+    ("c", "csv"): "a58cfe90270f6e3fe4fa1063fa8b485129fff6d82d9b514833dfd4a9b236788d",
+    ("c", "text"): "d44489823c7a1845f7a4407c27cdc5a306550451256e9dc3661785d46fddc2e3",
+    ("cbar", "json"): "1ae7fc306ce716980a21552265e29c768768c7791e3e741b65d6c49ed7cf2de7",
+    ("cbar", "csv"): "b8380ddecae2f32e084f7292ec768c50e32a7ce94f17d5bb0f2148d9d28db920",
+    ("cbar", "text"): "6c1442a400be438e962f750a71655709ae9968ced4972daa36788244a9050d0b",
+}
+
+
+@pytest.mark.parametrize(
+    "name, fmt, digest",
+    [(name, fmt, digest) for (name, fmt), digest in TABLE_DIGESTS.items()],
+    ids=[f"{name}-{fmt}" for name, fmt in TABLE_DIGESTS],
+)
+def test_table_output_is_pinned(capsys, name, fmt, digest):
+    code, out = run(capsys, "table", *TABLE_FLAGS[name], "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

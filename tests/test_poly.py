@@ -20,6 +20,7 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational(" 2/6 ") == Fraction(1, 3)
+    assert parse_rational("+5/10") == Fraction(1, 2)
 
 
 def test_parse_rational_rejects_garbage():
@@ -27,6 +28,14 @@ def test_parse_rational_rejects_garbage():
         parse_rational("x")
     with pytest.raises(UsageError):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "2.5", "1_0", "1 /2", "0x10", ""])
+def test_parse_rational_refuses_other_forms(text):
+    # exponent, decimal and underscore forms are refused before Fraction
+    # sees them, so "1e10000000" fails at once instead of taking seconds
+    with pytest.raises(UsageError):
+        parse_rational(text)
 
 
 def test_format_rational_canonical():
