@@ -14,10 +14,10 @@ components indexed by integer pairs:
 
 Basis brackets are pure functions of the spec; elements are finite linear
 combinations with exact rational (or polynomial, for symbolic central
-parameters) coefficients.  A structure constant is evaluated as an int
-numerator, an integer polynomial in the indices over one spec-wide
-denominator D = lcm(den alpha, den beta), and becomes a Fraction once, when
-it is nonzero.
+parameters) coefficients.  Every closed-form structure constant is the one
+rule ``_closed_form`` with per-family weights, which a spec scales to ints
+over one denominator D once; a structure constant becomes a Fraction once,
+when it is nonzero.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MultiPoly, SparseVector, format_rational
+from .poly import MultiPoly, SparseVector, format_rational, integer_scaled
 
 __all__ = [
     "DomainError",
@@ -157,9 +157,9 @@ class AlgebraSpec:
     ``literal_c_index`` switches the ``c``/``cbar`` bracket to the
     grading-breaking target index variant kept for diagnostics.
 
-    The domain data (punctured points and central degrees) and the int
-    numerators alpha*D, beta*D over the common denominator D are computed
-    once at construction and kept outside the dataclass fields, so equality,
+    The domain data (punctured points and central degrees), the common
+    denominator D and the int weights of ``_closed_form`` are computed once
+    at construction and kept outside the dataclass fields, so equality,
     hashing, ``repr`` and ``dataclasses.replace`` see only the parameters.
     """
 
@@ -217,11 +217,15 @@ class AlgebraSpec:
                     central["C1"] = c1
         object.__setattr__(self, "_excluded", excluded)
         object.__setattr__(self, "_central", central)
-        beta = Fraction(0) if self.beta is None else self.beta
-        den = math.lcm(self.alpha.denominator, beta.denominator)
+        den, (a_num, b_num) = integer_scaled([self.alpha, self.beta or 0])
+        if self.family in _CENTRAL_FAMILIES:
+            weights = (den, a_num, b_num)
+        elif self.family in ("c", "cbar"):
+            weights = (-den, a_num, den)
+        else:  # vir, d; b_num is 0 for vir
+            weights = (b_num, a_num, den)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_alpha_num", int(self.alpha * den))
-        object.__setattr__(self, "_beta_num", int(beta * den))
+        object.__setattr__(self, "_weights", weights)
 
     # -- domain ------------------------------------------------------------
 
@@ -253,23 +257,16 @@ class AlgebraSpec:
         ``basis_bracket`` is the same bracket as an ``Element``.
         """
         (i, j), (k, ell) = a, b
-        if not self.in_domain(i, j):
-            raise DomainError(f"{a} not in domain of {self.family}")
-        if not self.in_domain(k, ell):
-            raise DomainError(f"{b} not in domain of {self.family}")
-        family, den, a_num = self.family, self._den, self._alpha_num
-        if family == "vir":
-            n = (k - i) * den + (ell - j) * a_num
-            return (((i + k, j + ell), Fraction(n, den)),) if n else ()
-        if family == "d":
-            n = self._beta_num * (i * ell - j * k) + (k - i) * den + (ell - j) * a_num
-            return (((i + k, j + ell), Fraction(n, den)),) if n else ()
+        family = self.family
+        if family in ("vir", "d"):
+            n = _closed_form(self._weights, i, j, k, ell)
+            return (((i + k, j + ell), Fraction(n, self._den)),) if n else ()
         if family in _CENTRAL_FAMILIES:
             return self._block_bracket(i, j, k, ell)
         # c / cbar
         if family == "cbar":
             j, ell = -j, -ell
-        n = _c_numerator(den, a_num, i, j, k, ell)
+        n = _c_numerator(self._weights, i, j, k, ell)
         if not n:
             return ()
         if self.literal_c_index:
@@ -278,16 +275,21 @@ class AlgebraSpec:
             ti, tj = i + k, j + ell
         if family == "cbar":
             tj = -tj
-        return (((ti, tj), Fraction(n, den)),)
+        return (((ti, tj), Fraction(n, self._den)),)
 
     def basis_bracket(self, a, b):
         """[L_a, L_b] as an Element; inputs must be in the domain."""
         return Element.from_terms(self.bracket_terms(a, b))
 
     def _block_bracket(self, i, j, k, ell):
-        den, a_num, b_num = self._den, self._alpha_num, self._beta_num
+        # Only the block families have punctures or a half-plane.
+        if not self.in_domain(i, j):
+            raise DomainError(f"{(i, j)} not in domain of {self.family}")
+        if not self.in_domain(k, ell):
+            raise DomainError(f"{(k, ell)} not in domain of {self.family}")
+        den, a_num, b_num = w = self._weights
         terms = []
-        n = (i * ell - j * k) * den + a_num * (ell - j) + b_num * (k - i)
+        n = _closed_form(w, i, j, k, ell)
         ti, tj = i + k, j + ell
         if n and self.in_domain(ti, tj):
             terms.append(((ti, tj), Fraction(n, den)))
@@ -316,26 +318,39 @@ class AlgebraSpec:
         return out
 
 
-def _c_numerator(den, a_num, i, j, k, ell):
-    """Structure constant of the c family times den, by (j, ell) region.
+def _closed_form(w, i, j, k, ell):
+    """The closed-form structure constant x(i*ell - j*k) + a(ell - j) + y(k - i).
 
-    ``a_num`` is alpha * den.  The regions not listed are filled in
-    antisymmetrically.
+    The weights w = (x, a, y) are (0, alpha, 1) for ``vir``, (beta, alpha, 1)
+    for ``d``, (1, alpha, beta) for the block families and (-1, alpha, 1),
+    the ``d`` rule at beta = -1, for the c/cbar generic region.  A spec
+    scales them to ints by its denominator; the symbolic proofs pass polynomials.
     """
+    x, a, y = w
+    return x * (i * ell - j * k) + a * (ell - j) + y * (k - i)
+
+
+def _c_numerator(w, i, j, k, ell):
+    """Structure constant of the c family times D, by (j, ell) region.
+
+    ``w`` = (-D, alpha*D, D) are the weights of the generic core, the ``d``
+    rule at beta = -1.  The regions not listed are filled in antisymmetrically.
+    """
+    _, a_num, den = w
     if j >= -1 and ell >= -1:
         if j == -1 and ell == -1:
             return (k - i) * den
-        return (k * (j + 1) - (ell + 1) * i) * den + (ell - j) * a_num
+        return _closed_form(w, i, j, k, ell)
     if j >= 0 and ell <= -2:
         if j > -ell - 2:
             return 0
-        core = (k * (j + 1) - (ell + 1) * i) * den + (ell - j) * a_num
+        core = _closed_form(w, i, j, k, ell)
         return math.factorial(-ell - 2) // math.factorial(-ell - j - 2) * core
     if j == -1 and ell <= -2:
         return i * den - a_num
     if j <= -2 and ell <= -2:
         return 0
-    return -_c_numerator(den, a_num, k, ell, i, j)
+    return -_c_numerator(w, k, ell, i, j)
 
 
 def window_indices(spec, window):

@@ -148,7 +148,8 @@ def solve_c_window(p, window):
             for k in rng:
                 if abs(i + k) > window or abs(j + k) > window:
                     continue
-                if not _guard_literal(p, i, j, k):
+                eq = recurrence_equation(p, i, j, k)
+                if eq["skipped"]:
                     skipped += 1
                     continue
                 if i == 0 and j == 0:
@@ -159,13 +160,12 @@ def solve_c_window(p, window):
                     tier = 2
                 else:
                     tier = 3
-                triples.append((tier, abs(i) + abs(j) + abs(k), i, j, k))
-    triples.sort()
-    for _, _, i, j, k in triples:
-        eq = recurrence_equation(p, i, j, k)
-        if not eq["coeffs"]:
+                triples.append((tier, abs(i) + abs(j) + abs(k), i, j, k, eq["coeffs"]))
+    triples.sort(key=lambda t: t[:5])
+    for _, _, i, j, k, coeffs in triples:
+        if not coeffs:
             continue
-        ok = system.add_equation(eq["coeffs"], 0, ("eq", i, j, k))
+        ok = system.add_equation(coeffs, 0, ("eq", i, j, k))
         if not ok and certificate is None:
             certificate = [list(t) for t in system.certificate_tags()]
     infeasible = certificate is not None

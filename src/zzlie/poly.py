@@ -5,7 +5,8 @@ Polynomials are stored as a sparse map from exponent vectors (sorted tuples
 of (name, positive exponent) pairs) to rational coefficients; zero
 coefficients are never stored, so equality of the term maps is equality of
 polynomials.  ``accumulate`` is the one sparse linear-combination step that
-every layer builds its sums with, and ``SparseVector`` is the one linear
+every layer builds its sums with, ``integer_scaled`` the one way any layer
+scales coefficients to ints, and ``SparseVector`` is the one linear
 combination type that algebra elements and module vectors share.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "UsageError",
@@ -70,6 +72,17 @@ def accumulate(acc, terms, factor=None):
         else:
             acc.pop(key, None)
     return acc
+
+
+def integer_scaled(coeffs):
+    """``(D, [c·D for c in coeffs])`` with D the LCM of the rational denominators.
+
+    Fractions and ints become ints; a MultiPoly is multiplied by D and stays
+    a polynomial.  No coefficients give D = 1.
+    """
+    d = lcm(*{c.denominator for c in coeffs if not isinstance(c, MultiPoly)})
+    return d, [c * d if isinstance(c, MultiPoly) else c.numerator * (d // c.denominator)
+               for c in coeffs]
 
 
 class SparseVector:

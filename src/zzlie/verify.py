@@ -4,11 +4,17 @@ The windowed checks sweep every basis pair/triple with |i|, |j| <= W and
 compare exactly; a check "passes" iff its report carries no witnesses.  Every
 windowed check runs through ``ViolationReport.sweep``, which collects the
 witnesses in sweep order and stops at ``MAX_WITNESSES`` (20) of them.  The
-symbolic checks expand the Jacobi sum with all index components and
+diagonal-isomorphism search turns the window's brackets into multiplicative
+equations and solves them with ``propagate_scalars`` from the unit seeds
+(1, 0) and (0, 1).
+
+The symbolic checks expand the Jacobi sum with all index components and
 parameters as polynomial symbols, proving the identity for every value at
-once.  The diagonal-isomorphism search turns the window's brackets into
-multiplicative equations and solves them with ``propagate_scalars`` from the
-unit seeds (1, 0) and (0, 1).
+once.  They run the kernel's rule ``algebras._closed_form`` with symbolic
+weights: ``vir``, ``d``, the block families' generic region and, as
+D(alpha, -1), the c/cbar generic region.  The c/cbar factorial regions (a
+falling factorial of symbolic length) and the block families' punctures,
+half-planes and central terms remain window-checked.
 
 An algebra here is anything with three methods: ``in_domain(i, j)``,
 ``bracket_terms(a, b)`` returning the bracket as raw ``(key, coeff)`` terms
@@ -16,26 +22,24 @@ An algebra here is anything with three methods: ``in_domain(i, j)``,
 ``central_degrees()`` mapping each present central generator to its degree.
 ``AlgebraSpec`` and ``QuotientC`` both provide them.
 
-The Jacobi kernel evaluates every bracket of the sweep once, then converts
-each Fraction coefficient c to the int c·D, where D is the LCM of all their
-denominators, so a triple's cyclic sum is a sum of int products: the triple
-fails iff that sum is nonzero, and the witness carries the true coefficient
-sum / D².  A ``MultiPoly`` coefficient (symbolic central parameters) is
-multiplied by D instead, with D taken over the Fraction coefficients only,
-so the same loop sums int L-term products and exact polynomials.
+The Jacobi kernel evaluates every bracket of the sweep once and scales all
+coefficients with ``poly.integer_scaled``: a rational c becomes the int c·D,
+D the LCM of the rational denominators, and a ``MultiPoly`` (symbolic
+central parameters) is multiplied by D.  A triple's cyclic sum is then a sum
+of int (or exact polynomial) products; the triple fails iff it is nonzero,
+and the witness carries the true coefficient sum / D².
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations_with_replacement, product
-from math import lcm
 
-from .algebras import AlgebraSpec, BasisElement, Element, window_indices
+from .algebras import AlgebraSpec, BasisElement, Element, _closed_form, window_indices
 from .linsolve import propagate_scalars
-from .poly import MultiPoly, accumulate, symbol
+from .poly import accumulate, integer_scaled, symbol
 
 __all__ = [
     "ViolationReport",
@@ -108,29 +112,6 @@ def check_antisymmetry(alg, window):
     return ViolationReport.sweep("antisymmetry", product(idxs, repeat=2), defect)
 
 
-def _integer_scaled(brackets):
-    """``(brackets, D)`` with every coefficient c replaced by c·D.
-
-    D is the LCM of the denominators of the Fraction coefficients, which
-    become ints; MultiPoly coefficients (a symbolic centre) are multiplied
-    by D and stay polynomials.
-    """
-    coeffs = [c for terms in brackets.values() for _, c in terms]
-    d = lcm(*{c.denominator for c in coeffs if not isinstance(c, MultiPoly)})
-
-    def scaled(c):
-        if isinstance(c, MultiPoly):
-            return c * d if d > 1 else c
-        n, rest = divmod(c.numerator * d, c.denominator)
-        assert not rest, "D must clear every denominator"
-        return n
-
-    return {
-        pair: tuple((key, scaled(c)) for key, c in terms)
-        for pair, terms in brackets.items()
-    }, d
-
-
 def check_jacobi(alg, window):
     """Sweep unordered basis triples; witness each nonzero cyclic sum.
 
@@ -152,7 +133,9 @@ def check_jacobi(alg, window):
     for pair in product(targets, idxs):
         if pair not in brackets:
             brackets[pair] = alg.bracket_terms(*pair)
-    brackets, d = _integer_scaled(brackets)
+    d, scaled = integer_scaled([c for terms in brackets.values() for _, c in terms])
+    scaled = iter(scaled)
+    brackets = {p: tuple((key, next(scaled)) for key, _ in terms) for p, terms in brackets.items()}
     outer = {pair: [(t, c) for t, c in brackets[pair] if t in targets] for pair in pairs}
 
     def unscaled(s):
@@ -193,10 +176,6 @@ def check_grading(alg, window):
 # -- symbolic Jacobi ---------------------------------------------------------
 
 
-def _d_coeff_poly(i, j, k, ell, alpha, beta):
-    return beta * (i * ell - j * k) + (k - i) + (ell - j) * alpha
-
-
 def symbolic_jacobi(coeff_fn):
     """True iff the cyclic Jacobi sum of a single-term bracket rule vanishes.
 
@@ -220,25 +199,17 @@ def symbolic_jacobi(coeff_fn):
 
 def symbolic_jacobi_D():
     """Jacobi for the uniform two-parameter family, all eight symbols free."""
-    alpha, beta = symbol("alpha"), symbol("beta")
-    return symbolic_jacobi(lambda i, j, k, ell: _d_coeff_poly(i, j, k, ell, alpha, beta))
+    return symbolic_jacobi(partial(_closed_form, (symbol("beta"), symbol("alpha"), 1)))
 
 
 def symbolic_jacobi_vir():
     """The beta = 0 specialization."""
-    alpha = symbol("alpha")
-    zero = MultiPoly()
-    return symbolic_jacobi(
-        lambda i, j, k, ell: _d_coeff_poly(i, j, k, ell, alpha, zero)
-    )
+    return symbolic_jacobi(partial(_closed_form, (0, symbol("alpha"), 1)))
 
 
 def symbolic_jacobi_block():
     """The determinant-form structure constant on its generic region."""
-    alpha, beta = symbol("alpha"), symbol("beta")
-    return symbolic_jacobi(
-        lambda i, j, k, ell: (i + alpha) * (ell - beta) - (j - beta) * (k + alpha)
-    )
+    return symbolic_jacobi(partial(_closed_form, (1, symbol("alpha"), symbol("beta"))))
 
 
 # -- quotient and diagonal isomorphisms --------------------------------------

@@ -19,19 +19,18 @@ is the scalar identity s = 0 with
 
 where a(i,k) is the coefficient of L_i v_k, taken as 0 when v_{i+k} is
 outside the support (``act`` drops that term).  The a are read once and
-scaled to ints by the LCM D of their denominators, so s is summed in ints
-(the last term scaled by D once more) and a failing case's witness is
-s / D^2 v_{i+j+k}, which equals lhs - rhs.
+scaled to ints by ``integer_scaled``, so s is summed in ints (the last term
+scaled by D once more) and a failing case's witness is s / D^2 v_{i+j+k},
+which equals lhs - rhs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from .linsolve import propagate_scalars
-from .poly import SparseVector, accumulate, format_rational
+from .poly import SparseVector, accumulate, format_rational, integer_scaled
 from .verify import ViolationReport
 
 __all__ = [
@@ -155,8 +154,8 @@ def check_module_axiom(m, window):
     rng = range(-window, window + 1)
     span = range(-2 * window, 2 * window + 1)
     coeff = {(i, k): m.coeff(i, k) if m.supports(i + k) else 0 for i in span for k in span}
-    d = lcm(*{c.denominator for c in coeff.values()})
-    a = {p: c.numerator * (d // c.denominator) for p, c in coeff.items()}
+    d, scaled = integer_scaled(list(coeff.values()))
+    a = dict(zip(coeff, scaled))
 
     def defect(i, j, k):
         s = a[j, k] * a[i, j + k] - a[i, k] * a[j, i + k] - (j - i) * d * a[i + j, k]

@@ -7,6 +7,7 @@ from zzlie.poly import (
     MultiPoly,
     UsageError,
     format_rational,
+    integer_scaled,
     parse_rational,
     proportionality,
     rational_root_scan,
@@ -173,3 +174,22 @@ def test_serialization_records_sorted():
         {"exponents": {"x": 1}, "coeff": "2/1"},
         {"exponents": {"x": 1, "y": 1}, "coeff": "1/1"},
     ]
+
+
+def test_integer_scaled_mixed_coefficients():
+    a = symbol("a")
+    d, scaled = integer_scaled([Fraction(1, 6), 3, Fraction(-5, 4), a * Fraction(1, 3), 0])
+    # D is taken over the rational coefficients only; the polynomial is multiplied by it
+    assert d == 12
+    assert scaled == [2, 36, -15, a * 4, 0]
+    assert [type(n) for n in scaled] == [int, int, int, MultiPoly, int]
+    assert integer_scaled([]) == (1, [])
+    assert integer_scaled([a]) == (1, [a])
+
+
+@given(st.lists(rationals | st.integers(-10**6, 10**6), max_size=12))
+def test_integer_scaled_is_exact(coeffs):
+    d, scaled = integer_scaled(coeffs)
+    assert d >= 1 and len(scaled) == len(coeffs)
+    for c, n in zip(coeffs, scaled):
+        assert type(n) is int and n == c * d

@@ -2,12 +2,15 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zzlie import verify
 from zzlie.algebras import AlgebraSpec, BasisElement, Element
 from zzlie.linsolve import propagate_scalars
-from zzlie.poly import symbol
+from zzlie.poly import MultiPoly, symbol
 from zzlie.verify import (
     MAX_WITNESSES,
     QuotientC,
@@ -138,6 +141,53 @@ def test_symbolic_jacobi_families():
     assert symbolic_jacobi_D()
     assert symbolic_jacobi_vir()
     assert symbolic_jacobi_block()
+
+
+def _proof_rule(proof):
+    """The coefficient function a symbolic Jacobi proof hands to ``symbolic_jacobi``."""
+    rules = []
+    with mock.patch.object(verify, "symbolic_jacobi", rules.append):
+        proof()
+    return rules[0]
+
+
+def _rule_value(rule, a, b, alpha, beta):
+    value = rule(*a, *b)
+    if isinstance(value, MultiPoly):
+        return value.eval({"alpha": alpha, "beta": beta})
+    return Fraction(value)
+
+
+def _kernel_value(spec, a, b):
+    """The L-term coefficient of ``bracket_terms`` at the index sum."""
+    target = (a[0] + b[0], a[1] + b[1])
+    return dict(spec.bracket_terms(a, b)).get(target, Fraction(0))
+
+
+_parameter = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool)
+_small = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+_c_generic = st.tuples(st.integers(-4, 4), st.integers(-1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parameter, _parameter, _small, _small, _c_generic, _c_generic)
+def test_symbolic_rules_are_the_kernel_rule(alpha, beta, a, b, ca, cb):
+    # The proofs evaluate the very rule that bracket_terms runs: with the
+    # parameters substituted, each proof's coefficient is the kernel's.
+    rule_d = _proof_rule(symbolic_jacobi_D)
+    cases = [
+        (_proof_rule(symbolic_jacobi_vir), AlgebraSpec("vir", alpha)),
+        (rule_d, AlgebraSpec("d", alpha, beta)),
+        (_proof_rule(symbolic_jacobi_block), AlgebraSpec("block", alpha, beta)),
+    ]
+    target = (a[0] + b[0], a[1] + b[1])
+    for rule, spec in cases:
+        if all(spec.in_domain(*p) for p in (a, b, target)):
+            assert _rule_value(rule, a, b, alpha, beta) == _kernel_value(spec, a, b)
+    # the c/cbar generic region (j, ell >= -1, not both -1) is D(alpha, -1)
+    if (ca[1], cb[1]) != (-1, -1):
+        c = AlgebraSpec("c", alpha)
+        assert _rule_value(rule_d, ca, cb, alpha, Fraction(-1)) == _kernel_value(c, ca, cb)
 
 
 def test_symbolic_jacobi_rejects_mutation():
