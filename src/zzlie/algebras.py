@@ -123,10 +123,6 @@ class Element(SparseVector):
     __slots__ = ()
 
     @classmethod
-    def single(cls, basis, coeff):
-        return cls._from_pruned({basis: coeff} if coeff else {})
-
-    @classmethod
     def from_terms(cls, terms):
         """The element of raw ``(key, coeff)`` terms (distinct keys, nonzero coeffs)."""
         return cls._from_pruned({BasisElement.of(key): c for key, c in terms})
@@ -204,18 +200,20 @@ class AlgebraSpec:
                 raise ValueError(f"{name} only applies to families {_CENTRAL_FAMILIES}")
             if not isinstance(val, MultiPoly):
                 object.__setattr__(self, name, Fraction(val))
+        if self.literal_c_index and self.family not in ("c", "cbar"):
+            raise ValueError("literal_c_index only applies to families ('c', 'cbar')")
         # The punctures (-alpha, beta) and (-2 alpha, 2 beta), where integral,
-        # are also the degrees of the central generators C1 and C2.
-        excluded, central = frozenset(), {}
+        # are the degrees of the central generators C1 and C2.  C2's degree
+        # is twice C1's, so it is integral whenever C1's is.
+        central = {}
         if self.family in _CENTRAL_FAMILIES:
             c1 = (_as_int(-self.alpha), _as_int(self.beta))
             c2 = (_as_int(-2 * self.alpha), _as_int(2 * self.beta))
-            excluded = frozenset(p for p in (c1, c2) if None not in p)
             if None not in c2:
                 central["C2"] = c2
                 if None not in c1:
                     central["C1"] = c1
-        object.__setattr__(self, "_excluded", excluded)
+        object.__setattr__(self, "_excluded", frozenset(central.values()))
         object.__setattr__(self, "_central", central)
         den, (a_num, b_num) = integer_scaled([self.alpha, self.beta or 0])
         if self.family in _CENTRAL_FAMILIES:

@@ -136,7 +136,6 @@ def solve_c_window(p, window):
     system = LinearSystem()
     system.add_equation({(0, 0): Fraction(1)}, 2 * p.alpha, ("norm",))
     skipped = 0
-    certificate = None
     # Instances are added in derivation tiers: the origin and matched-index
     # instances that pin the even axis/diagonal closed forms come first,
     # then remaining axis instances, then the general sweep.  For a
@@ -161,13 +160,14 @@ def solve_c_window(p, window):
                 else:
                     tier = 3
                 triples.append((tier, abs(i) + abs(j) + abs(k), i, j, k, eq["coeffs"]))
-    triples.sort(key=lambda t: t[:5])
+    # (i, j, k) is unique, so the sort never compares the coeffs dicts
+    triples.sort()
     for _, _, i, j, k, coeffs in triples:
-        if not coeffs:
-            continue
-        ok = system.add_equation(coeffs, 0, ("eq", i, j, k))
-        if not ok and certificate is None:
-            certificate = [list(t) for t in system.certificate_tags()]
+        if coeffs:
+            system.add_equation(coeffs, 0, ("eq", i, j, k))
+    # the system keeps only the first contradiction met in sweep order
+    tags = system.certificate_tags()
+    certificate = None if tags is None else [list(t) for t in tags]
     infeasible = certificate is not None
     values = system.solved_values()
     undetermined = system.undetermined(unknowns)
@@ -328,9 +328,13 @@ def k_coefficient_comparison():
 def check_impossibility(alpha, window):
     """Certify that the homogeneous d'-system only has the zero solution.
 
-    Unknowns d'_{i,j} over the window; one equation per (i, j, k) triple.
-    A nonzero solution would be a counterexample and is returned as such;
-    otherwise the certificate reports full rank.
+    Unknowns d'_{i,j} over the window; one equation per (i, j, k) triple,
+    A d'_{i,j} = B d'_{0,i+j} with A = 4 alpha - 7i - 7j - k and
+    B = 4 alpha + 9i - 7j - k, so A - B = -16i.  For i != 0 two values
+    k1 != k2 give the determinant 16i(k1 - k2) != 0, forcing
+    d'_{i,j} = d'_{0,i+j} = 0; every d'_{0,s} is coupled to (1, s-1) or to
+    (-1, s+1).  So the rank equals the number of unknowns for every alpha
+    and every window >= 2, and ``only_zero`` reports that rank check.
     """
     alpha = Fraction(alpha)
     if window < 2:
@@ -348,17 +352,4 @@ def check_impossibility(alpha, window):
             if coeffs:
                 system.add_equation(coeffs, 0, ("eq", i, j, k))
     rank = system.rank()
-    if rank == len(unknowns):
-        return {"only_zero": True, "rank": rank, "unknowns": len(unknowns)}
-    # produce an explicit nonzero solution
-    free = [u for u in unknowns if u not in system.pivots]
-    assign = {u: Fraction(0) for u in unknowns}
-    assign[free[0]] = Fraction(1)
-    for var, (row, const, _) in system.pivots.items():
-        assign[var] = const - sum(c * assign[v] for v, c in row.items())
-    return {
-        "only_zero": False,
-        "rank": rank,
-        "unknowns": len(unknowns),
-        "counterexample": {f"{i},{j}": format_rational(v) for (i, j), v in assign.items() if v},
-    }
+    return {"only_zero": rank == len(unknowns), "rank": rank, "unknowns": len(unknowns)}

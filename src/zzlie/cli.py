@@ -51,17 +51,15 @@ def _algebra_spec(args):
 
 
 def _emit(payload, args, rows=None):
-    """Render one payload; ``rows`` supplies the tabular form for csv."""
+    """Render one payload; ``rows`` supplies the tabular form for csv and text."""
     out = io.StringIO()
     if args.format == "json":
         json.dump(payload, out, sort_keys=True)
         out.write("\n")
-    elif args.format == "csv":
-        for row in rows if rows is not None else _flatten(payload):
-            out.write(",".join(str(x) for x in row) + "\n")
     else:
+        sep = "," if args.format == "csv" else " "
         for row in rows if rows is not None else _flatten(payload):
-            out.write(" ".join(str(x) for x in row) + "\n")
+            out.write(sep.join(str(x) for x in row) + "\n")
     text = out.getvalue()
     if args.out:
         with open(args.out, "w") as fh:

@@ -6,8 +6,8 @@ of (name, positive exponent) pairs) to rational coefficients; zero
 coefficients are never stored, so equality of the term maps is equality of
 polynomials.  ``accumulate`` is the one sparse linear-combination step that
 every layer builds its sums with, ``integer_scaled`` the one way any layer
-scales coefficients to ints, and ``SparseVector`` is the one linear
-combination type that algebra elements and module vectors share.
+scales coefficients to ints, and ``SparseVector`` is the one sparse-map type
+of polynomials, algebra elements and module vectors (see its contract).
 """
 
 from __future__ import annotations
@@ -88,10 +88,11 @@ def integer_scaled(coeffs):
 class SparseVector:
     """A finite linear combination: a map key -> coefficient, zeros pruned.
 
-    Results are built with ``_from_pruned`` around a dict that is already
-    pruned, so a subclass constructor that converts its input runs only on
-    what a caller passes in, never on intermediate vectors.  Vectors of
-    different types never compare equal.
+    The subclasses are ``MultiPoly``, ``algebras.Element`` and
+    ``virmodules.ModVector``.  Public constructors prune zeros; results are
+    built with ``_from_pruned`` around a dict that is already pruned, so a
+    constructor that converts its input runs only on what a caller passes
+    in.  Vectors of different subclasses never compare equal.
     """
 
     __slots__ = ("terms",)
@@ -149,31 +150,19 @@ def _mono_mul(exps, mono):
     return tuple(sorted(exps.items()))
 
 
-class MultiPoly:
+class MultiPoly(SparseVector):
     """Sparse multivariate polynomial over the rationals in named symbols."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        # Internal: `terms` must already be canonical (no zero coefficients,
-        # monomial keys sorted, exponents positive).  Use symbol() or
-        # MultiPoly.const().
-        self.terms = {} if terms is None else terms
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value):
         c = _coerce_coeff(value)
-        return cls({} if c == 0 else {(): c})
+        return cls._from_pruned({(): c} if c else {})
 
     # -- basic queries -----------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def symbols(self):
         names = set()
@@ -212,15 +201,9 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._as_poly(other)
-        return MultiPoly(accumulate(dict(self.terms), other.terms.items()))
+        return self._from_pruned(accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly({mono: -c for mono, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._as_poly(other))
 
     def __rsub__(self, other):
         return self._as_poly(other) + (-self)
@@ -231,7 +214,7 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             d1 = dict(m1)
             accumulate(out, ((_mono_mul(d1, m2), c2) for m2, c2 in other.terms.items()), c1)
-        return MultiPoly(out)
+        return self._from_pruned(out)
 
     __rmul__ = __mul__
 
@@ -259,7 +242,7 @@ class MultiPoly:
             if exps.pop(name, 0) != degree:
                 continue
             out[tuple(sorted(exps.items()))] = c
-        return MultiPoly(out)
+        return self._from_pruned(out)
 
     def substitute(self, assignment):
         """Partial evaluation: replace the given symbols by rationals."""
@@ -273,7 +256,7 @@ class MultiPoly:
                 else:
                     rest[name] = e
             accumulate(out, ((tuple(sorted(rest.items())), factor),))
-        return MultiPoly(out)
+        return self._from_pruned(out)
 
     def eval(self, assignment):
         """Full exact evaluation; every occurring symbol must be assigned."""
@@ -308,7 +291,7 @@ class MultiPoly:
 
 def symbol(name):
     """The polynomial consisting of the one symbol ``name``."""
-    return MultiPoly({((name, 1),): Fraction(1)})
+    return MultiPoly._from_pruned({((name, 1),): Fraction(1)})
 
 
 def rational_root_scan(p, candidates):
@@ -320,16 +303,7 @@ def rational_root_scan(p, candidates):
     syms = p.symbols()
     if len(syms) > 1:
         raise UsageError(f"rational_root_scan needs a univariate polynomial, got symbols {sorted(syms)}")
-    name = next(iter(syms)) if syms else None
-    roots = set()
-    for cand in candidates:
-        cand = Fraction(cand)
-        if name is None:
-            if p.is_zero():
-                roots.add(cand)
-        elif p.eval({name: cand}) == 0:
-            roots.add(cand)
-    return roots
+    return {c for c in map(Fraction, candidates) if p.eval(dict.fromkeys(syms, c)) == 0}
 
 
 def proportionality(p, q):

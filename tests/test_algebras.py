@@ -22,7 +22,7 @@ def L(i, j):
 
 
 def single(i, j, coeff):
-    return Element.single(L(i, j), Fraction(coeff))
+    return Element({L(i, j): Fraction(coeff)})
 
 
 # -- domains ------------------------------------------------------------------
@@ -66,6 +66,9 @@ def test_parameter_validation():
         AlgebraSpec("vir", 1, a1=1)
     with pytest.raises(ValueError):
         AlgebraSpec("nope", 1)
+    for family, beta in (("vir", None), ("d", 1), ("block", 2), ("bplus+", None)):
+        with pytest.raises(ValueError, match="literal_c_index"):
+            AlgebraSpec(family, 1, beta, literal_c_index=True)
 
 
 # -- brackets -----------------------------------------------------------------
@@ -329,7 +332,7 @@ def test_bracket_bilinear():
 
 def test_central_generators_are_central():
     spec = AlgebraSpec("block", 1, 2, a1=1)
-    x = Element.single(BasisElement("C1"), Fraction(1))
+    x = Element({BasisElement("C1"): Fraction(1)})
     y = single(1, 1, 1)
     assert spec.bracket(x, y).is_zero()
 
@@ -486,10 +489,19 @@ def test_element_json_schema():
     }
 
 
+def _monomial(i, j):
+    # a positive monomial per key, so each key gives a distinct polynomial term
+    return (("x", i + 1), ("y", j + 1))
+
+
 @pytest.mark.parametrize(
     "make",
-    [lambda terms: Element({L(*k): c for k, c in terms.items()}), ModVector],
-    ids=["Element", "ModVector"],
+    [
+        lambda terms: Element({L(*k): c for k, c in terms.items()}),
+        ModVector,
+        lambda terms: MultiPoly({_monomial(*k): c for k, c in terms.items()}),
+    ],
+    ids=["Element", "ModVector", "MultiPoly"],
 )
 def test_sparse_vector_semantics(make):
     x = make({(0, 0): 2, (1, 0): 0})

@@ -272,6 +272,18 @@ GOLDEN = {
         ["module", "check", "--family", "a_ab", "--alpha", "0", "--beta", "1",
          "--subquotient", "--window", "4"],
         "74d92bf917b4bb6032f43988d801f3879a7e198682148265b833e8973373fb0d"),
+    # payloads flattened to rows: text and csv outside `table`
+    "verify-jacobi-d-text": (
+        ["verify", "jacobi", "--family", "d", "--alpha", "1/2", "--beta", "2",
+         "--window", "2", "--format", "text"],
+        "f826a581c4e4d4737aa5ae336bd7b88a833de8e1514672f2a3f0ce56e5858271"),
+    "module-check-csv": (
+        ["module", "check", "--family", "a_ab", "--alpha", "1/2", "--beta", "0",
+         "--window", "3", "--format", "csv"],
+        "6bfd18957b77de3782b6780173038a990f5809751a3611866c4fff57856c1101"),
+    "classify-constraints-text": (
+        ["classify", "constraints", "--format", "text"],
+        "bd8d13e43329b0a57e47ebdf5d3aeab89dbf93f0c5c382a89ed11cb3df90c6ea"),
 }
 
 

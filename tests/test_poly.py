@@ -63,6 +63,14 @@ def test_poly_additive_inverse():
     assert (x + (-x)).is_zero()
 
 
+def test_poly_constructor_prunes_zeros():
+    zero = MultiPoly({(): Fraction(0)})
+    assert not zero and zero.is_zero()
+    assert zero == 0 and zero == MultiPoly()
+    x = symbol("x")
+    assert MultiPoly({(("x", 1),): Fraction(1), (): 0}) == x
+
+
 def test_poly_product_expansion():
     x = symbol("x")
     assert (x + 1) * (x - 1) == x * x - 1
