@@ -29,6 +29,7 @@ from fractions import Fraction
 from .poly import MultiPoly, SparseVector, format_rational, integer_scaled
 
 __all__ = [
+    "FAMILIES",
     "DomainError",
     "AlgebraSpec",
     "BasisElement",
@@ -82,9 +83,6 @@ class BasisElement:
     def index(self):
         return (self.i, self.j)
 
-    def to_json(self):
-        return _key_json(self.index if self.kind == "L" else self.kind)
-
     def __repr__(self):
         if self.kind == "L":
             return f"L({self.i},{self.j})"
@@ -96,14 +94,22 @@ def _single(key, coeff):
     return ((key, coeff),) if coeff else ()
 
 
-def _key_json(key):
-    """The JSON form of a raw bracket-term key, as ``BasisElement.to_json``."""
-    return {"kind": key} if isinstance(key, str) else {"kind": "L", "i": key[0], "j": key[1]}
+def terms_json(terms):
+    """Raw ``(key, coeff)`` bracket terms as ``{"basis", "coeff"}`` records.
 
-
-def _coeff_json(coeff):
-    """A coefficient as "p/q", or as records when it is a MultiPoly."""
-    return coeff.to_records() if isinstance(coeff, MultiPoly) else format_rational(coeff)
+    A basis is ``{"kind": "L", "i", "j"}`` or ``{"kind": "C1"/"C2"}``; a
+    coefficient is "p/q", or a MultiPoly's records.  The terms keep their
+    order, which for ``bracket_terms`` is L, then C1, then C2.
+    """
+    return [
+        {
+            "basis": (
+                {"kind": key} if isinstance(key, str) else {"kind": "L", "i": key[0], "j": key[1]}
+            ),
+            "coeff": c.to_records() if isinstance(c, MultiPoly) else format_rational(c),
+        }
+        for key, c in terms
+    ]
 
 
 _SORT_KEY = {"L": 0, "C1": 1, "C2": 2}
@@ -129,14 +135,6 @@ class Element(SparseVector):
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def to_json(self):
-        return {
-            "terms": [
-                {"basis": basis.to_json(), "coeff": _coeff_json(self.terms[basis])}
-                for basis in sorted(self.terms, key=_basis_sort_key)
-            ]
-        }
 
     def __repr__(self):
         if not self.terms:
@@ -303,18 +301,6 @@ class AlgebraSpec:
             terms += _single("C2", c)
         return tuple(terms)
 
-    def bracket(self, x, y):
-        """Bilinear extension; central generators are central."""
-        out = Element()
-        for bx, cx in x.terms.items():
-            if bx.kind != "L":
-                continue
-            for by, cy in y.terms.items():
-                if by.kind != "L":
-                    continue
-                out = out + self.basis_bracket(bx.index, by.index).scale(cx * cy)
-        return out
-
 
 def _closed_form(w, i, j, k, ell):
     """The closed-form structure constant x(i*ell - j*k) + a(ell - j) + y(k - i).
@@ -377,19 +363,12 @@ def table_to_json(spec, window):
     """The structure table as JSON rows, built straight from the raw terms.
 
     Rows are ``{"left", "right", "result"}`` in ``structure_table`` order;
-    ``result`` lists ``{"basis", "coeff"}`` terms in ``Element.to_json``
-    order, which is the raw-term order.
+    ``result`` is ``terms_json`` of the bracket's raw terms, the records the
+    ``bracket`` command prints.
     """
     idxs = window_indices(spec, window)
     return [
-        {
-            "left": list(a),
-            "right": list(b),
-            "result": [
-                {"basis": _key_json(key), "coeff": _coeff_json(c)}
-                for key, c in spec.bracket_terms(a, b)
-            ],
-        }
+        {"left": list(a), "right": list(b), "result": terms_json(spec.bracket_terms(a, b))}
         for a in idxs
         for b in idxs
     ]

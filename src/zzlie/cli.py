@@ -2,8 +2,10 @@
 
 Subcommands: bracket, table, verify, module, classify.  Output is
 deterministic (sorted keys, canonical "p/q" rationals) and identical in
-information across --format json|csv|text.  Exit codes: 0 success / all
-checks pass, 1 violation or infeasibility found, 2 usage error or an
+information across --format json|csv|text: csv and text print one row per
+JSON leaf or empty list/dict, with null, true, false, [] and {} as JSON
+writes them (``table`` prints one row per bracket).  Exit codes: 0 success /
+all checks pass, 1 violation or infeasibility found, 2 usage error or an
 ``--out`` path that cannot be written.
 """
 
@@ -70,13 +72,15 @@ def _emit(payload, args, rows=None):
 
 def _flatten(payload, prefix=""):
     rows = []
-    if isinstance(payload, dict):
+    if isinstance(payload, dict) and payload:
         for key in sorted(payload, key=str):
             rows.extend(_flatten(payload[key], f"{prefix}{key}."))
-    elif isinstance(payload, list):
+    elif isinstance(payload, list) and payload:
         for n, item in enumerate(payload):
             rows.extend(_flatten(item, f"{prefix}{n}."))
     else:
+        if payload is None or isinstance(payload, (bool, dict, list)):
+            payload = json.dumps(payload)
         rows.append((prefix.rstrip("."), payload))
     return rows
 
@@ -153,8 +157,8 @@ def _module_spec(family, alpha, beta, subquotient):
 
 def _cmd_bracket(args):
     spec = _algebra_spec(args)
-    result = spec.basis_bracket(_index(args.left), _index(args.right))
-    _emit(result.to_json(), args)
+    terms = spec.bracket_terms(_index(args.left), _index(args.right))
+    _emit({"terms": algebras.terms_json(terms)}, args)
     return 0
 
 

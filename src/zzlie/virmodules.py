@@ -50,7 +50,8 @@ class ModuleSpec:
     """A module family and its parameters.
 
     ``removed`` is the one index left out of the support of an ``a_ab``
-    subquotient (see ``irreducible_subquotient``); None keeps all of Z.
+    subquotient (see ``irreducible_subquotient``): only -alpha, with alpha
+    integral and beta 0 or 1, leaves a module.  None keeps all of Z.
     """
 
     family: str
@@ -68,11 +69,10 @@ class ModuleSpec:
             object.__setattr__(self, "beta", Fraction(self.beta))
         elif self.beta is not None:
             raise ValueError(f"family {self.family!r} takes no beta")
-        if self.removed is not None:
-            if self.family != "a_ab":
-                raise ValueError("only a_ab modules have a removed index")
-            if type(self.removed) is not int:
-                raise ValueError(f"removed index must be an integer, got {self.removed!r}")
+        if self.removed is not None and not (
+            type(self.removed) is int and self.removed == -self.alpha and self.beta in (0, 1)
+        ):
+            raise ValueError("removed must be the integer -alpha, for a_ab with beta 0 or 1")
 
     def supports(self, k):
         return k != self.removed

@@ -11,6 +11,7 @@ from zzlie.algebras import (
     Element,
     factorial_ratio,
     structure_table,
+    terms_json,
     window_indices,
 )
 from zzlie.poly import MultiPoly, symbol
@@ -321,22 +322,6 @@ def test_bracket_terms_fraction_reference_property(spec, pairs):
     _assert_kernel_matches_reference(spec, pairs + aimed)
 
 
-def test_bracket_bilinear():
-    spec = AlgebraSpec("vir", 2)
-    x = single(1, 0, 1) + single(0, 1, 1)
-    y = single(2, 0, 1)
-    assert spec.bracket(x, y) == single(3, 0, 1)
-    assert spec.bracket(Element(), y).is_zero()
-    assert spec.bracket(y, y).is_zero()
-
-
-def test_central_generators_are_central():
-    spec = AlgebraSpec("block", 1, 2, a1=1)
-    x = Element({BasisElement("C1"): Fraction(1)})
-    y = single(1, 1, 1)
-    assert spec.bracket(x, y).is_zero()
-
-
 # -- central degrees ----------------------------------------------------------
 
 
@@ -481,12 +466,20 @@ def test_factorial_ratio():
 
 def test_element_json_schema():
     spec = AlgebraSpec("block", 1, 2, a1=1)
-    result = spec.basis_bracket((0, 1), (-1, 1))
-    assert result.to_json() == {"terms": [{"basis": {"kind": "C1"}, "coeff": "1/1"}]}
-    elem = single(1, -2, Fraction(3, 4))
-    assert elem.to_json() == {
-        "terms": [{"basis": {"kind": "L", "i": 1, "j": -2}, "coeff": "3/4"}]
-    }
+    assert terms_json(spec.bracket_terms((0, 1), (-1, 1))) == [
+        {"basis": {"kind": "C1"}, "coeff": "1/1"}
+    ]
+    assert terms_json([((1, -2), Fraction(3, 4))]) == [
+        {"basis": {"kind": "L", "i": 1, "j": -2}, "coeff": "3/4"}
+    ]
+    # raw-term order (L, C1, C2) is kept; a polynomial coefficient gives records
+    a2 = symbol("a2")
+    assert terms_json([((0, 0), Fraction(1)), ("C1", Fraction(-2)), ("C2", a2)]) == [
+        {"basis": {"kind": "L", "i": 0, "j": 0}, "coeff": "1/1"},
+        {"basis": {"kind": "C1"}, "coeff": "-2/1"},
+        {"basis": {"kind": "C2"}, "coeff": [{"coeff": "1/1", "exponents": {"a2": 1}}]},
+    ]
+    assert terms_json(()) == []
 
 
 def _monomial(i, j):

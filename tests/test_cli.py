@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zzlie.algebras import FAMILIES
 from zzlie.cli import main
 
 
@@ -200,6 +201,65 @@ def test_module_commands_never_raise(action, first, second, window):
         assert main(argv) in (0, 1, 2)
 
 
+params = literals | st.just("sym")
+indices = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map("{0[0]},{0[1]}".format)
+ACTIONS = {
+    "bracket": [None],
+    "table": [None],
+    "verify": ["antisymmetry", "jacobi", "grading", "all", "none"],
+    "classify": ["constraints", "solve", "impossibility", "none"],
+}
+
+
+CENTRE = ("a1", "a2", "a2p")
+
+
+def algebra_flags(draw, well_formed):
+    if not well_formed:
+        flags = {"family": draw(st.none() | st.sampled_from([*FAMILIES, "", "e"]))}
+        return flags | {name: draw(st.none() | params) for name in ("alpha", "beta", *CENTRE)}
+    family = draw(st.sampled_from(FAMILIES))
+    flags = {"family": family, "alpha": draw(rationals)}
+    if family in ("d", "block"):
+        flags["beta"] = draw(rationals)
+    if family in ("block", "bplus-", "bplus+"):
+        flags |= {name: draw(st.none() | rationals | st.just("sym")) for name in CENTRE}
+    return flags
+
+
+@st.composite
+def algebra_argv(draw):
+    """argv for bracket, table, verify or classify.
+
+    Half the runs draw flags a family accepts, so that they get past argument
+    checking; the other half may leave out or malform any flag.
+    """
+    command = draw(st.sampled_from(sorted(ACTIONS)))
+    action = draw(st.sampled_from(ACTIONS[command]))
+    well_formed = draw(st.booleans())
+    argv = [command] + ([action] if action else [])
+    if command == "classify":
+        values = rationals if well_formed else st.none() | params
+        flags = {name: draw(values) for name in ("alpha", "beta1", "betam1")}
+    else:
+        flags = algebra_flags(draw, well_formed)
+    if command == "bracket":
+        sides = indices if well_formed else st.none() | indices | malformed
+        flags |= {side: draw(sides) for side in ("left", "right")}
+    else:
+        windows = st.integers(-1, 3)
+        flags["window"] = draw(windows if well_formed else st.none() | windows)
+    flags["format"] = draw(st.sampled_from(["json", "csv", "text"]))
+    return argv + [f"--{name}={value}" for name, value in flags.items() if value is not None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_argv())
+def test_algebra_and_classify_commands_never_raise(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
+
+
 def test_classify_constraints(capsys):
     code, out = run(capsys, "classify", "constraints")
     assert code == 0
@@ -230,6 +290,18 @@ def test_classify_impossibility(capsys):
                     "--window", "2")
     assert code == 0
     assert json.loads(out)["only_zero"]
+
+
+def test_flattened_rows_write_json_leaves(capsys):
+    code, out = run(
+        capsys, "classify", "solve", "--alpha", "1", "--beta1", "2",
+        "--betam1=-4", "--window", "2", "--format", "text",
+    )
+    assert code == 0
+    rows = out.splitlines()
+    for row in ("certificate null", "infeasible false", "notes []", "undetermined []",
+                "unique true"):
+        assert row in rows
 
 
 def test_classify_missing_flags(capsys):
@@ -272,18 +344,43 @@ GOLDEN = {
         ["module", "check", "--family", "a_ab", "--alpha", "0", "--beta", "1",
          "--subquotient", "--window", "4"],
         "74d92bf917b4bb6032f43988d801f3879a7e198682148265b833e8973373fb0d"),
-    # payloads flattened to rows: text and csv outside `table`
+    # payloads flattened to rows: text and csv outside `table`, with empty
+    # lists and null/true/false written as JSON writes them
     "verify-jacobi-d-text": (
         ["verify", "jacobi", "--family", "d", "--alpha", "1/2", "--beta", "2",
          "--window", "2", "--format", "text"],
-        "f826a581c4e4d4737aa5ae336bd7b88a833de8e1514672f2a3f0ce56e5858271"),
+        "79f5dc4fc5b554f49598d38838dccf77a6f5144de1fdf7511bcf57add33a82a9"),
     "module-check-csv": (
         ["module", "check", "--family", "a_ab", "--alpha", "1/2", "--beta", "0",
          "--window", "3", "--format", "csv"],
-        "6bfd18957b77de3782b6780173038a990f5809751a3611866c4fff57856c1101"),
+        "86e933150b115ae8c8d3a1867f8c2335b9088b5581c17359cef346074ab14144"),
+    "classify-solve-text": (
+        ["classify", "solve", "--alpha", "1", "--beta1", "2", "--betam1=-4",
+         "--window", "2", "--format", "text"],
+        "a924fbdd05c781a7332ad6a5c0760b976607968fb83a5e9f8298b396ef577cd7"),
     "classify-constraints-text": (
         ["classify", "constraints", "--format", "text"],
         "bd8d13e43329b0a57e47ebdf5d3aeab89dbf93f0c5c382a89ed11cb3df90c6ea"),
+    # one bracket per kind of term: C1, a polynomial C2, a numeric C2, an L
+    # term of the c family's factorial region, and the empty bracket
+    "bracket-block-c1": (
+        ["bracket", "--family", "block", "--alpha", "1", "--beta", "2", "--a1", "2",
+         "--left=0,1", "--right=-1,1"],
+        "710bf8585e168782230340d108538477f6b608d3dd06efe5c9fe25ffb5c3c418"),
+    "bracket-block-sym-c2": (
+        ["bracket", "--family", "block", "--alpha", "1", "--beta", "2", "--a1", "sym",
+         "--a2", "sym", "--a2p", "sym", "--left=0,2", "--right=-2,2"],
+        "c81c77ca3762f4d00ee2eb337213db223ed7c7b4ab69b9728dcc235880ec41c1"),
+    "bracket-bplus+": (
+        ["bracket", "--family", "bplus+", "--alpha", "1/2", "--a2", "2/7", "--a2p=-1",
+         "--left=0,1", "--right=-1,1"],
+        "c6031087048f41acbd94476ae45cfbbd929ff82fecdfa05e21431de358785c8c"),
+    "bracket-c": (
+        ["bracket", "--family", "c", "--alpha", "2/3", "--left=0,1", "--right=2,-4"],
+        "e00039e2649b4cb5fccb5977ca2a164768a24384c82afeef83d61c40c4a16678"),
+    "bracket-vir-empty": (
+        ["bracket", "--family", "vir", "--alpha", "1", "--left=1,0", "--right=1,0"],
+        "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
 }
 
 

@@ -229,6 +229,11 @@ def test_subquotient_rejects_other_families():
         ModuleSpec("a_paren", 1, removed=0)
     with pytest.raises(ValueError):
         ModuleSpec("a_ab", 0, 0, removed=Fraction(0))
+    # only -alpha, with alpha integral and beta in {0, 1}, leaves a module
+    with pytest.raises(ValueError):
+        ModuleSpec("a_ab", 1, 0, removed=5)
+    with pytest.raises(ValueError):
+        ModuleSpec("a_ab", Fraction(1, 2), Fraction(1, 3), removed=0)
 
 
 def test_subquotients_satisfy_module_axiom():
