@@ -17,7 +17,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linsolve import LinearSystem
-from .poly import MultiPoly, UsageError, accumulate, format_rational, proportionality, rational_root_scan, symbol
+from .poly import (
+    MultiPoly,
+    UsageError,
+    accumulate,
+    format_rational,
+    integer_scaled,
+    proportionality,
+    rational_root_scan,
+    symbol,
+)
 
 __all__ = [
     "ClassificationParams",
@@ -42,6 +51,13 @@ def _param(value):
 
 @dataclass(frozen=True)
 class ClassificationParams:
+    """The recurrence parameters, each a Fraction or a MultiPoly.
+
+    ``integer_scaled`` of (alpha, beta1, betam1) is computed once and kept
+    outside the dataclass fields (``_den``, ``_nums``), so equality,
+    hashing and ``repr`` see only the parameters.
+    """
+
     alpha: Fraction | MultiPoly
     beta1: Fraction | MultiPoly
     betam1: Fraction | MultiPoly
@@ -51,6 +67,9 @@ class ClassificationParams:
             object.__setattr__(self, name, _param(getattr(self, name)))
         if isinstance(self.alpha, Fraction) and self.alpha == 0:
             raise ValueError("alpha must be nonzero when numeric")
+        den, nums = integer_scaled([self.alpha, self.beta1, self.betam1])
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", tuple(nums))
 
     def is_numeric(self):
         return all(
@@ -64,25 +83,31 @@ def _guard_literal(p, i, j, k):
 
     Each half is discharged by the normalization parameter lying outside
     {0, 1} (tested first: it is cheap and almost always true) or by the
-    factor pair being nonzero; symbolic parameters make it vacuous.
+    factor pair being nonzero; symbolic parameters make it vacuous.  Both
+    tests run on the int numerators over the common denominator D.
     """
     if not p.is_numeric():
         return True
-    left = p.betam1 not in (0, 1) or (i - p.alpha) * (i + k - p.alpha) != 0
-    right = p.beta1 not in (0, 1) or (j + p.alpha) * (j + k + p.alpha) != 0
+    d, (a, b1, bm1) = p._den, p._nums
+    left = bm1 not in (0, d) or (d * i - a) * (d * (i + k) - a) != 0
+    right = b1 not in (0, d) or (d * j + a) * (d * (j + k) + a) != 0
     return left and right
 
 
 def recurrence_equation(p, i, j, k):
     """One instance of the recurrence as unknown -> coefficient, plus guard.
 
-    The relation is returned moved to one side (= 0).  A violated side
-    condition sets ``skipped`` instead of raising.
+    The relation is returned moved to one side (= 0) and multiplied by D,
+    the common denominator of alpha, beta1 and betam1; as it is homogeneous
+    the scaling changes no solution.  With numeric parameters the
+    coefficients are ints.  A violated side condition sets ``skipped``
+    instead of raising.
     """
+    d, (a, b1, bm1) = p._den, p._nums
     coeffs = accumulate({}, [
-        ((i + k, j), -p.alpha + i + p.betam1 * k),
-        ((i, j + k), p.alpha + j + p.beta1 * k),
-        ((i, j), -Fraction(i + j - k)),
+        ((i + k, j), -a + d * i + bm1 * k),
+        ((i, j + k), a + d * j + b1 * k),
+        ((i, j), -d * (i + j - k)),
     ])
     return {
         "coeffs": coeffs,
@@ -330,13 +355,15 @@ def check_impossibility(alpha, window):
 
     Unknowns d'_{i,j} over the window; one equation per (i, j, k) triple,
     A d'_{i,j} = B d'_{0,i+j} with A = 4 alpha - 7i - 7j - k and
-    B = 4 alpha + 9i - 7j - k, so A - B = -16i.  For i != 0 two values
+    B = 4 alpha + 9i - 7j - k, so A - B = -16i.  Each row is built times
+    the denominator of alpha, as ints.  For i != 0 two values
     k1 != k2 give the determinant 16i(k1 - k2) != 0, forcing
     d'_{i,j} = d'_{0,i+j} = 0; every d'_{0,s} is coupled to (1, s-1) or to
     (-1, s+1).  So the rank equals the number of unknowns for every alpha
     and every window >= 2, and ``only_zero`` reports that rank check.
     """
     alpha = Fraction(alpha)
+    num, den = alpha.numerator, alpha.denominator
     if window < 2:
         raise UsageError("window must be >= 2")
     rng = range(-window, window + 1)
@@ -346,8 +373,8 @@ def check_impossibility(alpha, window):
     for i, j in unknowns:
         for k in rng:
             coeffs = accumulate({}, [
-                ((i, j), 4 * alpha - 7 * i - 7 * j - k),
-                ((0, i + j), -(4 * alpha + 9 * i - 7 * j - k)),
+                ((i, j), 4 * num - (7 * i + 7 * j + k) * den),
+                ((0, i + j), -(4 * num + (9 * i - 7 * j - k) * den)),
             ])
             if coeffs:
                 system.add_equation(coeffs, 0, ("eq", i, j, k))

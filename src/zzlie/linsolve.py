@@ -1,12 +1,18 @@
 """Exact solving over the rationals: linear systems and scalar propagation.
 
-``LinearSystem`` keeps rows as sparse maps unknown -> Fraction with a
-constant term, in reduced row echelon form.  Every row added to the system
-carries an opaque tag, and the system remembers the rows that raised its
-rank.  Elimination tracks no provenance: at the first contradiction one
-transposed solve over those rows finds the combination that produces the
-contradicting row, and its tags form a minimal certificate of equations
-with no common solution.
+``LinearSystem`` keeps its pivots fraction-free, in reduced row echelon
+form.  A pivot is an int row ``lead*x + sum(row[v]*v) = const`` with a
+positive lead, divided by the gcd of its entries.  Elimination and
+back-substitution cross-multiply rows (or divide exactly, when a lead
+divides the factor) and divide the gcd out of every row they install or
+update, so no ``Fraction`` is built per row or per step.  Rational input rows are
+scaled to ints once, on entry, with ``poly.integer_scaled``; solved values
+are ``Fraction(const, lead)``.  Every row added to the system carries an
+opaque tag, and the system remembers the rows that raised its rank.
+Elimination tracks no provenance: at the first contradiction one transposed
+solve over those rows finds the combination that produces the contradicting
+row, and its tags form a minimal certificate of equations with no common
+solution.
 
 ``propagate_scalars`` solves the multiplicative systems behind the diagonal
 isomorphism and intertwiner searches: one worklist pass from unit seeds,
@@ -17,15 +23,37 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
-from .poly import accumulate
+from .poly import accumulate, integer_scaled
 
 __all__ = ["LinearSystem"]
 
 
+def _integer_row(coeffs, const):
+    """The row ``coeffs`` = ``const`` times the LCM of its denominators, as ints."""
+    values = [*coeffs.values(), const]
+    if all(type(c) is int for c in values):
+        return dict(coeffs), const
+    _, scaled = integer_scaled(values)
+    return dict(zip(coeffs, scaled)), scaled[-1]
+
+
+def _primitive(row, const, lead):
+    """The pivot (row, const, lead) divided by the gcd of its entries."""
+    g = gcd(lead, const, *row.values())
+    if g == 1:
+        return row, const, lead
+    return {v: c // g for v, c in row.items()}, const // g, lead // g
+
+
 class LinearSystem:
-    """Incremental reduced row echelon form with an on-demand certificate.
+    """Incremental fraction-free reduced row echelon form with a certificate.
+
+    ``pivots`` maps each pivot unknown x to (row, const, lead): ints with
+    lead*x + sum(row[v]*v) = const, lead > 0 and the gcd of all entries 1,
+    where no row mentions another pivot unknown.  Rows may be given with int
+    or ``Fraction`` coefficients; they are scaled to int rows once.
 
     The rows that raised the rank are linearly independent, so a
     contradicting row is a unique combination of them plus a nonzero
@@ -35,41 +63,51 @@ class LinearSystem:
     """
 
     def __init__(self):
-        # unknown -> (row, constant, None); zzbench/tracing.py unpacks three fields
-        self.pivots = {}
+        self.pivots = {}  # unknown -> (row, const, lead)
         self._installed = []  # (coeffs, tag) of each row that raised the rank
         self.contradiction = None  # tag combination of the first inconsistent row
 
     def _eliminate(self, coeffs, const):
-        """Reduce a row against the pivots and install what is left.
+        """Reduce the int row ``coeffs`` (taken over) and install what is left.
 
         Returns None once the row is installed as a new pivot; otherwise the
         row reduced to 0 = c and c is returned (zero for a redundant row).
         """
-        coeffs = dict(coeffs)
         for var in list(coeffs):
             piv = self.pivots.get(var)
             if piv is None:
                 continue
             factor = coeffs.pop(var)
-            prow, pconst, _ = piv
+            prow, pconst, plead = piv
+            if factor % plead:
+                coeffs = {v: c * plead for v, c in coeffs.items()}
+                const *= plead
+            else:
+                factor //= plead
             accumulate(coeffs, prow.items(), -factor)
             const -= factor * pconst
         if not coeffs:
             return const
         var = min(coeffs)  # deterministic pivot choice
         lead = coeffs.pop(var)
-        row = {v: c / lead for v, c in coeffs.items()}
-        const = const / lead
+        if lead < 0:
+            coeffs = {v: -c for v, c in coeffs.items()}
+            const, lead = -const, -lead
+        row, const, lead = _primitive(coeffs, const, lead)
         # back-substitute into existing pivot rows
-        for pvar, (prow, pconst, _) in self.pivots.items():
-            factor = prow.get(var)
+        for pvar, (prow, pconst, plead) in self.pivots.items():
+            factor = prow.pop(var, 0)
             if not factor:
                 continue
-            prow.pop(var)
+            if factor % lead:
+                prow = {v: c * lead for v, c in prow.items()}
+                pconst *= lead
+                plead *= lead
+            else:
+                factor //= lead
             accumulate(prow, row.items(), -factor)
-            self.pivots[pvar] = (prow, pconst - factor * const, None)
-        self.pivots[var] = (row, const, None)
+            self.pivots[pvar] = _primitive(prow, pconst - factor * const, plead)
+        self.pivots[var] = (row, const, lead)
         return None
 
     def _combination(self, coeffs, tag):
@@ -84,7 +122,7 @@ class LinearSystem:
                 columns[var][t] = c
         dual = LinearSystem()
         for var, column in columns.items():
-            dual._eliminate(column, coeffs.get(var, Fraction(0)))
+            dual._eliminate(*_integer_row(column, coeffs.get(var, 0)))
         y = dual.solved_values()
         return accumulate(
             {tag: Fraction(1)}, ((self._installed[t][1], -y_t) for t, y_t in y.items())
@@ -96,8 +134,8 @@ class LinearSystem:
         A contradictory row is not installed; the first one is remembered
         (certificate) and the rest of the system stays usable.
         """
-        clean = {v: Fraction(c) for v, c in coeffs.items() if c}
-        residue = self._eliminate(clean, Fraction(const))
+        clean = {v: c for v, c in coeffs.items() if c}
+        residue = self._eliminate(*_integer_row(clean, const))
         if residue is None:
             self._installed.append((clean, tag))
             return True
@@ -109,8 +147,8 @@ class LinearSystem:
 
     def solved_values(self):
         return {
-            var: const
-            for var, (row, const, _) in self.pivots.items()
+            var: Fraction(const, lead)
+            for var, (row, const, lead) in self.pivots.items()
             if not row
         }
 

@@ -103,6 +103,37 @@ def test_opposite_params_closed_form_axis_values():
         assert s.values[(2 * k, 0)] == c1
 
 
+GRID_BETAS = [Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
+# relation -> (beta1, betam1) as a function of beta = betam1, and the betas
+# at which the W=4 solve is feasible
+GRID_RELATIONS = {
+    "beta1 = betam1": (lambda b: (b, b), {Fraction(-1), Fraction(-1, 2)}),
+    "beta1 = -betam1": (lambda b: (-b, b), {Fraction(-1), Fraction(1)}),
+    "beta1 = -1 - betam1": (lambda b: (-1 - b, b), set(GRID_BETAS)),
+    "beta1 = -2 - betam1": (lambda b: (-2 - b, b), set(GRID_BETAS)),
+}
+# exceptional pair (beta1, betam1) -> infeasible at W=4
+GRID_PAIRS = {(1, 0): True, (0, 1): True, (-3, 0): False, (0, -3): False}
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(2, 5), Fraction(1)])
+def test_feasibility_flags_on_the_w4_grid(alpha):
+    # One row per point: (beta1, betam1, expected infeasible).  At alpha = 1
+    # the guard skips equations, and some feasible points are not unique.
+    points = [
+        (*relation(b), b not in feasible)
+        for relation, feasible in GRID_RELATIONS.values()
+        for b in GRID_BETAS
+    ]
+    points += [(b1, bm1, infeasible) for (b1, bm1), infeasible in GRID_PAIRS.items()]
+    wrong = []
+    for b1, bm1, infeasible in points:
+        s = solve_c_window(ClassificationParams(alpha, b1, bm1), 4)
+        if s.infeasible != infeasible or (alpha != 1 and s.unique == infeasible):
+            wrong.append((b1, bm1, s.infeasible, s.unique))
+    assert wrong == []
+
+
 def test_contradictory_params_certified():
     s = solve_c_window(ClassificationParams(1, 1, 1), 4)
     assert s.infeasible

@@ -1,10 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zzlie.classify import ClassificationParams, recurrence_equation, solve_c_window
+from zzlie.classify import (
+    ClassificationParams,
+    check_impossibility,
+    recurrence_equation,
+    solve_c_window,
+)
 from zzlie.linsolve import LinearSystem
 from zzlie.poly import accumulate
 
@@ -103,13 +109,23 @@ def test_rows_after_a_contradiction_still_install():
     assert system.certificate_tags() == ["a", "bad"]
 
 
+small_rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
 rows_strategy = st.lists(
     st.tuples(
-        st.dictionaries(st.integers(0, 3), st.integers(-2, 2), min_size=1, max_size=3),
-        st.integers(-2, 2),
+        st.dictionaries(st.integers(0, 3), small_rationals, min_size=1, max_size=3),
+        small_rationals,
     ),
     max_size=8,
 )
+
+
+def rational_pivots(system):
+    """The pivots as unknown -> (row, const), divided by their leads."""
+    return {
+        v: ({u: Fraction(c, lead) for u, c in row.items()}, Fraction(const, lead))
+        for v, (row, const, lead) in system.pivots.items()
+    }
 
 
 @settings(max_examples=300, deadline=None)
@@ -120,7 +136,11 @@ def test_matches_tagged_elimination(raw):
     results = [system.add_equation(*row) for row in rows]
     expected_results, expected_pivots, expected_combo = tagged_elimination(rows)
     assert results == expected_results
-    assert {v: (row, c) for v, (row, c, _) in system.pivots.items()} == expected_pivots
+    assert rational_pivots(system) == expected_pivots
+    for row, const, lead in system.pivots.values():
+        entries = [lead, const, *row.values()]
+        assert all(type(c) is int for c in entries)
+        assert lead > 0 and math.gcd(*entries) == 1
     assert system.contradiction == expected_combo
     tags = system.certificate_tags()
     if tags is None:
@@ -129,6 +149,113 @@ def test_matches_tagged_elimination(raw):
     assert tags == sorted(expected_combo, key=repr)
     assert ("row", results.index(False)) in tags
     assert_minimal_certificate(rows, tags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_strategy.filter(bool), st.data())
+def test_scaling_a_row_changes_nothing(raw, data):
+    n = data.draw(st.integers(0, len(raw) - 1))
+    m = data.draw(st.integers(-3, 3).filter(bool))
+    plain, scaled = LinearSystem(), LinearSystem()
+    for t, (coeffs, const) in enumerate(raw):
+        plain.add_equation(coeffs, const, ("row", t))
+        if t == n:
+            coeffs, const = {v: m * c for v, c in coeffs.items()}, m * const
+        scaled.add_equation(coeffs, const, ("row", t))
+    assert scaled.solved_values() == plain.solved_values()
+    assert scaled.rank() == plain.rank()
+    assert scaled.undetermined(range(4)) == plain.undetermined(range(4))
+    assert scaled.certificate_tags() == plain.certificate_tags()
+
+
+def reference_window(alpha, beta1, betam1, window):
+    """Admitted recurrence rows as Fraction rows, in solve order, and the skip count.
+
+    Each instance is read off the printed recurrence
+    (-alpha + i + betam1 k) c_{i+k,j} + (alpha + j + beta1 k) c_{i,j+k}
+    = (i + j - k) c_{i,j}, skipped when a normalization parameter in {0, 1}
+    meets a vanishing factor pair, and ordered by derivation tier, then
+    |i| + |j| + |k|, then (i, j, k), after the row c_{0,0} = 2 alpha.
+    """
+    rng = range(-window, window + 1)
+    keyed, skipped = [], 0
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                if abs(i + k) > window or abs(j + k) > window:
+                    continue
+                left = betam1 not in (0, 1) or (i - alpha) * (i + k - alpha) != 0
+                right = beta1 not in (0, 1) or (j + alpha) * (j + k + alpha) != 0
+                if not (left and right):
+                    skipped += 1
+                    continue
+                coeffs = {}
+                for key, c in [
+                    ((i + k, j), -alpha + i + betam1 * k),
+                    ((i, j + k), alpha + j + beta1 * k),
+                    ((i, j), -(i + j - k)),
+                ]:
+                    coeffs[key] = coeffs.get(key, 0) + Fraction(c)
+                if i == 0 and j == 0:
+                    tier = 0
+                elif (i == 0 and j == k) or (j == 0 and i == k):
+                    tier = 1
+                elif i == 0 or j == 0:
+                    tier = 2
+                else:
+                    tier = 3
+                keyed.append(((tier, abs(i) + abs(j) + abs(k), i, j, k), coeffs))
+    keyed.sort(key=lambda item: item[0])
+    rows = [({(0, 0): 1}, 2 * alpha, ("norm",))]
+    rows += [(coeffs, 0, ("eq", *key[2:])) for key, coeffs in keyed]
+    return rows, skipped
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 1, 2, 3])),
+    st.one_of(st.sampled_from([0, 1]), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))),
+    st.one_of(st.sampled_from([0, 1]), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))),
+    st.sampled_from([2, 3]),
+)
+@example(Fraction(1), 0, 1, 3)  # guard skips, infeasible
+@example(Fraction(1), -3, 0, 3)  # guard skips, feasible
+def test_window_solve_matches_fraction_reference(alpha, beta1, betam1, window):
+    solution = solve_c_window(ClassificationParams(alpha, beta1, betam1), window)
+    rows, skipped = reference_window(alpha, beta1, betam1, window)
+    _, pivots, combo = tagged_elimination(rows)
+    rng = range(-window, window + 1)
+    undetermined = sorted(
+        (i, j) for i in rng for j in rng if (i, j) not in pivots or pivots[(i, j)][0]
+    )
+    infeasible = combo is not None
+    data = solution.to_json()
+    assert solution.values == {v: c for v, (row, c) in pivots.items() if not row}
+    assert solution.undetermined == undetermined
+    assert data["infeasible"] is infeasible
+    assert data["unique"] is (
+        not infeasible and all(window in (abs(i), abs(j)) for i, j in undetermined)
+    )
+    assert data["skipped_equations"] == skipped
+    expected = None if combo is None else [list(t) for t in sorted(combo, key=repr)]
+    assert data["certificate"] == expected
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 5), Fraction(-2, 3), Fraction(1), Fraction(7, 5)])
+def test_impossibility_rank_matches_fraction_reference(alpha):
+    window = 3
+    rng = range(-window, window + 1)
+    rows = []
+    for i in rng:
+        for j in rng:
+            if abs(i + j) > window:
+                continue
+            for k in rng:
+                coeffs = {(i, j): 4 * alpha - 7 * i - 7 * j - k}
+                coeffs[(0, i + j)] = coeffs.get((0, i + j), 0) - (4 * alpha + 9 * i - 7 * j - k)
+                rows.append((coeffs, 0, ("eq", i, j, k)))
+    _, pivots, _ = tagged_elimination(rows)
+    assert check_impossibility(alpha, window)["rank"] == len(pivots)
 
 
 @pytest.mark.parametrize("point", [
