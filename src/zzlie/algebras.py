@@ -7,8 +7,8 @@ components indexed by integer pairs:
 * ``d``      -- the uniform family D(alpha, beta) with D(alpha, 0) = Vir(alpha),
 * ``block``  -- the Block algebra B(alpha, beta; a1, a2, a2p) with its two
                 possible central extensions,
-* ``bplus-`` / ``bplus+`` -- the half-plane subalgebras of the beta = -1 / +1
-                Block algebras (central generators retained),
+* ``bplus-`` / ``bplus+`` -- the half-planes s*j <= 1 of the Block algebras
+                with beta = s = -1 / +1 (central generators retained),
 * ``c`` / ``cbar`` -- the algebra with an abelian ideal in degrees j <= -2
                 and its dual.
 
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MultiPoly, SparseVector, format_rational, integer_scaled
+from .poly import MultiPoly, SparseVector, UsageError, format_rational, integer_scaled
 
 __all__ = [
     "FAMILIES",
@@ -41,6 +41,8 @@ __all__ = [
 FAMILIES = ("vir", "d", "block", "bplus-", "bplus+", "c", "cbar")
 
 _CENTRAL_FAMILIES = ("block", "bplus-", "bplus+")
+
+_HALF_PLANE = {"bplus-": -1, "bplus+": 1}  # s: beta = s, and s*j <= 1 is kept
 
 
 class DomainError(ValueError):
@@ -151,10 +153,10 @@ class AlgebraSpec:
     ``literal_c_index`` switches the ``c``/``cbar`` bracket to the
     grading-breaking target index variant kept for diagnostics.
 
-    The domain data (punctured points and central degrees), the common
-    denominator D and the int weights of ``_closed_form`` are computed once
-    at construction and kept outside the dataclass fields, so equality,
-    hashing, ``repr`` and ``dataclasses.replace`` see only the parameters.
+    The domain data (half-plane side, punctured points, central degrees),
+    the common denominator D and the int weights of ``_closed_form`` are
+    computed once at construction and kept outside the dataclass fields, so
+    equality, hashing, ``repr`` and ``replace`` see only the parameters.
     """
 
     family: str
@@ -171,16 +173,11 @@ class AlgebraSpec:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
-        if self.family == "bplus-":
-            beta = Fraction(-1) if self.beta is None else Fraction(self.beta)
-            if beta != -1:
-                raise ValueError("bplus- fixes beta = -1")
-            object.__setattr__(self, "beta", beta)
-        elif self.family == "bplus+":
-            beta = Fraction(1) if self.beta is None else Fraction(self.beta)
-            if beta != 1:
-                raise ValueError("bplus+ fixes beta = +1")
-            object.__setattr__(self, "beta", beta)
+        side = _HALF_PLANE.get(self.family, 0)
+        if side:
+            if self.beta is not None and Fraction(self.beta) != side:
+                raise ValueError(f"{self.family} fixes beta = {side:+d}")
+            object.__setattr__(self, "beta", Fraction(side))
         elif self.family in ("d", "block"):
             if self.beta is None:
                 raise ValueError(f"family {self.family!r} needs beta")
@@ -211,6 +208,7 @@ class AlgebraSpec:
                 central["C2"] = c2
                 if None not in c1:
                     central["C1"] = c1
+        object.__setattr__(self, "_side", side)
         object.__setattr__(self, "_excluded", frozenset(central.values()))
         object.__setattr__(self, "_central", central)
         den, (a_num, b_num) = integer_scaled([self.alpha, self.beta or 0])
@@ -230,11 +228,7 @@ class AlgebraSpec:
         return self._excluded
 
     def in_domain(self, i, j):
-        if self.family == "bplus-" and j < -1:
-            return False
-        if self.family == "bplus+" and j > 1:
-            return False
-        return (i, j) not in self._excluded
+        return self._side * j <= 1 and (i, j) not in self._excluded
 
     # -- central generators -------------------------------------------------
 
@@ -337,20 +331,21 @@ def _c_numerator(w, i, j, k, ell):
     return -_c_numerator(w, k, ell, i, j)
 
 
+def window_range(window):
+    """The indices -window..window; a negative window is a ``UsageError``."""
+    if window < 0:
+        raise UsageError("window must be >= 0")
+    return range(-window, window + 1)
+
+
 def window_indices(spec, window):
     """Domain indices with |i|, |j| <= window, in lexicographic order."""
-    return [
-        (i, j)
-        for i in range(-window, window + 1)
-        for j in range(-window, window + 1)
-        if spec.in_domain(i, j)
-    ]
+    rng = window_range(window)
+    return [(i, j) for i in rng for j in rng if spec.in_domain(i, j)]
 
 
 def structure_table(spec, window):
     """All basis brackets for index pairs in the window, lex order."""
-    if window < 0:
-        raise ValueError("window must be >= 0")
     idxs = window_indices(spec, window)
     return [
         {"left": a, "right": b, "result": spec.basis_bracket(a, b)}

@@ -3,16 +3,16 @@
 ``LinearSystem`` keeps its pivots fraction-free, in reduced row echelon
 form.  A pivot is an int row ``lead*x + sum(row[v]*v) = const`` with a
 positive lead, divided by the gcd of its entries.  Elimination and
-back-substitution cross-multiply rows (or divide exactly, when a lead
-divides the factor) and divide the gcd out of every row they install or
-update, so no ``Fraction`` is built per row or per step.  Rational input rows are
-scaled to ints once, on entry, with ``poly.integer_scaled``; solved values
-are ``Fraction(const, lead)``.  Every row added to the system carries an
-opaque tag, and the system remembers the rows that raised its rank.
-Elimination tracks no provenance: at the first contradiction one transposed
-solve over those rows finds the combination that produces the contradicting
-row, and its tags form a minimal certificate of equations with no common
-solution.
+back-substitution share one step, ``_cancel``, which cross-multiplies (or
+divides exactly, when a lead divides the factor); the gcd is divided out of
+every row installed or updated, so no ``Fraction`` is built per row or per
+step.  Rational input rows are scaled to ints once, on entry, with
+``poly.integer_scaled``; solved values are ``Fraction(const, lead)``.
+Every row added to the system carries an opaque tag, and the system
+remembers the rows that raised its rank.  Elimination tracks no provenance:
+at the first contradiction one transposed solve over those rows finds the
+combination that produces the contradicting row, and its tags form a minimal
+certificate of equations with no common solution.
 
 ``propagate_scalars`` solves the multiplicative systems behind the diagonal
 isomorphism and intertwiner searches: one worklist pass from unit seeds,
@@ -47,6 +47,24 @@ def _primitive(row, const, lead):
     return {v: c // g for v, c in row.items()}, const // g, lead // g
 
 
+def _cancel(row, const, lead, var, pivot):
+    """Cancel ``var`` from the int row lead*x + row = const with ``var``'s pivot.
+
+    Cross-multiplies, or divides exactly when the pivot's lead divides the
+    factor.  ``row`` must mention ``var``, and is taken over.
+    """
+    factor = row.pop(var)
+    prow, pconst, plead = pivot
+    if factor % plead:
+        row = {v: c * plead for v, c in row.items()}
+        const *= plead
+        lead *= plead
+    else:
+        factor //= plead
+    accumulate(row, prow.items(), -factor)
+    return row, const - factor * pconst, lead
+
+
 class LinearSystem:
     """Incremental fraction-free reduced row echelon form with a certificate.
 
@@ -73,19 +91,11 @@ class LinearSystem:
         Returns None once the row is installed as a new pivot; otherwise the
         row reduced to 0 = c and c is returned (zero for a redundant row).
         """
+        pivots = self.pivots
         for var in list(coeffs):
-            piv = self.pivots.get(var)
-            if piv is None:
-                continue
-            factor = coeffs.pop(var)
-            prow, pconst, plead = piv
-            if factor % plead:
-                coeffs = {v: c * plead for v, c in coeffs.items()}
-                const *= plead
-            else:
-                factor //= plead
-            accumulate(coeffs, prow.items(), -factor)
-            const -= factor * pconst
+            piv = pivots.get(var)
+            if piv is not None:
+                coeffs, const, _ = _cancel(coeffs, const, 1, var, piv)
         if not coeffs:
             return const
         var = min(coeffs)  # deterministic pivot choice
@@ -93,21 +103,12 @@ class LinearSystem:
         if lead < 0:
             coeffs = {v: -c for v, c in coeffs.items()}
             const, lead = -const, -lead
-        row, const, lead = _primitive(coeffs, const, lead)
+        pivot = _primitive(coeffs, const, lead)
         # back-substitute into existing pivot rows
-        for pvar, (prow, pconst, plead) in self.pivots.items():
-            factor = prow.pop(var, 0)
-            if not factor:
-                continue
-            if factor % lead:
-                prow = {v: c * lead for v, c in prow.items()}
-                pconst *= lead
-                plead *= lead
-            else:
-                factor //= lead
-            accumulate(prow, row.items(), -factor)
-            self.pivots[pvar] = _primitive(prow, pconst - factor * const, plead)
-        self.pivots[var] = (row, const, lead)
+        for pvar, old in pivots.items():
+            if var in old[0]:
+                pivots[pvar] = _primitive(*_cancel(*old, var, pivot))
+        pivots[var] = pivot
         return None
 
     def _combination(self, coeffs, tag):

@@ -139,9 +139,7 @@ def check_jacobi(alg, window):
     outer = {pair: [(t, c) for t, c in brackets[pair] if t in targets] for pair in pairs}
 
     def unscaled(s):
-        if isinstance(s, int):
-            return Fraction(s, d * d)
-        return s * Fraction(1, d * d) if d > 1 else s
+        return Fraction(s, d * d) if isinstance(s, int) else s * Fraction(1, d * d)
 
     def defect(a, b, c):
         acc = {}

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .algebras import window_range
 from .linsolve import propagate_scalars
 from .poly import SparseVector, accumulate, format_rational, integer_scaled
 from .verify import ViolationReport
@@ -151,8 +152,8 @@ def check_module_axiom(m, window):
     ``coeff`` are read from ``m``, so any object with those two methods can
     be checked.
     """
-    rng = range(-window, window + 1)
-    span = range(-2 * window, 2 * window + 1)
+    rng = window_range(window)
+    span = window_range(2 * window)
     coeff = {(i, k): m.coeff(i, k) if m.supports(i + k) else 0 for i in span for k in span}
     d, scaled = integer_scaled(list(coeff.values()))
     a = dict(zip(coeff, scaled))
@@ -174,13 +175,14 @@ def find_intertwiner(m1, m2, window):
     window, so a returned witness is always genuine; None means no witness
     exists.
     """
-    support = [k for k in range(-window, window + 1) if m1.supports(k)]
+    rng = window_range(window)
+    support = [k for k in rng if m1.supports(k)]
     if not support:
         return None
     sup = set(support)
     equations = []
     for k in support:
-        for i in range(-window, window + 1):
+        for i in rng:
             t = i + k
             if t not in sup:
                 continue

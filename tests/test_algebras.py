@@ -11,11 +11,19 @@ from zzlie.algebras import (
     Element,
     factorial_ratio,
     structure_table,
+    table_to_json,
     terms_json,
     window_indices,
 )
-from zzlie.poly import MultiPoly, symbol
-from zzlie.virmodules import ModVector
+from zzlie.poly import MultiPoly, UsageError, symbol
+from zzlie.verify import (
+    QuotientC,
+    check_antisymmetry,
+    check_grading,
+    check_jacobi,
+    find_diagonal_isomorphism,
+)
+from zzlie.virmodules import ModuleSpec, ModVector, check_module_axiom, find_intertwiner
 
 
 def L(i, j):
@@ -48,6 +56,18 @@ def test_half_plane_domains():
     assert not AlgebraSpec("bplus-", 1).in_domain(0, -2)
     assert AlgebraSpec("bplus-", 1).in_domain(0, -1)
     assert not AlgebraSpec("bplus+", 1).in_domain(0, 2)
+
+
+@pytest.mark.parametrize(
+    "family, side, message",
+    [("bplus-", -1, "bplus- fixes beta = -1"), ("bplus+", 1, "bplus+ fixes beta = +1")],
+)
+def test_half_plane_families_fix_beta(family, side, message):
+    assert AlgebraSpec(family, 1).beta == side
+    assert AlgebraSpec(family, 1, side) == AlgebraSpec(family, 1)
+    with pytest.raises(ValueError) as exc:
+        AlgebraSpec(family, 1, -side)
+    assert str(exc.value) == message
 
 
 def test_full_plane_families():
@@ -436,6 +456,35 @@ def test_structure_table_window_zero():
     table = structure_table(AlgebraSpec("d", 1, 1), 0)
     assert len(table) == 1
     assert table[0]["result"].is_zero()
+
+
+_VIR = AlgebraSpec("vir", 1)
+_A_AB = ModuleSpec("a_ab", 1, 2)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda w: window_indices(_VIR, w),
+        lambda w: structure_table(_VIR, w),
+        lambda w: table_to_json(_VIR, w),
+        lambda w: check_antisymmetry(_VIR, w),
+        lambda w: check_jacobi(_VIR, w),
+        lambda w: check_grading(_VIR, w),
+        lambda w: find_diagonal_isomorphism(
+            QuotientC(1), AlgebraSpec("bplus-", 1), lambda t: t, w
+        ),
+        lambda w: check_module_axiom(_A_AB, w),
+        lambda w: find_intertwiner(_A_AB, _A_AB, w),
+    ],
+    ids=[
+        "window_indices", "structure_table", "table_to_json", "antisymmetry",
+        "jacobi", "grading", "isomorphism", "module_axiom", "intertwiner",
+    ],
+)
+def test_negative_window_is_refused(entry):
+    with pytest.raises(UsageError, match="window must be >= 0"):
+        entry(-1)
 
 
 def test_structure_table_c_dead_rows():

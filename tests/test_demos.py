@@ -1,9 +1,11 @@
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -14,3 +16,11 @@ def test_demos_are_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(block, {})
+    assert capsys.readouterr().out.splitlines() == ["(12)*L(3,0)", "False True", "12"]
