@@ -164,8 +164,6 @@ def _cmd_bracket(args):
 
 def _cmd_table(args):
     spec = _algebra_spec(args)
-    if args.window < 0:
-        raise UsageError("window must be >= 0")
     table = table_to_json(spec, args.window)
     rows = None
     if args.format != "json":

@@ -25,9 +25,16 @@ An algebra here is anything with three methods: ``in_domain(i, j)``,
 The Jacobi kernel evaluates every bracket of the sweep once and scales all
 coefficients with ``poly.integer_scaled``: a rational c becomes the int c·D,
 D the LCM of the rational denominators, and a ``MultiPoly`` (symbolic
-central parameters) is multiplied by D.  A triple's cyclic sum is then a sum
-of int (or exact polynomial) products; the triple fails iff it is nonzero,
-and the witness carries the true coefficient sum / D².
+central parameters) is multiplied by D.  The scaled brackets are stored as
+rows by window position: the row of x lists the terms of [x, w] for each
+window index w in order, with one row per window index and one per
+bracketed target outside the window, and the outer bracket of window
+positions (p, q) holds the row of each in-domain L term with its
+coefficient.  The triple sweep runs over window positions and reads every
+bracket by list index (only a triple's sum is a map, keyed by basis key).
+A triple's cyclic sum is then a sum of int (or exact polynomial) products;
+the triple fails iff it is nonzero, and the witness, reported at its index
+triple, carries the true coefficient sum / D².
 """
 
 from __future__ import annotations
@@ -121,38 +128,53 @@ def check_jacobi(alg, window):
     value at once.
     """
     idxs = window_indices(alg, window)
-    pairs = list(product(idxs, repeat=2))
-    brackets = {pair: alg.bracket_terms(*pair) for pair in pairs}
+    # Row x lists the terms of [x, w] for w in window order: one row per
+    # window index, then one per bracketed target outside the window.
+    rows = {a: [alg.bracket_terms(a, w) for w in idxs] for a in idxs}
     # Only the in-domain L terms of a window bracket are bracketed again.
     targets = {
         key
-        for terms in brackets.values()
+        for row in rows.values()
+        for terms in row
         for key, _ in terms
         if not isinstance(key, str) and alg.in_domain(*key)
     }
-    for pair in product(targets, idxs):
-        if pair not in brackets:
-            brackets[pair] = alg.bracket_terms(*pair)
-    d, scaled = integer_scaled([c for terms in brackets.values() for _, c in terms])
+    rows.update((t, [alg.bracket_terms(t, w) for w in idxs]) for t in targets - rows.keys())
+    d, scaled = integer_scaled([c for row in rows.values() for terms in row for _, c in terms])
     scaled = iter(scaled)
-    brackets = {p: tuple((key, next(scaled)) for key, _ in terms) for p, terms in brackets.items()}
-    outer = {pair: [(t, c) for t, c in brackets[pair] if t in targets] for pair in pairs}
+    rows = {
+        x: [tuple((key, next(scaled)) for key, _ in terms) for terms in row]
+        for x, row in rows.items()
+    }
+    # outer[p][q]: (row t, coefficient) for each in-domain L term t of [idxs[p], idxs[q]]
+    outer = [[tuple((rows[t], c) for t, c in terms if t in targets) for terms in rows[a]]
+             for a in idxs]
 
     def unscaled(s):
         return Fraction(s, d * d) if isinstance(s, int) else s * Fraction(1, d * d)
 
-    def defect(a, b, c):
+    def defect(p, q, r):
         acc = {}
-        for terms, w in ((outer[a, b], c), (outer[b, c], a), (outer[c, a], b)):
-            for t, coeff in terms:
-                accumulate(acc, brackets[t, w], coeff)
+        get = acc.get
+        for terms, w in ((outer[p][q], r), (outer[q][r], p), (outer[r][p], q)):
+            for row, coeff in terms:
+                # poly.accumulate's prune rule, inlined: a call per term
+                # would cost more than its one or two products
+                for key, c in row[w]:
+                    s = get(key, 0) + coeff * c
+                    if s:
+                        acc[key] = s
+                    else:
+                        acc.pop(key, None)
         if not acc:
             return ()
         witness = Element.from_terms((key, unscaled(s)) for key, s in acc.items())
         return (witness,)
 
-    cases = combinations_with_replacement(idxs, 3)
-    return ViolationReport.sweep("jacobi", cases, defect)
+    cases = combinations_with_replacement(range(len(idxs)), 3)
+    report = ViolationReport.sweep("jacobi", cases, defect)
+    report.witnesses = [(tuple(idxs[p] for p in case), w) for case, w in report.witnesses]
+    return report
 
 
 def check_grading(alg, window):

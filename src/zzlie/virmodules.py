@@ -173,12 +173,11 @@ def find_intertwiner(m1, m2, window):
     coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k.  ``propagate_scalars`` solves
     them from a unit seed (the global-scale gauge) and re-verifies the full
     window, so a returned witness is always genuine; None means no witness
-    exists.
+    exists.  A window holding no supported index gives the empty map ``{}``,
+    which intertwines vacuously.
     """
     rng = window_range(window)
     support = [k for k in rng if m1.supports(k)]
-    if not support:
-        return None
     sup = set(support)
     equations = []
     for k in support:

@@ -77,6 +77,14 @@ def test_usage_errors_exit_two(capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_negative_table_window_exits_two(capsys):
+    code = main(["table", "--family", "vir", "--alpha", "1", "--window", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: window must be >= 0\n"
+
+
 @pytest.mark.parametrize("literal", ["1e10000000", "2.5", "1_0"])
 def test_non_integer_ratio_literals_exit_two(capsys, literal):
     code = main(["module", "check", "--family", "a_ab", f"--alpha={literal}",

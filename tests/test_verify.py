@@ -1,14 +1,16 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zzlie import verify
-from zzlie.algebras import AlgebraSpec, BasisElement, Element
+from zzlie.algebras import AlgebraSpec, BasisElement, Element, window_indices
 from zzlie.linsolve import propagate_scalars
 from zzlie.poly import MultiPoly, symbol
 from zzlie.verify import (
@@ -45,6 +47,29 @@ class CorruptedPair:
         return terms
 
 
+class HalfPlaneCut:
+    """Wraps an algebra, cutting its domain to j >= -1 but keeping every bracket term.
+
+    Brackets of window indices then carry L terms outside the domain, which
+    the Jacobi sweep must not bracket again.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def in_domain(self, i, j):
+        return j >= -1 and self.inner.in_domain(i, j)
+
+    def central_degrees(self):
+        return self.inner.central_degrees()
+
+    def bracket_terms(self, a, b):
+        return self.inner.bracket_terms(a, b)
+
+    def basis_bracket(self, a, b):
+        return self.inner.basis_bracket(a, b)
+
+
 def test_antisymmetry_clean_sweeps():
     assert check_antisymmetry(AlgebraSpec("vir", Fraction(1, 2)), 3).ok
     assert check_antisymmetry(AlgebraSpec("c", Fraction(2, 3)), 3).ok
@@ -70,6 +95,24 @@ def test_jacobi_clean_sweeps():
 def test_jacobi_finds_injected_fault():
     bad = CorruptedPair(AlgebraSpec("vir", 1), ((1, 0), (2, 0)))
     assert not check_jacobi(bad, 2).ok
+
+
+def test_jacobi_evaluates_each_bracket_once():
+    spec = AlgebraSpec("block", 1, 2, a1=1, a2=2, a2p=3)
+    calls = Counter()
+
+    def bracket_terms(a, b):
+        calls[a, b] += 1
+        return spec.bracket_terms(a, b)
+
+    counting = SimpleNamespace(
+        in_domain=spec.in_domain, central_degrees=spec.central_degrees, bracket_terms=bracket_terms
+    )
+    assert check_jacobi(counting, 2) == check_jacobi(spec, 2)
+    window = len(window_indices(spec, 2))
+    # every window pair, plus the pairs of bracketed targets outside the window
+    assert len(calls) > window * window
+    assert set(calls.values()) == {1}
 
 
 def _reference_jacobi(alg, bracket, window):
@@ -104,6 +147,10 @@ def test_jacobi_matches_fraction_reference():
     # bracket into the central degree, so their witnesses carry C2 (numeric)
     # and C1 (symbolic) terms; the half-integral symbolic block scales its
     # polynomial terms by D = 2; the other two sweeps stop at the witness cap.
+    # The half-plane families drop the outer brackets that leave their
+    # half-plane; QuotientC, duck-typed, drops its terms at j <= -2; and
+    # HalfPlaneCut returns terms outside its domain, which must not be
+    # bracketed again.
     cases = [
         (AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)), ((1, 0), (1, 1))),
         (
@@ -113,6 +160,13 @@ def test_jacobi_matches_fraction_reference():
         (AlgebraSpec("block", 1, 2, **sym), ((0, 1), (-1, 1))),
         (AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2), **sym), ((0, 1), (-1, 2))),
         (AlgebraSpec("c", Fraction(2, 3), literal_c_index=True), ((1, 0), (1, 1))),
+        (AlgebraSpec("bplus-", 2, a1=3, a2=Fraction(1, 2), a2p=-2), ((-1, 0), (-1, -1))),
+        (
+            AlgebraSpec("bplus+", Fraction(3, 2), a1=Fraction(2, 3), a2=5, a2p=1),
+            ((0, 1), (-1, 0)),
+        ),
+        (QuotientC(Fraction(2, 3)), ((1, 0), (1, 1))),
+        (HalfPlaneCut(AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2))), ((1, 0), (1, 1))),
     ]
     denominators, kinds = set(), set()
     for spec, pair in cases:

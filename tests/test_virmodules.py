@@ -263,6 +263,13 @@ def test_intertwiner_found_for_subquotients():
     assert 0 not in w
 
 
+def test_intertwiner_on_a_window_without_support_is_empty():
+    # the subquotient removes index 0, the only index of window 0
+    m = irreducible_subquotient(ModuleSpec("a_ab", 0, 0))
+    assert find_intertwiner(m, m, 0) == {}
+    assert find_intertwiner(m, m, 1) == {-1: 1, 1: 1}
+
+
 def test_intertwiner_identity():
     m = ModuleSpec("a_ab", Fraction(1, 3), 2)
     w = find_intertwiner(m, m, 4)
