@@ -16,17 +16,21 @@ Basis brackets are pure functions of the spec; elements are finite linear
 combinations with exact rational (or polynomial, for symbolic central
 parameters) coefficients.  Every closed-form structure constant is the one
 rule ``_closed_form`` with per-family weights, which a spec scales to ints
-over one denominator D once; a structure constant becomes a Fraction once,
-when it is nonzero.
+over one denominator ``den`` once.  ``den`` also clears the denominators of
+the central parameters, so ``raw_terms`` gives every bracket as int (or
+int-coefficient polynomial) numerators over ``den``; ``bracket_terms``
+divides each nonzero numerator by ``den``, one Fraction per term, and the
+windowed checks and the table export read the numerators directly.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MultiPoly, SparseVector, UsageError, format_rational, integer_scaled
+from .poly import MultiPoly, SparseVector, UsageError, format_rational, integer_scaled, unscaled
 
 __all__ = [
     "FAMILIES",
@@ -154,9 +158,10 @@ class AlgebraSpec:
     grading-breaking target index variant kept for diagnostics.
 
     The domain data (half-plane side, punctured points, central degrees),
-    the common denominator D and the int weights of ``_closed_form`` are
-    computed once at construction and kept outside the dataclass fields, so
-    equality, hashing, ``repr`` and ``replace`` see only the parameters.
+    the common denominator ``den``, the int weights of ``_closed_form`` and
+    the scaled central parameters are computed once at construction and
+    kept outside the dataclass fields, so equality, hashing, ``repr`` and
+    ``replace`` see only the parameters.
     """
 
     family: str
@@ -212,13 +217,26 @@ class AlgebraSpec:
         object.__setattr__(self, "_excluded", frozenset(central.values()))
         object.__setattr__(self, "_central", central)
         den, (a_num, b_num) = integer_scaled([self.alpha, self.beta or 0])
+        # m clears the central parameters' denominators (a polynomial's
+        # coefficients included), and the spec's one denominator is den * m:
+        # the L weights are scaled by m, and a central numerator is
+        # (a_num*j + b_num*i) or (a_num + den*i) times a parameter times m.
+        # An absent parameter is 0, which gives the same (dropped) terms.
+        params = [p or 0 for p in (self.a1, self.a2, self.a2p)]
+        m = math.lcm(*(
+            Fraction(c).denominator
+            for p in params
+            for c in (p.terms.values() if isinstance(p, MultiPoly) else (p,))
+        ))
+        scaled = [p * m if isinstance(p, MultiPoly) else int(p * m) for p in params]
+        object.__setattr__(self, "_centre", ((a_num, b_num, den), scaled))
         if self.family in _CENTRAL_FAMILIES:
-            weights = (den, a_num, b_num)
+            weights = (den * m, a_num * m, b_num * m)
         elif self.family in ("c", "cbar"):
             weights = (-den, a_num, den)
         else:  # vir, d; b_num is 0 for vir
             weights = (b_num, a_num, den)
-        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "den", den * m)
         object.__setattr__(self, "_weights", weights)
 
     # -- domain ------------------------------------------------------------
@@ -238,21 +256,22 @@ class AlgebraSpec:
 
     # -- brackets ------------------------------------------------------------
 
-    def bracket_terms(self, a, b):
-        """[L_a, L_b] as a tuple of raw ``(key, coeff)`` terms, zeros dropped.
+    def raw_terms(self, a, b):
+        """[L_a, L_b] as raw ``(key, numerator)`` terms over ``den``, zeros dropped.
 
         A key is the index pair ``(i, j)`` of an L term, or ``"C1"``/``"C2"``
         for a central generator; each key occurs at most once, L before C1
-        before C2.  Inputs must be in the domain, else ``DomainError``.
-        ``basis_bracket`` is the same bracket as an ``Element``.
+        before C2.  A numerator is an int, or an int-coefficient MultiPoly
+        when a central parameter is symbolic.  Inputs must be in the domain,
+        else ``DomainError``.
         """
         (i, j), (k, ell) = a, b
         family = self.family
         if family in ("vir", "d"):
             n = _closed_form(self._weights, i, j, k, ell)
-            return (((i + k, j + ell), Fraction(n, self._den)),) if n else ()
+            return (((i + k, j + ell), n),) if n else ()
         if family in _CENTRAL_FAMILIES:
-            return self._block_bracket(i, j, k, ell)
+            return self._block_raw(i, j, k, ell)
         # c / cbar
         if family == "cbar":
             j, ell = -j, -ell
@@ -265,34 +284,43 @@ class AlgebraSpec:
             ti, tj = i + k, j + ell
         if family == "cbar":
             tj = -tj
-        return (((ti, tj), Fraction(n, self._den)),)
+        return (((ti, tj), n),)
+
+    def bracket_terms(self, a, b):
+        """[L_a, L_b] as raw ``(key, coeff)`` terms: ``raw_terms`` divided by ``den``.
+
+        Keys and their order are those of ``raw_terms``; a coefficient is a
+        Fraction, or a MultiPoly for a symbolic central parameter.
+        ``basis_bracket`` is the same bracket as an ``Element``.
+        """
+        terms = self.raw_terms(a, b)
+        den = self.den
+        if len(terms) == 1:  # nonzero single-term brackets, most block ones too
+            ((key, n),) = terms
+            return ((key, Fraction(n, den) if n.__class__ is int else unscaled(n, den)),)
+        return tuple([(key, unscaled(n, den)) for key, n in terms]) if terms else terms
 
     def basis_bracket(self, a, b):
         """[L_a, L_b] as an Element; inputs must be in the domain."""
         return Element.from_terms(self.bracket_terms(a, b))
 
-    def _block_bracket(self, i, j, k, ell):
+    def _block_raw(self, i, j, k, ell):
         # Only the block families have punctures or a half-plane.
         if not self.in_domain(i, j):
             raise DomainError(f"{(i, j)} not in domain of {self.family}")
         if not self.in_domain(k, ell):
             raise DomainError(f"{(k, ell)} not in domain of {self.family}")
-        den, a_num, b_num = w = self._weights
         terms = []
-        n = _closed_form(w, i, j, k, ell)
+        n = _closed_form(self._weights, i, j, k, ell)
         ti, tj = i + k, j + ell
         if n and self.in_domain(ti, tj):
-            terms.append(((ti, tj), Fraction(n, den)))
+            terms.append(((ti, tj), n))
         central = self._central
-        if (ti, tj) == central.get("C1") and self.a1 is not None:
-            terms += _single("C1", Fraction(a_num * j + b_num * i, den) * self.a1)
+        (a_num, b_num, den), (a1, a2, a2p) = self._centre
+        if (ti, tj) == central.get("C1"):
+            terms += _single("C1", (a_num * j + b_num * i) * a1)
         if (ti, tj) == central.get("C2"):
-            c = 0
-            if self.a2 is not None:
-                c = self.a2 * Fraction(a_num * j + b_num * i, den)
-            if self.a2p is not None:
-                c = c + self.a2p * Fraction(a_num + den * i, den)
-            terms += _single("C2", c)
+            terms += _single("C2", a2 * (a_num * j + b_num * i) + a2p * (a_num + den * i))
         return tuple(terms)
 
 
@@ -355,15 +383,34 @@ def structure_table(spec, window):
 
 
 def table_to_json(spec, window):
-    """The structure table as JSON rows, built straight from the raw terms.
+    """The structure table as ``(left, right, cell)`` rows, in ``structure_table`` order.
 
-    Rows are ``{"left", "right", "result"}`` in ``structure_table`` order;
-    ``result`` is ``terms_json`` of the bracket's raw terms, the records the
-    ``bracket`` command prints.
+    ``cell`` is the JSON text of ``terms_json`` of the bracket, the records
+    the ``bracket`` command prints, exactly as
+    ``json.JSONEncoder(sort_keys=True)`` writes them.  It is filled into a
+    fixed template from the raw numerators: a coefficient n/den is written
+    "{n//g}/{den//g}" with g = gcd(n, den).  Only a bracket with a
+    polynomial coefficient goes through ``json``.
     """
     idxs = window_indices(spec, window)
-    return [
-        {"left": list(a), "right": list(b), "result": terms_json(spec.bracket_terms(a, b))}
-        for a in idxs
-        for b in idxs
-    ]
+    raw, den = spec.raw_terms, spec.den
+    encode = json.JSONEncoder(sort_keys=True).encode
+    rows = []
+    for a in idxs:
+        for b in idxs:
+            parts = []
+            for key, n in raw(a, b):
+                if n.__class__ is not int:
+                    cell = encode(terms_json(spec.bracket_terms(a, b)))
+                    break
+                g = math.gcd(n, den)
+                coeff = f'"{n // g}/{den // g}"'
+                if key.__class__ is str:
+                    parts.append(f'{{"basis": {{"kind": "{key}"}}, "coeff": {coeff}}}')
+                else:
+                    parts.append(f'{{"basis": {{"i": {key[0]}, "j": {key[1]}, "kind": "L"}}, '
+                                 f'"coeff": {coeff}}}')
+            else:
+                cell = "[" + ", ".join(parts) + "]"
+            rows.append((a, b, cell))
+    return rows

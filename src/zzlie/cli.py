@@ -12,7 +12,6 @@ all checks pass, 1 violation or infeasibility found, 2 usage error or an
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -52,22 +51,26 @@ def _algebra_spec(args):
     )
 
 
-def _emit(payload, args, rows=None):
-    """Render one payload; ``rows`` supplies the tabular form for csv and text."""
-    out = io.StringIO()
+def _emit(payload, args):
+    """Render one payload in the chosen format and write it."""
     if args.format == "json":
-        json.dump(payload, out, sort_keys=True)
-        out.write("\n")
+        text = json.dumps(payload, sort_keys=True) + "\n"
     else:
-        sep = "," if args.format == "csv" else " "
-        for row in rows if rows is not None else _flatten(payload):
-            out.write(sep.join(str(x) for x in row) + "\n")
-    text = out.getvalue()
+        sep = _SEPARATORS[args.format]
+        text = "".join(sep.join(str(x) for x in row) + "\n" for row in _flatten(payload))
+    _write(text, args)
+
+
+def _write(text, args):
+    """Write rendered output to ``--out``, or to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+_SEPARATORS = {"csv": ",", "text": " "}
 
 
 def _flatten(payload, prefix=""):
@@ -163,14 +166,26 @@ def _cmd_bracket(args):
 
 
 def _cmd_table(args):
-    spec = _algebra_spec(args)
-    table = table_to_json(spec, args.window)
-    rows = None
-    if args.format != "json":
-        encode = json.JSONEncoder(sort_keys=True).encode
-        rows = [("left_i", "left_j", "right_i", "right_j", "terms")]
-        rows += [(*row["left"], *row["right"], encode(row["result"])) for row in table]
-    _emit(table, args, rows=rows)
+    """Write the table row by row from its JSON-encoded cells.
+
+    The json form is the list of ``{"left", "result", "right"}`` objects
+    ``json.dumps(..., sort_keys=True)`` would write; csv and text print a
+    header and one row per bracket, the cell as the last column.
+    """
+    rows = table_to_json(_algebra_spec(args), args.window)
+    if args.format == "json":
+        text = "[" + ", ".join(
+            f'{{"left": [{a[0]}, {a[1]}], "result": {cell}, "right": [{b[0]}, {b[1]}]}}'
+            for a, b, cell in rows
+        ) + "]\n"
+    else:
+        sep = _SEPARATORS[args.format]
+        header = sep.join(("left_i", "left_j", "right_i", "right_j", "terms"))
+        text = "".join([
+            header + "\n",
+            *(f"{a[0]}{sep}{a[1]}{sep}{b[0]}{sep}{b[1]}{sep}{cell}\n" for a, b, cell in rows),
+        ])
+    _write(text, args)
     return 0
 
 

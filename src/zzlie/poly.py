@@ -6,8 +6,9 @@ of (name, positive exponent) pairs) to rational coefficients; zero
 coefficients are never stored, so equality of the term maps is equality of
 polynomials.  ``accumulate`` is the one sparse linear-combination step that
 every layer builds its sums with, ``integer_scaled`` the one way any layer
-scales coefficients to ints, and ``SparseVector`` is the one sparse-map type
-of polynomials, algebra elements and module vectors (see its contract).
+scales coefficients to ints (``unscaled`` divides a numerator back), and
+``SparseVector`` is the one sparse-map type of polynomials, algebra
+elements and module vectors (see its contract).
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ def integer_scaled(coeffs):
     d = lcm(*{c.denominator for c in coeffs if not isinstance(c, MultiPoly)})
     return d, [c * d if isinstance(c, MultiPoly) else c.numerator * (d // c.denominator)
                for c in coeffs]
+
+
+def unscaled(n, d):
+    """The exact coefficient n / d of a scaled numerator n.
+
+    An int gives a Fraction; a MultiPoly is multiplied by 1/d and stays a
+    polynomial.
+    """
+    return Fraction(n, d) if isinstance(n, int) else n * Fraction(1, d)
 
 
 class SparseVector:

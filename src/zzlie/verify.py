@@ -16,37 +16,41 @@ D(alpha, -1), the c/cbar generic region.  The c/cbar factorial regions (a
 falling factorial of symbolic length) and the block families' punctures,
 half-planes and central terms remain window-checked.
 
-An algebra here is anything with three methods: ``in_domain(i, j)``,
-``bracket_terms(a, b)`` returning the bracket as raw ``(key, coeff)`` terms
-(key ``(i, j)`` for L, "C1"/"C2" for a central generator), and
-``central_degrees()`` mapping each present central generator to its degree.
-``AlgebraSpec`` and ``QuotientC`` both provide them.
+An algebra here is duck-typed.  The windowed checks and the
+diagonal-isomorphism search read four members:
+``in_domain(i, j)``; ``raw_terms(a, b)``, the bracket as raw ``(key,
+numerator)`` terms (key ``(i, j)`` for L, "C1"/"C2" for a central
+generator; numerator an int, or an int-coefficient ``MultiPoly`` for
+symbolic central parameters); ``den``, the one positive int every
+numerator is over; and ``central_degrees()``, mapping each present central
+generator to its degree.  ``AlgebraSpec`` and ``QuotientC`` provide them,
+and also ``bracket_terms(a, b)``, the same terms with coefficients
+numerator / den.  ``raw_terms`` may return L terms outside the domain: the Jacobi kernel
+owns the in-domain filter of outer targets and brackets again only the
+in-domain ones.
 
-The Jacobi kernel evaluates every bracket of the sweep once and scales all
-coefficients with ``poly.integer_scaled``: a rational c becomes the int c·D,
-D the LCM of the rational denominators, and a ``MultiPoly`` (symbolic
-central parameters) is multiplied by D.  The scaled brackets are stored as
+The Jacobi kernel evaluates every bracket of the sweep once, as int (or
+polynomial) numerators over the algebra's ``den``, so a triple's cyclic
+sum is a sum of numerator products over den².  The brackets are stored as
 rows by window position: the row of x lists the terms of [x, w] for each
 window index w in order, with one row per window index and one per
 bracketed target outside the window, and the outer bracket of window
 positions (p, q) holds the row of each in-domain L term with its
-coefficient.  The triple sweep runs over window positions and reads every
+numerator.  The triple sweep runs over window positions and reads every
 bracket by list index (only a triple's sum is a map, keyed by basis key).
-A triple's cyclic sum is then a sum of int (or exact polynomial) products;
-the triple fails iff it is nonzero, and the witness, reported at its index
-triple, carries the true coefficient sum / D².
+The triple fails iff its sum is nonzero, and the witness, reported at its
+index triple, carries the true coefficient sum / den².
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations_with_replacement, product
 
 from .algebras import AlgebraSpec, BasisElement, Element, _closed_form, window_indices
 from .linsolve import propagate_scalars
-from .poly import accumulate, integer_scaled, symbol
+from .poly import accumulate, symbol, unscaled
 
 __all__ = [
     "ViolationReport",
@@ -110,11 +114,14 @@ class ViolationReport:
 def check_antisymmetry(alg, window):
     """Witness every ordered pair with [a,b] != -[b,a]."""
     idxs = window_indices(alg, window)
-    bb = cache(alg.bracket_terms)
+    bb = cache(alg.raw_terms)
+    den = alg.den
 
     def defect(a, b):
         bad = accumulate(dict(bb(a, b)), bb(b, a))
-        return (Element.from_terms(bad.items()),) if bad else ()
+        if not bad:
+            return ()
+        return (Element.from_terms((key, unscaled(n, den)) for key, n in bad.items()),)
 
     return ViolationReport.sweep("antisymmetry", product(idxs, repeat=2), defect)
 
@@ -122,36 +129,24 @@ def check_antisymmetry(alg, window):
 def check_jacobi(alg, window):
     """Sweep unordered basis triples; witness each nonzero cyclic sum.
 
-    Runs the integer-scaled kernel of the module docstring.  With symbolic
+    Runs the one-denominator kernel of the module docstring.  With symbolic
     central parameters a triple passes only if its sum is the zero
     polynomial, which certifies the cocycle identity for every parameter
     value at once.
     """
     idxs = window_indices(alg, window)
+    raw = alg.raw_terms
     # Row x lists the terms of [x, w] for w in window order: one row per
     # window index, then one per bracketed target outside the window.
-    rows = {a: [alg.bracket_terms(a, w) for w in idxs] for a in idxs}
+    rows = {a: [raw(a, w) for w in idxs] for a in idxs}
     # Only the in-domain L terms of a window bracket are bracketed again.
-    targets = {
-        key
-        for row in rows.values()
-        for terms in row
-        for key, _ in terms
-        if not isinstance(key, str) and alg.in_domain(*key)
-    }
-    rows.update((t, [alg.bracket_terms(t, w) for w in idxs]) for t in targets - rows.keys())
-    d, scaled = integer_scaled([c for row in rows.values() for terms in row for _, c in terms])
-    scaled = iter(scaled)
-    rows = {
-        x: [tuple((key, next(scaled)) for key, _ in terms) for terms in row]
-        for x, row in rows.items()
-    }
-    # outer[p][q]: (row t, coefficient) for each in-domain L term t of [idxs[p], idxs[q]]
+    targets = {key for row in rows.values() for terms in row for key, _ in terms}
+    targets = {t for t in targets if not isinstance(t, str) and alg.in_domain(*t)}
+    rows.update((t, [raw(t, w) for w in idxs]) for t in targets - rows.keys())
+    # outer[p][q]: (row t, numerator) for each in-domain L term t of [idxs[p], idxs[q]]
     outer = [[tuple((rows[t], c) for t, c in terms if t in targets) for terms in rows[a]]
              for a in idxs]
-
-    def unscaled(s):
-        return Fraction(s, d * d) if isinstance(s, int) else s * Fraction(1, d * d)
+    den2 = alg.den ** 2
 
     def defect(p, q, r):
         acc = {}
@@ -168,8 +163,7 @@ def check_jacobi(alg, window):
                         acc.pop(key, None)
         if not acc:
             return ()
-        witness = Element.from_terms((key, unscaled(s)) for key, s in acc.items())
-        return (witness,)
+        return (Element.from_terms((key, unscaled(s, den2)) for key, s in acc.items()),)
 
     cases = combinations_with_replacement(range(len(idxs)), 3)
     report = ViolationReport.sweep("jacobi", cases, defect)
@@ -186,7 +180,7 @@ def check_grading(alg, window):
         total = (a[0] + b[0], a[1] + b[1])
         return [
             BasisElement.of(key)
-            for key, _ in alg.bracket_terms(a, b)
+            for key, _ in alg.raw_terms(a, b)
             if (central.get(key) if isinstance(key, str) else key) != total
         ]
 
@@ -243,6 +237,7 @@ class QuotientC:
 
     def __init__(self, alpha):
         self.upstairs = AlgebraSpec("c", alpha)
+        self.den = self.upstairs.den
 
     def in_domain(self, i, j):
         return j >= -1
@@ -250,10 +245,16 @@ class QuotientC:
     def central_degrees(self):
         return {}
 
+    def raw_terms(self, a, b):
+        return self._kept(self.upstairs.raw_terms(a, b))
+
     def bracket_terms(self, a, b):
+        return self._kept(self.upstairs.bracket_terms(a, b))
+
+    @staticmethod
+    def _kept(terms):
         # the c family has no central generators: every key is an index pair
-        terms = self.upstairs.bracket_terms(a, b)
-        return tuple((key, c) for key, c in terms if key[1] > -2)
+        return tuple(term for term in terms if term[0][1] > -2)
 
     def basis_bracket(self, a, b):
         return Element.from_terms(self.bracket_terms(a, b))
@@ -271,10 +272,12 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     The scalars are found by ``propagate_scalars`` from the unit seeds
     (1, 0) and (0, 1) (the residual gauge freedom of a diagonal rescaling),
     which verifies every window equation, so a returned witness is always
-    genuine.
+    genuine.  An equation c_a * lam_t == c_b * lam_a * lam_b is set up in
+    ints, both sides times den_A * den_B: n_a * den_B and n_b * den_A.
     """
     idxs = window_indices(alg_a, window)
     idx_set = set(idxs)
+    den_a, den_b = alg_a.den, alg_b.den
     central = {deg: kind for kind, deg in alg_b.central_degrees().items()}
 
     def image(t):
@@ -287,16 +290,16 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
         ma, mb = index_map(a), index_map(b)
         if not (alg_b.in_domain(*ma) and alg_b.in_domain(*mb)):
             continue
-        ea = alg_a.bracket_terms(a, b)
+        ea = alg_a.raw_terms(a, b)
         if any(isinstance(key, str) for key, _ in ea):
             raise ValueError("A-side central terms are not supported")
-        eb = dict(alg_b.bracket_terms(ma, mb))
-        for t, ca in ea:
-            cb = eb.pop(image(t), None)
-            if cb is None:
+        eb = dict(alg_b.raw_terms(ma, mb))
+        for t, na in ea:
+            nb = eb.pop(image(t), None)
+            if nb is None:
                 return None  # an A term without a B image: its scalar would vanish
             if t in idx_set:  # else the target scalar is unconstrained
-                equations.append((t, ca, (a, b), cb))
+                equations.append((t, na * den_b, (a, b), nb * den_a))
         if eb:
             return None  # a B term without an A preimage forces a zero scalar
     return propagate_scalars(idxs, equations, [s for s in ((1, 0), (0, 1)) if s in idx_set])

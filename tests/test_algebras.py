@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from zzlie.algebras import (
     terms_json,
     window_indices,
 )
-from zzlie.poly import MultiPoly, UsageError, symbol
+from zzlie.poly import MultiPoly, UsageError, symbol, unscaled
 from zzlie.verify import (
     QuotientC,
     check_antisymmetry,
@@ -340,6 +341,97 @@ def test_bracket_terms_fraction_reference_property(spec, pairs):
     targets = spec.central_degrees().values()
     aimed = [(a, (t[0] - a[0], t[1] - a[1])) for a, _ in pairs for t in targets]
     _assert_kernel_matches_reference(spec, pairs + aimed)
+
+
+# -- raw primitive: int numerators over one denominator ------------------------
+
+
+def _is_integral(n):
+    if isinstance(n, MultiPoly):
+        return all(Fraction(c).denominator == 1 for c in n.terms.values())
+    return type(n) is int
+
+
+_RAW_SPECS = [
+    AlgebraSpec("vir", Fraction(-5, 6)),
+    AlgebraSpec("d", Fraction(2, 3), Fraction(-7, 4)),
+    AlgebraSpec("block", 1, 2, a1=Fraction(2, 3), a2=Fraction(5, 4), a2p=Fraction(-3, 7)),
+    AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2), a1=2, a2=Fraction(1, 6), a2p=-1),
+    AlgebraSpec("block", 1, 2, **_SYM_CENTRE),
+    AlgebraSpec("block", Fraction(1, 2), Fraction(-3, 2),
+                a1=symbol("a1") * Fraction(1, 3), a2=Fraction(2, 5), a2p=symbol("a2p")),
+    AlgebraSpec("bplus-", 1, a1=Fraction(-1, 2), a2=3, a2p=Fraction(5, 4)),
+    AlgebraSpec("bplus-", 2, **_SYM_CENTRE),
+    AlgebraSpec("bplus+", Fraction(1, 2), a2=Fraction(2, 7), a2p=-1),
+    AlgebraSpec("bplus+", 1, **_SYM_CENTRE),
+    AlgebraSpec("c", Fraction(2, 3)),
+    AlgebraSpec("c", Fraction(-3, 4), literal_c_index=True),
+    AlgebraSpec("cbar", Fraction(5, 3)),
+    AlgebraSpec("cbar", Fraction(1, 5), literal_c_index=True),
+]
+
+
+def _raw_reference(alg, a, b):
+    """Fraction terms from the family formulas; QuotientC drops its terms at j <= -2."""
+    if isinstance(alg, QuotientC):
+        return tuple(t for t in _reference_bracket_terms(alg.upstairs, a, b) if t[0][1] >= -1)
+    return _reference_bracket_terms(alg, a, b)
+
+
+def test_raw_terms_are_integral_over_den():
+    # raw/den, term for term and in key order, is both bracket_terms and the
+    # Fraction formulas of _reference_bracket_terms; every numerator is an
+    # int, or an int-coefficient polynomial for a symbolic centre.
+    q = QuotientC(Fraction(2, 3))
+    kinds = set()
+    for alg in [*_RAW_SPECS, q]:
+        den = alg.den
+        assert type(den) is int and den > 0
+        spec = getattr(alg, "upstairs", alg)
+        numeric = [spec.alpha, spec.beta or 0]
+        numeric += [p for p in (spec.a1, spec.a2, spec.a2p) if isinstance(p, Fraction)]
+        assert all(den % p.denominator == 0 for p in numeric), spec
+        idxs = window_indices(alg, 3)
+        for a in idxs:
+            for b in idxs:
+                raw = alg.raw_terms(a, b)
+                assert isinstance(raw, tuple)
+                assert all(_is_integral(n) and n for _, n in raw), (alg, a, b, raw)
+                expected = _raw_reference(alg, a, b)
+                divided = [(key, unscaled(n, den)) for key, n in raw]
+                assert divided == list(alg.bracket_terms(a, b)) == list(expected)
+                assert [type(c) for _, c in divided] == [type(c) for _, c in expected]
+                kinds.update((key if isinstance(key, str) else "L", type(n)) for key, n in raw)
+    assert kinds == {(kind, t) for kind in ("L", "C1", "C2") for t in (int, MultiPoly)} - {
+        ("L", MultiPoly)
+    }
+    # the centre's denominators are cleared too: lcm(3, 4, 7) over alpha = 1,
+    # beta = 2, and 6 times the 2 of alpha = 1/2, beta = 3/2
+    assert _RAW_SPECS[2].den == 84 and _RAW_SPECS[3].den == 12
+    # the quotient really drops terms the c family keeps
+    assert any(len(q.raw_terms(a, b)) < len(q.upstairs.raw_terms(a, b))
+               for a in window_indices(q, 3) for b in window_indices(q, 3))
+
+
+def test_table_cells_match_json_encoding():
+    # every template cell is the bytes json writes for terms_json of the
+    # bracket, with the polynomial cells of a symbolic centre through json
+    encode = json.JSONEncoder(sort_keys=True).encode
+    seen = set()
+    for spec in _RAW_SPECS:
+        idxs = window_indices(spec, 3)
+        rows = table_to_json(spec, 3)
+        assert [(a, b) for a, b, _ in rows] == [(a, b) for a in idxs for b in idxs]
+        for a, b, cell in rows:
+            terms = spec.bracket_terms(a, b)
+            assert cell == encode(terms_json(terms)), (spec, a, b)
+            seen.update(
+                "poly" if isinstance(c, MultiPoly) else key if isinstance(key, str) else "L"
+                for key, c in terms
+            )
+            if not terms:
+                seen.add("empty")
+    assert seen == {"L", "C1", "C2", "poly", "empty"}
 
 
 # -- central degrees ----------------------------------------------------------

@@ -33,6 +33,7 @@ class CorruptedPair:
     def __init__(self, inner, pair):
         self.inner = inner
         self.pair = pair
+        self.den = inner.den
 
     def in_domain(self, i, j):
         return self.inner.in_domain(i, j)
@@ -40,10 +41,10 @@ class CorruptedPair:
     def central_degrees(self):
         return self.inner.central_degrees()
 
-    def bracket_terms(self, a, b):
-        terms = self.inner.bracket_terms(a, b)
+    def raw_terms(self, a, b):
+        terms = self.inner.raw_terms(a, b)
         if (a, b) == self.pair:
-            return tuple((key, -c) for key, c in terms)
+            return tuple((key, -n) for key, n in terms)
         return terms
 
 
@@ -51,11 +52,13 @@ class HalfPlaneCut:
     """Wraps an algebra, cutting its domain to j >= -1 but keeping every bracket term.
 
     Brackets of window indices then carry L terms outside the domain, which
-    the Jacobi sweep must not bracket again.
+    the Jacobi sweep must not bracket again: the kernel, not the algebra,
+    owns that filter.
     """
 
     def __init__(self, inner):
         self.inner = inner
+        self.den = inner.den
 
     def in_domain(self, i, j):
         return j >= -1 and self.inner.in_domain(i, j)
@@ -63,8 +66,8 @@ class HalfPlaneCut:
     def central_degrees(self):
         return self.inner.central_degrees()
 
-    def bracket_terms(self, a, b):
-        return self.inner.bracket_terms(a, b)
+    def raw_terms(self, a, b):
+        return self.inner.raw_terms(a, b)
 
     def basis_bracket(self, a, b):
         return self.inner.basis_bracket(a, b)
@@ -101,12 +104,13 @@ def test_jacobi_evaluates_each_bracket_once():
     spec = AlgebraSpec("block", 1, 2, a1=1, a2=2, a2p=3)
     calls = Counter()
 
-    def bracket_terms(a, b):
+    def raw_terms(a, b):
         calls[a, b] += 1
-        return spec.bracket_terms(a, b)
+        return spec.raw_terms(a, b)
 
     counting = SimpleNamespace(
-        in_domain=spec.in_domain, central_degrees=spec.central_degrees, bracket_terms=bracket_terms
+        in_domain=spec.in_domain, central_degrees=spec.central_degrees, raw_terms=raw_terms,
+        den=spec.den,
     )
     assert check_jacobi(counting, 2) == check_jacobi(spec, 2)
     window = len(window_indices(spec, 2))
