@@ -16,14 +16,17 @@ certificate of equations with no common solution.
 
 ``propagate_scalars`` solves the multiplicative systems behind the diagonal
 isomorphism and intertwiner searches: one worklist pass from unit seeds,
-then a check of every equation.
+then a check of every equation.  Its coefficients are ints (the callers set
+their equations up over the product of their denominators), each scalar is
+kept as a reduced int pair (num, den), and the check cross-multiplies, so
+the only ``Fraction`` built is one per unknown of the returned map.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .poly import accumulate, integer_scaled
 
@@ -173,15 +176,17 @@ class LinearSystem:
 def propagate_scalars(unknowns, equations, seeds):
     """Nonzero scalars x with c_lhs * x[t] == c_rhs * prod(x[s] for s in sources).
 
-    ``equations`` holds (t, c_lhs, sources, c_rhs) tuples with nonzero
+    ``equations`` holds (t, c_lhs, sources, c_rhs) tuples with nonzero int
     coefficients.  Starting from x = 1 on ``seeds``, an equation fixes an
     unknown once that unknown is its only unset occurrence; a repeated
     occurrence (t among the sources, a squared source) is never solved for.
-    Unknowns never reached get the gauge value 1.  Every equation is then
-    checked, so a returned map (unknown -> Fraction, in ``unknowns`` order)
-    is a genuine solution; None means the equations force a contradiction.
+    Unknowns never reached get the gauge value 1.  A scalar is held as a
+    reduced int pair (num, den) with den > 0, reduced by one gcd when it is
+    solved.  Every equation is then checked by cross-multiplying, so a
+    returned map (unknown -> Fraction, in ``unknowns`` order) is a genuine
+    solution; None means the equations force a contradiction.
     """
-    x = {s: Fraction(1) for s in seeds}
+    x = {s: (1, 1) for s in seeds}
     by_unknown = defaultdict(list)
     for eq in equations:
         for u in {eq[0], *eq[2]}:
@@ -193,13 +198,27 @@ def propagate_scalars(unknowns, equations, seeds):
             if len(unset) != 1:
                 continue
             u = unset[0]
-            if u == t:
-                x[u] = c_rhs * prod(x[s] for s in sources) / c_lhs
-            else:
-                x[u] = c_lhs * x[t] / (c_rhs * prod(x[s] for s in sources if s != u))
+            if u == t:  # x[t] = c_rhs * prod(x[s]) / c_lhs
+                num, den = c_rhs, c_lhs
+                for s in sources:
+                    num *= x[s][0]
+                    den *= x[s][1]
+            else:  # x[u] = c_lhs * x[t] / (c_rhs * prod(x[s] for s != u))
+                num, den = c_lhs * x[t][0], c_rhs * x[t][1]
+                for s in sources:
+                    if s != u:
+                        num *= x[s][1]
+                        den *= x[s][0]
+            g = gcd(num, den)
+            x[u] = (num // g, den // g) if den > 0 else (-num // g, -den // g)
             work.append(u)
-    values = {u: x.get(u, Fraction(1)) for u in unknowns}
+    values = {u: x.get(u, (1, 1)) for u in unknowns}
     for t, c_lhs, sources, c_rhs in equations:
-        if c_lhs * values[t] != c_rhs * prod(values[s] for s in sources):
+        lhs, rhs = c_lhs * values[t][0], c_rhs * values[t][1]
+        for s in sources:
+            num, den = values[s]
+            lhs *= den
+            rhs *= num
+        if lhs != rhs:
             return None
-    return values
+    return {u: Fraction(num, den) for u, (num, den) in values.items()}

@@ -266,34 +266,40 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     ``index_map`` must be an additive bijection on the window (grading
     compatible); A-side basis indices whose image is not a B basis index may
     land on a B central generator of matching degree.  Returns the witness
-    map (A index -> scalar) or None.  A-side central terms raise
-    ``ValueError``, before any other outcome for the same pair.
+    map (A index -> scalar) or None.  Two cases raise ``ValueError``: an
+    A-side central term, and a B-side bracket with a symbolic (polynomial)
+    numerator, which a symbolic B central parameter gives.  Pairs are taken
+    in window order and an outcome ends the search: for one pair the A-side
+    check comes first, then the B-side one, then a missing image (None).
 
     The scalars are found by ``propagate_scalars`` from the unit seeds
     (1, 0) and (0, 1) (the residual gauge freedom of a diagonal rescaling),
     which verifies every window equation, so a returned witness is always
     genuine.  An equation c_a * lam_t == c_b * lam_a * lam_b is set up in
     ints, both sides times den_A * den_B: n_a * den_B and n_b * den_A.
+    Each window index is mapped once; only the pairs of indices whose images
+    are in B's domain are bracketed.
     """
     idxs = window_indices(alg_a, window)
     idx_set = set(idxs)
     den_a, den_b = alg_a.den, alg_b.den
     central = {deg: kind for kind, deg in alg_b.central_degrees().items()}
+    mapped = [(a, m) for a, m in zip(idxs, map(index_map, idxs)) if alg_b.in_domain(*m)]
 
+    @cache
     def image(t):
         m = index_map(t)
         return m if alg_b.in_domain(*m) else central.get(m)
 
     # Equations c_a * lam_t == c_b * lam_a * lam_b, one per basis target.
     equations = []
-    for a, b in product(idxs, repeat=2):
-        ma, mb = index_map(a), index_map(b)
-        if not (alg_b.in_domain(*ma) and alg_b.in_domain(*mb)):
-            continue
+    for (a, ma), (b, mb) in product(mapped, repeat=2):
         ea = alg_a.raw_terms(a, b)
         if any(isinstance(key, str) for key, _ in ea):
             raise ValueError("A-side central terms are not supported")
         eb = dict(alg_b.raw_terms(ma, mb))
+        if any(n.__class__ is not int for n in eb.values()):
+            raise ValueError("B-side symbolic central parameters are not supported")
         for t, na in ea:
             nb = eb.pop(image(t), None)
             if nb is None:

@@ -18,10 +18,13 @@ is the scalar identity s = 0 with
     s = a(j,k) a(i,j+k) - a(i,k) a(j,i+k) - (j-i) a(i+j,k),
 
 where a(i,k) is the coefficient of L_i v_k, taken as 0 when v_{i+k} is
-outside the support (``act`` drops that term).  The a are read once and
-scaled to ints by ``integer_scaled``, so s is summed in ints (the last term
-scaled by D once more) and a failing case's witness is s / D^2 v_{i+j+k},
-which equals lhs - rhs.
+outside the support (``act`` drops that term).  A spec gives every
+coefficient as an int numerator ``raw_coeff(i, k)`` over one denominator
+``den``, the LCM of the denominators of alpha and beta.  The numerators are
+read once, so s is summed in ints (the last term scaled by D = ``den`` once
+more) and a failing case's witness is s / D^2 v_{i+j+k}, which equals
+lhs - rhs.  ``find_intertwiner`` sets up its equations from the numerators
+too, so no ``Fraction`` is built per coefficient.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ class ModuleSpec:
     ``removed`` is the one index left out of the support of an ``a_ab``
     subquotient (see ``irreducible_subquotient``): only -alpha, with alpha
     integral and beta 0 or 1, leaves a module.  None keeps all of Z.
+
+    ``den``, the LCM of the denominators of alpha and beta, and the
+    parameters' numerators over it are computed once at construction and
+    kept outside the dataclass fields, so equality, hashing, ``repr`` and
+    ``replace`` see only the parameters.
     """
 
     family: str
@@ -74,23 +82,31 @@ class ModuleSpec:
             type(self.removed) is int and self.removed == -self.alpha and self.beta in (0, 1)
         ):
             raise ValueError("removed must be the integer -alpha, for a_ab with beta 0 or 1")
+        den, nums = integer_scaled([self.alpha, self.beta or 0])
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_nums", nums)
 
     def supports(self, k):
         return k != self.removed
 
-    def coeff(self, i, k):
-        """The scalar with L_i v_k = coeff * v_{i+k}."""
-        alpha = self.alpha
+    def raw_coeff(self, i, k):
+        """The int numerator over ``den`` of the scalar with L_i v_k = coeff * v_{i+k}."""
+        den = self.den
+        a_num, b_num = self._nums
         if self.family == "a_ab":
-            return alpha + k + self.beta * i
+            return a_num + k * den + b_num * i
         if self.family == "a_paren":
             if k == 0:
-                return Fraction(i) * (i + alpha)
-            return Fraction(i + k)
+                return i * (i * den + a_num)
+            return (i + k) * den
         # b_paren
         if k == -i:
-            return -Fraction(i) * (i + alpha)
-        return Fraction(k)
+            return -i * (i * den + a_num)
+        return k * den
+
+    def coeff(self, i, k):
+        """The scalar with L_i v_k = coeff * v_{i+k}: ``raw_coeff`` over ``den``."""
+        return Fraction(self.raw_coeff(i, k), self.den)
 
 
 class ModVector(SparseVector):
@@ -147,16 +163,15 @@ def irreducible_subquotient(m):
 def check_module_axiom(m, window):
     """[L_i, L_j] v_k = (j-i) L_{i+j} v_k, exactly, over the sweep window.
 
-    Runs the scalar kernel of the module docstring on a table of the
-    coefficients with both indices in [-2W, 2W].  Only ``supports`` and
-    ``coeff`` are read from ``m``, so any object with those two methods can
-    be checked.
+    Runs the scalar kernel of the module docstring on a table of the int
+    numerators with both indices in [-2W, 2W].  Only ``supports``,
+    ``raw_coeff`` and ``den`` are read from ``m``, so any object with those
+    members can be checked.
     """
     rng = window_range(window)
     span = window_range(2 * window)
-    coeff = {(i, k): m.coeff(i, k) if m.supports(i + k) else 0 for i in span for k in span}
-    d, scaled = integer_scaled(list(coeff.values()))
-    a = dict(zip(coeff, scaled))
+    raw, supports, d = m.raw_coeff, m.supports, m.den
+    a = {(i, k): raw(i, k) if supports(i + k) else 0 for i in span for k in span}
 
     def defect(i, j, k):
         s = a[j, k] * a[i, j + k] - a[i, k] * a[j, i + k] - (j - i) * d * a[i + j, k]
@@ -170,25 +185,29 @@ def find_intertwiner(m1, m2, window):
     """Nonzero scalars c_k with c-rescaled m1-action equal to the m2-action.
 
     The intertwining condition per (i, k) with all indices in the window is
-    coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k.  ``propagate_scalars`` solves
-    them from a unit seed (the global-scale gauge) and re-verifies the full
-    window, so a returned witness is always genuine; None means no witness
-    exists.  A window holding no supported index gives the empty map ``{}``,
-    which intertwines vacuously.
+    coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k.  It is set up in ints, both
+    sides times den1 * den2: n1 * den2 and n2 * den1 for the numerators
+    n = ``raw_coeff(i, k)``.  ``propagate_scalars`` solves them from a unit
+    seed (the global-scale gauge) and re-verifies the full window, so a
+    returned witness is always genuine; None means no witness exists.  A
+    window holding no supported index gives the empty map ``{}``, which
+    intertwines vacuously.
     """
     rng = window_range(window)
     support = [k for k in rng if m1.supports(k)]
     sup = set(support)
+    raw1, raw2 = m1.raw_coeff, m2.raw_coeff
+    den1, den2 = m1.den, m2.den
     equations = []
     for k in support:
         for i in rng:
             t = i + k
             if t not in sup:
                 continue
-            c1, c2 = m1.coeff(i, k), m2.coeff(i, k)
-            if c1 == 0 and c2 == 0:
+            n1, n2 = raw1(i, k), raw2(i, k)
+            if n1 == 0 and n2 == 0:
                 continue
-            if c1 == 0 or c2 == 0:
+            if n1 == 0 or n2 == 0:
                 return None  # would force a scalar to zero
-            equations.append((t, c1, (k,), c2))
+            equations.append((t, n1 * den2, (k,), n2 * den1))
     return propagate_scalars(support, equations, support[:1])

@@ -1,8 +1,9 @@
 import hashlib
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import prod
 from types import SimpleNamespace
 from unittest import mock
 
@@ -25,6 +26,7 @@ from zzlie.verify import (
     symbolic_jacobi_block,
     symbolic_jacobi_vir,
 )
+from zzlie.virmodules import ModuleSpec, find_intertwiner, irreducible_subquotient
 
 
 class CorruptedPair:
@@ -389,6 +391,14 @@ def test_isomorphism_outcomes_without_witness():
     # the c family keeps the terms at j <= -2 that the quotient drops
     lam = find_diagonal_isomorphism(QuotientC(1), AlgebraSpec("c", 1), lambda t: t, 2)
     assert lam is None
+    # a symbolic B-side centre that a bracket reaches is refused
+    sym_target = AlgebraSpec("bplus-", -1, a1=symbol("a1"), a2=0, a2p=0)
+    with pytest.raises(ValueError, match="B-side symbolic"):
+        find_diagonal_isomorphism(QuotientC(1), sym_target, lambda t: t, 2)
+    # an A-side central term is refused first, on the same pair
+    sym_block = AlgebraSpec("block", 1, 2, a1=symbol("a1"), a2=symbol("a2"), a2p=symbol("a2p"))
+    with pytest.raises(ValueError, match="A-side central"):
+        find_diagonal_isomorphism(sym_block, sym_block, lambda t: t, 2)
 
 
 def test_quotient_isomorphism_to_half_plane_block():
@@ -416,7 +426,7 @@ def test_quotient_isomorphism_witness_is_pinned():
 
 
 def test_propagate_scalars_repeated_occurrences():
-    one = Fraction(1)
+    one = 1
     # target equal to its source (an i = 0 intertwiner equation): only checked
     assert propagate_scalars([0], [(0, one, (0,), one)], [0]) == {0: 1}
     assert propagate_scalars([0, 1], [(0, one, (0,), 2 * one)], [1]) is None
@@ -430,6 +440,153 @@ def test_propagate_scalars_repeated_occurrences():
     # values travel along a chain in both directions from the seed
     eqs = [(1, 2 * one, (0,), one), (2, one, (1,), 3 * one)]
     assert propagate_scalars([0, 1, 2], eqs, [1]) == {0: 2, 1: 1, 2: 3}
+
+
+def _reference_propagate_scalars(unknowns, equations, seeds):
+    """``propagate_scalars`` in Fraction arithmetic, coefficients of any rational type."""
+    x = {s: Fraction(1) for s in seeds}
+    by_unknown = defaultdict(list)
+    for eq in equations:
+        for u in {eq[0], *eq[2]}:
+            by_unknown[u].append(eq)
+    work = list(x)
+    while work:
+        for t, c_lhs, sources, c_rhs in by_unknown[work.pop()]:
+            unset = [u for u in (t, *sources) if u not in x]
+            if len(unset) != 1:
+                continue
+            u = unset[0]
+            if u == t:
+                x[u] = c_rhs * prod(x[s] for s in sources) / c_lhs
+            else:
+                x[u] = c_lhs * x[t] / (c_rhs * prod(x[s] for s in sources if s != u))
+            work.append(u)
+    values = {u: x.get(u, Fraction(1)) for u in unknowns}
+    for t, c_lhs, sources, c_rhs in equations:
+        if c_lhs * values[t] != c_rhs * prod(values[s] for s in sources):
+            return None
+    return values
+
+
+def _reference_intertwiner(m1, m2, window):
+    """``find_intertwiner`` from the Fraction coefficients and the reference solver."""
+    rng = range(-window, window + 1)
+    support = [k for k in rng if m1.supports(k)]
+    equations = []
+    for k in support:
+        for i in rng:
+            if not m1.supports(i + k) or abs(i + k) > window:
+                continue
+            c1, c2 = m1.coeff(i, k), m2.coeff(i, k)
+            if c1 == 0 and c2 == 0:
+                continue
+            if c1 == 0 or c2 == 0:
+                return None
+            equations.append((i + k, c1, (k,), c2))
+    return _reference_propagate_scalars(support, equations, support[:1])
+
+
+def _reference_isomorphism(alg_a, alg_b, index_map, window):
+    """``find_diagonal_isomorphism`` from the Fraction brackets and the reference solver."""
+    idxs = window_indices(alg_a, window)
+    central = {deg: kind for kind, deg in alg_b.central_degrees().items()}
+    equations = []
+    for a, b in product(idxs, repeat=2):
+        ma, mb = index_map(a), index_map(b)
+        if not (alg_b.in_domain(*ma) and alg_b.in_domain(*mb)):
+            continue
+        eb = dict(alg_b.bracket_terms(ma, mb))
+        for t, ca in alg_a.bracket_terms(a, b):
+            m = index_map(t)
+            cb = eb.pop(m if alg_b.in_domain(*m) else central.get(m), None)
+            if cb is None:
+                return None
+            if t in idxs:
+                equations.append((t, ca, (a, b), cb))
+        if eb:
+            return None
+    seeds = [s for s in ((1, 0), (0, 1)) if s in idxs]
+    return _reference_propagate_scalars(idxs, equations, seeds)
+
+
+def _assert_same_scalars(found, reference):
+    assert found == reference
+    if found is not None:
+        assert list(found) == list(reference)
+        assert all(type(v) is Fraction for v in found.values())
+
+
+def test_int_propagation_matches_fraction_reference():
+    # intertwiners: fractional alpha (found), unequal denominators and
+    # a_paren onto b_paren (None), the full degenerate pair (None) and
+    # subquotient pairs (found), all at W=6; then a_paren onto a_ab(0, 1)
+    # over unequal denominators, found at W=1 and None at W=2
+    found = 0
+    pairs = [
+        (ModuleSpec("a_ab", Fraction(5, 2), 0), ModuleSpec("a_ab", Fraction(5, 2), 1)),
+        (ModuleSpec("a_ab", Fraction(-7, 3), 1), ModuleSpec("a_ab", Fraction(-7, 3), 0)),
+        (ModuleSpec("a_ab", Fraction(1, 3), Fraction(3, 4)),
+         ModuleSpec("a_ab", Fraction(1, 3), Fraction(3, 4))),
+        (ModuleSpec("a_ab", Fraction(1, 2), Fraction(1, 3)),
+         ModuleSpec("a_ab", Fraction(1, 2), 1)),
+        (ModuleSpec("a_paren", Fraction(2, 5)), ModuleSpec("b_paren", Fraction(2, 5))),
+        (ModuleSpec("a_ab", 0, 0), ModuleSpec("a_ab", 0, 1)),
+        (irreducible_subquotient(ModuleSpec("a_ab", 0, 0)),
+         irreducible_subquotient(ModuleSpec("a_ab", 0, 1))),
+        (irreducible_subquotient(ModuleSpec("a_ab", -2, 1)),
+         irreducible_subquotient(ModuleSpec("a_ab", -2, 0))),
+    ]
+    paren_onto_ab = (ModuleSpec("a_paren", Fraction(2, 5)), ModuleSpec("a_ab", 0, 1))
+    pairs = [(6, pair) for pair in pairs] + [(1, paren_onto_ab), (2, paren_onto_ab)]
+    for window, (m1, m2) in pairs:
+        w = find_intertwiner(m1, m2, window)
+        _assert_same_scalars(w, _reference_intertwiner(m1, m2, window))
+        found += w is not None
+    assert found == 6
+    # diagonal isomorphisms: the quotient onto bplus-, vir onto itself (found)
+    # and onto another alpha (None)
+    for alg_a, alg_b, ok in [
+        (QuotientC(1), AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0), True),
+        (QuotientC(2), AlgebraSpec("bplus-", -2, a1=Fraction(3, 2), a2=0, a2p=0), True),
+        (AlgebraSpec("vir", Fraction(2, 3)), AlgebraSpec("vir", Fraction(2, 3)), True),
+        (AlgebraSpec("vir", 1), AlgebraSpec("vir", 2), False),
+    ]:
+        lam = find_diagonal_isomorphism(alg_a, alg_b, lambda t: t, 3)
+        _assert_same_scalars(lam, _reference_isomorphism(alg_a, alg_b, lambda t: t, 3))
+        assert (lam is not None) == ok
+    # direct systems: negative coefficients, scalars with denominators, both
+    # directions of a two-source equation, and a contradiction that only
+    # the final check sees (both equations fix x1 from x0; the second is skipped)
+    for unknowns, eqs, seeds, expected in [
+        ([0, 1, 2], [(1, -2, (0,), 3), (2, 5, (1,), -4)], [0],
+         {0: 1, 1: Fraction(-3, 2), 2: Fraction(6, 5)}),
+        (["a", "b", "t"], [("b", 2, ("t",), 3), ("t", 6, ("a", "b"), -4)], ["t"],
+         {"a": -1, "b": Fraction(3, 2), "t": 1}),
+        (["a", "b", "t"], [("b", 2, ("a",), 3), ("t", 6, ("a", "b"), -4)], ["a"],
+         {"a": 1, "b": Fraction(3, 2), "t": -1}),
+        ([0, 1], [(1, 2, (0,), 1), (1, 1, (0,), 1)], [0], None),
+        ([0, 1, 2], [(1, 3, (0,), 1), (2, 3, (1,), 1), (2, 1, (0,), 9)], [0], None),
+    ]:
+        got = propagate_scalars(unknowns, eqs, seeds)
+        assert got == expected
+        _assert_same_scalars(got, _reference_propagate_scalars(unknowns, eqs, seeds))
+
+
+_nonzero = st.integers(-6, 6).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 4), _nonzero, st.lists(st.integers(0, 4), min_size=1, max_size=2),
+              _nonzero),
+    max_size=8,
+))
+def test_int_propagation_property(raw):
+    eqs = [(t, c_lhs, tuple(sources), c_rhs) for t, c_lhs, sources, c_rhs in raw]
+    unknowns = list(range(5))
+    _assert_same_scalars(
+        propagate_scalars(unknowns, eqs, [0]), _reference_propagate_scalars(unknowns, eqs, [0])
+    )
 
 
 def test_symbolic_jacobi_single_term_rule():

@@ -53,6 +53,48 @@ def test_action_is_linear():
     assert lhs == rhs
 
 
+def _reference_coeff(m, i, k):
+    """The action coefficients of the module docstring, in Fractions."""
+    alpha = Fraction(m.alpha)
+    if m.family == "a_ab":
+        return alpha + k + Fraction(m.beta) * i
+    if m.family == "a_paren":
+        return Fraction(i) * (i + alpha) if k == 0 else Fraction(i + k)
+    return -Fraction(i) * (i + alpha) if k == -i else Fraction(k)
+
+
+def test_raw_coeff_is_integral_over_den():
+    specs = [
+        ModuleSpec("a_ab", 3, -2),
+        ModuleSpec("a_ab", Fraction(5, 2), 0),
+        ModuleSpec("a_ab", -4, Fraction(7, 3)),
+        ModuleSpec("a_ab", Fraction(-2, 3), Fraction(5, 4)),
+        ModuleSpec("a_paren", 2),
+        ModuleSpec("a_paren", Fraction(-3, 5)),
+        ModuleSpec("b_paren", -1),
+        ModuleSpec("b_paren", Fraction(7, 2)),
+        irreducible_subquotient(ModuleSpec("a_ab", 2, 0)),
+        irreducible_subquotient(ModuleSpec("a_ab", -3, 1)),
+    ]
+    span = range(-12, 13)  # the table check_module_axiom reads at W=6
+    for m in specs:
+        assert type(m.den) is int and m.den > 0
+        for i in span:
+            for k in span:
+                n = m.raw_coeff(i, k)
+                assert type(n) is int, (m, i, k)
+                assert Fraction(n, m.den) == m.coeff(i, k) == _reference_coeff(m, i, k)
+    # den is the LCM of the denominators of alpha and beta
+    assert [m.den for m in specs] == [1, 2, 3, 12, 1, 5, 1, 2, 1, 1]
+    # den stays outside the dataclass fields: equality, hash and repr as before
+    m = ModuleSpec("a_ab", Fraction(1, 2), Fraction(1, 3))
+    assert m == ModuleSpec("a_ab", Fraction(2, 4), Fraction(2, 6))
+    assert hash(m) == hash(("a_ab", Fraction(1, 2), Fraction(1, 3), None))
+    assert repr(m) == (
+        "ModuleSpec(family='a_ab', alpha=Fraction(1, 2), beta=Fraction(1, 3), removed=None)"
+    )
+
+
 def test_module_axiom_sweeps():
     specs = [
         ModuleSpec("a_ab", Fraction(1, 2), 0),
@@ -79,12 +121,17 @@ def test_module_axiom_random_parameters():
 
 
 class MutatedExceptional:
-    """a_paren with the exceptional coefficient off by one."""
+    """a_paren with the exceptional coefficient off by one.
+
+    ``coeff`` serves ``act``; ``raw_coeff`` over ``den`` is the same
+    coefficient, written out separately for ``check_module_axiom``.
+    """
 
     family = "a_paren"
 
     def __init__(self, alpha):
         self.alpha = Fraction(alpha)
+        self.den = self.alpha.denominator
 
     def supports(self, k):
         return True
@@ -93,6 +140,12 @@ class MutatedExceptional:
         if k == 0:
             return Fraction(i) * (i + self.alpha) + 1
         return Fraction(i + k)
+
+    def raw_coeff(self, i, k):
+        den = self.den
+        if k == 0:
+            return i * (i * den + self.alpha.numerator) + den
+        return (i + k) * den
 
 
 def test_module_axiom_finds_injected_fault():
@@ -157,12 +210,16 @@ class DroppedIndex:
     def __init__(self, module, dropped):
         self.module = module
         self.dropped = dropped
+        self.den = module.den
 
     def supports(self, k):
         return k != self.dropped and self.module.supports(k)
 
     def coeff(self, i, k):
         return self.module.coeff(i, k)
+
+    def raw_coeff(self, i, k):
+        return self.module.raw_coeff(i, k)
 
 
 def assert_matches_act_reference(m, window):
