@@ -290,18 +290,16 @@ class AlgebraSpec:
         """[L_a, L_b] as raw ``(key, coeff)`` terms: ``raw_terms`` divided by ``den``.
 
         Keys and their order are those of ``raw_terms``; a coefficient is a
-        Fraction, or a MultiPoly for a symbolic central parameter.
-        ``basis_bracket`` is the same bracket as an ``Element``.
+        Fraction, or a MultiPoly for a symbolic central parameter.  An index
+        outside the domain raises ``DomainError``, as ``raw_terms`` does.
+        This and ``basis_bracket`` read only ``raw_terms`` and ``den``, so
+        ``verify.QuotientC`` takes both as they are.
         """
-        terms = self.raw_terms(a, b)
         den = self.den
-        if len(terms) == 1:  # nonzero single-term brackets, most block ones too
-            ((key, n),) = terms
-            return ((key, Fraction(n, den) if n.__class__ is int else unscaled(n, den)),)
-        return tuple([(key, unscaled(n, den)) for key, n in terms]) if terms else terms
+        return tuple([(key, unscaled(n, den)) for key, n in self.raw_terms(a, b)])
 
     def basis_bracket(self, a, b):
-        """[L_a, L_b] as an Element; inputs must be in the domain."""
+        """[L_a, L_b] as an Element: ``bracket_terms`` as a sparse vector."""
         return Element.from_terms(self.bracket_terms(a, b))
 
     def _block_raw(self, i, j, k, ell):

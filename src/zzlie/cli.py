@@ -166,7 +166,7 @@ def _cmd_bracket(args):
 
 
 def _cmd_table(args):
-    """Write the table row by row from its JSON-encoded cells.
+    """Write the table as one string built from its JSON-encoded cells.
 
     The json form is the list of ``{"left", "result", "right"}`` objects
     ``json.dumps(..., sort_keys=True)`` would write; csv and text print a

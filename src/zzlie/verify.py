@@ -21,13 +21,15 @@ diagonal-isomorphism search read four members:
 ``in_domain(i, j)``; ``raw_terms(a, b)``, the bracket as raw ``(key,
 numerator)`` terms (key ``(i, j)`` for L, "C1"/"C2" for a central
 generator; numerator an int, or an int-coefficient ``MultiPoly`` for
-symbolic central parameters); ``den``, the one positive int every
-numerator is over; and ``central_degrees()``, mapping each present central
-generator to its degree.  ``AlgebraSpec`` and ``QuotientC`` provide them,
-and also ``bracket_terms(a, b)``, the same terms with coefficients
-numerator / den.  ``raw_terms`` may return L terms outside the domain: the Jacobi kernel
-owns the in-domain filter of outer targets and brackets again only the
-in-domain ones.
+symbolic central parameters), which raises ``DomainError`` for an input
+index outside the domain; ``den``, the one positive int every numerator is
+over; and ``central_degrees()``, mapping each present central generator to
+its degree.  ``AlgebraSpec`` and ``QuotientC`` provide them, and
+``QuotientC`` takes ``AlgebraSpec.bracket_terms`` (the same terms with
+coefficients numerator / den) and ``AlgebraSpec.basis_bracket``, which read
+only ``raw_terms`` and ``den``.  ``raw_terms`` may return L terms outside
+the domain: the Jacobi kernel owns the in-domain filter of outer targets
+and brackets again only the in-domain ones.
 
 The Jacobi kernel evaluates every bracket of the sweep once, as int (or
 polynomial) numerators over the algebra's ``den``, so a triple's cyclic
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations_with_replacement, product
 
-from .algebras import AlgebraSpec, BasisElement, Element, _closed_form, window_indices
+from .algebras import AlgebraSpec, BasisElement, DomainError, Element, _closed_form, window_indices
 from .linsolve import propagate_scalars
 from .poly import accumulate, symbol, unscaled
 
@@ -232,7 +234,8 @@ def symbolic_jacobi_block():
 class QuotientC:
     """The c-family algebra modulo its abelian ideal in degrees j <= -2.
 
-    Brackets are evaluated upstairs and terms landing at j <= -2 dropped.
+    Its domain is j >= -1: ``raw_terms`` refuses an input below it with
+    ``DomainError`` and drops the upstairs bracket's terms landing below it.
     """
 
     def __init__(self, alpha):
@@ -246,18 +249,14 @@ class QuotientC:
         return {}
 
     def raw_terms(self, a, b):
-        return self._kept(self.upstairs.raw_terms(a, b))
-
-    def bracket_terms(self, a, b):
-        return self._kept(self.upstairs.bracket_terms(a, b))
-
-    @staticmethod
-    def _kept(terms):
+        # j >= -1 inline: an in_domain call per term slows the isomorphism search
+        if a[1] < -1 or b[1] < -1:
+            raise DomainError(f"{a if a[1] < -1 else b} not in domain of the quotient of c")
         # the c family has no central generators: every key is an index pair
-        return tuple(term for term in terms if term[0][1] > -2)
+        return tuple([term for term in self.upstairs.raw_terms(a, b) if term[0][1] >= -1])
 
-    def basis_bracket(self, a, b):
-        return Element.from_terms(self.bracket_terms(a, b))
+    bracket_terms = AlgebraSpec.bracket_terms
+    basis_bracket = AlgebraSpec.basis_bracket
 
 
 def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):

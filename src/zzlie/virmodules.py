@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .algebras import window_range
 from .linsolve import propagate_scalars
-from .poly import SparseVector, accumulate, format_rational, integer_scaled
+from .poly import SparseVector, accumulate, integer_scaled
 from .verify import ViolationReport
 
 __all__ = [
@@ -120,9 +120,6 @@ class ModVector(SparseVector):
     @classmethod
     def basis(cls, k):
         return cls({k: 1})
-
-    def to_json(self):
-        return {str(k): format_rational(self.terms[k]) for k in sorted(self.terms)}
 
     def __repr__(self):
         if not self.terms:

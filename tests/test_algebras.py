@@ -71,6 +71,13 @@ def test_half_plane_families_fix_beta(family, side, message):
     assert str(exc.value) == message
 
 
+def test_basis_kind_refusals():
+    with pytest.raises(ValueError, match="unknown basis kind 'X'"):
+        BasisElement("X")
+    with pytest.raises(ValueError, match="L basis elements need an index"):
+        BasisElement("L")
+
+
 def test_full_plane_families():
     for family in ("vir", "c", "cbar"):
         assert AlgebraSpec(family, 1).in_domain(-1, 1)
@@ -88,6 +95,10 @@ def test_parameter_validation():
         AlgebraSpec("vir", 1, a1=1)
     with pytest.raises(ValueError):
         AlgebraSpec("nope", 1)
+    with pytest.raises(ValueError, match="family 'd' needs beta"):
+        AlgebraSpec("d", 1)
+    with pytest.raises(ValueError, match="family 'vir' takes no beta"):
+        AlgebraSpec("vir", 1, 2)
     for family, beta in (("vir", None), ("d", 1), ("block", 2), ("bplus+", None)):
         with pytest.raises(ValueError, match="literal_c_index"):
             AlgebraSpec(family, 1, beta, literal_c_index=True)

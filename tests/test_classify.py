@@ -68,6 +68,18 @@ def test_recurrence_guard_vacuous_for_off_case_params():
     assert not recurrence_equation(p, 1, 0, 0)["skipped"]
 
 
+def test_zero_alpha_and_degenerate_closed_forms_are_refused():
+    with pytest.raises(ValueError, match="alpha must be nonzero"):
+        ClassificationParams(0, 1, 1)
+    # equal case: alpha**2 == 2 * beta1**2 * (1 + beta1) * k**2
+    with pytest.raises(UsageError, match="degenerate denominator"):
+        closed_form_equal_params(2, 1, 1)
+    # opposite case: alpha + 2*beta1*k == 0, then alpha + 4*beta1*k == 0
+    for alpha in (-2, -4):
+        with pytest.raises(UsageError, match="degenerate denominator"):
+            closed_form_opposite_params(alpha, 1, 1)
+
+
 def test_solve_rejects_symbolic_and_small_windows():
     with pytest.raises(UsageError):
         solve_c_window(ClassificationParams(symbol("alpha"), 1, 1), 3)

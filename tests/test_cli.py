@@ -74,6 +74,8 @@ def test_usage_errors_exit_two(capsys):
                  "--left", "-1,2", "--right", "0,0"]) == 2
     assert main(["bracket", "--family", "vir", "--alpha", "1",
                  "--left", "nope", "--right", "0,0"]) == 2
+    assert main(["bracket", "--family", "vir", "--alpha", "1",
+                 "--left=1,x", "--right", "0,0"]) == 2
     assert main(["nonsense"]) == 2
 
 

@@ -88,6 +88,15 @@ def test_coefficient_of_extraction():
     assert p.coefficient_of("i", 1) == beta
     x = symbol("x")
     assert (x + 1).coefficient_of("x", 5).is_zero()
+    with pytest.raises(UsageError, match="degree must be non-negative"):
+        x.coefficient_of("x", -1)
+
+
+def test_poly_refuses_non_rational_coefficients_and_negative_powers():
+    with pytest.raises(UsageError, match="polynomial coefficient"):
+        MultiPoly.const("x")
+    with pytest.raises(UsageError, match="non-negative integers"):
+        symbol("x") ** -1
 
 
 def test_poly_eval():
@@ -172,6 +181,7 @@ def test_proportionality():
     x = symbol("x")
     assert proportionality(3 * (x + 1), x + 1) == 3
     assert proportionality(x * x, x + 1) is None
+    assert proportionality(x + 1, x + 2) is None  # shared monomials, no common ratio
     assert proportionality(MultiPoly(), x) is None
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zzlie import verify
-from zzlie.algebras import AlgebraSpec, BasisElement, Element, window_indices
+from zzlie.algebras import AlgebraSpec, BasisElement, DomainError, Element, window_indices
 from zzlie.linsolve import propagate_scalars
 from zzlie.poly import MultiPoly, symbol
 from zzlie.verify import (
@@ -364,6 +364,24 @@ def test_quotient_bracket_terms_drop_low_degrees():
             assert q.basis_bracket(a, b) == Element.from_terms(kept)
             dropped += len(full) - len(kept)
     assert dropped > 0
+
+
+def test_quotient_contract():
+    q = QuotientC(1)
+    # an input index at j <= -2, on either side, is outside the domain
+    with pytest.raises(DomainError, match=r"\(2, -5\) not in domain"):
+        q.basis_bracket((2, -5), (1, 4))
+    with pytest.raises(DomainError, match=r"\(0, -3\) not in domain"):
+        q.raw_terms((0, -3), (1, 2))
+    with pytest.raises(DomainError, match=r"\(0, -3\) not in domain"):
+        q.bracket_terms((1, 2), (0, -3))
+    # the Fraction and Element views are AlgebraSpec's, read from raw_terms and den
+    assert QuotientC.bracket_terms is AlgebraSpec.bracket_terms
+    assert QuotientC.basis_bracket is AlgebraSpec.basis_bracket
+    alg = QuotientC(Fraction(2, 3))
+    report = check_grading(alg, 3)
+    assert report.ok
+    assert report.checked_count == len(window_indices(alg, 3)) ** 2
 
 
 def test_identity_isomorphism():

@@ -293,6 +293,15 @@ def test_subquotient_rejects_other_families():
         ModuleSpec("a_ab", Fraction(1, 2), Fraction(1, 3), removed=0)
 
 
+def test_unknown_family_and_unsupported_vector_are_refused():
+    with pytest.raises(ValueError, match="unknown module family 'nope'"):
+        ModuleSpec("nope", 1)
+    m = irreducible_subquotient(ModuleSpec("a_ab", 1, 0))
+    assert not m.supports(-1)
+    with pytest.raises(ValueError, match="v_-1 is outside the module support"):
+        act(m, 1, ModVector.basis(-1))
+
+
 def test_subquotients_satisfy_module_axiom():
     for beta in (0, 1):
         sub = irreducible_subquotient(ModuleSpec("a_ab", 0, beta))
@@ -343,8 +352,3 @@ def test_intertwiner_round_trip():
             if abs(i + k) > 5:
                 continue
             assert m1.coeff(i, k) * w[i + k] == m2.coeff(i, k) * w[k]
-
-
-def test_modvector_serialization():
-    v = ModVector({2: Fraction(-1, 3), -1: Fraction(5)})
-    assert v.to_json() == {"-1": "5/1", "2": "-1/3"}
