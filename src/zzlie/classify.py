@@ -55,7 +55,9 @@ class ClassificationParams:
 
     ``integer_scaled`` of (alpha, beta1, betam1) is computed once and kept
     outside the dataclass fields (``_den``, ``_nums``), so equality,
-    hashing and ``repr`` see only the parameters.
+    hashing and ``repr`` see only the parameters.  ``_numeric``, set there
+    too, is true iff all three numerators are ints (no parameter is a
+    MultiPoly); every numericness test reads it.
     """
 
     alpha: Fraction | MultiPoly
@@ -70,12 +72,7 @@ class ClassificationParams:
         den, nums = integer_scaled([self.alpha, self.beta1, self.betam1])
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", tuple(nums))
-
-    def is_numeric(self):
-        return all(
-            isinstance(getattr(self, n), Fraction)
-            for n in ("alpha", "beta1", "betam1")
-        )
+        object.__setattr__(self, "_numeric", all(type(n) is int for n in nums))
 
 
 def _guard_literal(p, i, j, k):
@@ -86,7 +83,7 @@ def _guard_literal(p, i, j, k):
     factor pair being nonzero; symbolic parameters make it vacuous.  Both
     tests run on the int numerators over the common denominator D.
     """
-    if not p.is_numeric():
+    if not p._numeric:
         return True
     d, (a, b1, bm1) = p._den, p._nums
     left = bm1 not in (0, d) or (d * i - a) * (d * (i + k) - a) != 0
@@ -152,14 +149,14 @@ def solve_c_window(p, window):
     maximal consistent subsystem met in sweep order (the closed forms the
     system pins down before the contradiction surfaces).
     """
-    if not p.is_numeric():
+    if not p._numeric:
         raise UsageError("window solving needs numeric parameters")
     if window < 2:
         raise UsageError("window must be >= 2")
     rng = range(-window, window + 1)
     unknowns = [(i, j) for i in rng for j in rng]
     system = LinearSystem()
-    system.add_equation({(0, 0): Fraction(1)}, 2 * p.alpha, ("norm",))
+    system.add_equation({(0, 0): p._den}, 2 * p._nums[0], ("norm",))
     skipped = 0
     # Instances are added in derivation tiers: the origin and matched-index
     # instances that pin the even axis/diagonal closed forms come first,

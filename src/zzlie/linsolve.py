@@ -6,8 +6,8 @@ positive lead, divided by the gcd of its entries.  Elimination and
 back-substitution share one step, ``_cancel``, which cross-multiplies (or
 divides exactly, when a lead divides the factor); the gcd is divided out of
 every row installed or updated, so no ``Fraction`` is built per row or per
-step.  Rational input rows are scaled to ints once, on entry, with
-``poly.integer_scaled``; solved values are ``Fraction(const, lead)``.
+step.  Rows come in as ints (callers set their equations up over a common
+denominator); solved values come out as ``Fraction(const, lead)``.
 Every row added to the system carries an opaque tag, and the system
 remembers the rows that raised its rank.  Elimination tracks no provenance:
 at the first contradiction one transposed solve over those rows finds the
@@ -28,18 +28,9 @@ from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 
-from .poly import accumulate, integer_scaled
+from .poly import accumulate
 
 __all__ = ["LinearSystem"]
-
-
-def _integer_row(coeffs, const):
-    """The row ``coeffs`` = ``const`` times the LCM of its denominators, as ints."""
-    values = [*coeffs.values(), const]
-    if all(type(c) is int for c in values):
-        return dict(coeffs), const
-    _, scaled = integer_scaled(values)
-    return dict(zip(coeffs, scaled)), scaled[-1]
 
 
 def _primitive(row, const, lead):
@@ -73,8 +64,9 @@ class LinearSystem:
 
     ``pivots`` maps each pivot unknown x to (row, const, lead): ints with
     lead*x + sum(row[v]*v) = const, lead > 0 and the gcd of all entries 1,
-    where no row mentions another pivot unknown.  Rows may be given with int
-    or ``Fraction`` coefficients; they are scaled to int rows once.
+    where no row mentions another pivot unknown.  Rows must have int
+    coefficients and an int constant: scale a rational row over its common
+    denominator first.
 
     The rows that raised the rank are linearly independent, so a
     contradicting row is a unique combination of them plus a nonzero
@@ -126,7 +118,7 @@ class LinearSystem:
                 columns[var][t] = c
         dual = LinearSystem()
         for var, column in columns.items():
-            dual._eliminate(*_integer_row(column, coeffs.get(var, 0)))
+            dual._eliminate(column, coeffs.get(var, 0))
         y = dual.solved_values()
         return accumulate(
             {tag: Fraction(1)}, ((self._installed[t][1], -y_t) for t, y_t in y.items())
@@ -135,11 +127,13 @@ class LinearSystem:
     def add_equation(self, coeffs, const, tag):
         """Add sum(coeffs[v]*v) = const; returns False on contradiction.
 
-        A contradictory row is not installed; the first one is remembered
-        (certificate) and the rest of the system stays usable.
+        ``coeffs`` maps unknowns to ints and ``const`` is an int; the
+        caller's map is not changed.  A contradictory row is not installed;
+        the first one is remembered (certificate) and the rest of the system
+        stays usable.
         """
         clean = {v: c for v, c in coeffs.items() if c}
-        residue = self._eliminate(*_integer_row(clean, const))
+        residue = self._eliminate(dict(clean), const)
         if residue is None:
             self._installed.append((clean, tag))
             return True

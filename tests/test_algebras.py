@@ -656,8 +656,9 @@ def test_sparse_vector_semantics(make):
         assert type(result) is type(x)
     assert (x + y).terms == make({(0, 0): Fraction(7, 3), (2, 0): -1}).terms
     assert x.scale(0).is_zero() and not x.scale(0)
-    assert (x - x).is_zero() and (x - x).terms == {}
+    assert (x - x).is_zero() and (x - x).terms == {} and repr(x - x) == "0"
     assert x == make({(0, 0): 2}) and x != y
+    assert (x == "x") is False
 
 
 def test_sparse_vector_coefficients_and_types():

@@ -16,7 +16,7 @@ from zzlie.classify import (
     recurrence_equation,
     solve_c_window,
 )
-from zzlie.poly import UsageError, proportionality, symbol
+from zzlie.poly import MultiPoly, UsageError, proportionality, symbol
 
 
 def test_recurrence_origin_instance_is_trivial():
@@ -66,6 +66,11 @@ def test_recurrence_guard_marks_skips():
 def test_recurrence_guard_vacuous_for_off_case_params():
     p = ClassificationParams(1, 2, 3)  # params outside {0, 1}: no skips
     assert not recurrence_equation(p, 1, 0, 0)["skipped"]
+    # beta1 = 0 and j + alpha = 0 skip (0, -1, 0), but only when all three
+    # parameters are numeric: a symbolic betam1 makes the guard vacuous
+    assert recurrence_equation(ClassificationParams(1, 0, 5), 0, -1, 0)["skipped"]
+    symbolic = ClassificationParams(1, 0, symbol("betam1"))
+    assert recurrence_equation(symbolic, 0, -1, 0)["skipped"] is False
 
 
 def test_zero_alpha_and_degenerate_closed_forms_are_refused():
@@ -83,6 +88,11 @@ def test_zero_alpha_and_degenerate_closed_forms_are_refused():
 def test_solve_rejects_symbolic_and_small_windows():
     with pytest.raises(UsageError):
         solve_c_window(ClassificationParams(symbol("alpha"), 1, 1), 3)
+    # a numeric alpha is not enough: every parameter must be numeric
+    with pytest.raises(UsageError):
+        solve_c_window(ClassificationParams(1, symbol("beta1"), 1), 3)
+    with pytest.raises(UsageError):
+        solve_c_window(ClassificationParams(1, 1, symbol("betam1")), 3)
     with pytest.raises(UsageError):
         solve_c_window(ClassificationParams(1, 1, 1), 1)
 
@@ -96,6 +106,23 @@ def test_linear_closed_form_case():
     assert len(s.values) == 81
     for (i, j), v in s.values.items():
         assert v == cf(i, j)
+
+
+def test_uniform_closed_form_is_a_polynomial_identity():
+    # beta1 = beta - 1, betam1 = -1 - beta: c = 2 alpha + (beta-1) i + (beta+1) j
+    # solves every instance of the recurrence, identically in all five symbols
+    alpha, beta, i, j, k = (symbol(n) for n in ("alpha", "beta", "i", "j", "k"))
+
+    def residual(beta1, betam1):
+        eq = recurrence_equation(ClassificationParams(alpha, beta1, betam1), i, j, k)
+        assert not eq["skipped"]
+        total = MultiPoly()
+        for (a, b), coeff in eq["coeffs"].items():
+            total = total + coeff * (2 * alpha + (beta - 1) * a + (beta + 1) * b)
+        return total
+
+    assert residual(beta - 1, -1 - beta) == MultiPoly()
+    assert residual(-1 - beta, beta - 1) != MultiPoly()
 
 
 def test_equal_params_closed_form_values():

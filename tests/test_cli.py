@@ -77,6 +77,14 @@ def test_usage_errors_exit_two(capsys):
     assert main(["bracket", "--family", "vir", "--alpha", "1",
                  "--left=1,x", "--right", "0,0"]) == 2
     assert main(["nonsense"]) == 2
+    capsys.readouterr()
+    for flags, message in [
+        (["--family", "a_ab", "--alpha", "1"], "a_ab needs beta"),
+        (["--family", "a_paren", "--alpha", "1", "--beta", "1"],
+         "family 'a_paren' takes no beta"),
+    ]:
+        assert main(["module", "check", *flags, "--window", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_negative_table_window_exits_two(capsys):

@@ -12,7 +12,7 @@ from zzlie.classify import (
     solve_c_window,
 )
 from zzlie.linsolve import LinearSystem
-from zzlie.poly import accumulate
+from zzlie.poly import accumulate, integer_scaled
 
 
 def tagged_elimination(rows):
@@ -111,11 +111,20 @@ def test_rows_after_a_contradiction_still_install():
 
 small_rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
 
+
+def integer_row(coeffs, const):
+    """The row coeffs = const times the LCM of its denominators, as ints."""
+    _, scaled = integer_scaled([*coeffs.values(), const])
+    return dict(zip(coeffs, scaled)), scaled[-1]
+
+
+# LinearSystem takes int rows, so each drawn rational row is scaled to ints;
+# the same int rows go to LinearSystem and to the Fraction reference.
 rows_strategy = st.lists(
     st.tuples(
         st.dictionaries(st.integers(0, 3), small_rationals, min_size=1, max_size=3),
         small_rationals,
-    ),
+    ).map(lambda row: integer_row(*row)),
     max_size=8,
 )
 

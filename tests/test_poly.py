@@ -61,6 +61,7 @@ def test_rational_ring_laws(a, b, c):
 def test_poly_additive_inverse():
     x = symbol("x")
     assert (x + (-x)).is_zero()
+    assert 1 - x == -(x - 1)
 
 
 def test_poly_constructor_prunes_zeros():

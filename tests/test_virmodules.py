@@ -296,6 +296,10 @@ def test_subquotient_rejects_other_families():
 def test_unknown_family_and_unsupported_vector_are_refused():
     with pytest.raises(ValueError, match="unknown module family 'nope'"):
         ModuleSpec("nope", 1)
+    with pytest.raises(ValueError, match="a_ab needs beta"):
+        ModuleSpec("a_ab", 1)
+    with pytest.raises(ValueError, match="family 'a_paren' takes no beta"):
+        ModuleSpec("a_paren", 1, 1)
     m = irreducible_subquotient(ModuleSpec("a_ab", 1, 0))
     assert not m.supports(-1)
     with pytest.raises(ValueError, match="v_-1 is outside the module support"):
