@@ -157,6 +157,12 @@ class AlgebraSpec:
     ``literal_c_index`` switches the ``c``/``cbar`` bracket to the
     grading-breaking target index variant kept for diagnostics.
 
+    On ``bplus-``/``bplus+`` (beta = s) ``a2p`` is redundant: a bracket
+    lands at C2's degree (-2 alpha, 2s) only from two indices with j = s,
+    where alpha*j + beta*i = s*(alpha + i), so a2 and a2p enter only
+    through a2 + s*a2p.  Both are accepted, and the brackets depend only on
+    that sum.
+
     The domain data (half-plane side, punctured points, central degrees),
     the common denominator ``den``, the int weights of ``_closed_form`` and
     the scaled central parameters are computed once at construction and

@@ -39,9 +39,20 @@ window index w in order, with one row per window index and one per
 bracketed target outside the window, and the outer bracket of window
 positions (p, q) holds the row of each in-domain L term with its
 numerator.  The triple sweep runs over window positions and reads every
-bracket by list index (only a triple's sum is a map, keyed by basis key).
-The triple fails iff its sum is nonzero, and the witness, reported at its
-index triple, carries the true coefficient sum / den².
+bracket by list index.  The triple fails iff its sum, a map keyed by basis
+key, is nonzero, and the witness, reported at its index triple, carries the
+true coefficient sum / den².
+
+When every row entry is empty or one term at the one key of its degree
+x + w (the central generator of that degree, else the L index x + w), the
+three cyclic terms of a triple sit at one key, so one number decides it.
+With c_pq the numerator of [x_p, x_q] and v_pq[r] that of [x_p + x_q, x_r],
+the triple passes iff c_pq·v_pq[r] + c_qr·v_qr[p] + c_rp·v_rp[q] is zero:
+an int sum, or a polynomial one for a symbolic centre.  The sweep tests
+that number first and sums by key only a triple whose number is nonzero,
+so the keyed sum stays the only code that builds a witness.  A misgraded
+algebra (``literal_c_index``, or a misgraded duck-typed one) is summed by
+key throughout.
 """
 
 from __future__ import annotations
@@ -131,10 +142,11 @@ def check_antisymmetry(alg, window):
 def check_jacobi(alg, window):
     """Sweep unordered basis triples; witness each nonzero cyclic sum.
 
-    Runs the one-denominator kernel of the module docstring.  With symbolic
-    central parameters a triple passes only if its sum is the zero
-    polynomial, which certifies the cocycle identity for every parameter
-    value at once.
+    Runs the one-denominator kernel of the module docstring, with its
+    scalar zero test in front of the keyed sum when the grading allows it.
+    With symbolic central parameters a triple passes only if its sum is the
+    zero polynomial, which certifies the cocycle identity for every
+    parameter value at once.
     """
     idxs = window_indices(alg, window)
     raw = alg.raw_terms
@@ -150,7 +162,7 @@ def check_jacobi(alg, window):
              for a in idxs]
     den2 = alg.den ** 2
 
-    def defect(p, q, r):
+    def keyed(p, q, r):
         acc = {}
         get = acc.get
         for terms, w in ((outer[p][q], r), (outer[q][r], p), (outer[r][p], q)):
@@ -167,10 +179,52 @@ def check_jacobi(alg, window):
             return ()
         return (Element.from_terms((key, unscaled(s, den2)) for key, s in acc.items()),)
 
+    view = _scalar_view(alg, idxs, rows, targets)
+
+    def scalar(p, q, r):
+        (c, u), (d, v), (e, x) = view[p][q], view[q][r], view[r][p]
+        return keyed(p, q, r) if c * u[r] + d * v[p] + e * x[q] else ()
+
     cases = combinations_with_replacement(range(len(idxs)), 3)
-    report = ViolationReport.sweep("jacobi", cases, defect)
+    report = ViolationReport.sweep("jacobi", cases, keyed if view is None else scalar)
     report.witnesses = [(tuple(idxs[p] for p in case), w) for case, w in report.witnesses]
     return report
+
+
+def _scalar_view(alg, idxs, rows, targets):
+    """The one-number view of the Jacobi rows, or None when it cannot decide a triple.
+
+    ``view[p][q]`` is (numerator of [idxs[p], idxs[q]], scalar row of the
+    index sum t) when t is a bracketed target, else (0, zeros); the scalar
+    row of t lists the numerator of each entry of row t by window
+    position, 0 for an empty entry.  The view is None unless every entry
+    [x, w] of every row is empty or one term at the one key of its degree
+    x + w: the central generator of that degree, else the L index x + w.
+    Then every outer bracket has at most one in-domain L term, at the index
+    sum, so a triple's three cyclic terms sit at one key and the triple
+    passes iff their numerator sum is zero.
+    """
+    central = {deg: key for key, deg in alg.central_degrees().items()}
+    values = {}
+    for x, row in rows.items():
+        line = values[x] = []
+        for w, terms in zip(idxs, row):
+            if not terms:
+                line.append(0)
+                continue
+            deg = (x[0] + w[0], x[1] + w[1])
+            if len(terms) > 1 or terms[0][0] != central.get(deg, deg):
+                return None
+            line.append(terms[0][1])
+    zeros = (0, [0] * len(idxs))
+    view = []
+    for a in idxs:
+        line = []
+        for b, c in zip(idxs, values[a]):
+            t = (a[0] + b[0], a[1] + b[1])
+            line.append((c, values[t]) if t in targets else zeros)
+        view.append(line)
+    return view
 
 
 def check_grading(alg, window):

@@ -131,6 +131,28 @@ def test_block_second_center():
     assert result.terms.get(BasisElement("C2")) == Fraction(1 * 1 + 1 * 1)
 
 
+def test_half_plane_a2p_duplicates_a2():
+    # On bplus± (beta = s) both indices of a bracket landing at C2's degree
+    # (-2 alpha, 2s) have j = s, so alpha*j + beta*i = s*(alpha + i) and a2,
+    # a2p enter only through a2 + s*a2p.
+    for family, s in (("bplus-", -1), ("bplus+", 1)):
+        for alpha in (1, 2, Fraction(1, 2), 3):
+            a = AlgebraSpec(family, alpha, a1=1, a2=1, a2p=0)
+            b = AlgebraSpec(family, alpha, a1=1, a2=0, a2p=s)
+            other = AlgebraSpec(family, alpha, a1=1, a2=0, a2p=1)
+            idxs = window_indices(a, 4)
+            at_c2 = 0
+            for x in idxs:
+                for y in idxs:
+                    terms = a.bracket_terms(x, y)
+                    assert b.bracket_terms(x, y) == terms
+                    has_c2 = any(key == "C2" for key, _ in terms)
+                    at_c2 += has_c2
+                    # on bplus- (s = -1), a2p = 1 is -a2 wherever C2 appears
+                    assert (other.bracket_terms(x, y) != terms) == (has_c2 and s == -1)
+            assert at_c2 > 0
+
+
 def test_block_coefficient_expansion_matches_determinant_form():
     i, j, k, ell = (symbol(n) for n in ("i", "j", "k", "ell"))
     alpha, beta = symbol("alpha"), symbol("beta")

@@ -28,6 +28,8 @@ from zzlie.verify import (
 )
 from zzlie.virmodules import ModuleSpec, find_intertwiner, irreducible_subquotient
 
+from test_algebras import _specs
+
 
 class CorruptedPair:
     """Wraps an algebra, negating the bracket of one ordered index pair."""
@@ -48,6 +50,36 @@ class CorruptedPair:
         if (a, b) == self.pair:
             return tuple((key, -n) for key, n in terms)
         return terms
+
+
+class MovedKey(CorruptedPair):
+    """Wraps an algebra, moving each L key of one ordered pair's bracket one step in j.
+
+    The numerators stay, so the move shows only to a sweep that checks
+    where each term sits: a misgraded algebra.
+    """
+
+    def raw_terms(self, a, b):
+        terms = self.inner.raw_terms(a, b)
+        if (a, b) == self.pair:
+            return tuple((key if isinstance(key, str) else (key[0], key[1] + 1), n)
+                         for key, n in terms)
+        return terms
+
+    bracket_terms = AlgebraSpec.bracket_terms
+    basis_bracket = AlgebraSpec.basis_bracket
+
+
+class ExtraKey(MovedKey):
+    """Wraps an algebra, adding to one ordered pair's bracket a moved copy of each L term.
+
+    The bracket keeps its graded first term, so only a sweep that reads
+    every term of a bracket sees the second.
+    """
+
+    def raw_terms(self, a, b):
+        terms = self.inner.raw_terms(a, b)
+        return terms + tuple(t for t in super().raw_terms(a, b) if t not in terms)
 
 
 class HalfPlaneCut:
@@ -147,6 +179,15 @@ def _reference_jacobi(alg, bracket, window):
     return count, witnesses
 
 
+def _clean_and_corrupted(spec, pair):
+    """(algebra, Element bracket) for ``spec`` and for ``CorruptedPair(spec, pair)``."""
+    def corrupted(a, b):
+        result = spec.basis_bracket(a, b)
+        return -result if (a, b) == pair else result
+
+    return [(spec, spec.basis_bracket), (CorruptedPair(spec, pair), corrupted)]
+
+
 def test_jacobi_matches_fraction_reference():
     sym = {name: symbol(name) for name in ("a1", "a2", "a2p")}
     # Each spec with the pair its CorruptedPair negates.  The block pairs
@@ -156,7 +197,10 @@ def test_jacobi_matches_fraction_reference():
     # The half-plane families drop the outer brackets that leave their
     # half-plane; QuotientC, duck-typed, drops its terms at j <= -2; and
     # HalfPlaneCut returns terms outside its domain, which must not be
-    # bracketed again.
+    # bracketed again; MovedKey misgrades one pair's bracket, and ExtraKey
+    # gives it a second, misgraded term, so their triples' cyclic terms need
+    # not share a key and a one-number test cannot decide them.
+    moved = ((1, 0), (1, 1))
     cases = [
         (AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)), ((1, 0), (1, 1))),
         (
@@ -173,15 +217,13 @@ def test_jacobi_matches_fraction_reference():
         ),
         (QuotientC(Fraction(2, 3)), ((1, 0), (1, 1))),
         (HalfPlaneCut(AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2))), ((1, 0), (1, 1))),
+        (MovedKey(AlgebraSpec("vir", 1), moved), moved),
+        (MovedKey(AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)), moved), moved),
+        (ExtraKey(AlgebraSpec("vir", 1), moved), moved),
     ]
     denominators, kinds = set(), set()
     for spec, pair in cases:
-        def corrupted(a, b, spec=spec, pair=pair):
-            result = spec.basis_bracket(a, b)
-            return -result if (a, b) == pair else result
-
-        bad = CorruptedPair(spec, pair)
-        for alg, bracket in ((spec, spec.basis_bracket), (bad, corrupted)):
+        for alg, bracket in _clean_and_corrupted(spec, pair):
             report = check_jacobi(alg, 2)
             count, witnesses = _reference_jacobi(alg, bracket, 2)
             assert report.checked_count == count, spec
@@ -195,6 +237,20 @@ def test_jacobi_matches_fraction_reference():
     assert kinds == {"L", "C1", "C2"}
     # a kernel that divides its integer sums by D instead of D^2 fails above
     assert max(denominators) > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_specs(), st.data())
+def test_jacobi_kernel_matches_reference_property(spec, data):
+    # every family, numeric and symbolic centres and the literal c index:
+    # the scalar zero test and the keyed sum report what Element sums report
+    idxs = window_indices(spec, 1)
+    pair = data.draw(st.tuples(st.sampled_from(idxs), st.sampled_from(idxs)))
+    for alg, bracket in _clean_and_corrupted(spec, pair):
+        report = check_jacobi(alg, 1)
+        count, witnesses = _reference_jacobi(alg, bracket, 1)
+        assert report.checked_count == count
+        assert repr(report.witnesses) == repr(witnesses)
 
 
 def test_symbolic_jacobi_families():
