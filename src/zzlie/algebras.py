@@ -228,13 +228,7 @@ class AlgebraSpec:
         # the L weights are scaled by m, and a central numerator is
         # (a_num*j + b_num*i) or (a_num + den*i) times a parameter times m.
         # An absent parameter is 0, which gives the same (dropped) terms.
-        params = [p or 0 for p in (self.a1, self.a2, self.a2p)]
-        m = math.lcm(*(
-            Fraction(c).denominator
-            for p in params
-            for c in (p.terms.values() if isinstance(p, MultiPoly) else (p,))
-        ))
-        scaled = [p * m if isinstance(p, MultiPoly) else int(p * m) for p in params]
+        m, scaled = integer_scaled([p or 0 for p in (self.a1, self.a2, self.a2p)])
         object.__setattr__(self, "_centre", ((a_num, b_num, den), scaled))
         if self.family in _CENTRAL_FAMILIES:
             weights = (den * m, a_num * m, b_num * m)
@@ -392,9 +386,9 @@ def table_to_json(spec, window):
     ``cell`` is the JSON text of ``terms_json`` of the bracket, the records
     the ``bracket`` command prints, exactly as
     ``json.JSONEncoder(sort_keys=True)`` writes them.  It is filled into a
-    fixed template from the raw numerators: a coefficient n/den is written
-    "{n//g}/{den//g}" with g = gcd(n, den).  Only a bracket with a
-    polynomial coefficient goes through ``json``.
+    fixed template from the raw numerators: an int coefficient n/den is
+    written "{n//g}/{den//g}" with g = gcd(n, den), and a polynomial one
+    as the encoded records of n/den.
     """
     idxs = window_indices(spec, window)
     raw, den = spec.raw_terms, spec.den
@@ -404,17 +398,15 @@ def table_to_json(spec, window):
         for b in idxs:
             parts = []
             for key, n in raw(a, b):
-                if n.__class__ is not int:
-                    cell = encode(terms_json(spec.bracket_terms(a, b)))
-                    break
-                g = math.gcd(n, den)
-                coeff = f'"{n // g}/{den // g}"'
+                if n.__class__ is int:
+                    g = math.gcd(n, den)
+                    coeff = f'"{n // g}/{den // g}"'
+                else:
+                    coeff = encode(unscaled(n, den).to_records())
                 if key.__class__ is str:
                     parts.append(f'{{"basis": {{"kind": "{key}"}}, "coeff": {coeff}}}')
                 else:
                     parts.append(f'{{"basis": {{"i": {key[0]}, "j": {key[1]}, "kind": "L"}}, '
                                  f'"coeff": {coeff}}}')
-            else:
-                cell = "[" + ", ".join(parts) + "]"
-            rows.append((a, b, cell))
+            rows.append((a, b, "[" + ", ".join(parts) + "]"))
     return rows

@@ -95,10 +95,11 @@ def recurrence_equation(p, i, j, k):
     """One instance of the recurrence as unknown -> coefficient, plus guard.
 
     The relation is returned moved to one side (= 0) and multiplied by D,
-    the common denominator of alpha, beta1 and betam1; as it is homogeneous
-    the scaling changes no solution.  With numeric parameters the
-    coefficients are ints.  A violated side condition sets ``skipped``
-    instead of raising.
+    the common denominator of alpha, beta1 and betam1 (a symbolic
+    parameter's coefficients included); as it is homogeneous the scaling
+    changes no solution.  Every coefficient is an int, or a polynomial with
+    integral coefficients when a parameter is symbolic.  A violated side
+    condition sets ``skipped`` instead of raising.
     """
     d, (a, b1, bm1) = p._den, p._nums
     coeffs = accumulate({}, [

@@ -76,12 +76,14 @@ def accumulate(acc, terms, factor=None):
 
 
 def integer_scaled(coeffs):
-    """``(D, [c·D for c in coeffs])`` with D the LCM of the rational denominators.
+    """``(D, [c·D for c in coeffs])`` with D the LCM of every denominator.
 
-    Fractions and ints become ints; a MultiPoly is multiplied by D and stays
-    a polynomial.  No coefficients give D = 1.
+    D clears the denominators of the Fractions and of each MultiPoly's
+    coefficients: Fractions and ints become ints, and a MultiPoly becomes a
+    polynomial with integral coefficients.  No coefficients give D = 1.
     """
-    d = lcm(*{c.denominator for c in coeffs if not isinstance(c, MultiPoly)})
+    d = lcm(*{q.denominator for c in coeffs
+              for q in (c.terms.values() if isinstance(c, MultiPoly) else (c,))})
     return d, [c * d if isinstance(c, MultiPoly) else c.numerator * (d // c.denominator)
                for c in coeffs]
 

@@ -36,23 +36,22 @@ polynomial) numerators over the algebra's ``den``, so a triple's cyclic
 sum is a sum of numerator products over den².  The brackets are stored as
 rows by window position: the row of x lists the terms of [x, w] for each
 window index w in order, with one row per window index and one per
-bracketed target outside the window, and the outer bracket of window
-positions (p, q) holds the row of each in-domain L term with its
-numerator.  The triple sweep runs over window positions and reads every
-bracket by list index.  The triple fails iff its sum, a map keyed by basis
-key, is nonzero, and the witness, reported at its index triple, carries the
-true coefficient sum / den².
+in-domain L term of a window bracket outside the window.  A term of a
+window bracket is bracketed again iff its key has a row.  The triple sweep
+runs over window positions and reads every bracket by list index.  The
+triple fails iff its sum, a map keyed by basis key, is nonzero, and the
+witness, reported at its index triple, carries the true coefficient
+sum / den².
 
 When every row entry is empty or one term at the one key of its degree
 x + w (the central generator of that degree, else the L index x + w), the
 three cyclic terms of a triple sit at one key, so one number decides it.
 With c_pq the numerator of [x_p, x_q] and v_pq[r] that of [x_p + x_q, x_r],
 the triple passes iff c_pq·v_pq[r] + c_qr·v_qr[p] + c_rp·v_rp[q] is zero:
-an int sum, or a polynomial one for a symbolic centre.  The sweep tests
-that number first and sums by key only a triple whose number is nonzero,
-so the keyed sum stays the only code that builds a witness.  A misgraded
-algebra (``literal_c_index``, or a misgraded duck-typed one) is summed by
-key throughout.
+an int sum, or a polynomial one for a symbolic centre.  The keyed sum
+runs only for a triple whose number is nonzero, and for every triple of a
+misgraded algebra (``literal_c_index``, or a misgraded duck-typed one); it
+is the only code that builds a witness.
 """
 
 from __future__ import annotations
@@ -154,32 +153,22 @@ def check_jacobi(alg, window):
     # window index, then one per bracketed target outside the window.
     rows = {a: [raw(a, w) for w in idxs] for a in idxs}
     # Only the in-domain L terms of a window bracket are bracketed again.
-    targets = {key for row in rows.values() for terms in row for key, _ in terms}
-    targets = {t for t in targets if not isinstance(t, str) and alg.in_domain(*t)}
-    rows.update((t, [raw(t, w) for w in idxs]) for t in targets - rows.keys())
-    # outer[p][q]: (row t, numerator) for each in-domain L term t of [idxs[p], idxs[q]]
-    outer = [[tuple((rows[t], c) for t, c in terms if t in targets) for terms in rows[a]]
-             for a in idxs]
+    outside = {key for row in rows.values() for terms in row for key, _ in terms} - rows.keys()
+    rows.update((t, [raw(t, w) for w in idxs])
+                for t in outside if not isinstance(t, str) and alg.in_domain(*t))
     den2 = alg.den ** 2
 
     def keyed(p, q, r):
         acc = {}
-        get = acc.get
-        for terms, w in ((outer[p][q], r), (outer[q][r], p), (outer[r][p], q)):
-            for row, coeff in terms:
-                # poly.accumulate's prune rule, inlined: a call per term
-                # would cost more than its one or two products
-                for key, c in row[w]:
-                    s = get(key, 0) + coeff * c
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
+        for x, y, w in ((p, q, r), (q, r, p), (r, p, q)):
+            for t, coeff in rows[idxs[x]][y]:
+                if t in rows:
+                    accumulate(acc, rows[t][w], coeff)
         if not acc:
             return ()
         return (Element.from_terms((key, unscaled(s, den2)) for key, s in acc.items()),)
 
-    view = _scalar_view(alg, idxs, rows, targets)
+    view = _scalar_view(alg, idxs, rows)
 
     def scalar(p, q, r):
         (c, u), (d, v), (e, x) = view[p][q], view[q][r], view[r][p]
@@ -191,18 +180,18 @@ def check_jacobi(alg, window):
     return report
 
 
-def _scalar_view(alg, idxs, rows, targets):
+def _scalar_view(alg, idxs, rows):
     """The one-number view of the Jacobi rows, or None when it cannot decide a triple.
 
     ``view[p][q]`` is (numerator of [idxs[p], idxs[q]], scalar row of the
-    index sum t) when t is a bracketed target, else (0, zeros); the scalar
-    row of t lists the numerator of each entry of row t by window
-    position, 0 for an empty entry.  The view is None unless every entry
-    [x, w] of every row is empty or one term at the one key of its degree
-    x + w: the central generator of that degree, else the L index x + w.
-    Then every outer bracket has at most one in-domain L term, at the index
-    sum, so a triple's three cyclic terms sit at one key and the triple
-    passes iff their numerator sum is zero.
+    index sum t) when t has a row, else (0, zeros); the scalar row of t
+    lists the numerator of each entry of row t by window position, 0 for an
+    empty entry.  The view is None unless every entry [x, w] of every row
+    is empty or one term at the one key of its degree x + w: the central
+    generator of that degree, else the L index x + w.  Then every window
+    bracket has at most one L term with a row, at the index sum, so a
+    triple's three cyclic terms sit at one key and the triple passes iff
+    their numerator sum is zero.
     """
     central = {deg: key for key, deg in alg.central_degrees().items()}
     values = {}
@@ -222,7 +211,7 @@ def _scalar_view(alg, idxs, rows, targets):
         line = []
         for b, c in zip(idxs, values[a]):
             t = (a[0] + b[0], a[1] + b[1])
-            line.append((c, values[t]) if t in targets else zeros)
+            line.append((c, values[t]) if t in rows else zeros)
         view.append(line)
     return view
 

@@ -35,6 +35,16 @@ def test_recurrence_symbolic_zero_coefficients_are_pruned():
     assert eq["coeffs"][(2, 0)] == -1 + 2 * symbol("betam1")
 
 
+def test_recurrence_rows_are_integral_for_fractional_symbolic_parameters():
+    # D clears the denominators of a polynomial parameter's coefficients too
+    p = ClassificationParams(1, symbol("beta1") * Fraction(1, 2), 0)
+    coeffs = recurrence_equation(p, 1, 0, 1)["coeffs"]
+    assert coeffs == {(1, 1): 2 + symbol("beta1")}
+    for c in coeffs.values():
+        assert type(c) is int or (
+            isinstance(c, MultiPoly) and all(q.denominator == 1 for q in c.terms.values()))
+
+
 def test_recurrence_axis_instance():
     p = ClassificationParams(1, 2, 3)
     eq = recurrence_equation(p, 0, 0, 4)

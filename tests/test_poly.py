@@ -198,12 +198,14 @@ def test_serialization_records_sorted():
 def test_integer_scaled_mixed_coefficients():
     a = symbol("a")
     d, scaled = integer_scaled([Fraction(1, 6), 3, Fraction(-5, 4), a * Fraction(1, 3), 0])
-    # D is taken over the rational coefficients only; the polynomial is multiplied by it
+    # D is taken over every denominator, a polynomial's coefficients included,
+    # and the polynomial is multiplied by it
     assert d == 12
     assert scaled == [2, 36, -15, a * 4, 0]
     assert [type(n) for n in scaled] == [int, int, int, MultiPoly, int]
     assert integer_scaled([]) == (1, [])
     assert integer_scaled([a]) == (1, [a])
+    assert integer_scaled([Fraction(1, 2), a * Fraction(1, 3)]) == (6, [3, 2 * a])
 
 
 @given(st.lists(rationals | st.integers(-10**6, 10**6), max_size=12))
