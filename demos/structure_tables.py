@@ -27,11 +27,10 @@ def main():
     show(AlgebraSpec("vir", Fraction(1, 2)))
     show(AlgebraSpec("d", 1, 3))
 
-    # the determinant-form family drops brackets landing on its two
-    # punctured points and replaces them by central generators
+    # the determinant-form family has no basis vector at its two punctures:
+    # a bracket landing on one gives that puncture's central generator
     block = AlgebraSpec("block", 1, 2, a1=1, a2=1, a2p=1)
-    print("block excluded points:", sorted(block.excluded_points()))
-    print("block central degrees:", block.central_degrees())
+    print("block punctures (central degrees):", block.central_degrees())
     show(block, window=2, limit=8)
 
     # the c family has an abelian ideal in degrees j <= -2

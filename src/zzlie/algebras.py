@@ -53,12 +53,6 @@ class DomainError(ValueError):
     """An index outside the algebra's basis index set was used."""
 
 
-def _as_int(value):
-    """The exact integer value of a Fraction, or None if not integral."""
-    f = Fraction(value)
-    return int(f) if f.denominator == 1 else None
-
-
 def factorial_ratio(i, j):
     """i!/j! for 0 <= j <= i, and 0 otherwise."""
     if 0 <= j <= i:
@@ -93,11 +87,6 @@ class BasisElement:
         if self.kind == "L":
             return f"L({self.i},{self.j})"
         return "c1" if self.kind == "C1" else "c2"
-
-
-def _single(key, coeff):
-    """One raw bracket term, or none when the coefficient vanishes."""
-    return ((key, coeff),) if coeff else ()
 
 
 def terms_json(terms):
@@ -163,11 +152,16 @@ class AlgebraSpec:
     through a2 + s*a2p.  Both are accepted, and the brackets depend only on
     that sum.
 
-    The domain data (half-plane side, punctured points, central degrees),
-    the common denominator ``den``, the int weights of ``_closed_form`` and
-    the scaled central parameters are computed once at construction and
-    kept outside the dataclass fields, so equality, hashing, ``repr`` and
-    ``replace`` see only the parameters.
+    The block families' punctures (-alpha, beta) and (-2 alpha, 2 beta),
+    where integral, are the central degrees, kept in one map from degree to
+    "C1"/"C2" that ``in_domain`` and ``central_degrees`` read.  A block
+    bracket is an L term at the index sum, the central term when that sum
+    is a puncture, or nothing.  The half-planes are closed under it: a sum
+    leaves one only from two indices at j = s, where the closed form is 0.
+    That map, the half-plane side, ``den``, the int weights of
+    ``_closed_form`` and the scaled central parameters are computed once at
+    construction and kept outside the dataclass fields, so equality,
+    hashing, ``repr`` and ``replace`` see only the parameters.
     """
 
     family: str
@@ -208,20 +202,15 @@ class AlgebraSpec:
                 object.__setattr__(self, name, Fraction(val))
         if self.literal_c_index and self.family not in ("c", "cbar"):
             raise ValueError("literal_c_index only applies to families ('c', 'cbar')")
-        # The punctures (-alpha, beta) and (-2 alpha, 2 beta), where integral,
-        # are the degrees of the central generators C1 and C2.  C2's degree
-        # is twice C1's, so it is integral whenever C1's is.
-        central = {}
+        # C2's degree is twice C1's, so C2 is present whenever C1 is.
+        punctures = {}
         if self.family in _CENTRAL_FAMILIES:
-            c1 = (_as_int(-self.alpha), _as_int(self.beta))
-            c2 = (_as_int(-2 * self.alpha), _as_int(2 * self.beta))
-            if None not in c2:
-                central["C2"] = c2
-                if None not in c1:
-                    central["C1"] = c1
+            for kind, m in (("C2", 2), ("C1", 1)):
+                pi, pj = -m * self.alpha, m * self.beta
+                if pi.denominator == pj.denominator == 1:
+                    punctures[int(pi), int(pj)] = kind
         object.__setattr__(self, "_side", side)
-        object.__setattr__(self, "_excluded", frozenset(central.values()))
-        object.__setattr__(self, "_central", central)
+        object.__setattr__(self, "_punctures", punctures)
         den, (a_num, b_num) = integer_scaled([self.alpha, self.beta or 0])
         # m clears the central parameters' denominators (a polynomial's
         # coefficients included), and the spec's one denominator is den * m:
@@ -241,18 +230,14 @@ class AlgebraSpec:
 
     # -- domain ------------------------------------------------------------
 
-    def excluded_points(self):
-        """The punctured lattice points, where integral."""
-        return self._excluded
-
     def in_domain(self, i, j):
-        return self._side * j <= 1 and (i, j) not in self._excluded
+        return self._side * j <= 1 and (i, j) not in self._punctures
 
     # -- central generators -------------------------------------------------
 
     def central_degrees(self):
         """Degrees of the present central generators, keyed "C1"/"C2"."""
-        return dict(self._central)
+        return {kind: deg for deg, kind in self._punctures.items()}
 
     # -- brackets ------------------------------------------------------------
 
@@ -308,18 +293,18 @@ class AlgebraSpec:
             raise DomainError(f"{(i, j)} not in domain of {self.family}")
         if not self.in_domain(k, ell):
             raise DomainError(f"{(k, ell)} not in domain of {self.family}")
-        terms = []
-        n = _closed_form(self._weights, i, j, k, ell)
-        ti, tj = i + k, j + ell
-        if n and self.in_domain(ti, tj):
-            terms.append(((ti, tj), n))
-        central = self._central
-        (a_num, b_num, den), (a1, a2, a2p) = self._centre
-        if (ti, tj) == central.get("C1"):
-            terms += _single("C1", (a_num * j + b_num * i) * a1)
-        if (ti, tj) == central.get("C2"):
-            terms += _single("C2", a2 * (a_num * j + b_num * i) + a2p * (a_num + den * i))
-        return tuple(terms)
+        t = (i + k, j + ell)
+        kind = self._punctures.get(t)
+        if kind is None:  # no in_domain test: the half-plane is closed
+            n = _closed_form(self._weights, i, j, k, ell)
+        else:
+            (a_num, b_num, den), (a1, a2, a2p) = self._centre
+            if kind == "C1":
+                n = (a_num * j + b_num * i) * a1
+            else:
+                n = a2 * (a_num * j + b_num * i) + a2p * (a_num + den * i)
+            t = kind
+        return ((t, n),) if n else ()
 
 
 def _closed_form(w, i, j, k, ell):

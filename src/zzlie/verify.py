@@ -278,7 +278,8 @@ class QuotientC:
     """The c-family algebra modulo its abelian ideal in degrees j <= -2.
 
     Its domain is j >= -1: ``raw_terms`` refuses an input below it with
-    ``DomainError`` and drops the upstairs bracket's terms landing below it.
+    ``DomainError``.  Only two indices at j = -1 bracket out of it, to zero
+    in the quotient; every other bracket is the upstairs one unchanged.
     """
 
     def __init__(self, alpha):
@@ -292,11 +293,11 @@ class QuotientC:
         return {}
 
     def raw_terms(self, a, b):
-        # j >= -1 inline: an in_domain call per term slows the isomorphism search
         if a[1] < -1 or b[1] < -1:
             raise DomainError(f"{a if a[1] < -1 else b} not in domain of the quotient of c")
-        # the c family has no central generators: every key is an index pair
-        return tuple([term for term in self.upstairs.raw_terms(a, b) if term[0][1] >= -1])
+        if a[1] == b[1] == -1:
+            return ()
+        return self.upstairs.raw_terms(a, b)
 
     bracket_terms = AlgebraSpec.bracket_terms
     basis_bracket = AlgebraSpec.basis_bracket
@@ -307,12 +308,14 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
 
     ``index_map`` must be an additive bijection on the window (grading
     compatible); A-side basis indices whose image is not a B basis index may
-    land on a B central generator of matching degree.  Returns the witness
-    map (A index -> scalar) or None.  Two cases raise ``ValueError``: an
-    A-side central term, and a B-side bracket with a symbolic (polynomial)
-    numerator, which a symbolic B central parameter gives.  Pairs are taken
-    in window order and an outcome ends the search: for one pair the A-side
-    check comes first, then the B-side one, then a missing image (None).
+    land on a B central generator of matching degree, and must then bracket
+    to zero with every window index.  Returns the witness map (A index ->
+    scalar) or None.  Two cases raise ``ValueError``: an A-side central
+    term, and a B-side bracket with a symbolic (polynomial) numerator, which
+    a symbolic B central parameter gives.  Pairs are taken in window order
+    and an outcome ends the search: for one pair the A-side check comes
+    first, then the B-side one, then a missing image (None); central images
+    are checked last.
 
     The scalars are found by ``propagate_scalars`` from the unit seeds
     (1, 0) and (0, 1) (the residual gauge freedom of a diagonal rescaling),
@@ -326,12 +329,14 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     idx_set = set(idxs)
     den_a, den_b = alg_a.den, alg_b.den
     central = {deg: kind for kind, deg in alg_b.central_degrees().items()}
-    mapped = [(a, m) for a, m in zip(idxs, map(index_map, idxs)) if alg_b.in_domain(*m)]
 
     @cache
     def image(t):
         m = index_map(t)
         return m if alg_b.in_domain(*m) else central.get(m)
+
+    images = [(a, image(a)) for a in idxs]
+    mapped = [(a, m) for a, m in images if m is not None and not isinstance(m, str)]
 
     # Equations c_a * lam_t == c_b * lam_a * lam_b, one per basis target.
     equations = []
@@ -350,4 +355,6 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
                 equations.append((t, na * den_b, (a, b), nb * den_a))
         if eb:
             return None  # a B term without an A preimage forces a zero scalar
+    if any(alg_a.raw_terms(a, w) for a, m in images if isinstance(m, str) for w in idxs):
+        return None  # an index with a central image must bracket to zero
     return propagate_scalars(idxs, equations, [s for s in ((1, 0), (0, 1)) if s in idx_set])

@@ -9,7 +9,8 @@ Three families with basis {v_k | k in Z}, all weight multiplicities one:
 The action always lands at index i+k, so each family is given by one
 piecewise coefficient function.  A reducible ``a_ab`` module is represented
 by its subquotient: the same spec with one index ``removed`` from the
-support.  Intertwiners are found with ``propagate_scalars``.
+support.  Intertwiners are diagonal, so they need the same support on both
+sides, and are found with ``propagate_scalars``.
 
 The module-axiom sweep builds no vectors.  Both sides of
 [L_i, L_j] v_k = (j-i) L_{i+j} v_k sit at the one index i+j+k, so each case
@@ -181,6 +182,8 @@ def check_module_axiom(m, window):
 def find_intertwiner(m1, m2, window):
     """Nonzero scalars c_k with c-rescaled m1-action equal to the m2-action.
 
+    Such a map sends each v_k to a nonzero multiple of v_k, so the two
+    modules must support the same indices in the window, else None.
     The intertwining condition per (i, k) with all indices in the window is
     coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k.  It is set up in ints, both
     sides times den1 * den2: n1 * den2 and n2 * den1 for the numerators
@@ -192,6 +195,8 @@ def find_intertwiner(m1, m2, window):
     """
     rng = window_range(window)
     support = [k for k in rng if m1.supports(k)]
+    if support != [k for k in rng if m2.supports(k)]:
+        return None  # a diagonal map sends each v_k to a nonzero multiple of v_k
     sup = set(support)
     raw1, raw2 = m1.raw_coeff, m2.raw_coeff
     den1, den2 = m1.den, m2.den

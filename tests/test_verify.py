@@ -487,6 +487,29 @@ def test_quotient_isomorphism_to_half_plane_block():
     assert list(image.terms) == [BasisElement("C1")]
 
 
+def test_isomorphism_refuses_a_central_image_that_brackets():
+    # L(-2, 2) of d(1, 1) lands on C2 of block(1, 1), which is central, but
+    # it brackets to nonzero in d(1, 1)
+    d = AlgebraSpec("d", 1, 1)
+    assert d.bracket_terms((-2, 2), (1, 0)) == (((-1, 2), Fraction(-1)),)
+    block = AlgebraSpec("block", 1, 1, a1=1, a2=0, a2p=0)
+    assert find_diagonal_isomorphism(d, block, lambda t: t, 3) is None
+
+
+def test_isomorphism_maps_each_window_index_once():
+    calls = Counter()
+
+    def index_map(t):
+        calls[t] += 1
+        return t
+
+    q = QuotientC(1)
+    assert find_diagonal_isomorphism(
+        q, AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0), index_map, 3) is not None
+    assert set(window_indices(q, 3)) <= calls.keys()
+    assert set(calls.values()) == {1}
+
+
 def test_quotient_isomorphism_witness_is_pinned():
     lam = find_diagonal_isomorphism(
         QuotientC(1), AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0), lambda t: t, 4

@@ -333,6 +333,15 @@ def test_intertwiner_found_for_subquotients():
     assert 0 not in w
 
 
+def test_intertwiner_needs_matching_supports():
+    # the submodule of A(0, 1) misses v_0: a diagonal map would have to send
+    # v_0 of A(0, 0) or A(0, 1) to zero
+    sub = irreducible_subquotient(ModuleSpec("a_ab", 0, 1))
+    for whole in (ModuleSpec("a_ab", 0, 0), ModuleSpec("a_ab", 0, 1)):
+        assert find_intertwiner(sub, whole, 3) is None
+        assert find_intertwiner(whole, sub, 3) is None
+
+
 def test_intertwiner_on_a_window_without_support_is_empty():
     # the subquotient removes index 0, the only index of window 0
     m = irreducible_subquotient(ModuleSpec("a_ab", 0, 0))
