@@ -49,12 +49,6 @@ def main():
                       a1=symbol("a1"), a2=symbol("a2"), a2p=symbol("a2p"))
     sweep(sym, window=2)
 
-    # the grading-breaking target index variant is caught immediately
-    literal = AlgebraSpec("c", 1, literal_c_index=True)
-    report = check_grading(literal, 2)
-    print(f"\nliteral index variant: {len(report.witnesses)} grading witnesses "
-          f"(first at {report.witnesses[0][0]})")
-
 
 if __name__ == "__main__":
     main()

@@ -18,9 +18,10 @@ parameters) coefficients.  Every closed-form structure constant is the one
 rule ``_closed_form`` with per-family weights, which a spec scales to ints
 over one denominator ``den`` once.  ``den`` also clears the denominators of
 the central parameters, so ``raw_terms`` gives every bracket as int (or
-int-coefficient polynomial) numerators over ``den``; ``bracket_terms``
-divides each nonzero numerator by ``den``, one Fraction per term, and the
-windowed checks and the table export read the numerators directly.
+int-coefficient polynomial) numerators over ``den``, the one form in which
+an algebra gives its structure constants.  A numerator is divided by
+``den`` only where a value is shown: in an ``Element`` (``Element.from_raw``)
+or a JSON record (``terms_json``, ``table_to_json``).
 """
 
 from __future__ import annotations
@@ -89,21 +90,22 @@ class BasisElement:
         return "c1" if self.kind == "C1" else "c2"
 
 
-def terms_json(terms):
-    """Raw ``(key, coeff)`` bracket terms as ``{"basis", "coeff"}`` records.
+def terms_json(terms, den):
+    """Raw ``(key, numerator)`` bracket terms over ``den`` as ``{"basis", "coeff"}`` records.
 
     A basis is ``{"kind": "L", "i", "j"}`` or ``{"kind": "C1"/"C2"}``; a
-    coefficient is "p/q", or a MultiPoly's records.  The terms keep their
-    order, which for ``bracket_terms`` is L, then C1, then C2.
+    coefficient is numerator / den as "p/q", or a MultiPoly's records.  The
+    terms keep their order, which for ``raw_terms`` is L, then C1, then C2.
     """
     return [
         {
             "basis": (
                 {"kind": key} if isinstance(key, str) else {"kind": "L", "i": key[0], "j": key[1]}
             ),
-            "coeff": c.to_records() if isinstance(c, MultiPoly) else format_rational(c),
+            "coeff": (unscaled(n, den).to_records() if isinstance(n, MultiPoly)
+                      else format_rational(Fraction(n, den))),
         }
-        for key, c in terms
+        for key, n in terms
     ]
 
 
@@ -124,9 +126,9 @@ class Element(SparseVector):
     __slots__ = ()
 
     @classmethod
-    def from_terms(cls, terms):
-        """The element of raw ``(key, coeff)`` terms (distinct keys, nonzero coeffs)."""
-        return cls._from_pruned({BasisElement.of(key): c for key, c in terms})
+    def from_raw(cls, terms, d):
+        """The element of raw ``(key, numerator)`` terms over ``d`` (distinct keys, nonzero)."""
+        return cls._from_pruned({BasisElement.of(key): unscaled(n, d) for key, n in terms})
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -143,8 +145,10 @@ class Element(SparseVector):
 class AlgebraSpec:
     """A family tag plus parameters; determines all structure constants.
 
-    ``literal_c_index`` switches the ``c``/``cbar`` bracket to the
-    grading-breaking target index variant kept for diagnostics.
+    A spec gives its brackets as ``raw_terms`` over ``den``, the contract
+    the windowed checks of ``verify`` read, with ``in_domain`` and
+    ``central_degrees``; ``basis_bracket`` reads only ``raw_terms`` and
+    ``den``, so a duck-typed algebra (``verify.QuotientC``) can borrow it.
 
     On ``bplus-``/``bplus+`` (beta = s) ``a2p`` is redundant: a bracket
     lands at C2's degree (-2 alpha, 2s) only from two indices with j = s,
@@ -170,7 +174,6 @@ class AlgebraSpec:
     a1: Fraction | MultiPoly | None = None
     a2: Fraction | MultiPoly | None = None
     a2p: Fraction | MultiPoly | None = None
-    literal_c_index: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -200,8 +203,6 @@ class AlgebraSpec:
                 raise ValueError(f"{name} only applies to families {_CENTRAL_FAMILIES}")
             if not isinstance(val, MultiPoly):
                 object.__setattr__(self, name, Fraction(val))
-        if self.literal_c_index and self.family not in ("c", "cbar"):
-            raise ValueError("literal_c_index only applies to families ('c', 'cbar')")
         # C2's degree is twice C1's, so C2 is present whenever C1 is.
         punctures = {}
         if self.family in _CENTRAL_FAMILIES:
@@ -254,38 +255,17 @@ class AlgebraSpec:
         family = self.family
         if family in ("vir", "d"):
             n = _closed_form(self._weights, i, j, k, ell)
-            return (((i + k, j + ell), n),) if n else ()
-        if family in _CENTRAL_FAMILIES:
+        elif family in _CENTRAL_FAMILIES:
             return self._block_raw(i, j, k, ell)
-        # c / cbar
-        if family == "cbar":
-            j, ell = -j, -ell
-        n = _c_numerator(self._weights, i, j, k, ell)
-        if not n:
-            return ()
-        if self.literal_c_index:
-            ti, tj = i + ell, k + j
-        else:
-            ti, tj = i + k, j + ell
-        if family == "cbar":
-            tj = -tj
-        return (((ti, tj), n),)
-
-    def bracket_terms(self, a, b):
-        """[L_a, L_b] as raw ``(key, coeff)`` terms: ``raw_terms`` divided by ``den``.
-
-        Keys and their order are those of ``raw_terms``; a coefficient is a
-        Fraction, or a MultiPoly for a symbolic central parameter.  An index
-        outside the domain raises ``DomainError``, as ``raw_terms`` does.
-        This and ``basis_bracket`` read only ``raw_terms`` and ``den``, so
-        ``verify.QuotientC`` takes both as they are.
-        """
-        den = self.den
-        return tuple([(key, unscaled(n, den)) for key, n in self.raw_terms(a, b)])
+        elif family == "c":
+            n = _c_numerator(self._weights, i, j, k, ell)
+        else:  # cbar is c under j -> -j; the two flips cancel in the target
+            n = _c_numerator(self._weights, i, -j, k, -ell)
+        return (((i + k, j + ell), n),) if n else ()
 
     def basis_bracket(self, a, b):
-        """[L_a, L_b] as an Element: ``bracket_terms`` as a sparse vector."""
-        return Element.from_terms(self.bracket_terms(a, b))
+        """[L_a, L_b] as an Element: ``raw_terms`` divided by ``den``."""
+        return Element.from_raw(self.raw_terms(a, b), self.den)
 
     def _block_raw(self, i, j, k, ell):
         # Only the block families have punctures or a half-plane.

@@ -160,8 +160,8 @@ def _module_spec(family, alpha, beta, subquotient):
 
 def _cmd_bracket(args):
     spec = _algebra_spec(args)
-    terms = spec.bracket_terms(_index(args.left), _index(args.right))
-    _emit({"terms": algebras.terms_json(terms)}, args)
+    terms = spec.raw_terms(_index(args.left), _index(args.right))
+    _emit({"terms": algebras.terms_json(terms, spec.den)}, args)
     return 0
 
 

@@ -201,6 +201,8 @@ class MultiPoly(SparseVector):
         return NotImplemented
 
     def __hash__(self):
+        if self.terms.keys() <= {()}:  # a constant, zero included, hashes as its number
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------

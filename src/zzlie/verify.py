@@ -25,9 +25,8 @@ symbolic central parameters), which raises ``DomainError`` for an input
 index outside the domain; ``den``, the one positive int every numerator is
 over; and ``central_degrees()``, mapping each present central generator to
 its degree.  ``AlgebraSpec`` and ``QuotientC`` provide them, and
-``QuotientC`` takes ``AlgebraSpec.bracket_terms`` (the same terms with
-coefficients numerator / den) and ``AlgebraSpec.basis_bracket``, which read
-only ``raw_terms`` and ``den``.  ``raw_terms`` may return L terms outside
+``QuotientC`` borrows ``AlgebraSpec.basis_bracket``, which reads only
+``raw_terms`` and ``den``.  ``raw_terms`` may return L terms outside
 the domain: the Jacobi kernel owns the in-domain filter of outer targets
 and brackets again only the in-domain ones.
 
@@ -50,8 +49,8 @@ With c_pq the numerator of [x_p, x_q] and v_pq[r] that of [x_p + x_q, x_r],
 the triple passes iff c_pq·v_pq[r] + c_qr·v_qr[p] + c_rp·v_rp[q] is zero:
 an int sum, or a polynomial one for a symbolic centre.  The keyed sum
 runs only for a triple whose number is nonzero, and for every triple of a
-misgraded algebra (``literal_c_index``, or a misgraded duck-typed one); it
-is the only code that builds a witness.
+misgraded algebra (every ``AlgebraSpec`` is graded, so only a duck-typed
+one); it is the only code that builds a witness.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from itertools import combinations_with_replacement, product
 
 from .algebras import AlgebraSpec, BasisElement, DomainError, Element, _closed_form, window_indices
 from .linsolve import propagate_scalars
-from .poly import accumulate, symbol, unscaled
+from .poly import accumulate, symbol
 
 __all__ = [
     "ViolationReport",
@@ -133,7 +132,7 @@ def check_antisymmetry(alg, window):
         bad = accumulate(dict(bb(a, b)), bb(b, a))
         if not bad:
             return ()
-        return (Element.from_terms((key, unscaled(n, den)) for key, n in bad.items()),)
+        return (Element.from_raw(bad.items(), den),)
 
     return ViolationReport.sweep("antisymmetry", product(idxs, repeat=2), defect)
 
@@ -166,7 +165,7 @@ def check_jacobi(alg, window):
                     accumulate(acc, rows[t][w], coeff)
         if not acc:
             return ()
-        return (Element.from_terms((key, unscaled(s, den2)) for key, s in acc.items()),)
+        return (Element.from_raw(acc.items(), den2),)
 
     view = _scalar_view(alg, idxs, rows)
 
@@ -299,7 +298,6 @@ class QuotientC:
             return ()
         return self.upstairs.raw_terms(a, b)
 
-    bracket_terms = AlgebraSpec.bracket_terms
     basis_bracket = AlgebraSpec.basis_bracket
 
 

@@ -19,10 +19,12 @@ is the scalar identity s = 0 with
     s = a(j,k) a(i,j+k) - a(i,k) a(j,i+k) - (j-i) a(i+j,k),
 
 where a(i,k) is the coefficient of L_i v_k, taken as 0 when v_{i+k} is
-outside the support (``act`` drops that term).  A spec gives every
-coefficient as an int numerator ``raw_coeff(i, k)`` over one denominator
-``den``, the LCM of the denominators of alpha and beta.  The numerators are
-read once, so s is summed in ints (the last term scaled by D = ``den`` once
+outside the support (``act`` drops that term).  A module is read through
+one contract: ``supports(k)``, and every coefficient as an int numerator
+``raw_coeff(i, k)`` over one denominator ``den`` (for a spec, the LCM of
+the denominators of alpha and beta).  ``act`` divides a numerator by
+``den`` only to build a ``ModVector``.  The sweep reads the numerators
+once, so s is summed in ints (the last term scaled by D = ``den`` once
 more) and a failing case's witness is s / D^2 v_{i+j+k}, which equals
 lhs - rhs.  ``find_intertwiner`` sets up its equations from the numerators
 too, so no ``Fraction`` is built per coefficient.
@@ -105,10 +107,6 @@ class ModuleSpec:
             return -i * (i * den + a_num)
         return k * den
 
-    def coeff(self, i, k):
-        """The scalar with L_i v_k = coeff * v_{i+k}: ``raw_coeff`` over ``den``."""
-        return Fraction(self.raw_coeff(i, k), self.den)
-
 
 class ModVector(SparseVector):
     """A finite linear combination of the v_k with Fraction coefficients."""
@@ -129,13 +127,13 @@ class ModVector(SparseVector):
 
 
 def act(m, i, x):
-    """Linear extension of the basis action of L_i."""
+    """Linear extension of the basis action of L_i: ``raw_coeff`` over ``den``."""
     image = []
     for k, c in x.terms.items():
         if not m.supports(k):
             raise ValueError(f"v_{k} is outside the module support")
         if m.supports(i + k):
-            image.append((i + k, c * m.coeff(i, k)))
+            image.append((i + k, c * Fraction(m.raw_coeff(i, k), m.den)))
     return ModVector._from_pruned(accumulate({}, image))
 
 

@@ -33,6 +33,8 @@ from zzlie.virmodules import (
     irreducible_subquotient,
 )
 
+from test_verify import PrintedIndexC
+
 
 @contextmanager
 def criterion(number, label):
@@ -72,7 +74,7 @@ def test_criterion_2_windowed_sweeps():
 
 def test_criterion_3_literal_index_regression():
     with criterion(3, "literal vs corrected target index"):
-        assert not check_grading(AlgebraSpec("c", 1, literal_c_index=True), 2).ok
+        assert not check_grading(PrintedIndexC(AlgebraSpec("c", 1)), 2).ok
         assert check_grading(AlgebraSpec("c", 1), 2).ok
 
 

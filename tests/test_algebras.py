@@ -99,12 +99,14 @@ def test_parameter_validation():
         AlgebraSpec("d", 1)
     with pytest.raises(ValueError, match="family 'vir' takes no beta"):
         AlgebraSpec("vir", 1, 2)
-    for family, beta in (("vir", None), ("d", 1), ("block", 2), ("bplus+", None)):
-        with pytest.raises(ValueError, match="literal_c_index"):
-            AlgebraSpec(family, 1, beta, literal_c_index=True)
 
 
 # -- brackets -----------------------------------------------------------------
+
+
+def fraction_terms(alg, a, b):
+    """[L_a, L_b] as ``(key, coeff)`` terms: ``raw_terms`` divided by ``den``."""
+    return tuple((key, unscaled(n, alg.den)) for key, n in alg.raw_terms(a, b))
 
 
 def test_vir_bracket_vanishing_example():
@@ -144,12 +146,12 @@ def test_half_plane_a2p_duplicates_a2():
             at_c2 = 0
             for x in idxs:
                 for y in idxs:
-                    terms = a.bracket_terms(x, y)
-                    assert b.bracket_terms(x, y) == terms
+                    terms = fraction_terms(a, x, y)
+                    assert fraction_terms(b, x, y) == terms
                     has_c2 = any(key == "C2" for key, _ in terms)
                     at_c2 += has_c2
                     # on bplus- (s = -1), a2p = 1 is -a2 wherever C2 appears
-                    assert (other.bracket_terms(x, y) != terms) == (has_c2 and s == -1)
+                    assert (fraction_terms(other, x, y) != terms) == (has_c2 and s == -1)
             assert at_c2 > 0
 
 
@@ -231,13 +233,13 @@ def test_bracket_terms_match_basis_bracket():
             for b in grid:
                 if not (spec.in_domain(*a) and spec.in_domain(*b)):
                     with pytest.raises(DomainError):
-                        spec.bracket_terms(a, b)
+                        spec.raw_terms(a, b)
                     with pytest.raises(DomainError):
                         spec.basis_bracket(a, b)
                     refused.update(p for p in (a, b) if p in spec.central_degrees().values())
                     continue
-                terms = spec.bracket_terms(a, b)
-                assert isinstance(terms, tuple)
+                terms = fraction_terms(spec, a, b)
+                assert isinstance(spec.raw_terms(a, b), tuple)
                 keys = [key for key, _ in terms]
                 assert len(set(keys)) == len(keys)
                 assert all(key in ("C1", "C2") or len(key) == 2 for key in keys)
@@ -299,8 +301,7 @@ def _reference_bracket_terms(spec, a, b):
         sign = -1 if spec.family == "cbar" else 1
         jj, ll = sign * j, sign * ell
         coeff = _reference_c_coeff(alpha, i, jj, k, ll)
-        ti, tj = (i + ll, k + jj) if spec.literal_c_index else (i + k, jj + ll)
-        terms.append(((ti, sign * tj), coeff))
+        terms.append(((i + k, sign * (jj + ll)), coeff))
     return tuple((key, c) for key, c in terms if c)
 
 
@@ -308,9 +309,9 @@ def _assert_kernel_matches_reference(spec, pairs):
     for a, b in pairs:
         if not (spec.in_domain(*a) and spec.in_domain(*b)):
             with pytest.raises(DomainError):
-                spec.bracket_terms(a, b)
+                spec.raw_terms(a, b)
             continue
-        got, expected = spec.bracket_terms(a, b), _reference_bracket_terms(spec, a, b)
+        got, expected = fraction_terms(spec, a, b), _reference_bracket_terms(spec, a, b)
         assert got == expected, (spec, a, b)
         assert [type(c) for _, c in got] == [type(c) for _, c in expected]
 
@@ -331,9 +332,7 @@ def test_bracket_terms_match_fraction_reference():
         AlgebraSpec("bplus+", Fraction(-3, 2), **_NUM_CENTRE),
         AlgebraSpec("bplus+", 1, **_SYM_CENTRE),
         AlgebraSpec("c", Fraction(2, 3)),
-        AlgebraSpec("c", Fraction(-3, 4), literal_c_index=True),
         AlgebraSpec("cbar", Fraction(5, 3)),
-        AlgebraSpec("cbar", Fraction(1, 5), literal_c_index=True),
     ]
     grid = [(i, j) for i in range(-5, 6) for j in range(-5, 6)]
     for spec in specs:
@@ -359,8 +358,6 @@ def _specs(draw):
         for name in ("a1", "a2", "a2p"):
             value = draw(_centre)
             kwargs[name] = symbol(name) if value == "sym" else value
-    if family in ("c", "cbar"):
-        kwargs["literal_c_index"] = draw(st.booleans())
     return AlgebraSpec(family, alpha, **kwargs)
 
 
@@ -398,9 +395,7 @@ _RAW_SPECS = [
     AlgebraSpec("bplus+", Fraction(1, 2), a2=Fraction(2, 7), a2p=-1),
     AlgebraSpec("bplus+", 1, **_SYM_CENTRE),
     AlgebraSpec("c", Fraction(2, 3)),
-    AlgebraSpec("c", Fraction(-3, 4), literal_c_index=True),
     AlgebraSpec("cbar", Fraction(5, 3)),
-    AlgebraSpec("cbar", Fraction(1, 5), literal_c_index=True),
 ]
 
 
@@ -412,8 +407,8 @@ def _raw_reference(alg, a, b):
 
 
 def test_raw_terms_are_integral_over_den():
-    # raw/den, term for term and in key order, is both bracket_terms and the
-    # Fraction formulas of _reference_bracket_terms; every numerator is an
+    # raw/den, term for term and in key order, is the Fraction formulas of
+    # _reference_bracket_terms; every numerator is an
     # int, or an int-coefficient polynomial for a symbolic centre.
     q = QuotientC(Fraction(2, 3))
     kinds = set()
@@ -432,7 +427,7 @@ def test_raw_terms_are_integral_over_den():
                 assert all(_is_integral(n) and n for _, n in raw), (alg, a, b, raw)
                 expected = _raw_reference(alg, a, b)
                 divided = [(key, unscaled(n, den)) for key, n in raw]
-                assert divided == list(alg.bracket_terms(a, b)) == list(expected)
+                assert divided == list(expected)
                 assert [type(c) for _, c in divided] == [type(c) for _, c in expected]
                 kinds.update((key if isinstance(key, str) else "L", type(n)) for key, n in raw)
     assert kinds == {(kind, t) for kind in ("L", "C1", "C2") for t in (int, MultiPoly)} - {
@@ -456,8 +451,8 @@ def test_table_cells_match_json_encoding():
         rows = table_to_json(spec, 3)
         assert [(a, b) for a, b, _ in rows] == [(a, b) for a in idxs for b in idxs]
         for a, b, cell in rows:
-            terms = spec.bracket_terms(a, b)
-            assert cell == encode(terms_json(terms)), (spec, a, b)
+            terms = spec.raw_terms(a, b)
+            assert cell == encode(terms_json(terms, spec.den)), (spec, a, b)
             seen.update(
                 "poly" if isinstance(c, MultiPoly) else key if isinstance(key, str) else "L"
                 for key, c in terms
@@ -556,11 +551,11 @@ def test_equal_parameters_give_equal_specs():
         assert repr(twin) == (
             f"AlgebraSpec(family={spec.family!r}, alpha={spec.alpha!r}, "
             f"beta={spec.beta!r}, a1={spec.a1!r}, a2={spec.a2!r}, "
-            f"a2p={spec.a2p!r}, literal_c_index=False)"
+            f"a2p={spec.a2p!r})"
         )
     assert repr(AlgebraSpec("block", 1, 2, a1=1)) == (
         "AlgebraSpec(family='block', alpha=Fraction(1, 1), beta=Fraction(2, 1), "
-        "a1=Fraction(1, 1), a2=None, a2p=None, literal_c_index=False)"
+        "a1=Fraction(1, 1), a2=None, a2p=None)"
     )
     assert AlgebraSpec("block", 1, 2) != AlgebraSpec("block", 1, 2, a1=1)
 
@@ -640,20 +635,21 @@ def test_factorial_ratio():
 
 def test_element_json_schema():
     spec = AlgebraSpec("block", 1, 2, a1=1)
-    assert terms_json(spec.bracket_terms((0, 1), (-1, 1))) == [
+    assert terms_json(spec.raw_terms((0, 1), (-1, 1)), spec.den) == [
         {"basis": {"kind": "C1"}, "coeff": "1/1"}
     ]
-    assert terms_json([((1, -2), Fraction(3, 4))]) == [
+    # numerators over den, written in lowest terms
+    assert terms_json([((1, -2), 6)], 8) == [
         {"basis": {"kind": "L", "i": 1, "j": -2}, "coeff": "3/4"}
     ]
-    # raw-term order (L, C1, C2) is kept; a polynomial coefficient gives records
+    # raw-term order (L, C1, C2) is kept; a polynomial numerator gives records
     a2 = symbol("a2")
-    assert terms_json([((0, 0), Fraction(1)), ("C1", Fraction(-2)), ("C2", a2)]) == [
+    assert terms_json([((0, 0), 2), ("C1", -4), ("C2", 2 * a2)], 2) == [
         {"basis": {"kind": "L", "i": 0, "j": 0}, "coeff": "1/1"},
         {"basis": {"kind": "C1"}, "coeff": "-2/1"},
         {"basis": {"kind": "C2"}, "coeff": [{"coeff": "1/1", "exponents": {"a2": 1}}]},
     ]
-    assert terms_json(()) == []
+    assert terms_json((), 3) == []
 
 
 def _monomial(i, j):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from zzlie.algebras import AlgebraSpec
 from zzlie.poly import (
     MultiPoly,
     UsageError,
@@ -70,6 +71,23 @@ def test_poly_constructor_prunes_zeros():
     assert zero == 0 and zero == MultiPoly()
     x = symbol("x")
     assert MultiPoly({(("x", 1),): Fraction(1), (): 0}) == x
+
+
+def test_equal_constants_hash_alike():
+    # a constant polynomial equals the number it holds, so it must hash as it
+    x = symbol("x")
+    for poly, number in (
+        (MultiPoly.const(2), 2),
+        (MultiPoly.const(Fraction(-3, 4)), Fraction(-3, 4)),
+        (x - x, 0),
+        (MultiPoly(), Fraction(0)),
+    ):
+        assert poly == number and hash(poly) == hash(number)
+        assert len({poly, number}) == 1
+    # so do the specs that hold them
+    by_poly = AlgebraSpec("block", 1, 2, a1=MultiPoly.const(1))
+    by_number = AlgebraSpec("block", 1, 2, a1=1)
+    assert by_poly == by_number and len({by_poly, by_number}) == 1
 
 
 def test_poly_product_expansion():

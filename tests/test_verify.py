@@ -28,7 +28,8 @@ from zzlie.verify import (
 )
 from zzlie.virmodules import ModuleSpec, find_intertwiner, irreducible_subquotient
 
-from test_algebras import _specs
+from test_algebras import _specs, fraction_terms
+from test_virmodules import _reference_coeff
 
 
 class CorruptedPair:
@@ -66,7 +67,33 @@ class MovedKey(CorruptedPair):
                          for key, n in terms)
         return terms
 
-    bracket_terms = AlgebraSpec.bracket_terms
+    basis_bracket = AlgebraSpec.basis_bracket
+
+
+class PrintedIndexC:
+    """Wraps a c or cbar spec, keying each bracket at the target the paper prints.
+
+    The paper prints the c target of [L(i,j), L(k,ell)] as (i + ell, k + j),
+    which breaks the grading; under cbar's j -> -j it is (i - ell, j - k).
+    The numerators stay, so the misprint shows to the grading sweep and
+    to the sums that meet terms at one key: antisymmetry and Jacobi.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.den = inner.den
+        self.s = -1 if inner.family == "cbar" else 1
+
+    def in_domain(self, i, j):
+        return self.inner.in_domain(i, j)
+
+    def central_degrees(self):
+        return {}
+
+    def raw_terms(self, a, b):
+        (i, j), (k, ell), s = a, b, self.s
+        return tuple(((i + s * ell, s * k + j), n) for _, n in self.inner.raw_terms(a, b))
+
     basis_bracket = AlgebraSpec.basis_bracket
 
 
@@ -197,9 +224,10 @@ def test_jacobi_matches_fraction_reference():
     # The half-plane families drop the outer brackets that leave their
     # half-plane; QuotientC, duck-typed, drops its terms at j <= -2; and
     # HalfPlaneCut returns terms outside its domain, which must not be
-    # bracketed again; MovedKey misgrades one pair's bracket, and ExtraKey
-    # gives it a second, misgraded term, so their triples' cyclic terms need
-    # not share a key and a one-number test cannot decide them.
+    # bracketed again; PrintedIndexC misgrades every c and cbar bracket,
+    # MovedKey misgrades one pair's bracket, and ExtraKey gives it a second,
+    # misgraded term, so their triples' cyclic terms need not share a key
+    # and a one-number test cannot decide them.
     moved = ((1, 0), (1, 1))
     cases = [
         (AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)), ((1, 0), (1, 1))),
@@ -209,7 +237,8 @@ def test_jacobi_matches_fraction_reference():
         ),
         (AlgebraSpec("block", 1, 2, **sym), ((0, 1), (-1, 1))),
         (AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2), **sym), ((0, 1), (-1, 2))),
-        (AlgebraSpec("c", Fraction(2, 3), literal_c_index=True), ((1, 0), (1, 1))),
+        (PrintedIndexC(AlgebraSpec("c", Fraction(2, 3))), ((1, 0), (1, 1))),
+        (PrintedIndexC(AlgebraSpec("cbar", Fraction(-5, 3))), ((1, 0), (1, -1))),
         (AlgebraSpec("bplus-", 2, a1=3, a2=Fraction(1, 2), a2p=-2), ((-1, 0), (-1, -1))),
         (
             AlgebraSpec("bplus+", Fraction(3, 2), a1=Fraction(2, 3), a2=5, a2p=1),
@@ -242,8 +271,10 @@ def test_jacobi_matches_fraction_reference():
 @settings(max_examples=100, deadline=None)
 @given(_specs(), st.data())
 def test_jacobi_kernel_matches_reference_property(spec, data):
-    # every family, numeric and symbolic centres and the literal c index:
+    # every family, numeric and symbolic centres and the printed c index:
     # the scalar zero test and the keyed sum report what Element sums report
+    if spec.family in ("c", "cbar") and data.draw(st.booleans()):
+        spec = PrintedIndexC(spec)
     idxs = window_indices(spec, 1)
     pair = data.draw(st.tuples(st.sampled_from(idxs), st.sampled_from(idxs)))
     for alg, bracket in _clean_and_corrupted(spec, pair):
@@ -275,9 +306,9 @@ def _rule_value(rule, a, b, alpha, beta):
 
 
 def _kernel_value(spec, a, b):
-    """The L-term coefficient of ``bracket_terms`` at the index sum."""
+    """The L-term coefficient of ``raw_terms`` over ``den`` at the index sum."""
     target = (a[0] + b[0], a[1] + b[1])
-    return dict(spec.bracket_terms(a, b)).get(target, Fraction(0))
+    return dict(fraction_terms(spec, a, b)).get(target, Fraction(0))
 
 
 _parameter = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool)
@@ -288,7 +319,7 @@ _c_generic = st.tuples(st.integers(-4, 4), st.integers(-1, 4))
 @settings(max_examples=200, deadline=None)
 @given(_parameter, _parameter, _small, _small, _c_generic, _c_generic)
 def test_symbolic_rules_are_the_kernel_rule(alpha, beta, a, b, ca, cb):
-    # The proofs evaluate the very rule that bracket_terms runs: with the
+    # The proofs evaluate the very rule that raw_terms runs: with the
     # parameters substituted, each proof's coefficient is the kernel's.
     rule_d = _proof_rule(symbolic_jacobi_D)
     cases = [
@@ -370,21 +401,22 @@ def test_grading_block_central_terms_at_their_degree():
 
 
 def test_grading_literal_index_variant_fails():
-    assert not check_grading(AlgebraSpec("c", 1, literal_c_index=True), 2).ok
-    assert check_grading(AlgebraSpec("c", 1), 2).ok
+    for family in ("c", "cbar"):
+        assert not check_grading(PrintedIndexC(AlgebraSpec(family, 1)), 2).ok
+        assert check_grading(AlgebraSpec(family, 1), 2).ok
 
 
 @pytest.mark.parametrize(
     "check, stop", [(check_antisymmetry, 41), (check_jacobi, 44), (check_grading, 42)]
 )
 def test_sweeps_stop_at_the_witness_cap(check, stop):
-    report = check(AlgebraSpec("c", 1, literal_c_index=True), 2)
+    report = check(PrintedIndexC(AlgebraSpec("c", 1)), 2)
     assert len(report.witnesses) == 20
     assert report.checked_count == stop
 
 
 def test_capped_sweep_reports_are_pinned():
-    spec = AlgebraSpec("c", 1, literal_c_index=True)
+    spec = PrintedIndexC(AlgebraSpec("c", 1))
     h = hashlib.sha256()
     for check in (check_antisymmetry, check_jacobi, check_grading):
         h.update(repr(check(spec, 2).to_json()).encode())
@@ -414,10 +446,10 @@ def test_quotient_bracket_terms_drop_low_degrees():
     dropped = 0
     for a in idxs:
         for b in idxs:
-            full = upstairs.bracket_terms(a, b)
+            full = fraction_terms(upstairs, a, b)
             kept = tuple((key, c) for key, c in full if key[1] >= -1)
-            assert q.bracket_terms(a, b) == kept
-            assert q.basis_bracket(a, b) == Element.from_terms(kept)
+            assert fraction_terms(q, a, b) == kept
+            assert q.basis_bracket(a, b) == Element({BasisElement.of(k): c for k, c in kept})
             dropped += len(full) - len(kept)
     assert dropped > 0
 
@@ -430,9 +462,8 @@ def test_quotient_contract():
     with pytest.raises(DomainError, match=r"\(0, -3\) not in domain"):
         q.raw_terms((0, -3), (1, 2))
     with pytest.raises(DomainError, match=r"\(0, -3\) not in domain"):
-        q.bracket_terms((1, 2), (0, -3))
-    # the Fraction and Element views are AlgebraSpec's, read from raw_terms and den
-    assert QuotientC.bracket_terms is AlgebraSpec.bracket_terms
+        q.raw_terms((1, 2), (0, -3))
+    # the Element view is AlgebraSpec's, read from raw_terms and den
     assert QuotientC.basis_bracket is AlgebraSpec.basis_bracket
     alg = QuotientC(Fraction(2, 3))
     report = check_grading(alg, 3)
@@ -491,7 +522,7 @@ def test_isomorphism_refuses_a_central_image_that_brackets():
     # L(-2, 2) of d(1, 1) lands on C2 of block(1, 1), which is central, but
     # it brackets to nonzero in d(1, 1)
     d = AlgebraSpec("d", 1, 1)
-    assert d.bracket_terms((-2, 2), (1, 0)) == (((-1, 2), Fraction(-1)),)
+    assert fraction_terms(d, (-2, 2), (1, 0)) == (((-1, 2), Fraction(-1)),)
     block = AlgebraSpec("block", 1, 1, a1=1, a2=0, a2p=0)
     assert find_diagonal_isomorphism(d, block, lambda t: t, 3) is None
 
@@ -574,7 +605,7 @@ def _reference_intertwiner(m1, m2, window):
         for i in rng:
             if not m1.supports(i + k) or abs(i + k) > window:
                 continue
-            c1, c2 = m1.coeff(i, k), m2.coeff(i, k)
+            c1, c2 = _reference_coeff(m1, i, k), _reference_coeff(m2, i, k)
             if c1 == 0 and c2 == 0:
                 continue
             if c1 == 0 or c2 == 0:
@@ -592,8 +623,8 @@ def _reference_isomorphism(alg_a, alg_b, index_map, window):
         ma, mb = index_map(a), index_map(b)
         if not (alg_b.in_domain(*ma) and alg_b.in_domain(*mb)):
             continue
-        eb = dict(alg_b.bracket_terms(ma, mb))
-        for t, ca in alg_a.bracket_terms(a, b):
+        eb = dict(fraction_terms(alg_b, ma, mb))
+        for t, ca in fraction_terms(alg_a, a, b):
             m = index_map(t)
             cb = eb.pop(m if alg_b.in_domain(*m) else central.get(m), None)
             if cb is None:
