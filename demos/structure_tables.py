@@ -13,7 +13,7 @@ def show(spec, window=1, limit=6):
           + (f" beta={spec.beta}" if spec.beta is not None else ""))
     shown = 0
     for row in structure_table(spec, window):
-        if row["result"].is_zero():
+        if not row["result"]:
             continue
         print(f"  [L{row['left']}, L{row['right']}] = {row['result']}")
         shown += 1

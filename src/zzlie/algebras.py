@@ -31,7 +31,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MultiPoly, SparseVector, UsageError, format_rational, integer_scaled, unscaled
+from .poly import (
+    MultiPoly, SparseVector, UsageError, exact_value, format_rational, integer_scaled, unscaled,
+)
 
 __all__ = [
     "FAMILIES",
@@ -39,7 +41,6 @@ __all__ = [
     "AlgebraSpec",
     "BasisElement",
     "Element",
-    "factorial_ratio",
     "structure_table",
 ]
 
@@ -52,13 +53,6 @@ _HALF_PLANE = {"bplus-": -1, "bplus+": 1}  # s: beta = s, and s*j <= 1 is kept
 
 class DomainError(ValueError):
     """An index outside the algebra's basis index set was used."""
-
-
-def factorial_ratio(i, j):
-    """i!/j! for 0 <= j <= i, and 0 otherwise."""
-    if 0 <= j <= i:
-        return Fraction(math.factorial(i), math.factorial(j))
-    return Fraction(0)
 
 
 @dataclass(frozen=True, order=True)
@@ -79,10 +73,6 @@ class BasisElement:
     def of(cls, key):
         """The basis element of a raw bracket-term key: ``(i, j)``, "C1" or "C2"."""
         return cls(key) if isinstance(key, str) else cls("L", *key)
-
-    @property
-    def index(self):
-        return (self.i, self.j)
 
     def __repr__(self):
         if self.kind == "L":
@@ -129,9 +119,6 @@ class Element(SparseVector):
     def from_raw(cls, terms, d):
         """The element of raw ``(key, numerator)`` terms over ``d`` (distinct keys, nonzero)."""
         return cls._from_pruned({BasisElement.of(key): unscaled(n, d) for key, n in terms})
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -201,8 +188,7 @@ class AlgebraSpec:
                 continue
             if self.family not in _CENTRAL_FAMILIES:
                 raise ValueError(f"{name} only applies to families {_CENTRAL_FAMILIES}")
-            if not isinstance(val, MultiPoly):
-                object.__setattr__(self, name, Fraction(val))
+            object.__setattr__(self, name, exact_value(val))
         # C2's degree is twice C1's, so C2 is present whenever C1 is.
         punctures = {}
         if self.family in _CENTRAL_FAMILIES:

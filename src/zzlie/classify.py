@@ -8,7 +8,8 @@ The central object is the three-term recurrence
 normalized by c_{0,0} = 2*alpha, together with the degree-4/degree-6
 constraint polynomials in (beta1, betam1) whose rational roots force the
 four-way case split, and the homogeneous d'-system whose only solution is
-zero (the impossibility step for beta1 = 1/2).
+zero (the impossibility step for beta1 = 1/2), certified by the rank of its
+window system (``check_impossibility``).
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebras import window_range
 from .linsolve import LinearSystem
 from .poly import (
     MultiPoly,
     UsageError,
     accumulate,
+    exact_value,
     format_rational,
     integer_scaled,
     proportionality,
@@ -39,19 +42,12 @@ __all__ = [
     "derive_constraint_polys",
     "enumerate_case_split",
     "check_impossibility",
-    "k_coefficient_comparison",
 ]
-
-
-def _param(value):
-    if isinstance(value, MultiPoly):
-        return value
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
 class ClassificationParams:
-    """The recurrence parameters, each a Fraction or a MultiPoly.
+    """The recurrence parameters, each a Fraction or a MultiPoly (``exact_value``).
 
     ``integer_scaled`` of (alpha, beta1, betam1) is computed once and kept
     outside the dataclass fields (``_den``, ``_nums``), so equality,
@@ -66,7 +62,7 @@ class ClassificationParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta1", "betam1"):
-            object.__setattr__(self, name, _param(getattr(self, name)))
+            object.__setattr__(self, name, exact_value(getattr(self, name)))
         if isinstance(self.alpha, Fraction) and self.alpha == 0:
             raise ValueError("alpha must be nonzero when numeric")
         den, nums = integer_scaled([self.alpha, self.beta1, self.betam1])
@@ -154,7 +150,7 @@ def solve_c_window(p, window):
         raise UsageError("window solving needs numeric parameters")
     if window < 2:
         raise UsageError("window must be >= 2")
-    rng = range(-window, window + 1)
+    rng = window_range(window)
     unknowns = [(i, j) for i in rng for j in rng]
     system = LinearSystem()
     system.add_equation({(0, 0): p._den}, 2 * p._nums[0], ("norm",))
@@ -335,19 +331,6 @@ def enumerate_case_split():
 # -- the d'-system impossibility ---------------------------------------------
 
 
-def k_coefficient_comparison():
-    """Both sides of the d'-relation as polynomials; their k-coefficients.
-
-    Returns ((lhs, lhs_k), (rhs, rhs_k)) with placeholder symbols d and d0
-    for d'_{i,j} and d'_{0,i+j}; equal k-coefficients force d = d0.
-    """
-    alpha, i, j, k = symbol("alpha"), symbol("i"), symbol("j"), symbol("k")
-    d, d0 = symbol("d"), symbol("d0")
-    lhs = d * (4 * alpha - 7 * i - 7 * j - k)
-    rhs = d0 * (4 * alpha + 9 * i - 7 * j - k)
-    return (lhs, lhs.coefficient_of("k", 1)), (rhs, rhs.coefficient_of("k", 1))
-
-
 def check_impossibility(alpha, window):
     """Certify that the homogeneous d'-system only has the zero solution.
 
@@ -360,11 +343,10 @@ def check_impossibility(alpha, window):
     (-1, s+1).  So the rank equals the number of unknowns for every alpha
     and every window >= 2, and ``only_zero`` reports that rank check.
     """
-    alpha = Fraction(alpha)
-    num, den = alpha.numerator, alpha.denominator
+    den, (num,) = integer_scaled([Fraction(alpha)])
     if window < 2:
         raise UsageError("window must be >= 2")
-    rng = range(-window, window + 1)
+    rng = window_range(window)
     # |i+j| <= window keeps the coupled unknown d'_{0,i+j} inside the set
     unknowns = [(i, j) for i in rng for j in rng if abs(i + j) <= window]
     system = LinearSystem()

@@ -5,8 +5,9 @@ Polynomials are stored as a sparse map from exponent vectors (sorted tuples
 of (name, positive exponent) pairs) to rational coefficients; zero
 coefficients are never stored, so equality of the term maps is equality of
 polynomials.  ``accumulate`` is the one sparse linear-combination step that
-every layer builds its sums with, ``integer_scaled`` the one way any layer
-scales coefficients to ints (``unscaled`` divides a numerator back), and
+every layer builds its sums with, ``exact_value`` the one coercion of a
+parameter, ``integer_scaled`` the one way any layer scales coefficients to
+ints (``unscaled`` divides a numerator back), and
 ``SparseVector`` is the one sparse-map type of polynomials, algebra
 elements and module vectors (see its contract).
 """
@@ -88,6 +89,17 @@ def integer_scaled(coeffs):
                for c in coeffs]
 
 
+def exact_value(value):
+    """A parameter as a Fraction, or as a MultiPoly only when a symbol occurs in it.
+
+    A constant MultiPoly becomes the Fraction it equals, so parameters that
+    compare equal also compute alike.
+    """
+    if isinstance(value, MultiPoly):
+        return value if value.symbols() else value.terms.get((), Fraction(0))
+    return Fraction(value)
+
+
 def unscaled(n, d):
     """The exact coefficient n / d of a scaled numerator n.
 
@@ -104,7 +116,8 @@ class SparseVector:
     ``virmodules.ModVector``.  Public constructors prune zeros; results are
     built with ``_from_pruned`` around a dict that is already pruned, so a
     constructor that converts its input runs only on what a caller passes
-    in.  Vectors of different subclasses never compare equal.
+    in.  A vector is falsy exactly when it is zero.  Vectors of different
+    subclasses never compare equal.
     """
 
     __slots__ = ("terms",)
@@ -118,9 +131,6 @@ class SparseVector:
         v.terms = terms
         return v
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -132,13 +142,6 @@ class SparseVector:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, factor):
-        # Exact coefficients have no zero divisors: a nonzero factor keeps
-        # every term nonzero.
-        if not factor:
-            return self._from_pruned({})
-        return self._from_pruned({k: c * factor for k, c in self.terms.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -182,14 +185,6 @@ class MultiPoly(SparseVector):
             for name, _ in mono:
                 names.add(name)
         return names
-
-    def degree_in(self, name):
-        deg = 0
-        for mono in self.terms:
-            for n, e in mono:
-                if n == name:
-                    deg = max(deg, e)
-        return deg
 
     # -- equality / hashing ------------------------------------------------
 
@@ -326,7 +321,7 @@ def proportionality(p, q):
     Used to check that a derived polynomial equals a reference product of
     factors up to a rational scale (exact division with rational remainder).
     """
-    if p.is_zero() or q.is_zero():
+    if not p or not q:
         return None
     mono = next(iter(q.terms))
     if mono not in p.terms:

@@ -33,7 +33,7 @@ from zzlie.virmodules import (
     irreducible_subquotient,
 )
 
-from test_verify import PrintedIndexC
+from reference import PrintedIndexC
 
 
 @contextmanager

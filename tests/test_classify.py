@@ -12,7 +12,6 @@ from zzlie.classify import (
     closed_form_uniform,
     derive_constraint_polys,
     enumerate_case_split,
-    k_coefficient_comparison,
     recurrence_equation,
     solve_c_window,
 )
@@ -33,6 +32,14 @@ def test_recurrence_symbolic_zero_coefficients_are_pruned():
     assert recurrence_equation(ClassificationParams(1, 2, 3), 1, 0, 0)["coeffs"] == {}
     eq = recurrence_equation(symbolic, 0, 0, 2)
     assert eq["coeffs"][(2, 0)] == -1 + 2 * symbol("betam1")
+
+
+def test_constant_polynomial_parameters_solve_as_numbers():
+    # a constant MultiPoly is kept as the Fraction it equals, so it solves
+    by_poly = ClassificationParams(1, MultiPoly.const(2), 3)
+    by_number = ClassificationParams(1, 2, 3)
+    assert repr(by_poly) == repr(by_number) and type(by_poly.beta1) is Fraction
+    assert solve_c_window(by_poly, 3).to_json() == solve_c_window(by_number, 3).to_json()
 
 
 def test_recurrence_rows_are_integral_for_fractional_symbolic_parameters():
@@ -247,13 +254,6 @@ def test_case_split_enumeration():
         Fraction(0),
         Fraction(1),
     ]
-
-
-def test_k_coefficient_comparison_forces_equality():
-    (lhs, lhs_k), (rhs, rhs_k) = k_coefficient_comparison()
-    assert lhs_k == -symbol("d")
-    assert rhs_k == -symbol("d0")
-    assert lhs != rhs
 
 
 def test_impossibility_system_only_zero():

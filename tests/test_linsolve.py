@@ -12,46 +12,9 @@ from zzlie.classify import (
     solve_c_window,
 )
 from zzlie.linsolve import LinearSystem
-from zzlie.poly import accumulate, integer_scaled
+from zzlie.poly import integer_scaled
 
-
-def tagged_elimination(rows):
-    """Reference elimination that carries a tag combination on every pivot row.
-
-    ``rows`` holds (coeffs, const, tag) triples.  Returns the add results,
-    the pivots as unknown -> (row, const) and the tag combination of the
-    first contradicting row (None if the rows are consistent).
-    """
-    pivots, results, contradiction = {}, [], None
-    for coeffs, const, tag in rows:
-        coeffs = {v: Fraction(c) for v, c in coeffs.items() if c}
-        const, combo = Fraction(const), {tag: Fraction(1)}
-        for var in list(coeffs):
-            if var in pivots:
-                factor = coeffs.pop(var)
-                prow, pconst, pcombo = pivots[var]
-                accumulate(coeffs, prow.items(), -factor)
-                const -= factor * pconst
-                accumulate(combo, pcombo.items(), -factor)
-        if not coeffs:
-            if const and contradiction is None:
-                contradiction = combo
-            results.append(not const)
-            continue
-        var = min(coeffs)
-        lead = coeffs.pop(var)
-        row = {v: c / lead for v, c in coeffs.items()}
-        const /= lead
-        combo = {t: c / lead for t, c in combo.items()}
-        for pvar, (prow, pconst, pcombo) in pivots.items():
-            factor = prow.pop(var, 0)
-            if factor:
-                accumulate(prow, row.items(), -factor)
-                accumulate(pcombo, combo.items(), -factor)
-                pivots[pvar] = (prow, pconst - factor * const, pcombo)
-        pivots[var] = (row, const, combo)
-        results.append(True)
-    return results, {v: (row, c) for v, (row, c, _) in pivots.items()}, contradiction
+from reference import tagged_elimination
 
 
 def consistent(rows):

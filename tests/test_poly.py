@@ -61,13 +61,13 @@ def test_rational_ring_laws(a, b, c):
 
 def test_poly_additive_inverse():
     x = symbol("x")
-    assert (x + (-x)).is_zero()
+    assert not x + (-x)
     assert 1 - x == -(x - 1)
 
 
 def test_poly_constructor_prunes_zeros():
     zero = MultiPoly({(): Fraction(0)})
-    assert not zero and zero.is_zero()
+    assert not zero and zero.terms == {}
     assert zero == 0 and zero == MultiPoly()
     x = symbol("x")
     assert MultiPoly({(("x", 1),): Fraction(1), (): 0}) == x
@@ -106,7 +106,7 @@ def test_coefficient_of_extraction():
     assert p.coefficient_of("i", 2) == 3 * alpha
     assert p.coefficient_of("i", 1) == beta
     x = symbol("x")
-    assert (x + 1).coefficient_of("x", 5).is_zero()
+    assert not (x + 1).coefficient_of("x", 5)
     with pytest.raises(UsageError, match="degree must be non-negative"):
         x.coefficient_of("x", -1)
 
@@ -183,15 +183,15 @@ small_polys = st.builds(
 
 @given(small_polys)
 def test_poly_self_difference_is_zero(p):
-    assert (p - p).is_zero()
+    assert not p - p
 
 
 @given(small_polys, rationals, rationals)
 def test_eval_decomposes_over_coefficients(p, xv, yv):
     sigma = {"x": xv, "y": yv}
+    degree = max((e for mono in p.terms for name, e in mono if name == "x"), default=0)
     total = sum(
-        p.coefficient_of("x", d).eval({"y": yv}) * xv**d
-        for d in range(p.degree_in("x") + 1)
+        p.coefficient_of("x", d).eval({"y": yv}) * xv**d for d in range(degree + 1)
     )
     assert p.eval(sigma) == total
 

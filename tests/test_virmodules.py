@@ -2,12 +2,10 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zzlie.verify import ViolationReport
 from zzlie.virmodules import (
     MODULE_FAMILIES,
     ModuleSpec,
@@ -17,6 +15,8 @@ from zzlie.virmodules import (
     find_intertwiner,
     irreducible_subquotient,
 )
+
+from reference import act_reference_sweep, reference_coeff
 
 
 def test_two_parameter_action():
@@ -46,21 +46,8 @@ def test_b_family_exceptional_row():
 def test_action_is_linear():
     m = ModuleSpec("a_ab", Fraction(1, 3), 2)
     x = ModVector({0: Fraction(2), 3: Fraction(-1)})
-    lhs = act(m, 2, x)
-    rhs = act(m, 2, ModVector.basis(0)).scale(Fraction(2)) - act(
-        m, 2, ModVector.basis(3)
-    )
-    assert lhs == rhs
-
-
-def _reference_coeff(m, i, k):
-    """The action coefficients of the module docstring, in Fractions."""
-    alpha = Fraction(m.alpha)
-    if m.family == "a_ab":
-        return alpha + k + Fraction(m.beta) * i
-    if m.family == "a_paren":
-        return Fraction(i) * (i + alpha) if k == 0 else Fraction(i + k)
-    return -Fraction(i) * (i + alpha) if k == -i else Fraction(k)
+    v0, v3 = ModVector.basis(0), ModVector.basis(3)
+    assert act(m, 2, x) == act(m, 2, v0) + act(m, 2, v0) - act(m, 2, v3)
 
 
 def test_raw_coeff_is_integral_over_den():
@@ -83,7 +70,7 @@ def test_raw_coeff_is_integral_over_den():
             for k in span:
                 n = m.raw_coeff(i, k)
                 assert type(n) is int, (m, i, k)
-                assert Fraction(n, m.den) == _reference_coeff(m, i, k)
+                assert Fraction(n, m.den) == reference_coeff(m, i, k)
     # den is the LCM of the denominators of alpha and beta
     assert [m.den for m in specs] == [1, 2, 3, 12, 1, 5, 1, 2, 1, 1]
     # den stays outside the dataclass fields: equality, hash and repr as before
@@ -179,20 +166,6 @@ def test_module_axiom_reports_are_pinned():
     assert h.hexdigest() == (
         "ec5881d09523f8bc442554cb2c6c4327e46b23544ed7b6f8b5944c27471a472f"
     )
-
-
-def act_reference_sweep(m, window):
-    """The module-axiom sweep through ``act`` and ModVector arithmetic."""
-    rng = range(-window, window + 1)
-    image = cache(lambda i, k: act(m, i, ModVector.basis(k)))
-
-    def defect(i, j, k):
-        lhs = act(m, i, image(j, k)) - act(m, j, image(i, k))
-        bad = lhs - image(i + j, k).scale(Fraction(j - i))
-        return (bad,) if bad else ()
-
-    cases = ((i, j, k) for k in rng if m.supports(k) for i in rng for j in rng)
-    return ViolationReport.sweep("module-axiom", cases, defect)
 
 
 class DroppedIndex:
@@ -356,4 +329,4 @@ def test_intertwiner_round_trip():
         for i in range(-5, 6):
             if abs(i + k) > 5:
                 continue
-            assert _reference_coeff(m1, i, k) * w[i + k] == _reference_coeff(m2, i, k) * w[k]
+            assert reference_coeff(m1, i, k) * w[i + k] == reference_coeff(m2, i, k) * w[k]
