@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (
-    MultiPoly, SparseVector, UsageError, exact_value, format_rational, integer_scaled, unscaled,
+    MultiPoly, SparseVector, UsageError, exact_number, exact_value, format_rational,
+    integer_scaled, unscaled,
 )
 
 __all__ = [
@@ -165,18 +166,18 @@ class AlgebraSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", exact_number(self.alpha, "alpha"))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
         side = _HALF_PLANE.get(self.family, 0)
         if side:
-            if self.beta is not None and Fraction(self.beta) != side:
+            if self.beta is not None and exact_number(self.beta, "beta") != side:
                 raise ValueError(f"{self.family} fixes beta = {side:+d}")
             object.__setattr__(self, "beta", Fraction(side))
         elif self.family in ("d", "block"):
             if self.beta is None:
                 raise ValueError(f"family {self.family!r} needs beta")
-            object.__setattr__(self, "beta", Fraction(self.beta))
+            object.__setattr__(self, "beta", exact_number(self.beta, "beta"))
             if self.family == "block" and self.beta == 0:
                 raise ValueError("block requires alpha*beta != 0")
         else:

@@ -23,6 +23,7 @@ from .poly import (
     MultiPoly,
     UsageError,
     accumulate,
+    exact_number,
     exact_value,
     format_rational,
     integer_scaled,
@@ -343,7 +344,7 @@ def check_impossibility(alpha, window):
     (-1, s+1).  So the rank equals the number of unknowns for every alpha
     and every window >= 2, and ``only_zero`` reports that rank check.
     """
-    den, (num,) = integer_scaled([Fraction(alpha)])
+    den, (num,) = integer_scaled([exact_number(alpha, "alpha")])
     if window < 2:
         raise UsageError("window must be >= 2")
     rng = window_range(window)

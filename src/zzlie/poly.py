@@ -6,10 +6,10 @@ of (name, positive exponent) pairs) to rational coefficients; zero
 coefficients are never stored, so equality of the term maps is equality of
 polynomials.  ``accumulate`` is the one sparse linear-combination step that
 every layer builds its sums with, ``exact_value`` the one coercion of a
-parameter, ``integer_scaled`` the one way any layer scales coefficients to
-ints (``unscaled`` divides a numerator back), and
-``SparseVector`` is the one sparse-map type of polynomials, algebra
-elements and module vectors (see its contract).
+parameter (``exact_number`` when it must be a number), ``integer_scaled``
+the one way any layer scales coefficients to ints (``unscaled`` divides a
+numerator back), and ``SparseVector`` the one sparse-map type of
+polynomials, algebra elements and module vectors (see its contract).
 """
 
 from __future__ import annotations
@@ -98,6 +98,14 @@ def exact_value(value):
     if isinstance(value, MultiPoly):
         return value if value.symbols() else value.terms.get((), Fraction(0))
     return Fraction(value)
+
+
+def exact_number(value, name):
+    """``exact_value`` of a parameter that must be a number: a symbol is a ``UsageError``."""
+    value = exact_value(value)
+    if isinstance(value, MultiPoly):
+        raise UsageError(f"{name} must be a number, not the polynomial {value!r}")
+    return value
 
 
 def unscaled(n, d):
@@ -218,7 +226,9 @@ class MultiPoly(SparseVector):
         return self._as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = self._as_poly(other)
+        if not isinstance(other, MultiPoly):  # a number: scale term by term
+            c = _coerce_coeff(other)
+            return self._from_pruned({m: v * c for m, v in self.terms.items()} if c else {})
         out = {}
         for m1, c1 in self.terms.items():
             d1 = dict(m1)

@@ -2,8 +2,12 @@
 
 The windowed checks sweep every basis pair/triple with |i|, |j| <= W and
 compare exactly; a check "passes" iff its report carries no witnesses.  Every
-windowed check runs through ``ViolationReport.sweep``, which collects the
-witnesses in sweep order and stops at ``MAX_WITNESSES`` (20) of them.  The
+windowed check, ``virmodules.check_module_axiom`` too, runs through the one
+row driver ``ViolationReport.sweep``: it hands the driver each row of cases
+as its size and its suspects, the cases that one comprehension over the row
+could not show to pass.  That pass need only be sound.  The driver runs the
+check's exact per-case ``defect``, the only code that builds a witness, on
+the suspects alone, and stops at ``MAX_WITNESSES`` (20) witnesses.  The
 diagonal-isomorphism search turns the window's brackets into multiplicative
 equations and solves them with ``propagate_scalars`` from the unit seeds
 (1, 0) and (0, 1).
@@ -31,26 +35,22 @@ the domain: the Jacobi kernel owns the in-domain filter of outer targets
 and brackets again only the in-domain ones.
 
 The Jacobi kernel evaluates every bracket of the sweep once, as int (or
-polynomial) numerators over the algebra's ``den``, so a triple's cyclic
-sum is a sum of numerator products over den².  The brackets are stored as
-rows by window position: the row of x lists the terms of [x, w] for each
-window index w in order, with one row per window index and one per
-in-domain L term of a window bracket outside the window.  A term of a
-window bracket is bracketed again iff its key has a row.  The triple sweep
-runs over window positions and reads every bracket by list index.  The
-triple fails iff its sum, a map keyed by basis key, is nonzero, and the
-witness, reported at its index triple, carries the true coefficient
-sum / den².
+polynomial) numerators over ``den``, stored as rows by window position:
+the row of x lists [x, w] for each window index w in order, with one row
+per window index and one per in-domain L term of a window bracket outside
+the window, and only a key with a row is bracketed again.  A triple fails
+iff its cyclic sum, keyed by basis key, is nonzero; its witness, at its
+index triple, carries the true coefficient sum / den².
 
 When every row entry is empty or one term at the one key of its degree
-x + w (the central generator of that degree, else the L index x + w), the
-three cyclic terms of a triple sit at one key, so one number decides it.
-With c_pq the numerator of [x_p, x_q] and v_pq[r] that of [x_p + x_q, x_r],
-the triple passes iff c_pq·v_pq[r] + c_qr·v_qr[p] + c_rp·v_rp[q] is zero:
-an int sum, or a polynomial one for a symbolic centre.  The keyed sum
-runs only for a triple whose number is nonzero, and for every triple of a
-misgraded algebra (every ``AlgebraSpec`` is graded, so only a duck-typed
-one); it is the only code that builds a witness.
+x + w (the central generator there, else the L index), a triple's three
+cyclic terms share a key, so one number decides it: with c_pq the
+numerator of [x_p, x_q] and v_pq[r] that of [x_p + x_q, x_r], the triple
+passes iff c_pq·v_pq[r] + c_qr·v_qr[p] + c_rp·v_rp[q] is zero (an int, or
+a polynomial for a symbolic centre).  A row is one pair p <= q, and its
+pass decides every r >= q from ``view[q]`` and the column of p.  Only a
+triple whose number is nonzero is summed by key, and so is every triple
+of a misgraded algebra (a duck-typed one: every ``AlgebraSpec`` is graded).
 """
 
 from __future__ import annotations
@@ -86,21 +86,26 @@ class ViolationReport:
     witnesses: list = field(default_factory=list)
 
     @classmethod
-    def sweep(cls, check, cases, defect):
-        """Run ``defect(*case)`` over ``cases`` in order and report what it finds.
+    def sweep(cls, check, rows, defect):
+        """Run ``defect(*case)`` on every suspect of every row and report what it finds.
 
-        ``defect`` returns the witness details of one case (empty when the
-        case passes); each detail becomes one witness at that case.  The
-        sweep stops once ``MAX_WITNESSES`` witnesses are collected, and
-        ``checked_count`` is the number of cases run up to then.
+        ``rows`` yields, in sweep order, ``(size, suspects)``: a row's
+        number of cases and, in row order, ``(offset, case)`` for each case
+        its pass could not show to pass.  A case left out must truly pass.
+        ``defect`` returns a case's witness details (empty when it passes);
+        each becomes one witness at that case.  The sweep stops at
+        ``MAX_WITNESSES`` witnesses, and ``checked_count`` counts the cases
+        up to and including the one that gave the last, else every case.
         """
         witnesses = []
         count = 0
-        for count, case in enumerate(cases, 1):
-            for detail in defect(*case):
-                witnesses.append((case, detail))
-                if len(witnesses) == MAX_WITNESSES:
-                    return cls(check, count, witnesses)
+        for size, suspects in rows:
+            for offset, case in suspects:
+                for detail in defect(*case):
+                    witnesses.append((case, detail))
+                    if len(witnesses) == MAX_WITNESSES:
+                        return cls(check, count + offset + 1, witnesses)
+            count += size
         return cls(check, count, witnesses)
 
     @property
@@ -123,31 +128,37 @@ class ViolationReport:
 
 
 def check_antisymmetry(alg, window):
-    """Witness every ordered pair with [a,b] != -[b,a]."""
+    """Witness every ordered pair with [a,b] != -[b,a]; a row is one left index."""
     idxs = window_indices(alg, window)
-    bb = cache(alg.raw_terms)
-    den = alg.den
+    raw, den, n = alg.raw_terms, alg.den, len(idxs)
+    matrix = [[raw(a, b) for b in idxs] for a in idxs]
 
     def defect(a, b):
-        bad = accumulate(dict(bb(a, b)), bb(b, a))
-        if not bad:
-            return ()
-        return (Element.from_raw(bad.items(), den),)
+        bad = accumulate(dict(raw(a, b)), raw(b, a))
+        return (Element.from_raw(bad.items(), den),) if bad else ()
 
-    return ViolationReport.sweep("antisymmetry", product(idxs, repeat=2), defect)
+    # a pair passes the row's pass when both brackets are empty, or one term
+    # each at one key with numerators summing to zero
+    rows = (
+        (n, [(q, (a, b)) for q, (b, x, y) in enumerate(zip(idxs, row, column))
+             if not (len(x) == len(y) < 2
+                     and (not x or x[0][0] == y[0][0] and not x[0][1] + y[0][1]))])
+        for a, row, column in zip(idxs, matrix, zip(*matrix))
+    )
+    return ViolationReport.sweep("antisymmetry", rows, defect)
 
 
 def check_jacobi(alg, window):
     """Sweep unordered basis triples; witness each nonzero cyclic sum.
 
-    Runs the one-denominator kernel of the module docstring, with its
-    scalar zero test in front of the keyed sum when the grading allows it.
-    With symbolic central parameters a triple passes only if its sum is the
-    zero polynomial, which certifies the cocycle identity for every
-    parameter value at once.
+    Runs the one-denominator kernel and the row pass of the module
+    docstring.  With symbolic central parameters a triple passes only if its
+    sum is the zero polynomial, which certifies the cocycle identity for
+    every parameter value at once.
     """
     idxs = window_indices(alg, window)
-    raw = alg.raw_terms
+    pos = {a: p for p, a in enumerate(idxs)}
+    raw, n = alg.raw_terms, len(idxs)
     # Row x lists the terms of [x, w] for w in window order: one row per
     # window index, then one per bracketed target outside the window.
     rows = {a: [raw(a, w) for w in idxs] for a in idxs}
@@ -157,26 +168,29 @@ def check_jacobi(alg, window):
                 for t in outside if not isinstance(t, str) and alg.in_domain(*t))
     den2 = alg.den ** 2
 
-    def keyed(p, q, r):
+    def keyed(a, b, c):
         acc = {}
-        for x, y, w in ((p, q, r), (q, r, p), (r, p, q)):
-            for t, coeff in rows[idxs[x]][y]:
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for t, coeff in rows[x][pos[y]]:
                 if t in rows:
-                    accumulate(acc, rows[t][w], coeff)
+                    accumulate(acc, rows[t][pos[z]], coeff)
         if not acc:
             return ()
         return (Element.from_raw(acc.items(), den2),)
 
     view = _scalar_view(alg, idxs, rows)
+    columns = view and list(zip(*view))
 
-    def scalar(p, q, r):
-        (c, u), (d, v), (e, x) = view[p][q], view[q][r], view[r][p]
-        return keyed(p, q, r) if c * u[r] + d * v[p] + e * x[q] else ()
+    def cases():
+        for p, q in combinations_with_replacement(range(n), 2):  # row (p, q): each r >= q
+            rs = range(q, n)
+            if view is not None:
+                c, u = view[p][q]
+                rs = [r for r, (d, v), (e, x) in zip(rs, view[q][q:], columns[p][q:])
+                      if c * u[r] + d * v[p] + e * x[q]]
+            yield n - q, [(r - q, (idxs[p], idxs[q], idxs[r])) for r in rs]
 
-    cases = combinations_with_replacement(range(len(idxs)), 3)
-    report = ViolationReport.sweep("jacobi", cases, keyed if view is None else scalar)
-    report.witnesses = [(tuple(idxs[p] for p in case), w) for case, w in report.witnesses]
-    return report
+    return ViolationReport.sweep("jacobi", cases(), keyed)
 
 
 def _scalar_view(alg, idxs, rows):
@@ -218,17 +232,26 @@ def _scalar_view(alg, idxs, rows):
 def check_grading(alg, window):
     """Every L term must sit at the index sum; central terms at their degree."""
     idxs = window_indices(alg, window)
+    raw, n = alg.raw_terms, len(idxs)
     central = alg.central_degrees()
+    key_at = {deg: key for key, deg in central.items()}
 
     def defect(a, b):
         total = (a[0] + b[0], a[1] + b[1])
         return [
             BasisElement.of(key)
-            for key, _ in alg.raw_terms(a, b)
+            for key, _ in raw(a, b)
             if (central.get(key) if isinstance(key, str) else key) != total
         ]
 
-    return ViolationReport.sweep("grading", product(idxs, repeat=2), defect)
+    # a row is one left index; an empty bracket or one term at its degree's key passes
+    rows = (
+        (n, [(q, (a, b)) for q, (b, terms) in enumerate(zip(idxs, [raw(a, b) for b in idxs]))
+             if terms and (len(terms) > 1
+                           or terms[0][0] != key_at.get(t := (a[0] + b[0], a[1] + b[1]), t))])
+        for a in idxs
+    )
+    return ViolationReport.sweep("grading", rows, defect)
 
 
 # -- symbolic Jacobi ---------------------------------------------------------

@@ -34,10 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 from .algebras import window_range
 from .linsolve import propagate_scalars
-from .poly import SparseVector, accumulate, integer_scaled
+from .poly import SparseVector, accumulate, exact_number, integer_scaled
 from .verify import ViolationReport
 
 __all__ = [
@@ -74,11 +75,11 @@ class ModuleSpec:
     def __post_init__(self):
         if self.family not in MODULE_FAMILIES:
             raise ValueError(f"unknown module family {self.family!r}")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", exact_number(self.alpha, "alpha"))
         if self.family == "a_ab":
             if self.beta is None:
                 raise ValueError("a_ab needs beta")
-            object.__setattr__(self, "beta", Fraction(self.beta))
+            object.__setattr__(self, "beta", exact_number(self.beta, "beta"))
         elif self.beta is not None:
             raise ValueError(f"family {self.family!r} takes no beta")
         if self.removed is not None and not (
@@ -159,22 +160,26 @@ def irreducible_subquotient(m):
 def check_module_axiom(m, window):
     """[L_i, L_j] v_k = (j-i) L_{i+j} v_k, exactly, over the sweep window.
 
-    Runs the scalar kernel of the module docstring on a table of the int
-    numerators with both indices in [-2W, 2W].  Only ``supports``,
-    ``raw_coeff`` and ``den`` are read from ``m``, so any object with those
-    members can be checked.
+    Runs the scalar kernel of the module docstring, one row of j per (k, i),
+    on a table of the int numerators with both indices in [-2W, 2W].  Only
+    ``supports``, ``raw_coeff`` and ``den`` are read from ``m``, so any
+    object with those members can be checked.
     """
     rng = window_range(window)
-    span = window_range(2 * window)
+    # 0..2W then -2W..-1, so that a[i][k] = a(i, k) under negative indexing
+    order = [*range(2 * window + 1), *range(-2 * window, 0)]
     raw, supports, d = m.raw_coeff, m.supports, m.den
-    a = {(i, k): raw(i, k) if supports(i + k) else 0 for i in span for k in span}
+    a = [[raw(i, k) if supports(i + k) else 0 for k in order] for i in order]
 
     def defect(i, j, k):
-        s = a[j, k] * a[i, j + k] - a[i, k] * a[j, i + k] - (j - i) * d * a[i + j, k]
+        s = a[j][k] * a[i][j + k] - a[i][k] * a[j][i + k] - (j - i) * d * a[i + j][k]
         return (ModVector._from_pruned({i + j + k: Fraction(s, d * d)}),) if s else ()
 
-    cases = ((i, j, k) for k in rng if m.supports(k) for i in rng for j in rng)
-    return ViolationReport.sweep("module-axiom", cases, defect)
+    rows = ((len(rng), [(j + window, (i, j, k)) for j in rng
+                        if a[j][k] * a[i][j + k] - a[i][k] * a[j][i + k]
+                        - (j - i) * d * a[i + j][k]])
+            for k, i in product(filter(supports, rng), rng))
+    return ViolationReport.sweep("module-axiom", rows, defect)
 
 
 def find_intertwiner(m1, m2, window):

@@ -1,11 +1,12 @@
 """Independent references the tests check the kernels against.
 
 Each reference recomputes a result the slow, obvious way: brackets and
-action coefficients from the Fraction formulas of each family, Jacobi sums
-and module-axiom sweeps with Element and ModVector arithmetic, propagation
-and elimination in Fraction arithmetic.  None of them calls the kernel it
-is compared with.  ``PrintedIndexC`` and the ``algebra_specs`` strategy are
-the shared test inputs that go with them.
+action coefficients from the Fraction formulas of each family, the
+antisymmetry, grading, Jacobi and module-axiom sweeps case by case with
+Element and ModVector arithmetic, propagation and elimination in Fraction
+arithmetic.  None of them calls the kernel it is compared with.
+``PrintedIndexC`` and the ``algebra_specs`` strategy are the shared test
+inputs that go with them.
 """
 
 import math
@@ -135,20 +136,59 @@ class PrintedIndexC:
     basis_bracket = AlgebraSpec.basis_bracket
 
 
+def _reference_window(alg, window):
+    return [
+        (i, j)
+        for i in range(-window, window + 1)
+        for j in range(-window, window + 1)
+        if alg.in_domain(i, j)
+    ]
+
+
+def reference_antisymmetry(alg, bracket, window):
+    """(checked_count, witnesses) of an antisymmetry sweep, [a, b] + [b, a] per ordered pair.
+
+    ``bracket(a, b)`` returns an Element; each pair is bracketed afresh and
+    summed with Element arithmetic.
+    """
+    count, witnesses = 0, []
+    for count, (a, b) in enumerate(product(_reference_window(alg, window), repeat=2), 1):
+        total = bracket(a, b) + bracket(b, a)
+        if total:
+            witnesses.append(((a, b), total))
+            if len(witnesses) == MAX_WITNESSES:
+                break
+    return count, witnesses
+
+
+def reference_grading(alg, bracket, window):
+    """(checked_count, witnesses) of a grading sweep: each misplaced basis element per pair.
+
+    A basis element of ``bracket(a, b)`` is misplaced unless its degree, the
+    index of an L term or ``central_degrees()`` of a central one, is a + b;
+    the sweep stops at the witness cap, also inside one pair.
+    """
+    central = alg.central_degrees()
+    count, witnesses = 0, []
+    for count, (a, b) in enumerate(product(_reference_window(alg, window), repeat=2), 1):
+        for basis in bracket(a, b).terms:
+            degree = (basis.i, basis.j) if basis.kind == "L" else central.get(basis.kind)
+            if degree != (a[0] + b[0], a[1] + b[1]):
+                witnesses.append(((a, b), basis))
+                if len(witnesses) == MAX_WITNESSES:
+                    return count, witnesses
+    return count, witnesses
+
+
 def reference_jacobi(alg, bracket, window):
     """(checked_count, witnesses) of a Jacobi sweep summed with Element arithmetic.
 
     ``bracket(a, b)`` returns an Element; every cyclic term is bracketed and
     summed afresh, with no memo and no integer scaling.
     """
-    idxs = [
-        (i, j)
-        for i in range(-window, window + 1)
-        for j in range(-window, window + 1)
-        if alg.in_domain(i, j)
-    ]
     count, witnesses = 0, []
-    for count, (a, b, c) in enumerate(combinations_with_replacement(idxs, 3), 1):
+    triples = combinations_with_replacement(_reference_window(alg, window), 3)
+    for count, (a, b, c) in enumerate(triples, 1):
         total = Element()
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             for basis, coeff in bracket(x, y).terms.items():
@@ -246,17 +286,24 @@ def reference_coeff(m, i, k):
 
 
 def act_reference_sweep(m, window):
-    """The module-axiom sweep through ``act`` and ModVector arithmetic."""
+    """The module-axiom sweep through ``act`` and ModVector arithmetic, case by case."""
     rng = range(-window, window + 1)
     image = cache(lambda i, k: act(m, i, ModVector.basis(k)))
-
-    def defect(i, j, k):
-        lhs = act(m, i, image(j, k)) - act(m, j, image(i, k))
-        bad = lhs - ModVector({t: c * Fraction(j - i) for t, c in image(i + j, k).terms.items()})
-        return (bad,) if bad else ()
-
-    cases = ((i, j, k) for k in rng if m.supports(k) for i in rng for j in rng)
-    return ViolationReport.sweep("module-axiom", cases, defect)
+    count, witnesses = 0, []
+    for k in rng:
+        if not m.supports(k):
+            continue
+        for i in rng:
+            for j in rng:
+                count += 1
+                lhs = act(m, i, image(j, k)) - act(m, j, image(i, k))
+                bad = lhs - ModVector(
+                    {t: c * Fraction(j - i) for t, c in image(i + j, k).terms.items()})
+                if bad:
+                    witnesses.append(((i, j, k), bad))
+                    if len(witnesses) == MAX_WITNESSES:
+                        return ViolationReport("module-axiom", count, witnesses)
+    return ViolationReport("module-axiom", count, witnesses)
 
 
 # -- elimination ------------------------------------------------------------------

@@ -496,6 +496,18 @@ def test_constant_polynomial_parameters_are_numbers():
     assert table_to_json(by_poly, 2) == table_to_json(by_number, 2)
 
 
+@pytest.mark.parametrize("family, name", [("d", "alpha"), ("d", "beta"), ("bplus-", "beta")])
+def test_constant_polynomial_alpha_and_beta_are_numbers(family, name):
+    # alpha and beta go through exact_value like the central parameters; a
+    # symbol left in one is refused by name
+    numbers = {"alpha": Fraction(2, 3), "beta": 2 if family == "d" else -1}
+    by_poly = AlgebraSpec(family, **dict(numbers, **{name: MultiPoly.const(numbers[name])}))
+    assert by_poly == AlgebraSpec(family, **numbers)
+    assert type(getattr(by_poly, name)) is Fraction
+    with pytest.raises(UsageError, match=f"^{name} must be a number"):
+        AlgebraSpec(family, **dict(numbers, **{name: symbol("t") + 1}))
+
+
 # -- tables -------------------------------------------------------------------
 
 

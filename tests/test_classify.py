@@ -42,6 +42,12 @@ def test_constant_polynomial_parameters_solve_as_numbers():
     assert solve_c_window(by_poly, 3).to_json() == solve_c_window(by_number, 3).to_json()
 
 
+def test_impossibility_takes_a_constant_polynomial_alpha():
+    assert check_impossibility(MultiPoly.const(2), 3) == check_impossibility(2, 3)
+    with pytest.raises(UsageError, match="^alpha must be a number"):
+        check_impossibility(symbol("alpha"), 3)
+
+
 def test_recurrence_rows_are_integral_for_fractional_symbolic_parameters():
     # D clears the denominators of a polynomial parameter's coefficients too
     p = ClassificationParams(1, symbol("beta1") * Fraction(1, 2), 0)

@@ -73,6 +73,18 @@ def test_poly_constructor_prunes_zeros():
     assert MultiPoly({(("x", 1),): Fraction(1), (): 0}) == x
 
 
+def test_scalar_product_is_the_constant_product():
+    p = symbol("x") * Fraction(3, 2) + symbol("y") * symbol("x") - 5
+    for c in (3, -7, Fraction(-2, 9), 0, Fraction(0)):
+        expected = p * MultiPoly.const(c)
+        for product in (p * c, c * p):
+            assert product == expected and product.terms == expected.terms
+            assert all(type(v) is Fraction for v in product.terms.values())
+    assert not p * 0 and (p * 0).terms == {}
+    # zzbench's self-test asserts that __rmul__ is __mul__
+    assert MultiPoly.__dict__["__rmul__"] is MultiPoly.__dict__["__mul__"]
+
+
 def test_equal_constants_hash_alike():
     # a constant polynomial equals the number it holds, so it must hash as it
     x = symbol("x")

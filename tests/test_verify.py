@@ -29,6 +29,8 @@ from reference import (
     PrintedIndexC,
     algebra_specs,
     fraction_terms,
+    reference_antisymmetry,
+    reference_grading,
     reference_intertwiner,
     reference_isomorphism,
     reference_jacobi,
@@ -233,6 +235,116 @@ def test_jacobi_kernel_matches_reference_property(spec, data):
         count, witnesses = reference_jacobi(alg, bracket, 1)
         assert report.checked_count == count
         assert repr(report.witnesses) == repr(witnesses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_specs(), st.sampled_from([None, MovedKey, ExtraKey, HalfPlaneCut]), st.data())
+def test_pair_sweeps_match_reference_property(spec, wrapper, data):
+    # the row passes of antisymmetry and grading let only passing pairs
+    # through: every family, clean, misgraded, cut or with one negated pair
+    if wrapper is HalfPlaneCut:
+        spec = HalfPlaneCut(spec)
+    idxs = window_indices(spec, 2)
+    pair = data.draw(st.tuples(st.sampled_from(idxs), st.sampled_from(idxs)))
+    if wrapper in (MovedKey, ExtraKey):
+        spec = wrapper(spec, pair)
+    for alg, bracket in _clean_and_corrupted(spec, pair):
+        for check, reference in ((check_antisymmetry, reference_antisymmetry),
+                                 (check_grading, reference_grading)):
+            report = check(alg, 2)
+            count, witnesses = reference(alg, bracket, 2)
+            assert report.checked_count == count
+            assert repr(report.witnesses) == repr(witnesses)
+
+
+class TableAlgebra:
+    """A duck-typed algebra whose brackets are zero except the ones in ``table``.
+
+    ``table`` maps an ordered index pair to one L term at the index sum, so
+    the algebra is graded and its Jacobi sweep takes the scalar row pass.
+    Its domain is the window of radius 2 plus every key in ``table``.
+    """
+
+    den = 1
+
+    def __init__(self, table):
+        self.table = {
+            (a, b): (((a[0] + b[0], a[1] + b[1]), n),) for (a, b), n in table.items()
+        }
+        self.extra = {t for terms in self.table.values() for t, _ in terms}
+
+    def in_domain(self, i, j):
+        return max(abs(i), abs(j)) <= 2 or (i, j) in self.extra
+
+    def central_degrees(self):
+        return {}
+
+    def raw_terms(self, a, b):
+        return self.table.get((a, b), ())
+
+    basis_bracket = AlgebraSpec.basis_bracket
+
+
+def test_pair_sweeps_match_reference_on_one_sided_brackets():
+    # [a, b] != 0 = [b, a]: the row pass must not let the empty side through
+    alg = TableAlgebra({((1, 0), (0, 1)): 2, ((-1, -1), (2, 2)): -1})
+    for check, reference in ((check_antisymmetry, reference_antisymmetry),
+                             (check_grading, reference_grading)):
+        report = check(alg, 2)
+        assert (report.checked_count, report.witnesses) == reference(alg, alg.basis_bracket, 2)
+    assert [at for at, _ in check_antisymmetry(alg, 2).witnesses] == [
+        ((-1, -1), (2, 2)), ((0, 1), (1, 0)), ((1, 0), (0, 1)), ((2, 2), (-1, -1))]
+
+
+def _jacobi_row(n, count):
+    """(offset, size) in its row (p, q) of the count-th triple of a Jacobi sweep of n indices."""
+    for p in range(n):
+        for q in range(p, n):
+            if count <= n - q:
+                return count - 1, n - q
+            count -= n - q
+    raise AssertionError("count beyond the sweep")
+
+
+def test_jacobi_counts_at_row_boundaries():
+    vir = AlgebraSpec("vir", 1)
+    idxs = window_indices(vir, 2)
+    n, last = len(idxs), (2, 2)
+    assert idxs[-1] == last
+    total = n * (n + 1) * (n + 2) // 6
+    # the 20th witness in the middle of a row: graded (scalar row pass) and
+    # misgraded (every triple a suspect)
+    corrupted, bracket = _clean_and_corrupted(vir, ((1, 0), (2, 0)))[1]
+    printed = PrintedIndexC(AlgebraSpec("c", 1))
+    # the only failing triple ends the row of ((2, -2), (2, -1)), which
+    # holds its four triples with r = (2, -1) .. (2, 2): [[a, b], c] =
+    # [L(4, -3), L(2, 2)] is the one nonzero bracket of a cyclic sum
+    row_end = TableAlgebra({((2, -2), (2, -1)): 1, ((4, -3), last): 1})
+    assert n - idxs.index((2, -1)) == 4
+    # the only failing triple is the sweep's last, (c, c, c)
+    sweep_end = TableAlgebra({(last, last): 1, ((4, 4), last): 1})
+    ats = []
+    for alg, bracket, count, row in [
+        (corrupted, bracket, 2601, (6, 9)),
+        (printed, printed.basis_bracket, 44, (18, 24)),
+        (row_end, row_end.basis_bracket, total, None),
+        (sweep_end, sweep_end.basis_bracket, total, None),
+    ]:
+        report = check_jacobi(alg, 2)
+        reference_count, witnesses = reference_jacobi(alg, bracket, 2)
+        assert window_indices(alg, 2) == idxs
+        assert report.checked_count == reference_count == count
+        assert report.witnesses == witnesses
+        assert repr(report.witnesses) == repr(witnesses)
+        if row is not None:
+            assert len(report.witnesses) == 20
+            assert _jacobi_row(n, count) == row
+        ats.append([at for at, _ in report.witnesses])
+    assert ats[2] == [((2, -2), (2, -1), last)]
+    assert ats[3] == [(last, last, last)]
+    assert hashlib.sha256(repr(ats[:2]).encode()).hexdigest() == (
+        "b06ef414f2407abd7f53bf43c53a464146f85bbb2af43e714db2d71a7ebdca4c"
+    )
 
 
 def test_symbolic_jacobi_families():

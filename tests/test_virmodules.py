@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zzlie.poly import MultiPoly, UsageError, symbol
 from zzlie.virmodules import (
     MODULE_FAMILIES,
     ModuleSpec,
@@ -211,6 +212,40 @@ def test_module_axiom_matches_act_reference():
         assert not assert_matches_act_reference(double, 4).ok
 
 
+class Perturbed:
+    """A module with one action coefficient raised by 1: a(i, k) + 1 at ``at``."""
+
+    def __init__(self, module, at):
+        self.module = module
+        self.at = at
+        self.den = module.den
+
+    def supports(self, k):
+        return self.module.supports(k)
+
+    def raw_coeff(self, i, k):
+        return self.module.raw_coeff(i, k) + (self.den if (i, k) == self.at else 0)
+
+
+def test_module_axiom_counts_at_row_boundaries():
+    # A row is one (k, i) with its 2W + 1 cases j = -W..W.  Each case's
+    # defect is antisymmetric in i and j, so failing cases come in mirrored
+    # pairs and the sweep's last case (i = j = k = W) always passes.
+    # The 20th witness falls in the middle of a row: case 347 is the 5th of 9.
+    report = assert_matches_act_reference(MutatedExceptional(1), 4)
+    assert (report.checked_count, len(report.witnesses)) == (347, 20)
+    assert report.checked_count % 9 == 5
+    assert hashlib.sha256(repr(report.witnesses).encode()).hexdigest() == (
+        "3e629a822c8a5d04c6a26aa1d2c4a4531a9bae65901205fe3b27a4403277571f"
+    )
+    # a(0, 2W) is read only by the cases (0, W, W), the last of its row,
+    # and its mirror (W, 0, W) in the sweep's last row
+    perturbed = Perturbed(ModuleSpec("a_ab", Fraction(1, 2), 3), (0, 6))
+    report = assert_matches_act_reference(perturbed, 3)
+    assert report.checked_count == 7 ** 3
+    assert repr(report.witnesses) == "[((0, 3, 3), (25/2)*v[6]), ((3, 0, 3), (-25/2)*v[6])]"
+
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=7)
 
 
@@ -269,6 +304,15 @@ def test_unknown_family_and_unsupported_vector_are_refused():
     assert not m.supports(-1)
     with pytest.raises(ValueError, match="v_-1 is outside the module support"):
         act(m, 1, ModVector.basis(-1))
+
+
+def test_constant_polynomial_module_parameters_are_numbers():
+    by_poly = ModuleSpec("a_ab", MultiPoly.const(1), MultiPoly.const(Fraction(1, 2)))
+    assert by_poly == ModuleSpec("a_ab", 1, Fraction(1, 2))
+    assert type(by_poly.alpha) is Fraction and type(by_poly.beta) is Fraction
+    for name, params in (("alpha", (symbol("a"), 0)), ("beta", (1, symbol("b")))):
+        with pytest.raises(UsageError, match=f"^{name} must be a number"):
+            ModuleSpec("a_ab", *params)
 
 
 def test_subquotients_satisfy_module_axiom():
