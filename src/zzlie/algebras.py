@@ -15,13 +15,16 @@ components indexed by integer pairs:
 Basis brackets are pure functions of the spec; elements are finite linear
 combinations with exact rational (or polynomial, for symbolic central
 parameters) coefficients.  Every closed-form structure constant is the one
-rule ``_closed_form`` with per-family weights, which a spec scales to ints
+rule ``_closed_row`` with per-family weights, which a spec scales to ints
 over one denominator ``den`` once.  ``den`` also clears the denominators of
-the central parameters, so ``raw_terms`` gives every bracket as int (or
-int-coefficient polynomial) numerators over ``den``, the one form in which
-an algebra gives its structure constants.  A numerator is divided by
-``den`` only where a value is shown: in an ``Element`` (``Element.from_raw``)
-or a JSON record (``terms_json``, ``table_to_json``).
+the central parameters, so every structure constant is an int (or
+int-coefficient polynomial) numerator over ``den``.  A spec gives them in
+two forms that take the same branches: ``raw_terms(a, b)``, one bracket as
+``(key, numerator)`` terms, and ``numerators(a, idxs)``, a row of
+numbers, one per right index, each at the one key of its degree.  A
+numerator is divided by ``den`` only where a value is shown: in an
+``Element`` (``Element.from_raw``) or a JSON record (``terms_json``,
+``table_to_json``).
 """
 
 from __future__ import annotations
@@ -133,10 +136,11 @@ class Element(SparseVector):
 class AlgebraSpec:
     """A family tag plus parameters; determines all structure constants.
 
-    A spec gives its brackets as ``raw_terms`` over ``den``, the contract
-    the windowed checks of ``verify`` read, with ``in_domain`` and
-    ``central_degrees``; ``basis_bracket`` reads only ``raw_terms`` and
-    ``den``, so a duck-typed algebra (``verify.QuotientC``) can borrow it.
+    A spec gives its brackets as ``raw_terms`` and ``numerators`` over
+    ``den``, the contract the windowed checks of ``verify`` read, with
+    ``in_domain`` and ``central_degrees``; ``basis_bracket`` reads only
+    ``raw_terms`` and ``den``, so a duck-typed algebra
+    (``verify.QuotientC``) can borrow it.
 
     On ``bplus-``/``bplus+`` (beta = s) ``a2p`` is redundant: a bracket
     lands at C2's degree (-2 alpha, 2s) only from two indices with j = s,
@@ -151,7 +155,7 @@ class AlgebraSpec:
     is a puncture, or nothing.  The half-planes are closed under it: a sum
     leaves one only from two indices at j = s, where the closed form is 0.
     That map, the half-plane side, ``den``, the int weights of
-    ``_closed_form`` and the scaled central parameters are computed once at
+    ``_closed_row`` and the scaled central parameters are computed once at
     construction and kept outside the dataclass fields, so equality,
     hashing, ``repr`` and ``replace`` see only the parameters.
     """
@@ -254,6 +258,29 @@ class AlgebraSpec:
         """[L_a, L_b] as an Element: ``raw_terms`` divided by ``den``."""
         return Element.from_raw(self.raw_terms(a, b), self.den)
 
+    def numerators(self, a, idxs):
+        """The numerators over ``den`` of [L_a, L_w] for each w of ``idxs``, in order.
+
+        Each is the coefficient at the one key of its degree a + w: the
+        central generator at a puncture, else the L index a + w; an empty
+        bracket reads 0.  The row takes the branches of ``raw_terms`` and
+        agrees with it entry by entry.  ``a`` must be in the domain, else
+        ``DomainError``; the indices of ``idxs`` are taken to be.
+        """
+        i, j = a
+        weights = self._weights
+        if self.family in ("c", "cbar"):  # cbar is c under j -> -j, as in raw_terms
+            s = 1 if self.family == "c" else -1
+            return [_c_numerator(weights, i, s * j, k, s * ell) for k, ell in idxs]
+        if not self.in_domain(i, j):
+            raise DomainError(f"{a} not in domain of {self.family}")
+        a_l, a_k, a_0 = _closed_row(weights, i, j)
+        row = [a_l * ell + a_k * k + a_0 for k, ell in idxs]
+        for (pi, pj), kind in self._punctures.items():
+            if (b := (pi - i, pj - j)) in idxs:
+                row[idxs.index(b)] = self._central(kind, i, j)
+        return row
+
     def _block_raw(self, i, j, k, ell):
         # Only the block families have punctures or a half-plane.
         if not self.in_domain(i, j):
@@ -262,28 +289,36 @@ class AlgebraSpec:
             raise DomainError(f"{(k, ell)} not in domain of {self.family}")
         t = (i + k, j + ell)
         kind = self._punctures.get(t)
-        if kind is None:  # no in_domain test: the half-plane is closed
-            n = _closed_form(self._weights, i, j, k, ell)
-        else:
-            (a_num, b_num, den), (a1, a2, a2p) = self._centre
-            if kind == "C1":
-                n = (a_num * j + b_num * i) * a1
-            else:
-                n = a2 * (a_num * j + b_num * i) + a2p * (a_num + den * i)
-            t = kind
-        return ((t, n),) if n else ()
+        # no in_domain test of t: the half-plane is closed
+        n = self._central(kind, i, j) if kind else _closed_form(self._weights, i, j, k, ell)
+        return ((kind or t, n),) if n else ()
+
+    def _central(self, kind, i, j):
+        """The numerator of ``kind`` in [L(i, j), L_b] for the b that sums to its puncture."""
+        (a_num, b_num, den), (a1, a2, a2p) = self._centre
+        if kind == "C1":
+            return (a_num * j + b_num * i) * a1
+        return a2 * (a_num * j + b_num * i) + a2p * (a_num + den * i)
+
+
+def _closed_row(w, i, j):
+    """Row (i, j) of the closed-form structure constant x(i*ell - j*k) + a(ell - j) + y(k - i).
+
+    The row is affine in (k, ell): (A, B, C) = (x*i + a, y - x*j, -a*j - y*i)
+    of A*ell + B*k + C.  The weights w = (x, a, y) are (0, alpha, 1) for
+    ``vir``, (beta, alpha, 1) for ``d``, (1, alpha, beta) for the block
+    families and (-1, alpha, 1), the ``d`` rule at beta = -1, for the c/cbar
+    generic region.  A spec scales them to ints by its denominator; the
+    symbolic proofs pass polynomials.
+    """
+    x, a, y = w
+    return x * i + a, y - x * j, -a * j - y * i
 
 
 def _closed_form(w, i, j, k, ell):
-    """The closed-form structure constant x(i*ell - j*k) + a(ell - j) + y(k - i).
-
-    The weights w = (x, a, y) are (0, alpha, 1) for ``vir``, (beta, alpha, 1)
-    for ``d``, (1, alpha, beta) for the block families and (-1, alpha, 1),
-    the ``d`` rule at beta = -1, for the c/cbar generic region.  A spec
-    scales them to ints by its denominator; the symbolic proofs pass polynomials.
-    """
-    x, a, y = w
-    return x * (i * ell - j * k) + a * (ell - j) + y * (k - i)
+    """The closed-form constant of [L(i, j), L(k, ell)]: its ``_closed_row`` at (k, ell)."""
+    a_l, a_k, a_0 = _closed_row(w, i, j)
+    return a_l * ell + a_k * k + a_0
 
 
 def _c_numerator(w, i, j, k, ell):
@@ -338,27 +373,35 @@ def table_to_json(spec, window):
     ``cell`` is the JSON text of ``terms_json`` of the bracket, the records
     the ``bracket`` command prints, exactly as
     ``json.JSONEncoder(sort_keys=True)`` writes them.  It is filled into a
-    fixed template from the raw numerators: an int coefficient n/den is
-    written "{n//g}/{den//g}" with g = gcd(n, den), and a polynomial one
-    as the encoded records of n/den.
+    fixed template from one ``numerators`` row per left index: 0 is the
+    empty cell, else the one term sits at the central generator of a
+    puncture or at the L index sum.  Each basis text is written once per
+    degree, and each int coefficient n/den once per distinct n, as
+    "{n//g}/{den//g}" with g = gcd(n, den); a polynomial one is the encoded
+    records of n/den.
     """
     idxs = window_indices(spec, window)
-    raw, den = spec.raw_terms, spec.den
+    den = spec.den
+    bases = {deg: f'{{"kind": "{kind}"}}' for kind, deg in spec.central_degrees().items()}
     encode = json.JSONEncoder(sort_keys=True).encode
+    texts = {}
+
+    def coeff(n):
+        if n.__class__ is not int:
+            return encode(unscaled(n, den).to_records())
+        if n not in texts:
+            g = math.gcd(n, den)
+            texts[n] = f'"{n // g}/{den // g}"'
+        return texts[n]
+
     rows = []
     for a in idxs:
-        for b in idxs:
-            parts = []
-            for key, n in raw(a, b):
-                if n.__class__ is int:
-                    g = math.gcd(n, den)
-                    coeff = f'"{n // g}/{den // g}"'
-                else:
-                    coeff = encode(unscaled(n, den).to_records())
-                if key.__class__ is str:
-                    parts.append(f'{{"basis": {{"kind": "{key}"}}, "coeff": {coeff}}}')
-                else:
-                    parts.append(f'{{"basis": {{"i": {key[0]}, "j": {key[1]}, "kind": "L"}}, '
-                                 f'"coeff": {coeff}}}')
-            rows.append((a, b, "[" + ", ".join(parts) + "]"))
+        for b, n in zip(idxs, spec.numerators(a, idxs)):
+            if not n:
+                rows.append((a, b, "[]"))
+                continue
+            t = (a[0] + b[0], a[1] + b[1])
+            if t not in bases:
+                bases[t] = f'{{"i": {t[0]}, "j": {t[1]}, "kind": "L"}}'
+            rows.append((a, b, f'[{{"basis": {bases[t]}, "coeff": {coeff(n)}}}]'))
     return rows

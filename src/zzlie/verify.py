@@ -14,11 +14,12 @@ equations and solves them with ``propagate_scalars`` from the unit seeds
 
 The symbolic checks expand the Jacobi sum with all index components and
 parameters as polynomial symbols, proving the identity for every value at
-once.  They run the kernel's rule ``algebras._closed_form`` with symbolic
-weights: ``vir``, ``d``, the block families' generic region and, as
-D(alpha, -1), the c/cbar generic region.  The c/cbar factorial regions (a
-falling factorial of symbolic length) and the block families' punctures,
-half-planes and central terms remain window-checked.
+once.  They run the kernel's rule, ``algebras._closed_form`` (the row
+``_closed_row`` at the right index), with symbolic weights: ``vir``,
+``d``, the block families' generic region and, as D(alpha, -1), the c/cbar
+generic region.  The c/cbar factorial regions (a falling factorial of
+symbolic length) and the block families' punctures, half-planes and
+central terms remain window-checked.
 
 An algebra here is duck-typed.  The windowed checks and the
 diagonal-isomorphism search read four members:
@@ -28,29 +29,33 @@ generator; numerator an int, or an int-coefficient ``MultiPoly`` for
 symbolic central parameters), which raises ``DomainError`` for an input
 index outside the domain; ``den``, the one positive int every numerator is
 over; and ``central_degrees()``, mapping each present central generator to
-its degree.  ``AlgebraSpec`` and ``QuotientC`` provide them, and
-``QuotientC`` borrows ``AlgebraSpec.basis_bracket``, which reads only
-``raw_terms`` and ``den``.  ``raw_terms`` may return L terms outside
-the domain: the Jacobi kernel owns the in-domain filter of outer targets
-and brackets again only the in-domain ones.
+its degree.  ``raw_terms`` may return L terms outside the domain: the
+Jacobi kernel owns the in-domain filter of outer targets.  An algebra may
+add ``numerators(a, idxs)``: for each w of ``idxs`` the numerator of
+[L_a, L_w] at the one key of its degree a + w (the central generator
+there, else the L index), 0 for an empty bracket, with the same
+``DomainError`` for ``a``.  ``AlgebraSpec`` provides all five;
+``QuotientC`` the first four, and it borrows ``AlgebraSpec.basis_bracket``,
+which reads only ``raw_terms`` and ``den``.
 
-The Jacobi kernel evaluates every bracket of the sweep once, as int (or
-polynomial) numerators over ``den``, stored as rows by window position:
-the row of x lists [x, w] for each window index w in order, with one row
-per window index and one per in-domain L term of a window bracket outside
-the window, and only a key with a row is bracketed again.  A triple fails
-iff its cyclic sum, keyed by basis key, is nonzero; its witness, at its
-index triple, carries the true coefficient sum / den².
-
-When every row entry is empty or one term at the one key of its degree
-x + w (the central generator there, else the L index), a triple's three
-cyclic terms share a key, so one number decides it: with c_pq the
-numerator of [x_p, x_q] and v_pq[r] that of [x_p + x_q, x_r], the triple
-passes iff c_pq·v_pq[r] + c_qr·v_qr[p] + c_rp·v_rp[q] is zero (an int, or
-a polynomial for a symbolic centre).  A row is one pair p <= q, and its
-pass decides every r >= q from ``view[q]`` and the column of p.  Only a
-triple whose number is nonzero is summed by key, and so is every triple
-of a misgraded algebra (a duck-typed one: every ``AlgebraSpec`` is graded).
+The Jacobi kernel decides a triple of a graded algebra by one number: its
+three cyclic terms share a key, so with c_pq the numerator of [x_p, x_q]
+and v_pq[r] that of [x_p + x_q, x_r], it passes iff c_pq·v_pq[r] +
+c_qr·v_qr[p] + c_rp·v_rp[q] is zero (an int, or a polynomial for a
+symbolic centre).  The numbers sit in numeric rows by window position, one
+per window index and one per index sum outside the window that is
+bracketed again.  With ``numerators`` a row is one call, for each
+in-domain, non-central index sum.  Without it, the generic kernel that
+the fast one is tested against, every bracket is evaluated once through
+``raw_terms`` into term rows (an outside row for each in-domain L term of
+a window bracket), and they give numeric rows only when every entry is
+empty or one term at its degree's key.  A sweep row is one pair p <= q,
+and its pass decides every r >= q from ``view[q]`` and the column of p.
+Only a triple whose number is nonzero, and every triple of a misgraded
+algebra (a duck-typed one: every ``AlgebraSpec`` is graded), reaches the
+keyed ``defect``: it sums the cyclic terms by basis key, bracketing again
+only a key with a row, and its witness, at the index triple, carries the
+true coefficient sum / den².
 """
 
 from __future__ import annotations
@@ -158,75 +163,65 @@ def check_jacobi(alg, window):
     """
     idxs = window_indices(alg, window)
     pos = {a: p for p, a in enumerate(idxs)}
-    raw, n = alg.raw_terms, len(idxs)
-    # Row x lists the terms of [x, w] for w in window order: one row per
-    # window index, then one per bracketed target outside the window.
-    rows = {a: [raw(a, w) for w in idxs] for a in idxs}
-    # Only the in-domain L terms of a window bracket are bracketed again.
-    outside = {key for row in rows.values() for terms in row for key, _ in terms} - rows.keys()
-    rows.update((t, [raw(t, w) for w in idxs])
-                for t in outside if not isinstance(t, str) and alg.in_domain(*t))
+    n = len(idxs)
+    central = {deg: key for key, deg in alg.central_degrees().items()}
+    if hasattr(alg, "numerators"):
+        # a numeric row per window index and per in-domain, non-central
+        # index sum outside the window; only the keyed sum reads raw_terms
+        sums = {(a[0] + b[0], a[1] + b[1]) for a in idxs for b in idxs} - pos.keys()
+        rows = values = {t: alg.numerators(t, idxs) for t in [
+            *idxs, *(t for t in sums if t not in central and alg.in_domain(*t))]}
+        bracket = alg.raw_terms
+    else:
+        raw = alg.raw_terms
+        # Row x lists the terms of [x, w] for w in window order: one row per
+        # window index, then one per bracketed target outside the window.
+        rows = {a: [raw(a, w) for w in idxs] for a in idxs}
+        # Only the in-domain L terms of a window bracket are bracketed again.
+        outside = {key for row in rows.values() for terms in row for key, _ in terms} - rows.keys()
+        rows.update((t, [raw(t, w) for w in idxs])
+                    for t in outside if not isinstance(t, str) and alg.in_domain(*t))
+        # numeric rows only when each entry is empty or one term at its degree's key
+        graded = all(not terms or len(terms) == 1
+                     and terms[0][0] == central.get(t := (x[0] + w[0], x[1] + w[1]), t)
+                     for x, row in rows.items() for w, terms in zip(idxs, row))
+        values = graded and {x: [terms[0][1] if terms else 0 for terms in row]
+                             for x, row in rows.items()}
+
+        def bracket(x, y):
+            return rows[x][pos[y]]
     den2 = alg.den ** 2
 
     def keyed(a, b, c):
         acc = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for t, coeff in rows[x][pos[y]]:
+            for t, coeff in bracket(x, y):
                 if t in rows:
-                    accumulate(acc, rows[t][pos[z]], coeff)
+                    accumulate(acc, bracket(t, z), coeff)
         if not acc:
             return ()
         return (Element.from_raw(acc.items(), den2),)
 
-    view = _scalar_view(alg, idxs, rows)
+    # view[p][q]: (numerator of [x_p, x_q], numeric row of x_p + x_q) when
+    # that index sum has a row, else (0, a row of zeros)
+    zeros = (0, [0] * n)
+    view = values and [
+        [(c, values[t]) if (t := (a[0] + b[0], a[1] + b[1])) in values else zeros
+         for b, c in zip(idxs, values[a])]
+        for a in idxs
+    ]
     columns = view and list(zip(*view))
 
     def cases():
         for p, q in combinations_with_replacement(range(n), 2):  # row (p, q): each r >= q
             rs = range(q, n)
-            if view is not None:
+            if view:
                 c, u = view[p][q]
                 rs = [r for r, (d, v), (e, x) in zip(rs, view[q][q:], columns[p][q:])
                       if c * u[r] + d * v[p] + e * x[q]]
             yield n - q, [(r - q, (idxs[p], idxs[q], idxs[r])) for r in rs]
 
     return ViolationReport.sweep("jacobi", cases(), keyed)
-
-
-def _scalar_view(alg, idxs, rows):
-    """The one-number view of the Jacobi rows, or None when it cannot decide a triple.
-
-    ``view[p][q]`` is (numerator of [idxs[p], idxs[q]], scalar row of the
-    index sum t) when t has a row, else (0, zeros); the scalar row of t
-    lists the numerator of each entry of row t by window position, 0 for an
-    empty entry.  The view is None unless every entry [x, w] of every row
-    is empty or one term at the one key of its degree x + w: the central
-    generator of that degree, else the L index x + w.  Then every window
-    bracket has at most one L term with a row, at the index sum, so a
-    triple's three cyclic terms sit at one key and the triple passes iff
-    their numerator sum is zero.
-    """
-    central = {deg: key for key, deg in alg.central_degrees().items()}
-    values = {}
-    for x, row in rows.items():
-        line = values[x] = []
-        for w, terms in zip(idxs, row):
-            if not terms:
-                line.append(0)
-                continue
-            deg = (x[0] + w[0], x[1] + w[1])
-            if len(terms) > 1 or terms[0][0] != central.get(deg, deg):
-                return None
-            line.append(terms[0][1])
-    zeros = (0, [0] * len(idxs))
-    view = []
-    for a in idxs:
-        line = []
-        for b, c in zip(idxs, values[a]):
-            t = (a[0] + b[0], a[1] + b[1])
-            line.append((c, values[t]) if t in rows else zeros)
-        view.append(line)
-    return view
 
 
 def check_grading(alg, window):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zzlie.algebras import (
+    FAMILIES,
     AlgebraSpec,
     BasisElement,
     DomainError,
@@ -208,6 +209,20 @@ def test_out_of_domain_raises():
         spec.basis_bracket((-1, 2), (0, 0))
 
 
+def test_numerators_refuse_an_out_of_domain_index():
+    # a puncture, and an index off each half-plane: the error raw_terms gives
+    for spec, a in [
+        (AlgebraSpec("block", 1, 2, a1=1), (-1, 2)),
+        (AlgebraSpec("bplus-", 1), (0, -2)),
+        (AlgebraSpec("bplus+", 2), (1, 2)),
+    ]:
+        with pytest.raises(DomainError) as raw:
+            spec.raw_terms(a, (0, 0))
+        with pytest.raises(DomainError) as row:
+            spec.numerators(a, [(0, 0), (1, 1)])
+        assert str(row.value) == str(raw.value)
+
+
 def _raw_key(basis):
     return (basis.i, basis.j) if basis.kind == "L" else basis.kind
 
@@ -368,9 +383,9 @@ def test_raw_terms_are_integral_over_den():
 
 
 def test_table_cells_match_json_encoding():
-    # every template cell is the bytes json writes for terms_json of the
-    # bracket, with the polynomial cells of a symbolic centre through json
-    encode = json.JSONEncoder(sort_keys=True).encode
+    # every cell, filled from one numerators row per left index, is the
+    # bytes json writes for terms_json of the bracket: every family, with
+    # int and polynomial central cells
     seen = set()
     for spec in _RAW_SPECS:
         idxs = window_indices(spec, 3)
@@ -378,14 +393,16 @@ def test_table_cells_match_json_encoding():
         assert [(a, b) for a, b, _ in rows] == [(a, b) for a in idxs for b in idxs]
         for a, b, cell in rows:
             terms = spec.raw_terms(a, b)
-            assert cell == encode(terms_json(terms, spec.den)), (spec, a, b)
+            assert cell == json.dumps(terms_json(terms, spec.den), sort_keys=True), (spec, a, b)
             seen.update(
-                "poly" if isinstance(c, MultiPoly) else key if isinstance(key, str) else "L"
+                ("poly" if isinstance(c, MultiPoly) else "int", key if isinstance(key, str) else "L")
                 for key, c in terms
             )
             if not terms:
                 seen.add("empty")
-    assert seen == {"L", "C1", "C2", "poly", "empty"}
+    assert {spec.family for spec in _RAW_SPECS} == set(FAMILIES)
+    assert seen == {("int", "L"), ("int", "C1"), ("int", "C2"), ("poly", "C1"), ("poly", "C2"),
+                    "empty"}
 
 
 # -- central degrees ----------------------------------------------------------

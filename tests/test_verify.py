@@ -6,10 +6,17 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zzlie import verify
-from zzlie.algebras import AlgebraSpec, BasisElement, DomainError, Element, window_indices
+from zzlie.algebras import (
+    AlgebraSpec,
+    BasisElement,
+    DomainError,
+    Element,
+    table_to_json,
+    window_indices,
+)
 from zzlie.linsolve import propagate_scalars
 from zzlie.poly import MultiPoly, symbol
 from zzlie.verify import (
@@ -157,6 +164,100 @@ def test_jacobi_evaluates_each_bracket_once():
     # every window pair, plus the pairs of bracketed targets outside the window
     assert len(calls) > window * window
     assert set(calls.values()) == {1}
+
+
+class CorruptedRow(CorruptedPair):
+    """``CorruptedPair`` with the row primitive too, negating the same pair in both forms.
+
+    Its Jacobi sweep takes the fast path: suspects from numbers, their
+    witnesses from the keyed sum over ``raw_terms``.
+    """
+
+    def numerators(self, a, idxs):
+        row = self.inner.numerators(a, idxs)
+        if a == self.pair[0] and self.pair[1] in idxs:
+            p = idxs.index(self.pair[1])
+            row[p] = -row[p]
+        return row
+
+
+def _raw_only(spec):
+    """``spec`` as a duck-typed algebra without ``numerators``: the generic Jacobi kernel."""
+    return SimpleNamespace(raw_terms=spec.raw_terms, in_domain=spec.in_domain,
+                           central_degrees=spec.central_degrees, den=spec.den)
+
+
+_SYM = {name: symbol(name) for name in ("a1", "a2", "a2p")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_specs(), st.integers(0, 3))
+# both punctures with numeric and symbolic centres, the rows at j = s of
+# each half-plane, and the factorial regions of c and cbar
+@example(AlgebraSpec("block", 1, 2, a1=2, a2=Fraction(1, 3), a2p=-1), 3)
+@example(AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2), **_SYM), 3)
+@example(AlgebraSpec("bplus-", 2, **_SYM), 3)
+@example(AlgebraSpec("bplus+", Fraction(3, 2), a1=Fraction(2, 3), a2=5, a2p=1), 3)
+@example(AlgebraSpec("c", Fraction(2, 3)), 3)
+@example(AlgebraSpec("cbar", Fraction(-5, 3)), 3)
+def test_numerators_match_raw_terms_property(spec, window):
+    # the fast Jacobi kernel against the generic one: every row the sweep
+    # reads, the window's and the outside index sums', is raw_terms' number
+    # at its degree's key, and the two kernels report alike
+    idxs = window_indices(spec, window)
+    key_at = {deg: key for key, deg in spec.central_degrees().items()}
+    sums = {(a[0] + b[0], a[1] + b[1]) for a in idxs for b in idxs} - set(idxs)
+    for t in [*idxs, *sorted(sums)]:
+        if t in key_at or not spec.in_domain(*t):
+            continue
+        expected = []
+        for w in idxs:
+            deg = (t[0] + w[0], t[1] + w[1])
+            terms = dict(spec.raw_terms(t, w))
+            assert terms.keys() <= {key_at.get(deg, deg)}
+            expected.append(terms.get(key_at.get(deg, deg), 0))
+        assert spec.numerators(t, idxs) == expected, (spec, t)
+    fast, generic = check_jacobi(spec, window), check_jacobi(_raw_only(spec), window)
+    assert fast == generic
+    assert repr(fast.witnesses) == repr(generic.witnesses)
+
+
+@pytest.mark.parametrize("spec, pair", [
+    (AlgebraSpec("vir", 1), ((1, 0), (2, 0))),  # the sweep stops at the cap mid-row
+    (AlgebraSpec("block", 1, 2, **_SYM), ((0, 1), (-1, 1))),  # a C1 term at the puncture
+    (AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2), a2=3, a2p=-1), ((0, 1), (-1, 2))),
+    (AlgebraSpec("c", Fraction(2, 3)), ((1, 0), (0, -2))),  # the factorial region
+    (AlgebraSpec("bplus+", Fraction(3, 2), a1=Fraction(2, 3), a2=5, a2p=1), ((0, 1), (-1, 0))),
+])
+def test_fast_kernel_finds_the_faults_of_the_generic_one(spec, pair):
+    # a suspect found from numbers gets its witness from the keyed sum
+    fast = check_jacobi(CorruptedRow(spec, pair), 2)
+    generic = check_jacobi(CorruptedPair(spec, pair), 2)
+    assert not fast.ok
+    assert fast.checked_count == generic.checked_count
+    assert repr(fast.witnesses) == repr(generic.witnesses)
+
+
+def test_jacobi_and_table_read_no_terms_of_a_clean_spec(monkeypatch):
+    calls = Counter()
+    raw_terms = AlgebraSpec.raw_terms
+
+    def counting(self, a, b):
+        calls[a, b] += 1
+        return raw_terms(self, a, b)
+
+    monkeypatch.setattr(AlgebraSpec, "raw_terms", counting)
+    for spec in (
+        AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)),
+        AlgebraSpec("block", 1, 2, a1=1, a2=2, a2p=3),
+        AlgebraSpec("cbar", Fraction(2, 3)),
+    ):
+        assert check_jacobi(spec, 2).ok
+        assert table_to_json(spec, 2)
+    assert not calls
+    # a suspect still reaches raw_terms through the keyed sum
+    assert not check_jacobi(CorruptedRow(AlgebraSpec("vir", 1), ((1, 0), (2, 0))), 2).ok
+    assert calls
 
 
 def _clean_and_corrupted(spec, pair):
