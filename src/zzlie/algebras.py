@@ -248,10 +248,10 @@ class AlgebraSpec:
             n = _closed_form(self._weights, i, j, k, ell)
         elif family in _CENTRAL_FAMILIES:
             return self._block_raw(i, j, k, ell)
-        elif family == "c":
-            n = _c_numerator(self._weights, i, j, k, ell)
         else:  # cbar is c under j -> -j; the two flips cancel in the target
-            n = _c_numerator(self._weights, i, -j, k, -ell)
+            a_k, a_0 = (_c_line(self._weights, i, j, ell) if family == "c"
+                        else _c_line(self._weights, i, -j, -ell))
+            n = a_k * k + a_0
         return (((i + k, j + ell), n),) if n else ()
 
     def basis_bracket(self, a, b):
@@ -271,7 +271,8 @@ class AlgebraSpec:
         weights = self._weights
         if self.family in ("c", "cbar"):  # cbar is c under j -> -j, as in raw_terms
             s = 1 if self.family == "c" else -1
-            return [_c_numerator(weights, i, s * j, k, s * ell) for k, ell in idxs]
+            lines = {ell: _c_line(weights, i, s * j, s * ell) for ell in {ell for _, ell in idxs}}
+            return [a_k * k + a_0 for k, ell in idxs for a_k, a_0 in (lines[ell],)]
         if not self.in_domain(i, j):
             raise DomainError(f"{a} not in domain of {self.family}")
         a_l, a_k, a_0 = _closed_row(weights, i, j)
@@ -321,27 +322,31 @@ def _closed_form(w, i, j, k, ell):
     return a_l * ell + a_k * k + a_0
 
 
-def _c_numerator(w, i, j, k, ell):
-    """Structure constant of the c family times D, by (j, ell) region.
+def _c_line(w, i, j, ell):
+    """(B, C) with B*k + C the c structure constant of [L(i, j), L(k, ell)] times D.
 
-    ``w`` = (-D, alpha*D, D) are the weights of the generic core, the ``d``
-    rule at beta = -1.  The regions not listed are filled in antisymmetrically.
+    For a fixed (i, j) and ell the constant is affine in k; the (j, ell)
+    regions give it as follows.  ``w`` = (-D, alpha*D, D) are the weights of
+    the generic core ``_closed_row``, the ``d`` rule at beta = -1, which
+    holds where j, ell >= -1 (not both -1).  Where exactly one of j, ell is
+    <= -2 and the other >= 0, the core is scaled by the falling factorial
+    perm(-ell - 2, j) or perm(-j - 2, ell), which is 0 past the region's
+    edge; the rows and columns at -1 are filled in antisymmetrically, and
+    two indices at j, ell <= -2 bracket to 0.
     """
     _, a_num, den = w
-    if j >= -1 and ell >= -1:
-        if j == -1 and ell == -1:
-            return (k - i) * den
-        return _closed_form(w, i, j, k, ell)
-    if j >= 0 and ell <= -2:
-        if j > -ell - 2:
-            return 0
-        core = _closed_form(w, i, j, k, ell)
-        return math.factorial(-ell - 2) // math.factorial(-ell - j - 2) * core
-    if j == -1 and ell <= -2:
-        return i * den - a_num
-    if j <= -2 and ell <= -2:
-        return 0
-    return -_c_numerator(w, k, ell, i, j)
+    if j == -1 and ell <= -1:
+        return (den, -i * den) if ell == -1 else (0, i * den - a_num)
+    if j <= -2 and ell <= -1:
+        return (-den, a_num) if ell == -1 else (0, 0)
+    a_l, a_k, a_0 = _closed_row(w, i, j)
+    if ell <= -2:
+        f = math.perm(-ell - 2, j)
+    elif j <= -2:
+        f = math.perm(-j - 2, ell)
+    else:
+        return a_k, a_l * ell + a_0
+    return f * a_k, f * (a_l * ell + a_0)
 
 
 def window_range(window):

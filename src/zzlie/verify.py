@@ -21,8 +21,7 @@ generic region.  The c/cbar factorial regions (a falling factorial of
 symbolic length) and the block families' punctures, half-planes and
 central terms remain window-checked.
 
-An algebra here is duck-typed.  The windowed checks and the
-diagonal-isomorphism search read four members:
+An algebra here is duck-typed.  The windowed checks read four members:
 ``in_domain(i, j)``; ``raw_terms(a, b)``, the bracket as raw ``(key,
 numerator)`` terms (key ``(i, j)`` for L, "C1"/"C2" for a central
 generator; numerator an int, or an int-coefficient ``MultiPoly`` for
@@ -34,9 +33,11 @@ Jacobi kernel owns the in-domain filter of outer targets.  An algebra may
 add ``numerators(a, idxs)``: for each w of ``idxs`` the numerator of
 [L_a, L_w] at the one key of its degree a + w (the central generator
 there, else the L index), 0 for an empty bracket, with the same
-``DomainError`` for ``a``.  ``AlgebraSpec`` provides all five;
-``QuotientC`` the first four, and it borrows ``AlgebraSpec.basis_bracket``,
-which reads only ``raw_terms`` and ``den``.
+``DomainError`` for ``a``.  The Jacobi sweep reads it when present; the
+diagonal-isomorphism search needs it, with ``in_domain``, ``den`` and
+``central_degrees``, and reads no ``raw_terms``.  ``AlgebraSpec`` and
+``QuotientC`` provide all five, and ``QuotientC`` borrows
+``AlgebraSpec.basis_bracket``, which reads only ``raw_terms`` and ``den``.
 
 The Jacobi kernel decides a triple of a graded algebra by one number: its
 three cyclic terms share a key, so with c_pq the numerator of [x_p, x_q]
@@ -61,8 +62,8 @@ true coefficient sum / den².
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
-from itertools import combinations_with_replacement, product
+from functools import partial
+from itertools import combinations_with_replacement
 
 from .algebras import AlgebraSpec, BasisElement, DomainError, Element, _closed_form, window_indices
 from .linsolve import propagate_scalars
@@ -294,9 +295,11 @@ def symbolic_jacobi_block():
 class QuotientC:
     """The c-family algebra modulo its abelian ideal in degrees j <= -2.
 
-    Its domain is j >= -1: ``raw_terms`` refuses an input below it with
-    ``DomainError``.  Only two indices at j = -1 bracket out of it, to zero
-    in the quotient; every other bracket is the upstairs one unchanged.
+    Its domain is j >= -1: ``raw_terms`` and ``numerators`` refuse an input
+    below it with ``DomainError``.  Only two indices at j = -1 bracket out
+    of it, to zero in the quotient; every other bracket is the upstairs one
+    unchanged.  So a ``numerators`` row is the upstairs row, with 0 at each
+    w with w[1] = -1 when a[1] = -1.
     """
 
     def __init__(self, alpha):
@@ -316,6 +319,14 @@ class QuotientC:
             return ()
         return self.upstairs.raw_terms(a, b)
 
+    def numerators(self, a, idxs):
+        if a[1] < -1:
+            raise DomainError(f"{a} not in domain of the quotient of c")
+        row = self.upstairs.numerators(a, idxs)
+        if a[1] == -1:
+            return [0 if w[1] == -1 else n for w, n in zip(idxs, row)]
+        return row
+
     basis_bracket = AlgebraSpec.basis_bracket
 
 
@@ -330,47 +341,49 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     term, and a B-side bracket with a symbolic (polynomial) numerator, which
     a symbolic B central parameter gives.  Pairs are taken in window order
     and an outcome ends the search: for one pair the A-side check comes
-    first, then the B-side one, then a missing image (None); central images
-    are checked last.
+    first, then the B-side one, then a bracket that is nonzero on one side
+    only (None); central images are checked last.
 
-    The scalars are found by ``propagate_scalars`` from the unit seeds
-    (1, 0) and (0, 1) (the residual gauge freedom of a diagonal rescaling),
-    which verifies every window equation, so a returned witness is always
-    genuine.  An equation c_a * lam_t == c_b * lam_a * lam_b is set up in
-    ints, both sides times den_A * den_B: n_a * den_B and n_b * den_A.
-    Each window index is mapped once; only the pairs of indices whose images
-    are in B's domain are bracketed.
+    Both sides are read as ``numerators`` rows, one per mapped window index:
+    A at a over the mapped indices, B at a's image over their images, so
+    the entries at (a, b) are the numerators at the keys of degree a + b
+    and its image.  The scalars are found by ``propagate_scalars`` from the
+    unit seeds (1, 0) and (0, 1) (the residual gauge freedom of a diagonal
+    rescaling), which verifies every equation it is given, so a returned
+    witness is always genuine.  An equation c_a * lam_t == c_b * lam_a *
+    lam_b is set up in ints, both sides times den_A * den_B: n_a * den_B
+    and n_b * den_A.  When b precedes a and both numerators of (b, a) are
+    the negations of those of (a, b), the two pairs give one equation, and
+    only (b, a)'s is kept.  Each window index is mapped once.
     """
     idxs = window_indices(alg_a, window)
     idx_set = set(idxs)
     den_a, den_b = alg_a.den, alg_b.den
-    central = {deg: kind for kind, deg in alg_b.central_degrees().items()}
+    a_central = set(alg_a.central_degrees().values())
+    b_central = set(alg_b.central_degrees().values())
+    images = [(a, index_map(a)) for a in idxs]
+    mapped = [(a, m) for a, m in images if alg_b.in_domain(*m)]
+    sources, targets = [a for a, _ in mapped], [m for _, m in mapped]
 
-    @cache
-    def image(t):
-        m = index_map(t)
-        return m if alg_b.in_domain(*m) else central.get(m)
-
-    images = [(a, image(a)) for a in idxs]
-    mapped = [(a, m) for a, m in images if m is not None and not isinstance(m, str)]
-
-    # Equations c_a * lam_t == c_b * lam_a * lam_b, one per basis target.
+    # Equations c_a * lam_t == c_b * lam_a * lam_b, one per bracketed pair
+    # with t in the window, less the mirrors; rows[q] holds row q of each side.
     equations = []
-    for (a, ma), (b, mb) in product(mapped, repeat=2):
-        ea = alg_a.raw_terms(a, b)
-        if any(isinstance(key, str) for key, _ in ea):
-            raise ValueError("A-side central terms are not supported")
-        eb = dict(alg_b.raw_terms(ma, mb))
-        if any(n.__class__ is not int for n in eb.values()):
-            raise ValueError("B-side symbolic central parameters are not supported")
-        for t, na in ea:
-            nb = eb.pop(image(t), None)
-            if nb is None:
-                return None  # an A term without a B image: its scalar would vanish
-            if t in idx_set:  # else the target scalar is unconstrained
+    rows = []
+    for p, (a, m) in enumerate(mapped):
+        row_a, row_b = alg_a.numerators(a, sources), alg_b.numerators(m, targets)
+        rows.append((row_a, row_b))
+        for q, (b, na, nb) in enumerate(zip(sources, row_a, row_b)):
+            if not (na or nb):
+                continue
+            t = (a[0] + b[0], a[1] + b[1])
+            if na and t in a_central:
+                raise ValueError("A-side central terms are not supported")
+            if nb and nb.__class__ is not int:
+                raise ValueError("B-side symbolic central parameters are not supported")
+            if not (na and nb):
+                return None  # a term on one side only forces a zero scalar
+            if t in idx_set and not (q < p and rows[q][0][p] == -na and rows[q][1][p] == -nb):
                 equations.append((t, na * den_b, (a, b), nb * den_a))
-        if eb:
-            return None  # a B term without an A preimage forces a zero scalar
-    if any(alg_a.raw_terms(a, w) for a, m in images if isinstance(m, str) for w in idxs):
+    if any(any(alg_a.numerators(a, idxs)) for a, m in images if m in b_central):
         return None  # an index with a central image must bracket to zero
     return propagate_scalars(idxs, equations, [s for s in ((1, 0), (0, 1)) if s in idx_set])

@@ -26,7 +26,10 @@ the denominators of alpha and beta).  ``act`` divides a numerator by
 ``den`` only to build a ``ModVector``.  The sweep reads the numerators
 once, so s is summed in ints (the last term scaled by D = ``den`` once
 more) and a failing case's witness is s / D^2 v_{i+j+k}, which equals
-lhs - rhs.  ``find_intertwiner`` sets up its equations from the numerators
+lhs - rhs.  Since s(j, i, k) = -s(i, j, k) for every coefficient table,
+and so s(i, i, k) = 0, the sweep decides the cases with i < j and reads
+each case with i > j as the mirror of one decided before it.
+``find_intertwiner`` sets up its equations from the numerators
 too, so no ``Fraction`` is built per coefficient.
 """
 
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 
 from .algebras import window_range
 from .linsolve import propagate_scalars
@@ -161,7 +163,11 @@ def check_module_axiom(m, window):
     """[L_i, L_j] v_k = (j-i) L_{i+j} v_k, exactly, over the sweep window.
 
     Runs the scalar kernel of the module docstring, one row of j per (k, i),
-    on a table of the int numerators with both indices in [-2W, 2W].  Only
+    on a table of the int numerators with both indices in [-2W, 2W].  The
+    pass of row (k, i) evaluates s for each j > i; its suspects with j < i
+    are the mirrors of the nonzero cases (j, i, k) found in row (k, j), and
+    the case j = i passes.  So the rows, their suspects and the witnesses
+    are those of a sweep that evaluates every case.  Only
     ``supports``, ``raw_coeff`` and ``den`` are read from ``m``, so any
     object with those members can be checked.
     """
@@ -175,11 +181,20 @@ def check_module_axiom(m, window):
         s = a[j][k] * a[i][j + k] - a[i][k] * a[j][i + k] - (j - i) * d * a[i + j][k]
         return (ModVector._from_pruned({i + j + k: Fraction(s, d * d)}),) if s else ()
 
-    rows = ((len(rng), [(j + window, (i, j, k)) for j in rng
-                        if a[j][k] * a[i][j + k] - a[i][k] * a[j][i + k]
-                        - (j - i) * d * a[i + j][k]])
-            for k, i in product(filter(supports, rng), rng))
-    return ViolationReport.sweep("module-axiom", rows, defect)
+    def rows():
+        for k in filter(supports, rng):
+            column = [row[k] for row in a]  # column[x] = a(x, k)
+            mirrors = {i: [] for i in rng}  # i -> each j < i with s(j, i, k) nonzero
+            for i in rng:
+                a_i, a_ik, ik = a[i], column[i], i + k
+                found = [j for j in range(i + 1, window + 1)
+                         if column[j] * a_i[j + k] - a_ik * a[j][ik]
+                         - (j - i) * d * column[i + j]]
+                for j in found:
+                    mirrors[j].append(i)
+                yield len(rng), [(j + window, (i, j, k)) for j in mirrors[i] + found]
+
+    return ViolationReport.sweep("module-axiom", rows(), defect)
 
 
 def find_intertwiner(m1, m2, window):

@@ -200,6 +200,8 @@ _SYM = {name: symbol(name) for name in ("a1", "a2", "a2p")}
 @example(AlgebraSpec("bplus+", Fraction(3, 2), a1=Fraction(2, 3), a2=5, a2p=1), 3)
 @example(AlgebraSpec("c", Fraction(2, 3)), 3)
 @example(AlgebraSpec("cbar", Fraction(-5, 3)), 3)
+# the quotient of c: its rows at j = -1 drop the brackets that land at j = -2
+@example(QuotientC(Fraction(2, 3)), 3)
 def test_numerators_match_raw_terms_property(spec, window):
     # the fast Jacobi kernel against the generic one: every row the sweep
     # reads, the window's and the outside index sums', is raw_terms' number
@@ -635,6 +637,22 @@ def test_quotient_contract():
     assert report.checked_count == len(window_indices(alg, 3)) ** 2
 
 
+def test_quotient_numerators_refuse_a_low_index():
+    q = QuotientC(Fraction(2, 3))
+    idxs = window_indices(q, 2)
+    for a in ((0, -2), (3, -5)):  # raw_terms' refusal, message and all
+        with pytest.raises(DomainError) as row_error:
+            q.numerators(a, idxs)
+        with pytest.raises(DomainError) as terms_error:
+            q.raw_terms(a, (0, 0))
+        assert str(row_error.value) == str(terms_error.value) == (
+            f"{a} not in domain of the quotient of c")
+    # a row at j = -1 is the upstairs row with its entries at j = -1 set to 0
+    upstairs = AlgebraSpec("c", Fraction(2, 3)).numerators((1, -1), idxs)
+    assert any(n for w, n in zip(idxs, upstairs) if w[1] == -1)
+    assert q.numerators((1, -1), idxs) == [0 if w[1] == -1 else n for w, n in zip(idxs, upstairs)]
+
+
 def test_identity_isomorphism():
     vir = AlgebraSpec("vir", 1)
     lam = find_diagonal_isomorphism(vir, vir, lambda t: t, 3)
@@ -703,6 +721,71 @@ def test_isomorphism_maps_each_window_index_once():
         q, AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0), index_map, 3) is not None
     assert set(window_indices(q, 3)) <= calls.keys()
     assert set(calls.values()) == {1}
+
+
+def test_isomorphism_reads_no_terms(monkeypatch):
+    calls = Counter()
+
+    def counting(raw_terms):
+        def wrapped(self, a, b):
+            calls[a, b] += 1
+            return raw_terms(self, a, b)
+        return wrapped
+
+    monkeypatch.setattr(AlgebraSpec, "raw_terms", counting(AlgebraSpec.raw_terms))
+    monkeypatch.setattr(QuotientC, "raw_terms", counting(QuotientC.raw_terms))
+    q, target = QuotientC(1), AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0)
+    assert find_diagonal_isomorphism(q, target, lambda t: t, 3) is not None
+    vir = AlgebraSpec("vir", Fraction(2, 3))
+    assert find_diagonal_isomorphism(vir, vir, lambda t: t, 3) is not None
+    assert not calls
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_fractions.filter(bool), st.none() | _fractions, st.integers(1, 5))
+@example(Fraction(1), Fraction(1), 5)
+@example(Fraction(2), Fraction(3, 2), 5)
+def test_quotient_isomorphism_matches_reference_property(alpha, a1, window):
+    # the benchmark's shape: the quotient of c(alpha) onto bplus-(-alpha, a1)
+    q, target = QuotientC(alpha), AlgebraSpec("bplus-", -alpha, a1=a1, a2=0, a2p=0)
+    lam = find_diagonal_isomorphism(q, target, lambda t: t, window)
+    _assert_same_scalars(lam, reference_isomorphism(q, target, lambda t: t, window))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["vir", "d"]), _fractions.filter(bool), _fractions.filter(bool),
+       _fractions.filter(bool), st.integers(1, 3))
+def test_closed_isomorphism_matches_reference_property(family, alpha, other, beta, window):
+    # vir or d onto itself (found), and onto another alpha (None)
+    beta = beta if family == "d" else None
+    spec = AlgebraSpec(family, alpha, beta)
+    lam = find_diagonal_isomorphism(spec, spec, lambda t: t, window)
+    _assert_same_scalars(lam, reference_isomorphism(spec, spec, lambda t: t, window))
+    assert lam is not None
+    if other != alpha:
+        moved = AlgebraSpec(family, other, beta)
+        lam = find_diagonal_isomorphism(spec, moved, lambda t: t, window)
+        _assert_same_scalars(lam, reference_isomorphism(spec, moved, lambda t: t, window))
+        assert lam is None
+
+
+@pytest.mark.parametrize("corrupt_b", [False, True])
+@pytest.mark.parametrize("pair", [((1, 0), (2, 0)), ((2, 0), (1, 0))])
+def test_isomorphism_keeps_a_mirrored_equation_that_differs(pair, corrupt_b):
+    # One side negates one ordered pair, so (a, b) and (b, a) are two
+    # equations that contradict each other; only a pair whose both
+    # numerators are negated shares one equation with its mirror.  (1, 0)
+    # precedes (2, 0).
+    spec = AlgebraSpec("vir", Fraction(2, 3))
+    assert find_diagonal_isomorphism(spec, spec, lambda t: t, 3) is not None
+    bad = CorruptedRow(spec, pair)
+    alg_a, alg_b = (spec, bad) if corrupt_b else (bad, spec)
+    lam = find_diagonal_isomorphism(alg_a, alg_b, lambda t: t, 3)
+    _assert_same_scalars(lam, reference_isomorphism(alg_a, alg_b, lambda t: t, 3))
+    assert lam is None
 
 
 def test_quotient_isomorphism_witness_is_pinned():

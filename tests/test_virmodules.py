@@ -246,6 +246,19 @@ def test_module_axiom_counts_at_row_boundaries():
     assert repr(report.witnesses) == "[((0, 3, 3), (25/2)*v[6]), ((3, 0, 3), (-25/2)*v[6])]"
 
 
+def test_module_axiom_cap_falls_on_a_mirrored_case():
+    # The sweep evaluates s(i, j, k) for j > i only; a case with i > j is the
+    # mirror of (j, i, k), found in the earlier row (k, j).  Here the 20th
+    # witness is the first case of row (2, 0), the mirror of (-2, 0, 2).
+    perturbed = Perturbed(ModuleSpec("a_ab", Fraction(1, 2), 3), (0, 0))
+    report = assert_matches_act_reference(perturbed, 2)
+    assert (report.checked_count, len(report.witnesses)) == (111, 20)
+    assert report.checked_count == (4 * 5 + 2) * 5 + 1
+    (i, j, k), last = report.witnesses[-1]
+    assert (i, j, k) == (0, -2, 2)
+    assert report.witnesses.index(((j, i, k), -last)) < 19
+
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=7)
 
 
