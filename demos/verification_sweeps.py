@@ -10,9 +10,9 @@ from zzlie import (
     check_antisymmetry,
     check_grading,
     check_jacobi,
+    symbolic_jacobi,
     symbolic_jacobi_D,
     symbolic_jacobi_block,
-    symbolic_jacobi_vir,
     symbol,
 )
 
@@ -34,7 +34,9 @@ def sweep(spec, window=3):
 def main():
     print("symbolic Jacobi (zero polynomial in all index symbols and parameters):")
     print("  uniform two-parameter family:", symbolic_jacobi_D())
-    print("  rank-2 Virasoro:             ", symbolic_jacobi_vir())
+    alpha = symbol("alpha")
+    vir = symbolic_jacobi(lambda i, j, k, ell: (k - i) + (ell - j) * alpha)
+    print("  rank-2 Virasoro:             ", vir)
     print("  determinant form:            ", symbolic_jacobi_block())
     print()
 

@@ -15,11 +15,11 @@ equations and solves them with ``propagate_scalars`` from the unit seeds
 The symbolic checks expand the Jacobi sum with all index components and
 parameters as polynomial symbols, proving the identity for every value at
 once.  They run the kernel's rule, ``algebras._closed_form`` (the row
-``_closed_row`` at the right index), with symbolic weights: ``vir``,
-``d``, the block families' generic region and, as D(alpha, -1), the c/cbar
-generic region.  The c/cbar factorial regions (a falling factorial of
-symbolic length) and the block families' punctures, half-planes and
-central terms remain window-checked.
+``_closed_row`` at the right index), with symbolic weights: ``d`` (and so
+``vir``, its beta = 0 case), the block families' generic region and, as
+D(alpha, -1), the c/cbar generic region.  The c/cbar factorial regions (a
+falling factorial of symbolic length) and the block families' punctures,
+half-planes and central terms remain window-checked.
 
 An algebra here is duck-typed.  The windowed checks read four members:
 ``in_domain(i, j)``; ``raw_terms(a, b)``, the bracket as raw ``(key,
@@ -44,19 +44,18 @@ three cyclic terms share a key, so with c_pq the numerator of [x_p, x_q]
 and v_pq[r] that of [x_p + x_q, x_r], it passes iff c_pq·v_pq[r] +
 c_qr·v_qr[p] + c_rp·v_rp[q] is zero (an int, or a polynomial for a
 symbolic centre).  The numbers sit in numeric rows by window position, one
-per window index and one per index sum outside the window that is
-bracketed again.  With ``numerators`` a row is one call, for each
-in-domain, non-central index sum.  Without it, the generic kernel that
-the fast one is tested against, every bracket is evaluated once through
-``raw_terms`` into term rows (an outside row for each in-domain L term of
-a window bracket), and they give numeric rows only when every entry is
-empty or one term at its degree's key.  A sweep row is one pair p <= q,
-and its pass decides every r >= q from ``view[q]`` and the column of p.
-Only a triple whose number is nonzero, and every triple of a misgraded
-algebra (a duck-typed one: every ``AlgebraSpec`` is graded), reaches the
-keyed ``defect``: it sums the cyclic terms by basis key, bracketing again
-only a key with a row, and its witness, at the index triple, carries the
-true coefficient sum / den².
+per window index and one per in-domain, non-central index sum outside the
+window.  A row comes from one of two sources: ``numerators`` when the
+algebra has it, else ``_term_row``, which reads it off ``raw_terms`` (one
+call per bracket) and gives None when an entry is neither empty nor one
+term at its degree's key.  The tests hold the two sources to each other.
+A sweep row is one pair p <= q, and its pass decides every r >= q from
+``view[q]`` and the column of p.  Only a triple whose number is nonzero,
+and every triple of a misgraded algebra (a None row leaves no view; every
+``AlgebraSpec`` is graded), reaches the keyed ``defect``: it sums the
+cyclic terms by basis key through ``raw_terms``, bracketing again each
+in-domain L key, and its witness, at the index triple, carries the true
+coefficient sum / den².
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ __all__ = [
     "check_grading",
     "symbolic_jacobi",
     "symbolic_jacobi_D",
-    "symbolic_jacobi_vir",
     "symbolic_jacobi_block",
     "QuotientC",
     "find_diagonal_isomorphism",
@@ -154,59 +152,51 @@ def check_antisymmetry(alg, window):
     return ViolationReport.sweep("antisymmetry", rows, defect)
 
 
+def _term_row(raw, central, a, idxs):
+    """The numerators of [a, w] for w of ``idxs`` off ``raw``, or None if one is misgraded.
+
+    An entry is read when it is empty (0) or one term at its degree's key;
+    ``central`` maps a degree to the central generator there.
+    """
+    entries = [(raw(a, w), (a[0] + w[0], a[1] + w[1])) for w in idxs]
+    if all(not terms or len(terms) == 1 and terms[0][0] == central.get(t, t)
+           for terms, t in entries):
+        return [terms[0][1] if terms else 0 for terms, _ in entries]
+    return None
+
+
 def check_jacobi(alg, window):
     """Sweep unordered basis triples; witness each nonzero cyclic sum.
 
-    Runs the one-denominator kernel and the row pass of the module
-    docstring.  With symbolic central parameters a triple passes only if its
-    sum is the zero polynomial, which certifies the cocycle identity for
-    every parameter value at once.
+    Runs the one kernel of the module docstring, on rows from ``numerators``
+    when the algebra has it and read off ``raw_terms`` otherwise.  With
+    symbolic central parameters a triple passes only if its sum is the zero
+    polynomial, which certifies the cocycle identity for every parameter
+    value at once.
     """
     idxs = window_indices(alg, window)
-    pos = {a: p for p, a in enumerate(idxs)}
     n = len(idxs)
+    raw, den2 = alg.raw_terms, alg.den ** 2
     central = {deg: key for key, deg in alg.central_degrees().items()}
-    if hasattr(alg, "numerators"):
-        # a numeric row per window index and per in-domain, non-central
-        # index sum outside the window; only the keyed sum reads raw_terms
-        sums = {(a[0] + b[0], a[1] + b[1]) for a in idxs for b in idxs} - pos.keys()
-        rows = values = {t: alg.numerators(t, idxs) for t in [
-            *idxs, *(t for t in sums if t not in central and alg.in_domain(*t))]}
-        bracket = alg.raw_terms
-    else:
-        raw = alg.raw_terms
-        # Row x lists the terms of [x, w] for w in window order: one row per
-        # window index, then one per bracketed target outside the window.
-        rows = {a: [raw(a, w) for w in idxs] for a in idxs}
-        # Only the in-domain L terms of a window bracket are bracketed again.
-        outside = {key for row in rows.values() for terms in row for key, _ in terms} - rows.keys()
-        rows.update((t, [raw(t, w) for w in idxs])
-                    for t in outside if not isinstance(t, str) and alg.in_domain(*t))
-        # numeric rows only when each entry is empty or one term at its degree's key
-        graded = all(not terms or len(terms) == 1
-                     and terms[0][0] == central.get(t := (x[0] + w[0], x[1] + w[1]), t)
-                     for x, row in rows.items() for w, terms in zip(idxs, row))
-        values = graded and {x: [terms[0][1] if terms else 0 for terms in row]
-                             for x, row in rows.items()}
-
-        def bracket(x, y):
-            return rows[x][pos[y]]
-    den2 = alg.den ** 2
+    row = getattr(alg, "numerators", None) or partial(_term_row, raw, central)
+    # a numeric row per window index and per in-domain, non-central index
+    # sum outside the window; a None row (misgraded) leaves no view
+    sums = {(a[0] + b[0], a[1] + b[1]) for a in idxs for b in idxs} - set(idxs)
+    values = {t: row(t, idxs) for t in [
+        *idxs, *(t for t in sums if t not in central and alg.in_domain(*t))]}
 
     def keyed(a, b, c):
         acc = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for t, coeff in bracket(x, y):
-                if t in rows:
-                    accumulate(acc, bracket(t, z), coeff)
-        if not acc:
-            return ()
-        return (Element.from_raw(acc.items(), den2),)
+            for t, coeff in raw(x, y):
+                if not isinstance(t, str) and alg.in_domain(*t):
+                    accumulate(acc, raw(t, z), coeff)
+        return (Element.from_raw(acc.items(), den2),) if acc else ()
 
     # view[p][q]: (numerator of [x_p, x_q], numeric row of x_p + x_q) when
     # that index sum has a row, else (0, a row of zeros)
     zeros = (0, [0] * n)
-    view = values and [
+    view = None not in values.values() and [
         [(c, values[t]) if (t := (a[0] + b[0], a[1] + b[1])) in values else zeros
          for b, c in zip(idxs, values[a])]
         for a in idxs
@@ -277,11 +267,6 @@ def symbolic_jacobi(coeff_fn):
 def symbolic_jacobi_D():
     """Jacobi for the uniform two-parameter family, all eight symbols free."""
     return symbolic_jacobi(partial(_closed_form, (symbol("beta"), symbol("alpha"), 1)))
-
-
-def symbolic_jacobi_vir():
-    """The beta = 0 specialization."""
-    return symbolic_jacobi(partial(_closed_form, (0, symbol("alpha"), 1)))
 
 
 def symbolic_jacobi_block():

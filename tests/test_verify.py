@@ -28,7 +28,6 @@ from zzlie.verify import (
     symbolic_jacobi,
     symbolic_jacobi_D,
     symbolic_jacobi_block,
-    symbolic_jacobi_vir,
 )
 from zzlie.virmodules import ModuleSpec, find_intertwiner, irreducible_subquotient
 
@@ -182,7 +181,7 @@ class CorruptedRow(CorruptedPair):
 
 
 def _raw_only(spec):
-    """``spec`` as a duck-typed algebra without ``numerators``: the generic Jacobi kernel."""
+    """``spec`` as a duck-typed algebra without ``numerators``: Jacobi rows off ``raw_terms``."""
     return SimpleNamespace(raw_terms=spec.raw_terms, in_domain=spec.in_domain,
                            central_degrees=spec.central_degrees, den=spec.den)
 
@@ -203,9 +202,9 @@ _SYM = {name: symbol(name) for name in ("a1", "a2", "a2p")}
 # the quotient of c: its rows at j = -1 drop the brackets that land at j = -2
 @example(QuotientC(Fraction(2, 3)), 3)
 def test_numerators_match_raw_terms_property(spec, window):
-    # the fast Jacobi kernel against the generic one: every row the sweep
+    # numerators rows against rows read off raw_terms: every row the sweep
     # reads, the window's and the outside index sums', is raw_terms' number
-    # at its degree's key, and the two kernels report alike
+    # at its degree's key, and the Jacobi kernel reports alike on both
     idxs = window_indices(spec, window)
     key_at = {deg: key for key, deg in spec.central_degrees().items()}
     sums = {(a[0] + b[0], a[1] + b[1]) for a in idxs for b in idxs} - set(idxs)
@@ -283,8 +282,10 @@ def test_jacobi_matches_fraction_reference():
     # bracketed again; PrintedIndexC misgrades every c and cbar bracket,
     # MovedKey misgrades one pair's bracket, and ExtraKey gives it a second,
     # misgraded term, so their triples' cyclic terms need not share a key
-    # and a one-number test cannot decide them.
+    # and a one-number test cannot decide them.  On the pairs of ``outer``
+    # MovedKey misgrades only a row of an index sum outside the window.
     moved = ((1, 0), (1, 1))
+    outer = [((3, 0), (0, 1)), ((3, -1), (-2, 2))]
     cases = [
         (AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)), ((1, 0), (1, 1))),
         (
@@ -305,6 +306,9 @@ def test_jacobi_matches_fraction_reference():
         (MovedKey(AlgebraSpec("vir", 1), moved), moved),
         (MovedKey(AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)), moved), moved),
         (ExtraKey(AlgebraSpec("vir", 1), moved), moved),
+        *((MovedKey(spec, pair), pair) for spec in (
+            AlgebraSpec("vir", 1), AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)),
+        ) for pair in outer),
     ]
     denominators, kinds = set(), set()
     for spec, pair in cases:
@@ -314,6 +318,8 @@ def test_jacobi_matches_fraction_reference():
             assert report.checked_count == count, spec
             assert report.witnesses == witnesses, spec
             assert repr(report.witnesses) == repr(witnesses), spec
+            if isinstance(spec, MovedKey):
+                assert witnesses, spec
             for _, w in witnesses:
                 kinds.update(basis.kind for basis in w.terms)
                 denominators.update(
@@ -452,7 +458,6 @@ def test_jacobi_counts_at_row_boundaries():
 
 def test_symbolic_jacobi_families():
     assert symbolic_jacobi_D()
-    assert symbolic_jacobi_vir()
     assert symbolic_jacobi_block()
 
 
@@ -489,7 +494,6 @@ def test_symbolic_rules_are_the_kernel_rule(alpha, beta, a, b, ca, cb):
     # parameters substituted, each proof's coefficient is the kernel's.
     rule_d = _proof_rule(symbolic_jacobi_D)
     cases = [
-        (_proof_rule(symbolic_jacobi_vir), AlgebraSpec("vir", alpha)),
         (rule_d, AlgebraSpec("d", alpha, beta)),
         (_proof_rule(symbolic_jacobi_block), AlgebraSpec("block", alpha, beta)),
     ]
@@ -497,6 +501,9 @@ def test_symbolic_rules_are_the_kernel_rule(alpha, beta, a, b, ca, cb):
     for rule, spec in cases:
         if all(spec.in_domain(*p) for p in (a, b, target)):
             assert _rule_value(rule, a, b, alpha, beta) == _kernel_value(spec, a, b)
+    # vir is D(alpha, 0)
+    vir = AlgebraSpec("vir", alpha)
+    assert _rule_value(rule_d, a, b, alpha, Fraction(0)) == _kernel_value(vir, a, b)
     # the c/cbar generic region (j, ell >= -1, not both -1) is D(alpha, -1)
     if (ca[1], cb[1]) != (-1, -1):
         c = AlgebraSpec("c", alpha)
