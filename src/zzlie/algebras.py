@@ -23,8 +23,9 @@ two forms that take the same branches: ``raw_terms(a, b)``, one bracket as
 ``(key, numerator)`` terms, and ``numerators(a, idxs)``, a row of
 numbers, one per right index, each at the one key of its degree.  A
 numerator is divided by ``den`` only where a value is shown: in an
-``Element`` (``Element.from_raw``) or a JSON record (``terms_json``,
-``table_to_json``).
+``Element`` (``Element.from_raw``) or a JSON record (``terms_json``, and
+``table_to_json``, the window's table as a matrix of JSON cell texts with
+one row per left index, which the CLI joins a row at a time).
 """
 
 from __future__ import annotations
@@ -373,40 +374,43 @@ def structure_table(spec, window):
 
 
 def table_to_json(spec, window):
-    """The structure table as ``(left, right, cell)`` rows, in ``structure_table`` order.
+    """The structure table as a cell matrix ``(idxs, cells)``.
 
-    ``cell`` is the JSON text of ``terms_json`` of the bracket, the records
-    the ``bracket`` command prints, exactly as
-    ``json.JSONEncoder(sort_keys=True)`` writes them.  It is filled into a
-    fixed template from one ``numerators`` row per left index: 0 is the
-    empty cell, else the one term sits at the central generator of a
-    puncture or at the L index sum.  Each basis text is written once per
-    degree, and each int coefficient n/den once per distinct n, as
-    "{n//g}/{den//g}" with g = gcd(n, den); a polynomial one is the encoded
-    records of n/den.
+    ``idxs`` is ``window_indices(spec, window)``, and ``cells[p]`` is the
+    row of left index ``idxs[p]``: for each right index of ``idxs``, in
+    order, the JSON text of ``terms_json`` of the bracket, the records the
+    ``bracket`` command prints, exactly as ``json.JSONEncoder(sort_keys=True)``
+    writes them.  A row is filled from one ``numerators`` row: 0 is the empty
+    cell, else the one term sits at the central generator of a puncture or
+    at the L index sum.  A cell is the text of its degree, written once per
+    degree, joined to the text of its coefficient, written once per int
+    numerator n as "{n//g}/{den//g}" with g = gcd(n, den); a polynomial one
+    is the encoded records of n/den.
     """
     idxs = window_indices(spec, window)
     den = spec.den
-    bases = {deg: f'{{"kind": "{kind}"}}' for kind, deg in spec.central_degrees().items()}
+    heads = {deg: f'[{{"basis": {{"kind": "{kind}"}}, "coeff": '
+             for kind, deg in spec.central_degrees().items()}
     encode = json.JSONEncoder(sort_keys=True).encode
-    texts = {}
+    tails = {}  # int numerators only: a constant MultiPoly equals its int
 
-    def coeff(n):
+    def head(t):
+        heads[t] = f'[{{"basis": {{"i": {t[0]}, "j": {t[1]}, "kind": "L"}}, "coeff": '
+        return heads[t]
+
+    def tail(n):
         if n.__class__ is not int:
-            return encode(unscaled(n, den).to_records())
-        if n not in texts:
-            g = math.gcd(n, den)
-            texts[n] = f'"{n // g}/{den // g}"'
-        return texts[n]
+            return encode(unscaled(n, den).to_records()) + "}]"
+        g = math.gcd(n, den)
+        tails[n] = f'"{n // g}/{den // g}"}}]'
+        return tails[n]
 
-    rows = []
-    for a in idxs:
-        for b, n in zip(idxs, spec.numerators(a, idxs)):
-            if not n:
-                rows.append((a, b, "[]"))
-                continue
-            t = (a[0] + b[0], a[1] + b[1])
-            if t not in bases:
-                bases[t] = f'{{"i": {t[0]}, "j": {t[1]}, "kind": "L"}}'
-            rows.append((a, b, f'[{{"basis": {bases[t]}, "coeff": {coeff(n)}}}]'))
-    return rows
+    return idxs, [
+        [
+            "[]" if not n else
+            (heads.get(t := (i + k, j + ell)) or head(t))
+            + ((tails.get(n) or tail(n)) if n.__class__ is int else tail(n))
+            for (k, ell), n in zip(idxs, spec.numerators((i, j), idxs))
+        ]
+        for i, j in idxs
+    ]

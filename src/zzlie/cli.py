@@ -14,9 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 
 from . import algebras, classify, verify, virmodules
 # structure_table is not called here; zzbench/tracing.py wraps it on this module.
+# It wraps table_to_json on this module too, so _cmd_table must call it through
+# this module's global, as imported here by name.
 from .algebras import AlgebraSpec, DomainError, structure_table, table_to_json  # noqa: F401
 from .poly import UsageError, format_rational, parse_rational, symbol
 
@@ -166,24 +169,32 @@ def _cmd_bracket(args):
 
 
 def _cmd_table(args):
-    """Write the table as one string built from its JSON-encoded cells.
+    """Write the table's cell matrix with one join per left index.
 
-    The json form is the list of ``{"left", "result", "right"}`` objects
+    Each index's text is formatted once per table, and a left index's
+    lines are its row of cells interleaved with those texts.  The json
+    form is the list of ``{"left", "result", "right"}`` objects
     ``json.dumps(..., sort_keys=True)`` would write; csv and text print a
-    header and one row per bracket, the cell as the last column.
+    header and one line per bracket, the cell as the last column.
     """
-    rows = table_to_json(_algebra_spec(args), args.window)
+    idxs, cells = table_to_json(_algebra_spec(args), args.window)
     if args.format == "json":
-        text = "[" + ", ".join(
-            f'{{"left": [{a[0]}, {a[1]}], "result": {cell}, "right": [{b[0]}, {b[1]}]}}'
-            for a, b, cell in rows
-        ) + "]\n"
+        rights = [f', "right": [{k}, {ell}]}}, ' for k, ell in idxs]
+        rows = [
+            "".join(chain.from_iterable(
+                zip(repeat(f'{{"left": [{i}, {j}], "result": '), row, rights)))
+            for (i, j), row in zip(idxs, cells)
+        ]
+        rows[-1] = rows[-1][:-2]  # the table's last object takes no ", "
+        text = "".join(["[", *rows, "]\n"])
     else:
         sep = _SEPARATORS[args.format]
+        texts = [f"{i}{sep}{j}{sep}" for i, j in idxs]
         header = sep.join(("left_i", "left_j", "right_i", "right_j", "terms"))
         text = "".join([
             header + "\n",
-            *(f"{a[0]}{sep}{a[1]}{sep}{b[0]}{sep}{b[1]}{sep}{cell}\n" for a, b, cell in rows),
+            *("".join(chain.from_iterable(zip(repeat(left), texts, row, repeat("\n"))))
+              for left, row in zip(texts, cells)),
         ])
     _write(text, args)
     return 0

@@ -383,26 +383,35 @@ def test_raw_terms_are_integral_over_den():
 
 
 def test_table_cells_match_json_encoding():
-    # every cell, filled from one numerators row per left index, is the
-    # bytes json writes for terms_json of the bracket: every family, with
-    # int and polynomial central cells
+    # the cell matrix has a row per window index and a cell per window
+    # index, and every cell, filled from one numerators row per left index,
+    # is the bytes json writes for terms_json of the bracket: every family,
+    # with int and polynomial central cells.  With a2 = t + 1 and a2p = -t
+    # the C2 numerator t(X + Y) + X is the constant X where Y = -X, a
+    # MultiPoly equal to an int, which is still written as polynomial records
+    t = symbol("t")
     seen = set()
-    for spec in _RAW_SPECS:
+    for spec in [*_RAW_SPECS, AlgebraSpec("block", 1, 1, a1=t, a2=t + 1, a2p=-t)]:
         idxs = window_indices(spec, 3)
-        rows = table_to_json(spec, 3)
-        assert [(a, b) for a, b, _ in rows] == [(a, b) for a in idxs for b in idxs]
-        for a, b, cell in rows:
-            terms = spec.raw_terms(a, b)
-            assert cell == json.dumps(terms_json(terms, spec.den), sort_keys=True), (spec, a, b)
-            seen.update(
-                ("poly" if isinstance(c, MultiPoly) else "int", key if isinstance(key, str) else "L")
-                for key, c in terms
-            )
-            if not terms:
-                seen.add("empty")
+        table_idxs, cells = table_to_json(spec, 3)
+        assert table_idxs == idxs
+        assert [len(row) for row in cells] == [len(idxs)] * len(idxs)
+        for a, row in zip(idxs, cells):
+            for b, cell in zip(idxs, row):
+                terms = spec.raw_terms(a, b)
+                expected = json.dumps(terms_json(terms, spec.den), sort_keys=True)
+                assert cell == expected, (spec, a, b)
+                seen.update(
+                    ("int" if not isinstance(c, MultiPoly)
+                     else "constant poly" if c.terms.keys() <= {()} else "poly",
+                     key if isinstance(key, str) else "L")
+                    for key, c in terms
+                )
+                if not terms:
+                    seen.add("empty")
     assert {spec.family for spec in _RAW_SPECS} == set(FAMILIES)
     assert seen == {("int", "L"), ("int", "C1"), ("int", "C2"), ("poly", "C1"), ("poly", "C2"),
-                    "empty"}
+                    ("constant poly", "C2"), "empty"}
 
 
 # -- central degrees ----------------------------------------------------------

@@ -6,8 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zzlie.algebras import FAMILIES
-from zzlie.cli import main
+from zzlie.algebras import FAMILIES, terms_json, window_indices
+from zzlie.cli import _algebra_spec, build_parser, main
 
 
 def run(capsys, *argv):
@@ -115,17 +115,36 @@ def test_rational_literals_parse(capsys, literal, coeff):
 
 
 def test_table_formats_agree(capsys):
-    args = ["table", "--family", "vir", "--alpha", "1", "--window", "1"]
-    code, as_json = run(capsys, *args, "--format", "json")
-    assert code == 0
-    rows = json.loads(as_json)
-    assert len(rows) == 81
-    code, as_csv = run(capsys, *args, "--format", "csv")
-    assert code == 0
-    assert len(as_csv.splitlines()) == 82  # header + rows
-    code, as_text = run(capsys, *args, "--format", "text")
-    assert code == 0
-    assert len(as_text.splitlines()) == 82
+    # the three layouts against an independent route: json.dumps of the
+    # terms_json records of raw_terms over window_indices pairs, and every
+    # csv/text line split back into (left, right, cell); every TABLE_FLAGS
+    # spec at its window and at W=0, and vir at W=1
+    inputs = [["--family", "vir", "--alpha", "1", "--window", "1"]]
+    for flags in TABLE_FLAGS.values():
+        inputs += [flags, [*flags, "--window", "0"]]
+    header = ("left_i", "left_j", "right_i", "right_j", "terms")
+    for flags in inputs:
+        args = build_parser().parse_args(["table", *flags])
+        spec = _algebra_spec(args)
+        idxs = window_indices(spec, args.window)
+        pairs = [(a, b) for a in idxs for b in idxs]
+        terms = {(a, b): terms_json(spec.raw_terms(a, b), spec.den) for a, b in pairs}
+        code, as_json = run(capsys, "table", *flags, "--format", "json")
+        assert code == 0
+        assert as_json == json.dumps(
+            [{"left": list(a), "result": terms[a, b], "right": list(b)} for a, b in pairs],
+            sort_keys=True,
+        ) + "\n", flags
+        for fmt, sep in (("csv", ","), ("text", " ")):
+            code, out = run(capsys, "table", *flags, "--format", fmt)
+            assert code == 0
+            lines = out.split("\n")
+            assert lines[0] == sep.join(header) and lines[-1] == ""
+            assert len(lines) == len(pairs) + 2, (flags, fmt)
+            for line, (a, b) in zip(lines[1:], pairs):
+                li, lj, ri, rj, cell = line.split(sep, 4)
+                assert ((int(li), int(lj)), (int(ri), int(rj))) == (a, b), (flags, fmt)
+                assert cell == json.dumps(terms[a, b], sort_keys=True), (flags, fmt, a, b)
 
 
 def test_output_is_byte_stable(capsys):

@@ -254,7 +254,9 @@ def test_jacobi_and_table_read_no_terms_of_a_clean_spec(monkeypatch):
         AlgebraSpec("cbar", Fraction(2, 3)),
     ):
         assert check_jacobi(spec, 2).ok
-        assert table_to_json(spec, 2)
+        idxs, cells = table_to_json(spec, 2)
+        assert idxs == window_indices(spec, 2)
+        assert [len(row) for row in cells] == [len(idxs)] * len(idxs)
     assert not calls
     # a suspect still reaches raw_terms through the keyed sum
     assert not check_jacobi(CorruptedRow(AlgebraSpec("vir", 1), ((1, 0), (2, 0))), 2).ok
