@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import chain, repeat
 
 from . import algebras, classify, verify, virmodules
@@ -285,10 +286,15 @@ _COMMANDS = {
 }
 
 
+@cache
+def _parser():
+    """The parser of ``main``, built on its first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

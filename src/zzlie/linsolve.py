@@ -8,6 +8,12 @@ divides exactly, when a lead divides the factor); the gcd is divided out of
 every row installed or updated, so no ``Fraction`` is built per row or per
 step.  Rows come in as ints (callers set their equations up over a common
 denominator); solved values come out as ``Fraction(const, lead)``.
+Work is done only where the system can change.  A row whose unknowns are
+all solved (their pivot rows are empty) is decided by one int sum of
+c*const/lead over a common denominator, with no elimination.  A new pivot
+is back-substituted only into the open pivot rows (the non-empty ones),
+since a solved row never changes again.
+
 Every row added to the system carries an opaque tag, and the system
 remembers the rows that raised its rank.  Elimination tracks no provenance:
 at the first contradiction one transposed solve over those rows finds the
@@ -68,6 +74,12 @@ class LinearSystem:
     coefficients and an int constant: scale a rational row over its common
     denominator first.
 
+    A row over solved unknowns only is redundant or contradicting by one
+    int sum; any other row is eliminated.  ``_open`` holds, in install
+    order, the pivot unknowns whose row is not empty, and a new pivot is
+    back-substituted into those alone: a row that empties leaves it, and a
+    solved row never changes again.
+
     The rows that raised the rank are linearly independent, so a
     contradicting row is a unique combination of them plus a nonzero
     constant.  Its certificate is the new row's tag with the tags of the
@@ -77,6 +89,7 @@ class LinearSystem:
 
     def __init__(self):
         self.pivots = {}  # unknown -> (row, const, lead)
+        self._open = {}  # pivot unknowns whose row is not empty, as dict keys
         self._installed = []  # (coeffs, tag) of each row that raised the rank
         self.contradiction = None  # tag combination of the first inconsistent row
 
@@ -99,11 +112,15 @@ class LinearSystem:
             coeffs = {v: -c for v, c in coeffs.items()}
             const, lead = -const, -lead
         pivot = _primitive(coeffs, const, lead)
-        # back-substitute into existing pivot rows
-        for pvar, old in pivots.items():
-            if var in old[0]:
-                pivots[pvar] = _primitive(*_cancel(*old, var, pivot))
+        # back-substitute into the open pivot rows; a solved row mentions nothing
+        opened = self._open
+        for pvar in [p for p in opened if var in pivots[p][0]]:
+            pivots[pvar] = new = _primitive(*_cancel(*pivots[pvar], var, pivot))
+            if not new[0]:
+                del opened[pvar]
         pivots[var] = pivot
+        if pivot[0]:
+            opened[var] = None
         return None
 
     def _combination(self, coeffs, tag):
@@ -133,10 +150,20 @@ class LinearSystem:
         stays usable.
         """
         clean = {v: c for v, c in coeffs.items() if c}
-        residue = self._eliminate(dict(clean), const)
-        if residue is None:
-            self._installed.append((clean, tag))
-            return True
+        # While every unknown is solved, keep sum(c*const/lead) - const as
+        # the int fraction residue/den; any other unknown needs elimination.
+        pivots = self.pivots
+        residue, den = -const, 1
+        for var, c in clean.items():
+            piv = pivots.get(var)
+            if piv is None or piv[0]:
+                residue = self._eliminate(dict(clean), const)
+                if residue is None:
+                    self._installed.append((clean, tag))
+                    return True
+                break
+            residue = residue * piv[2] + c * piv[1] * den
+            den *= piv[2]
         if not residue:
             return True
         if self.contradiction is None:

@@ -100,12 +100,17 @@ def rational_pivots(system):
     }
 
 
-@settings(max_examples=300, deadline=None)
-@given(rows_strategy)
-def test_matches_tagged_elimination(raw):
+def assert_matches_tagged_elimination(raw):
+    """Add the int rows ``raw`` and compare with the Fraction reference.
+
+    After every row, ``_open`` must be exactly the pivots with a non-empty row.
+    """
     rows = [(coeffs, const, ("row", n)) for n, (coeffs, const) in enumerate(raw)]
     system = LinearSystem()
-    results = [system.add_equation(*row) for row in rows]
+    results = []
+    for row in rows:
+        results.append(system.add_equation(*row))
+        assert set(system._open) == {v for v, (prow, _, _) in system.pivots.items() if prow}
     expected_results, expected_pivots, expected_combo = tagged_elimination(rows)
     assert results == expected_results
     assert rational_pivots(system) == expected_pivots
@@ -121,6 +126,68 @@ def test_matches_tagged_elimination(raw):
     assert tags == sorted(expected_combo, key=repr)
     assert ("row", results.index(False)) in tags
     assert_minimal_certificate(rows, tags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_strategy)
+def test_matches_tagged_elimination(raw):
+    assert_matches_tagged_elimination(raw)
+
+
+def test_rows_over_solved_unknowns_are_decided_by_their_sum():
+    system = LinearSystem()
+    assert system.add_equation({"x": 3}, 2, "x")
+    assert system.add_equation({"y": -5}, 4, "y")
+    assert system.pivots == {"x": ({}, 2, 3), "y": ({}, -4, 5)}
+    assert system.add_equation({"x": 6, "y": 5}, 0, "sum")  # 4 - 4 = 0
+    assert system.add_equation({"x": -9}, -6, "scaled x")
+    assert system.rank() == 2 and system.contradiction is None
+    assert not system.add_equation({"x": 3, "y": 5}, 0, "off")  # 2 - 4 != 0
+    assert system.certificate_tags() == ["off", "x", "y"]
+    assert not system.add_equation({}, 1, "0 = 1")
+    assert system.add_equation({"x": 0}, 0, "0 = 0")
+    assert system.certificate_tags() == ["off", "x", "y"]
+
+
+# Unknowns 0-3 are solved first, with leads that are mostly not 1; the rows
+# after that are combinations of those unknowns (redundant, or off by a
+# constant), multiples of a solving row, or rows that also meet unknowns 4
+# and 5, which open pivot rows and later close them.
+@st.composite
+def solved_rows_strategy(draw):
+    leads = st.sampled_from([2, 3, 5, -3, -4, 1])
+    solving = draw(st.dictionaries(
+        st.integers(0, 3), st.tuples(leads, st.integers(-6, 6)), min_size=1
+    ))
+    rows = [({v: lead}, const) for v, (lead, const) in solving.items()]
+    values = {v: Fraction(const, lead) for v, (lead, const) in solving.items()}
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["redundant", "off", "scaled", "open"]))
+        if kind == "scaled":
+            coeffs, const = draw(st.sampled_from(rows[: len(solving)]))
+            m = draw(st.integers(-3, 3).filter(bool))
+            rows.append(({v: m * c for v, c in coeffs.items()}, m * const))
+        elif kind == "open":
+            coeffs = draw(st.dictionaries(
+                st.integers(0, 5), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+            ))
+            coeffs[draw(st.integers(4, 5))] = draw(st.integers(-3, 3).filter(bool))
+            rows.append((coeffs, draw(st.integers(-4, 4))))
+        else:
+            coeffs = draw(st.dictionaries(
+                st.sampled_from(sorted(values)), small_rationals.filter(bool), min_size=1
+            ))
+            const = sum(c * values[v] for v, c in coeffs.items())
+            if kind == "off":
+                const += draw(small_rationals.filter(bool))
+            rows.append(integer_row(coeffs, const))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(solved_rows_strategy())
+def test_solved_rows_match_tagged_elimination(raw):
+    assert_matches_tagged_elimination(raw)
 
 
 @settings(max_examples=200, deadline=None)
