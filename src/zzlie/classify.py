@@ -343,6 +343,14 @@ def check_impossibility(alpha, window):
     d'_{i,j} = d'_{0,i+j} = 0; every d'_{0,s} is coupled to (1, s-1) or to
     (-1, s+1).  So the rank equals the number of unknowns for every alpha
     and every window >= 2, and ``only_zero`` reports that rank check.
+
+    Only rows that raise the rank are built.  The i = 0 rows vanish
+    (A = B), and a row whose unknowns are all solved is redundant: the
+    system is homogeneous, so a solved unknown is 0 and the row is a
+    combination of the rows that solved it.  So the k rows of (i, j) stop
+    once d'_{i,j} and d'_{0,i+j} are both solved, and a one-unknown row
+    (A or B zero at an integral 4 alpha) over a solved unknown is never
+    built.  Skipping them changes neither the rank nor ``only_zero``.
     """
     den, (num,) = integer_scaled([exact_number(alpha, "alpha")])
     if window < 2:
@@ -352,12 +360,17 @@ def check_impossibility(alpha, window):
     unknowns = [(i, j) for i in rng for j in rng if abs(i + j) <= window]
     system = LinearSystem()
     for i, j in unknowns:
+        if i == 0:  # A = B: every row is zero
+            continue
+        pair = ((i, j), (0, i + j))
         for k in rng:
-            coeffs = accumulate({}, [
-                ((i, j), 4 * num - (7 * i + 7 * j + k) * den),
-                ((0, i + j), -(4 * num + (9 * i - 7 * j - k) * den)),
-            ])
-            if coeffs:
+            unsolved = system.undetermined(pair)
+            if not unsolved:
+                break
+            a = 4 * num - (7 * i + 7 * j + k) * den
+            b = -(4 * num + (9 * i - 7 * j - k) * den)
+            coeffs = {v: c for v, c in zip(pair, (a, b)) if c}
+            if not coeffs.keys().isdisjoint(unsolved):
                 system.add_equation(coeffs, 0, ("eq", i, j, k))
     rank = system.rank()
     return {"only_zero": rank == len(unknowns), "rank": rank, "unknowns": len(unknowns)}

@@ -21,10 +21,14 @@ combination that produces the contradicting row, and its tags form a minimal
 certificate of equations with no common solution.
 
 ``propagate_scalars`` solves the multiplicative systems behind the diagonal
-isomorphism and intertwiner searches: one worklist pass from unit seeds,
-then a check of every equation.  Its coefficients are ints (the callers set
+isomorphism and intertwiner searches from unit seeds.  It decides each
+equation when it examines it, in input order: it checks the equation,
+solves it for its one unset unknown, or parks it on two unset unknowns
+and examines it again when either is set.  Only the equations still parked
+at the end are checked under the gauge value 1, and the work is linear in
+the occurrences of unknowns.  Its coefficients are ints (the callers set
 their equations up over the product of their denominators), each scalar is
-kept as a reduced int pair (num, den), and the check cross-multiplies, so
+kept as a reduced int pair (num, den), and the checks cross-multiply, so
 the only ``Fraction`` built is one per unknown of the returned map.
 """
 
@@ -194,52 +198,87 @@ class LinearSystem:
         return sorted(self.contradiction, key=repr)
 
 
+def _holds(x, equation):
+    """Whether c_lhs * x[t] == c_rhs * prod(x[s]), by cross-multiplying the (num, den) pairs."""
+    t, c_lhs, sources, c_rhs = equation
+    lhs, rhs = c_lhs * x[t][0], c_rhs * x[t][1]
+    for s in sources:
+        num, den = x[s]
+        lhs *= den
+        rhs *= num
+    return lhs == rhs
+
+
 def propagate_scalars(unknowns, equations, seeds):
     """Nonzero scalars x with c_lhs * x[t] == c_rhs * prod(x[s] for s in sources).
 
     ``equations`` holds (t, c_lhs, sources, c_rhs) tuples with nonzero int
-    coefficients.  Starting from x = 1 on ``seeds``, an equation fixes an
-    unknown once that unknown is its only unset occurrence; a repeated
-    occurrence (t among the sources, a squared source) is never solved for.
-    Unknowns never reached get the gauge value 1.  A scalar is held as a
-    reduced int pair (num, den) with den > 0, reduced by one gcd when it is
-    solved.  Every equation is then checked by cross-multiplying, so a
-    returned map (unknown -> Fraction, in ``unknowns`` order) is a genuine
-    solution; None means the equations force a contradiction.
+    coefficients.  Starting from x = 1 on ``seeds``, each equation is
+    decided when it is examined, in input order, by its unset occurrences:
+
+    - none: it is checked by cross-multiplying;
+    - one: it is solved for that unknown, so it holds by construction;
+    - more: it is parked on two distinct unset unknowns (on the one, if a
+      single unknown repeats) and examined again when either is set; it
+      cannot come down to one unset occurrence before that.
+
+    A repeated occurrence (t among the sources, a squared source) is never
+    solved for, and an equation with no sources only checks its target.
+    An equation is examined again at most once per distinct unknown it
+    holds, so the work is linear in occurrences.  The unknowns reached are
+    the closure of the one-unset-occurrence rule, and each reached value is
+    forced by the seeds, so the result does not depend on the order of
+    ``equations``.  Unknowns never reached get the gauge value 1, under
+    which the equations still parked at the end are checked.  A scalar is
+    held as a reduced int pair (num, den) with den > 0, reduced by one gcd
+    when it is solved.  A returned map (unknown -> Fraction, in
+    ``unknowns`` order) is a genuine solution; None means the equations
+    force a contradiction.
     """
     x = {s: (1, 1) for s in seeds}
-    by_unknown = defaultdict(list)
-    for eq in equations:
-        for u in {eq[0], *eq[2]}:
-            by_unknown[u].append(eq)
-    work = list(x)
-    while work:
-        for t, c_lhs, sources, c_rhs in by_unknown[work.pop()]:
+    waits = {}  # index of a parked equation -> the unset unknowns it is parked on
+    parked = defaultdict(list)  # unknown -> indices of the equations parked on it
+    for first in range(len(equations)):
+        woken = [(first, None)]
+        while woken:
+            e, by = woken.pop()
+            if by is not None and by not in waits.get(e, ()):
+                continue  # decided, or examined again since ``by`` was set
+            t, c_lhs, sources, c_rhs = equations[e]
             unset = [u for u in (t, *sources) if u not in x]
-            if len(unset) != 1:
-                continue
-            u = unset[0]
-            if u == t:  # x[t] = c_rhs * prod(x[s]) / c_lhs
-                num, den = c_rhs, c_lhs
-                for s in sources:
-                    num *= x[s][0]
-                    den *= x[s][1]
-            else:  # x[u] = c_lhs * x[t] / (c_rhs * prod(x[s] for s != u))
-                num, den = c_lhs * x[t][0], c_rhs * x[t][1]
-                for s in sources:
-                    if s != u:
-                        num *= x[s][1]
-                        den *= x[s][0]
-            g = gcd(num, den)
-            x[u] = (num // g, den // g) if den > 0 else (-num // g, -den // g)
-            work.append(u)
+            if not unset:
+                waits.pop(e, None)
+                if not _holds(x, equations[e]):
+                    return None
+            elif len(unset) == 1 and sources:
+                waits.pop(e, None)
+                u = unset[0]
+                if u == t:  # x[t] = c_rhs * prod(x[s]) / c_lhs
+                    num, den = c_rhs, c_lhs
+                    for s in sources:
+                        num *= x[s][0]
+                        den *= x[s][1]
+                else:  # x[u] = c_lhs * x[t] / (c_rhs * prod(x[s] for s != u))
+                    num, den = c_lhs * x[t][0], c_rhs * x[t][1]
+                    for s in sources:
+                        if s != u:
+                            num *= x[s][1]
+                            den *= x[s][0]
+                g = gcd(num, den)
+                x[u] = (num // g, den // g) if den > 0 else (-num // g, -den // g)
+                woken += [(f, u) for f in parked.pop(u, ())]
+            else:
+                # keep the unset unknowns e is parked on already, and park
+                # it on new ones up to two distinct
+                on = [w for w in waits.get(e, ()) if w not in x]
+                for u in unset:
+                    if len(on) == 2:
+                        break
+                    if u not in on:
+                        on.append(u)
+                        parked[u].append(e)
+                waits[e] = on
     values = {u: x.get(u, (1, 1)) for u in unknowns}
-    for t, c_lhs, sources, c_rhs in equations:
-        lhs, rhs = c_lhs * values[t][0], c_rhs * values[t][1]
-        for s in sources:
-            num, den = values[s]
-            lhs *= den
-            rhs *= num
-        if lhs != rhs:
-            return None
+    if not all(_holds(values, equations[e]) for e in waits):
+        return None
     return {u: Fraction(num, den) for u, (num, den) in values.items()}

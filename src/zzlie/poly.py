@@ -15,6 +15,7 @@ polynomials, algebra elements and module vectors (see its contract).
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -52,9 +53,20 @@ def parse_rational(text):
 
 
 def format_rational(value):
-    """Canonical "p/q" form, sign on the numerator, denominator always shown."""
+    """Canonical "p/q" form, sign on the numerator, denominator always shown.
+
+    Python prints no int longer than ``sys.get_int_max_str_digits()`` digits
+    (4300 by default); a longer numerator or denominator is a ``UsageError``
+    that names that limit.
+    """
     f = value if isinstance(value, Fraction) else Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:
+        raise UsageError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, the longest "
+            "integer this Python prints; choose smaller indices or parameters"
+        ) from exc
 
 
 def accumulate(acc, terms, factor=None):

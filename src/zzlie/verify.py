@@ -334,12 +334,13 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     the entries at (a, b) are the numerators at the keys of degree a + b
     and its image.  The scalars are found by ``propagate_scalars`` from the
     unit seeds (1, 0) and (0, 1) (the residual gauge freedom of a diagonal
-    rescaling), which verifies every equation it is given, so a returned
-    witness is always genuine.  An equation c_a * lam_t == c_b * lam_a *
-    lam_b is set up in ints, both sides times den_A * den_B: n_a * den_B
-    and n_b * den_A.  When b precedes a and both numerators of (b, a) are
-    the negations of those of (a, b), the two pairs give one equation, and
-    only (b, a)'s is kept.  Each window index is mapped once.
+    rescaling), which checks every equation it is given or solves it (so
+    that it holds), so a returned witness is always genuine.  An equation
+    c_a * lam_t == c_b * lam_a * lam_b is set up in ints, both sides times
+    den_A * den_B: n_a * den_B and n_b * den_A.  When b precedes a and
+    both numerators of (b, a) are the negations of those of (a, b), the
+    two pairs give one equation, and only (b, a)'s is kept.  Each window
+    index is mapped once.
     """
     idxs = window_indices(alg_a, window)
     idx_set = set(idxs)

@@ -206,8 +206,9 @@ def find_intertwiner(m1, m2, window):
     coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k.  It is set up in ints, both
     sides times den1 * den2: n1 * den2 and n2 * den1 for the numerators
     n = ``raw_coeff(i, k)``.  ``propagate_scalars`` solves them from a unit
-    seed (the global-scale gauge) and re-verifies the full window, so a
-    returned witness is always genuine; None means no witness exists.  A
+    seed (the global-scale gauge); each equation of the window is checked or
+    holds by construction, so a returned witness is always genuine; None
+    means no witness exists.  A
     window holding no supported index gives the empty map ``{}``, which
     intertwines vacuously.
     """

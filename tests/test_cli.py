@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -93,6 +94,22 @@ def test_negative_table_window_exits_two(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: window must be >= 0\n"
+
+
+def test_oversized_coefficient_exits_two_naming_the_digit_limit(capsys):
+    # the coefficient of this c(1) bracket has 10,938 digits
+    code = main(["bracket", "--family", "c", "--alpha", "1", "--left=1,3000", "--right=0,-6000"])
+    captured = capsys.readouterr()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:  # an interpreter that prints ints of any length
+        assert code == 0
+        return
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a result has more than {limit} digits, the longest integer this Python "
+        "prints; choose smaller indices or parameters\n"
+    )
 
 
 @pytest.mark.parametrize("literal", ["1e10000000", "2.5", "1_0"])

@@ -280,9 +280,18 @@ def test_window_solve_matches_fraction_reference(alpha, beta1, betam1, window):
     assert data["certificate"] == expected
 
 
-@pytest.mark.parametrize("alpha", [Fraction(1, 5), Fraction(-2, 3), Fraction(1), Fraction(7, 5)])
+# an integral alpha makes A or B vanish at some k, which gives one-unknown rows
+@pytest.mark.parametrize("alpha", [
+    Fraction(1, 5), Fraction(-2, 3), Fraction(1), Fraction(7, 5),
+    Fraction(-1), Fraction(7, 4), Fraction(2, 5), Fraction(-3, 7),
+])
 def test_impossibility_rank_matches_fraction_reference(alpha):
-    window = 3
+    for window in range(2, 7):
+        assert check_impossibility(alpha, window) == _full_impossibility_result(alpha, window)
+
+
+def _full_impossibility_result(alpha, window):
+    """The d'-system's result from all 2W+1 rows of every unknown, i = 0 included."""
     rng = range(-window, window + 1)
     rows = []
     for i in rng:
@@ -294,7 +303,35 @@ def test_impossibility_rank_matches_fraction_reference(alpha):
                 coeffs[(0, i + j)] = coeffs.get((0, i + j), 0) - (4 * alpha + 9 * i - 7 * j - k)
                 rows.append((coeffs, 0, ("eq", i, j, k)))
     _, pivots, _ = tagged_elimination(rows)
-    assert check_impossibility(alpha, window)["rank"] == len(pivots)
+    unknowns = len({key for coeffs, _, _ in rows for key in coeffs})
+    return {"only_zero": len(pivots) == unknowns, "rank": len(pivots), "unknowns": unknowns}
+
+
+# at alpha = 1, W = 10 (and alpha = -1, W = 11) A vanishes at k = -W on the
+# rows of i + j = 2 (i + j = 1), which would be redundant once d'_{0,i+j} is solved
+@pytest.mark.parametrize("alpha, window, rank", [
+    (Fraction(2, 5), 10, 331),
+    (Fraction(1), 10, 331),
+    (Fraction(1), 12, 469),
+    (Fraction(-1), 11, 397),
+    (Fraction(7, 4), 4, 61),
+])
+def test_impossibility_builds_only_rows_that_raise_the_rank(monkeypatch, alpha, window, rank):
+    added = []
+    add_equation = LinearSystem.add_equation
+
+    def spy(system, coeffs, const, tag):
+        before = system.rank()
+        ok = add_equation(system, coeffs, const, tag)
+        added.append((tag, system.rank() - before))
+        return ok
+
+    monkeypatch.setattr(LinearSystem, "add_equation", spy)
+    result = check_impossibility(alpha, window)
+    assert result == {"only_zero": True, "rank": rank, "unknowns": rank}
+    assert len(added) == rank
+    assert all(raised == 1 for _, raised in added)
+    assert all(tag[1] != 0 for tag, _ in added)  # an i = 0 row is never built
 
 
 @pytest.mark.parametrize("point", [

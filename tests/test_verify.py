@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -904,6 +905,78 @@ def test_int_propagation_property(raw):
     _assert_same_scalars(
         propagate_scalars(unknowns, eqs, [0]), reference_propagate_scalars(unknowns, eqs, [0])
     )
+
+
+@st.composite
+def consistent_scalar_systems(draw):
+    """A multiplicative system with a hidden nonzero solution, 1 on the seeds.
+
+    Each equation's coefficients are read off the hidden solution, so the
+    system is consistent unless its one optional perturbed equation breaks
+    it.  Sources repeat, a target may be among its sources, and the
+    equations come in a shuffled order.
+    """
+    unknowns = list(range(draw(st.integers(2, 6))))
+    seeds = draw(st.lists(st.sampled_from(unknowns), min_size=1, max_size=2))
+    values = st.sampled_from([Fraction(v) for v in ("1", "-1", "2", "-3", "1/2", "-2/3", "5/3")])
+    hidden = {u: Fraction(1) if u in seeds else draw(values) for u in unknowns}
+    equations = []
+    for _ in range(draw(st.integers(1, 10))):
+        t = draw(st.sampled_from(unknowns))
+        sources = tuple(draw(st.lists(st.sampled_from(unknowns), min_size=1, max_size=2)))
+        ratio = hidden[t] / math.prod(hidden[s] for s in sources)  # c_rhs / c_lhs
+        scale = draw(st.sampled_from((1, -1, 2, -3)))
+        equations.append((t, scale * ratio.denominator, sources, scale * ratio.numerator))
+    perturbed = draw(st.booleans())
+    if perturbed:
+        n = draw(st.integers(0, len(equations) - 1))
+        t, c_lhs, sources, c_rhs = equations[n]
+        equations[n] = (t, c_lhs, sources, c_rhs * draw(st.sampled_from((2, -1, 3))))
+    equations = draw(st.permutations(equations))
+    return unknowns, equations, seeds, hidden, perturbed
+
+
+@settings(max_examples=300, deadline=None)
+@given(consistent_scalar_systems())
+def test_propagation_of_consistent_systems_matches_reference(system):
+    unknowns, equations, seeds, hidden, perturbed = system
+    found = propagate_scalars(unknowns, equations, seeds)
+    _assert_same_scalars(found, reference_propagate_scalars(unknowns, equations, seeds))
+    assert propagate_scalars(unknowns, equations[::-1], seeds) == found
+    if found is not None and not perturbed:
+        # a reached value is forced by the seeds; the others take the gauge 1
+        assert all(found[u] in (hidden[u], 1) for u in unknowns)
+
+
+def test_propagation_solves_an_equation_once_its_other_unknowns_are_set():
+    # each first equation has three unset occurrences when it is examined;
+    # the later equations set two of them, so it must solve the third
+    cases = [
+        (["a", "p", "q", "r"],
+         [("r", 1, ("p", "q"), 6), ("p", 1, ("a",), 2), ("q", 1, ("a",), 3)],
+         {"a": 1, "p": 2, "q": 3, "r": 36}),
+        (["a", "p", "q", "t"],
+         [("t", 2, ("p", "q"), 1), ("t", 1, ("a",), 3), ("p", 1, ("a",), 4)],
+         {"a": 1, "p": 4, "q": Fraction(3, 2), "t": 3}),
+        (["a", "p", "q", "t"],
+         [("t", 2, ("p", "q"), 1), ("q", 1, ("a",), 3), ("t", 1, ("a",), 4)],
+         {"a": 1, "p": Fraction(8, 3), "q": 3, "t": 4}),
+    ]
+    for unknowns, equations, expected in cases:
+        found = propagate_scalars(unknowns, equations, ["a"])
+        assert found == expected
+        _assert_same_scalars(found, reference_propagate_scalars(unknowns, equations, ["a"]))
+
+
+def test_propagation_of_a_reversed_chain_matches_the_chain():
+    # a chain seeded at its start, in order and reversed: the reversed one
+    # is solved from its last equation back up through parked equations
+    n = 2000
+    chain = [(u + 1, (2, 3)[u % 2], (u,), (3, 2)[u % 2]) for u in range(n)]
+    unknowns = list(range(n + 1))
+    in_order = propagate_scalars(unknowns, chain, [0])
+    assert in_order == {u: Fraction(3, 2) if u % 2 else Fraction(1) for u in unknowns}
+    _assert_same_scalars(propagate_scalars(unknowns, chain[::-1], [0]), in_order)
 
 
 def test_symbolic_jacobi_single_term_rule():
