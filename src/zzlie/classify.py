@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .algebras import window_range
 from .linsolve import LinearSystem
 from .poly import (
     MultiPoly,
     UsageError,
-    accumulate,
     exact_number,
     exact_value,
     format_rational,
@@ -95,23 +95,47 @@ def recurrence_equation(p, i, j, k):
     the common denominator of alpha, beta1 and betam1 (a symbolic
     parameter's coefficients included); as it is homogeneous the scaling
     changes no solution.  Every coefficient is an int, or a polynomial with
-    integral coefficients when a parameter is symbolic.  A violated side
-    condition sets ``skipped`` instead of raising.
+    integral coefficients when a parameter is symbolic, and no coefficient
+    is zero.  At k = 0 the three unknowns are c_{i,j} and the coefficients
+    cancel identically, (-a + D i) + (a + D j) - D (i + j) = 0, so the row
+    is empty; for k != 0 the unknowns c_{i+k,j}, c_{i,j+k} and c_{i,j} are
+    distinct, and each nonzero coefficient is written as it is.  A violated
+    side condition sets ``skipped`` instead of raising, k = 0 included.
     """
-    d, (a, b1, bm1) = p._den, p._nums
-    coeffs = accumulate({}, [
-        ((i + k, j), -a + d * i + bm1 * k),
-        ((i, j + k), a + d * j + b1 * k),
-        ((i, j), -d * (i + j - k)),
-    ])
-    return {
-        "coeffs": coeffs,
-        "skipped": not _guard_literal(p, i, j, k),
-    }
+    skipped = not _guard_literal(p, i, j, k)
+    coeffs = {}
+    if k:
+        d, (a, b1, bm1) = p._den, p._nums
+        if c := -a + d * i + bm1 * k:
+            coeffs[(i + k, j)] = c
+        if c := a + d * j + b1 * k:
+            coeffs[(i, j + k)] = c
+        if c := -d * (i + j - k):
+            coeffs[(i, j)] = c
+    return {"coeffs": coeffs, "skipped": skipped}
 
 
 @dataclass
 class WindowSolution:
+    """The result of one window solve (``solve_c_window``).
+
+    - ``values``: unknown (i, j) -> Fraction for each unknown the system
+      pins to one value.  On an infeasible system these are prefix values:
+      the rows are added in sweep order and a row that contradicts those
+      before it is left out, so they are the values of the maximal
+      consistent subsystem met in that order.
+    - ``undetermined``: the sorted window unknowns not pinned to one value.
+    - ``unique``: the system is feasible and every undetermined unknown
+      lies on the window boundary.
+    - ``skipped``: the instances whose side condition fails as printed,
+      k = 0 instances included (their rows are empty).
+    - ``infeasible``: the rows admit no common solution.
+    - ``certificate``: the tags of a minimal contradicting row subset (the
+      first met in sweep order), or None when feasible.
+    - ``notes``: warnings about the parameters, such as an integral alpha
+      with a normalization parameter in {0, 1}.
+    """
+
     values: dict
     undetermined: list
     unique: bool
@@ -134,6 +158,38 @@ class WindowSolution:
         }
 
 
+@cache
+def _sweep_order(window):
+    """The window's (i, j, k) instances in sweep order, as one tuple.
+
+    Every (i, j, k) with |i|, |j|, |k| <= window whose unknowns lie in the
+    window, sorted by (tier, |i| + |j| + |k|, i, j, k).  The tiers are
+    derivation tiers: 0 for the origin instances (i = j = 0), 1 for the
+    matched-index instances that pin the even axis and diagonal closed
+    forms, 2 for the remaining axis instances and 3 for the general sweep.
+    The order depends on the window alone.
+    """
+    rng = window_range(window)
+
+    def key(t):
+        i, j, k = t
+        if i == 0 and j == 0:
+            tier = 0
+        elif (i == 0 and j == k) or (j == 0 and i == k):
+            tier = 1
+        elif i == 0 or j == 0:
+            tier = 2
+        else:
+            tier = 3
+        return tier, abs(i) + abs(j) + abs(k), i, j, k
+
+    return tuple(sorted(
+        ((i, j, k) for i in rng for j in rng for k in rng
+         if abs(i + k) <= window and abs(j + k) <= window),
+        key=key,
+    ))
+
+
 def solve_c_window(p, window):
     """Exact window solve of the recurrence with c_{0,0} = 2*alpha.
 
@@ -142,10 +198,14 @@ def solve_c_window(p, window):
     (``_guard_literal``; skips are counted).  The uniqueness flag holds when
     every unpinned unknown lies on the window boundary.
 
-    On an inconsistent system the certificate names a contradicting
-    equation subset; values and undetermined unknowns then describe the
-    maximal consistent subsystem met in sweep order (the closed forms the
-    system pins down before the contradiction surfaces).
+    The instances are walked in the sweep order of ``_sweep_order``,
+    computed once per window, and each admitted row is added as soon as
+    ``recurrence_equation`` builds it; the empty k = 0 rows are not added.
+    For a consistent system the order is irrelevant.  On an inconsistent
+    system the certificate names a contradicting equation subset; values
+    and undetermined unknowns then describe the maximal consistent
+    subsystem met in sweep order (the closed forms the system pins down
+    before the contradiction surfaces), so the order makes them canonical.
     """
     if not p._numeric:
         raise UsageError("window solving needs numeric parameters")
@@ -156,35 +216,12 @@ def solve_c_window(p, window):
     system = LinearSystem()
     system.add_equation({(0, 0): p._den}, 2 * p._nums[0], ("norm",))
     skipped = 0
-    # Instances are added in derivation tiers: the origin and matched-index
-    # instances that pin the even axis/diagonal closed forms come first,
-    # then remaining axis instances, then the general sweep.  For a
-    # consistent system the order is irrelevant; for an inconsistent one it
-    # makes the reported prefix values canonical.
-    triples = []
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if abs(i + k) > window or abs(j + k) > window:
-                    continue
-                eq = recurrence_equation(p, i, j, k)
-                if eq["skipped"]:
-                    skipped += 1
-                    continue
-                if i == 0 and j == 0:
-                    tier = 0
-                elif (i == 0 and j == k) or (j == 0 and i == k):
-                    tier = 1
-                elif i == 0 or j == 0:
-                    tier = 2
-                else:
-                    tier = 3
-                triples.append((tier, abs(i) + abs(j) + abs(k), i, j, k, eq["coeffs"]))
-    # (i, j, k) is unique, so the sort never compares the coeffs dicts
-    triples.sort()
-    for _, _, i, j, k, coeffs in triples:
-        if coeffs:
-            system.add_equation(coeffs, 0, ("eq", i, j, k))
+    for i, j, k in _sweep_order(window):
+        eq = recurrence_equation(p, i, j, k)
+        if eq["skipped"]:
+            skipped += 1
+        elif eq["coeffs"]:
+            system.add_equation(eq["coeffs"], 0, ("eq", i, j, k))
     # the system keeps only the first contradiction met in sweep order
     tags = system.certificate_tags()
     certificate = None if tags is None else [list(t) for t in tags]

@@ -10,7 +10,8 @@ step.  Rows come in as ints (callers set their equations up over a common
 denominator); solved values come out as ``Fraction(const, lead)``.
 Work is done only where the system can change.  A row whose unknowns are
 all solved (their pivot rows are empty) is decided by one int sum of
-c*const/lead over a common denominator, with no elimination.  A new pivot
+c*const/lead over a common denominator, read straight from the caller's
+map: it is neither copied nor eliminated.  A new pivot
 is back-substituted only into the open pivot rows (the non-empty ones),
 since a solved row never changes again.
 
@@ -148,19 +149,23 @@ class LinearSystem:
     def add_equation(self, coeffs, const, tag):
         """Add sum(coeffs[v]*v) = const; returns False on contradiction.
 
-        ``coeffs`` maps unknowns to ints and ``const`` is an int; the
-        caller's map is not changed.  A contradictory row is not installed;
-        the first one is remembered (certificate) and the rest of the system
-        stays usable.
+        ``coeffs`` maps unknowns to ints, zeros allowed, and ``const`` is an
+        int; the caller's map is not changed.  A row over solved unknowns is
+        decided from that map as it is; a copy without zeros is made only
+        for a row that goes to elimination.  A contradictory row is not
+        installed; the first one is remembered (certificate) and the rest of
+        the system stays usable.
         """
-        clean = {v: c for v, c in coeffs.items() if c}
         # While every unknown is solved, keep sum(c*const/lead) - const as
         # the int fraction residue/den; any other unknown needs elimination.
         pivots = self.pivots
         residue, den = -const, 1
-        for var, c in clean.items():
+        for var, c in coeffs.items():
+            if not c:
+                continue
             piv = pivots.get(var)
             if piv is None or piv[0]:
+                clean = {v: c for v, c in coeffs.items() if c}
                 residue = self._eliminate(dict(clean), const)
                 if residue is None:
                     self._installed.append((clean, tag))
@@ -171,7 +176,8 @@ class LinearSystem:
         if not residue:
             return True
         if self.contradiction is None:
-            self.contradiction = self._combination(clean, tag)
+            # reads coeffs[v] only for installed unknowns; a zero reads as absent
+            self.contradiction = self._combination(coeffs, tag)
         return False
 
     def solved_values(self):

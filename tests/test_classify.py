@@ -15,7 +15,7 @@ from zzlie.classify import (
     recurrence_equation,
     solve_c_window,
 )
-from zzlie.poly import MultiPoly, UsageError, proportionality, symbol
+from zzlie.poly import MultiPoly, UsageError, accumulate, proportionality, symbol
 
 
 def test_recurrence_origin_instance_is_trivial():
@@ -46,6 +46,38 @@ def test_impossibility_takes_a_constant_polynomial_alpha():
     assert check_impossibility(MultiPoly.const(2), 3) == check_impossibility(2, 3)
     with pytest.raises(UsageError, match="^alpha must be a number"):
         check_impossibility(symbol("alpha"), 3)
+
+
+def test_recurrence_k0_rows_are_empty_and_still_guarded():
+    symbolic = ClassificationParams(symbol("alpha"), Fraction(1, 2), symbol("beta1"))
+    for p in (ClassificationParams(Fraction(2, 3), 5, -1), symbolic):
+        for i in range(-2, 3):
+            for j in range(-2, 3):
+                assert recurrence_equation(p, i, j, 0) == {"coeffs": {}, "skipped": False}
+    guarded = ClassificationParams(1, 0, 1)
+    assert recurrence_equation(guarded, 1, 0, 0) == {"coeffs": {}, "skipped": True}
+    assert recurrence_equation(guarded, 0, -1, 0) == {"coeffs": {}, "skipped": True}
+
+
+@pytest.mark.parametrize("p", [
+    ClassificationParams(Fraction(2, 3), Fraction(-1, 2), Fraction(-3, 2)),
+    ClassificationParams(1, 0, 1),  # integral alpha: coefficients vanish
+    ClassificationParams(Fraction(3, 2), Fraction(1, 4), Fraction(-5, 4)),
+    ClassificationParams(symbol("alpha"), Fraction(1, 2), symbol("beta1")),
+])
+def test_recurrence_rows_match_an_accumulated_row(p):
+    d, (a, b1, bm1) = p._den, p._nums
+    for i in range(-3, 4):
+        for j in range(-3, 4):
+            for k in [-3, -2, -1, 1, 2, 3]:
+                expected = accumulate({}, [
+                    ((i + k, j), -a + d * i + bm1 * k),
+                    ((i, j + k), a + d * j + b1 * k),
+                    ((i, j), -d * (i + j - k)),
+                ])
+                coeffs = recurrence_equation(p, i, j, k)["coeffs"]
+                assert coeffs == expected and list(coeffs) == list(expected)
+                assert all(coeffs.values())
 
 
 def test_recurrence_rows_are_integral_for_fractional_symbolic_parameters():

@@ -260,6 +260,24 @@ def reference_window(alpha, beta1, betam1, window):
 @example(Fraction(1), 0, 1, 3)  # guard skips, infeasible
 @example(Fraction(1), -3, 0, 3)  # guard skips, feasible
 def test_window_solve_matches_fraction_reference(alpha, beta1, betam1, window):
+    assert_window_solve_matches_reference(alpha, beta1, betam1, window)
+
+
+# the benchmark's window: its uniform, equal and off-case points, and both guard points
+@pytest.mark.parametrize("alpha, beta1, betam1, skipped", [
+    (Fraction(5, 3), Fraction(-5, 2), Fraction(1, 2), 0),
+    (Fraction(-2, 3), Fraction(-5, 2), Fraction(-5, 2), 0),  # infeasible
+    (Fraction(5, 3), Fraction(3, 2), Fraction(-1, 2), 0),  # infeasible
+    (Fraction(1), Fraction(0), Fraction(1), 411),  # infeasible
+    (Fraction(1), Fraction(-3), Fraction(0), 227),  # feasible
+])
+def test_window_solve_matches_fraction_reference_at_w6(alpha, beta1, betam1, skipped):
+    data = assert_window_solve_matches_reference(alpha, beta1, betam1, 6)
+    assert data["skipped_equations"] == skipped
+
+
+def assert_window_solve_matches_reference(alpha, beta1, betam1, window):
+    """Compare ``solve_c_window`` with the Fraction reference; returns its JSON."""
     solution = solve_c_window(ClassificationParams(alpha, beta1, betam1), window)
     rows, skipped = reference_window(alpha, beta1, betam1, window)
     _, pivots, combo = tagged_elimination(rows)
@@ -278,6 +296,72 @@ def test_window_solve_matches_fraction_reference(alpha, beta1, betam1, window):
     assert data["skipped_equations"] == skipped
     expected = None if combo is None else [list(t) for t in sorted(combo, key=repr)]
     assert data["certificate"] == expected
+    return data
+
+
+@pytest.mark.parametrize("point, window", [
+    ((Fraction(5, 3), Fraction(-5, 2), Fraction(1, 2)), 3),
+    ((Fraction(-2, 3), Fraction(-5, 2), Fraction(-5, 2)), 4),
+    ((Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)), 3),
+    ((Fraction(1), Fraction(0), Fraction(1)), 4),
+    ((Fraction(1), Fraction(-3), Fraction(0)), 3),
+])
+def test_window_rows_reach_the_system_in_sweep_order(monkeypatch, point, window):
+    # skipped instances and empty rows (the k = 0 instances) never reach it
+    tags = []
+    add_equation = LinearSystem.add_equation
+
+    def spy(system, coeffs, const, tag):
+        tags.append(tag)
+        return add_equation(system, coeffs, const, tag)
+
+    monkeypatch.setattr(LinearSystem, "add_equation", spy)
+    solve_c_window(ClassificationParams(*point), window)
+    rows, _ = reference_window(*point, window)
+    assert tags == [tag for coeffs, _, tag in rows if any(coeffs.values())]
+
+
+def test_the_sweep_order_is_shared_across_solves():
+    p = ClassificationParams(Fraction(-2, 3), Fraction(-5, 2), Fraction(-5, 2))
+    first = solve_c_window(p, 3).to_json()
+    solve_c_window(p, 4)
+    assert solve_c_window(p, 3).to_json() == first
+
+
+def test_add_equation_leaves_the_callers_row_alone_on_every_path():
+    def add(system, coeffs, const, tag):
+        row = dict(coeffs)
+        result = system.add_equation(row, const, tag)
+        assert row == coeffs
+        return result
+
+    system = LinearSystem()
+    assert add(system, {"x": 2, "y": 0}, 4, "x")  # eliminated and installed
+    assert add(system, {"y": 3}, -3, "y")
+    assert all(c for row, _, _ in system.pivots.values() for c in row.values())
+    assert system.solved_values() == {"x": 2, "y": -1}
+    # decided over solved unknowns, with a zero on the unsolved z
+    assert add(system, {"x": 1, "z": 0, "y": 2}, 0, "sum")
+    assert system.rank() == 2 and "z" not in system.pivots
+    assert add(system, {"z": 0, "w": 0}, 0, "0 = 0")
+    assert add(system, {"z": 1, "w": 0, "x": 1}, 5, "z")  # eliminated and installed
+    assert system.solved_values() == {"x": 2, "y": -1, "z": 3}
+    assert all(c for row, _, _ in system.pivots.values() for c in row.values())
+    # contradicting over solved unknowns: a zero entry changes no certificate
+    plain, twin = LinearSystem(), LinearSystem()
+    for system in (plain, twin):
+        add(system, {"x": 1}, 2, "x")
+        add(system, {"y": 1}, -1, "y")
+    assert not add(plain, {"x": 1, "y": 1}, 0, "off")
+    assert not add(twin, {"x": 1, "w": 0, "y": 1}, 0, "off")
+    assert twin.contradiction == plain.contradiction == {"off": 1, "x": -1, "y": -1}
+    # contradicting after elimination, through an open pivot row
+    plain, twin = LinearSystem(), LinearSystem()
+    for system in (plain, twin):
+        add(system, {"x": 1, "y": 1}, 3, "a")
+    assert not add(plain, {"x": 2, "y": 2}, 7, "off")
+    assert not add(twin, {"y": 2, "v": 0, "x": 2}, 7, "off")
+    assert twin.contradiction == plain.contradiction == {"off": 1, "a": -2}
 
 
 # an integral alpha makes A or B vanish at some k, which gives one-unknown rows
