@@ -25,9 +25,11 @@ certificate of equations with no common solution.
 isomorphism and intertwiner searches from unit seeds.  It decides each
 equation when it examines it, in input order: it checks the equation,
 solves it for its one unset unknown, or parks it on two unset unknowns
-and examines it again when either is set.  Only the equations still parked
-at the end are checked under the gauge value 1, and the work is linear in
-the occurrences of unknowns.  Its coefficients are ints (the callers set
+and examines it again when either is set.  Once every unknown is set, the
+parked and unexamined equations are checked in one pass; else the parked
+ones are checked under the gauge value 1.  The work is linear in the
+occurrences of unknowns, and the order of the equations affects only its
+speed.  Its coefficients are ints (the callers set
 their equations up over the product of their denominators), each scalar is
 kept as a reduced int pair (num, den), and the checks cross-multiply, so
 the only ``Fraction`` built is one per unknown of the returned map.
@@ -231,20 +233,28 @@ def propagate_scalars(unknowns, equations, seeds):
     A repeated occurrence (t among the sources, a squared source) is never
     solved for, and an equation with no sources only checks its target.
     An equation is examined again at most once per distinct unknown it
-    holds, so the work is linear in occurrences.  The unknowns reached are
-    the closure of the one-unset-occurrence rule, and each reached value is
+    holds, so the work is linear in occurrences.  Once every member of
+    ``unknowns`` is set (a seed outside it does not count), the equations
+    parked or not yet examined are checked in one pass.  The unknowns
+    reached are the closure of the one-unset-occurrence rule, and each is
     forced by the seeds, so the result does not depend on the order of
-    ``equations``.  Unknowns never reached get the gauge value 1, under
-    which the equations still parked at the end are checked.  A scalar is
-    held as a reduced int pair (num, den) with den > 0, reduced by one gcd
-    when it is solved.  A returned map (unknown -> Fraction, in
-    ``unknowns`` order) is a genuine solution; None means the equations
-    force a contradiction.
+    ``equations``; the order affects only the speed, best when the
+    equations that reach every unknown from the seeds come first.  Unknowns
+    never reached get the gauge value 1, under which the equations still
+    parked at the end are checked.  A scalar is held as a reduced int pair
+    (num, den) with den > 0, reduced by one gcd when it is solved.  A
+    returned map (unknown -> Fraction, in ``unknowns`` order) is a genuine
+    solution; None means the equations force a contradiction.
     """
     x = {s: (1, 1) for s in seeds}
+    left = set(unknowns).difference(x)  # the members of ``unknowns`` still unset
     waits = {}  # index of a parked equation -> the unset unknowns it is parked on
     parked = defaultdict(list)  # unknown -> indices of the equations parked on it
+    rest = ()  # the equations not yet examined when the last unknown is set
     for first in range(len(equations)):
+        if not left:
+            rest = equations[first:]
+            break
         woken = [(first, None)]
         while woken:
             e, by = woken.pop()
@@ -272,6 +282,7 @@ def propagate_scalars(unknowns, equations, seeds):
                             den *= x[s][0]
                 g = gcd(num, den)
                 x[u] = (num // g, den // g) if den > 0 else (-num // g, -den // g)
+                left.discard(u)
                 woken += [(f, u) for f in parked.pop(u, ())]
             else:
                 # keep the unset unknowns e is parked on already, and park
@@ -284,7 +295,7 @@ def propagate_scalars(unknowns, equations, seeds):
                         on.append(u)
                         parked[u].append(e)
                 waits[e] = on
-    values = {u: x.get(u, (1, 1)) for u in unknowns}
-    if not all(_holds(values, equations[e]) for e in waits):
+    x.update(dict.fromkeys(left, (1, 1)))  # the gauge value of an unknown never reached
+    if not all(_holds(x, eq) for eq in [*(equations[e] for e in waits), *rest]):
         return None
-    return {u: Fraction(num, den) for u, (num, den) in values.items()}
+    return {u: Fraction(*x[u]) for u in unknowns}

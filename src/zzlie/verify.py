@@ -10,7 +10,7 @@ check's exact per-case ``defect``, the only code that builds a witness, on
 the suspects alone, and stops at ``MAX_WITNESSES`` (20) witnesses.  The
 diagonal-isomorphism search turns the window's brackets into multiplicative
 equations and solves them with ``propagate_scalars`` from the unit seeds
-(1, 0) and (0, 1).
+(1, 0) and (0, 1), handing over the equations at a seed first.
 
 The symbolic checks expand the Jacobi sum with all index components and
 parameters as polynomial symbols, proving the identity for every value at
@@ -339,8 +339,9 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     c_a * lam_t == c_b * lam_a * lam_b is set up in ints, both sides times
     den_A * den_B: n_a * den_B and n_b * den_A.  When b precedes a and
     both numerators of (b, a) are the negations of those of (a, b), the
-    two pairs give one equation, and only (b, a)'s is kept.  Each window
-    index is mapped once.
+    two pairs give one equation, and only (b, a)'s is kept.  The equations
+    at a seed go first, so the solver usually sets every scalar from them
+    and checks the rest in one pass.  Each window index is mapped once.
     """
     idxs = window_indices(alg_a, window)
     idx_set = set(idxs)
@@ -350,11 +351,11 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     images = [(a, index_map(a)) for a in idxs]
     mapped = [(a, m) for a, m in images if alg_b.in_domain(*m)]
     sources, targets = [a for a, _ in mapped], [m for _, m in mapped]
+    seeds = [s for s in ((1, 0), (0, 1)) if s in idx_set]
 
-    # Equations c_a * lam_t == c_b * lam_a * lam_b, one per bracketed pair
-    # with t in the window, less the mirrors; rows[q] holds row q of each side.
-    equations = []
-    rows = []
+    # Equations c_a * lam_t == c_b * lam_a * lam_b, one per bracketed pair with
+    # t in the window, less the mirrors; rows[q] holds row q of each side.
+    at_seed, rest, rows = [], [], []
     for p, (a, m) in enumerate(mapped):
         row_a, row_b = alg_a.numerators(a, sources), alg_b.numerators(m, targets)
         rows.append((row_a, row_b))
@@ -369,7 +370,8 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
             if not (na and nb):
                 return None  # a term on one side only forces a zero scalar
             if t in idx_set and not (q < p and rows[q][0][p] == -na and rows[q][1][p] == -nb):
-                equations.append((t, na * den_b, (a, b), nb * den_a))
+                equation = (t, na * den_b, (a, b), nb * den_a)
+                (at_seed if a in seeds or b in seeds else rest).append(equation)
     if any(any(alg_a.numerators(a, idxs)) for a, m in images if m in b_central):
         return None  # an index with a central image must bracket to zero
-    return propagate_scalars(idxs, equations, [s for s in ((1, 0), (0, 1)) if s in idx_set])
+    return propagate_scalars(idxs, at_seed + rest, seeds)

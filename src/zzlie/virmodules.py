@@ -20,17 +20,18 @@ is the scalar identity s = 0 with
 
 where a(i,k) is the coefficient of L_i v_k, taken as 0 when v_{i+k} is
 outside the support (``act`` drops that term).  A module is read through
-one contract: ``supports(k)``, and every coefficient as an int numerator
-``raw_coeff(i, k)`` over one denominator ``den`` (for a spec, the LCM of
-the denominators of alpha and beta).  ``act`` divides a numerator by
-``den`` only to build a ``ModVector``.  The sweep reads the numerators
-once, so s is summed in ints (the last term scaled by D = ``den`` once
-more) and a failing case's witness is s / D^2 v_{i+j+k}, which equals
-lhs - rhs.  Since s(j, i, k) = -s(i, j, k) for every coefficient table,
-and so s(i, i, k) = 0, the sweep decides the cases with i < j and reads
-each case with i > j as the mirror of one decided before it.
-``find_intertwiner`` sets up its equations from the numerators
-too, so no ``Fraction`` is built per coefficient.
+one contract: ``supports(k)``, ``den`` (for a spec, the LCM of the
+denominators of alpha and beta), and the coefficients as rows, new lists
+of int numerators over ``den``: ``numerators(i, ks)``, the counterpart of
+``AlgebraSpec.numerators``, where the three family formulas are written
+once.  ``act`` divides a numerator by ``den`` only to build a
+``ModVector``.  The sweep reads one row per i, so s is summed in ints (the
+last term scaled by D = ``den`` once more) and a failing case's witness
+is s / D^2 v_{i+j+k}, which equals lhs - rhs.  Since s(j, i, k) =
+-s(i, j, k) for every coefficient table, and so s(i, i, k) = 0, the sweep
+decides the cases with i < j and reads each case with i > j as the mirror
+of one decided before it.  ``find_intertwiner`` sets up its equations
+from the rows too, so no ``Fraction`` is built per coefficient.
 """
 
 from __future__ import annotations
@@ -95,20 +96,19 @@ class ModuleSpec:
     def supports(self, k):
         return k != self.removed
 
-    def raw_coeff(self, i, k):
-        """The int numerator over ``den`` of the scalar with L_i v_k = coeff * v_{i+k}."""
-        den = self.den
-        a_num, b_num = self._nums
+    def numerators(self, i, ks):
+        """A new list of the int numerators over ``den`` of a(i, k), for k of ``ks``.
+
+        L_i v_k = a(i, k) v_{i+k}; affine in k but at k = 0 (a_paren) and k = -i (b_paren).
+        """
+        den, (a_num, b_num) = self.den, self._nums
         if self.family == "a_ab":
-            return a_num + k * den + b_num * i
+            base = a_num + b_num * i
+            return [base + den * k for k in ks]
+        special = i * (i * den + a_num)
         if self.family == "a_paren":
-            if k == 0:
-                return i * (i * den + a_num)
-            return (i + k) * den
-        # b_paren
-        if k == -i:
-            return -i * (i * den + a_num)
-        return k * den
+            return [(i + k) * den if k else special for k in ks]
+        return [k * den if k + i else -special for k in ks]  # b_paren
 
 
 class ModVector(SparseVector):
@@ -130,13 +130,13 @@ class ModVector(SparseVector):
 
 
 def act(m, i, x):
-    """Linear extension of the basis action of L_i: ``raw_coeff`` over ``den``."""
+    """Linear extension of the basis action of L_i: ``numerators`` over ``den``."""
     image = []
-    for k, c in x.terms.items():
+    for (k, c), n in zip(x.terms.items(), m.numerators(i, x.terms)):
         if not m.supports(k):
             raise ValueError(f"v_{k} is outside the module support")
         if m.supports(i + k):
-            image.append((i + k, c * Fraction(m.raw_coeff(i, k), m.den)))
+            image.append((i + k, c * Fraction(n, m.den)))
     return ModVector._from_pruned(accumulate({}, image))
 
 
@@ -168,14 +168,17 @@ def check_module_axiom(m, window):
     are the mirrors of the nonzero cases (j, i, k) found in row (k, j), and
     the case j = i passes.  So the rows, their suspects and the witnesses
     are those of a sweep that evaluates every case.  Only
-    ``supports``, ``raw_coeff`` and ``den`` are read from ``m``, so any
+    ``supports``, ``numerators`` and ``den`` are read from ``m``, so any
     object with those members can be checked.
     """
     rng = window_range(window)
     # 0..2W then -2W..-1, so that a[i][k] = a(i, k) under negative indexing
     order = [*range(2 * window + 1), *range(-2 * window, 0)]
-    raw, supports, d = m.raw_coeff, m.supports, m.den
-    a = [[raw(i, k) if supports(i + k) else 0 for k in order] for i in order]
+    supports, d = m.supports, m.den
+    a = [m.numerators(i, order) for i in order]
+    for t in [t for t in range(-4 * window, 4 * window + 1) if not supports(t)]:
+        for i in range(max(t, 0) - 2 * window, min(t, 0) + 2 * window + 1):
+            a[i][t - i] = 0  # a term landing outside the support is dropped
 
     def defect(i, j, k):
         s = a[j][k] * a[i][j + k] - a[i][k] * a[j][i + k] - (j - i) * d * a[i + j][k]
@@ -204,31 +207,29 @@ def find_intertwiner(m1, m2, window):
     modules must support the same indices in the window, else None.
     The intertwining condition per (i, k) with all indices in the window is
     coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k.  It is set up in ints, both
-    sides times den1 * den2: n1 * den2 and n2 * den1 for the numerators
-    n = ``raw_coeff(i, k)``.  ``propagate_scalars`` solves them from a unit
-    seed (the global-scale gauge); each equation of the window is checked or
-    holds by construction, so a returned witness is always genuine; None
-    means no witness exists.  A
-    window holding no supported index gives the empty map ``{}``, which
-    intertwines vacuously.
+    sides times den1 * den2: n1 * den2 and n2 * den1 for the numerators n
+    of ``numerators(i, ks)``, read one row of i at a time.  The row i = 1
+    comes first: it chains the unit seed c at the lowest supported index
+    (the global-scale gauge) through the whole support unless a hole breaks
+    the chain, so ``propagate_scalars`` usually sets every scalar from it
+    and checks every later equation in one pass.  Each equation of the
+    window is checked or holds by construction, so a returned witness is
+    always genuine; None means no witness exists.  A window holding no
+    supported index gives the empty map ``{}``, which intertwines vacuously.
     """
     rng = window_range(window)
     support = [k for k in rng if m1.supports(k)]
     if support != [k for k in rng if m2.supports(k)]:
         return None  # a diagonal map sends each v_k to a nonzero multiple of v_k
     sup = set(support)
-    raw1, raw2 = m1.raw_coeff, m2.raw_coeff
     den1, den2 = m1.den, m2.den
     equations = []
-    for k in support:
-        for i in rng:
-            t = i + k
-            if t not in sup:
-                continue
-            n1, n2 = raw1(i, k), raw2(i, k)
+    for i in sorted(rng, key=(1).__ne__):  # the row i = 1 first, then in window order
+        ks = [k for k in support if i + k in sup]
+        for k, n1, n2 in zip(ks, m1.numerators(i, ks), m2.numerators(i, ks)):
             if n1 == 0 and n2 == 0:
                 continue
             if n1 == 0 or n2 == 0:
                 return None  # would force a scalar to zero
-            equations.append((t, n1 * den2, (k,), n2 * den1))
+            equations.append((i + k, n1 * den2, (k,), n2 * den1))
     return propagate_scalars(support, equations, support[:1])

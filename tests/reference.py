@@ -231,6 +231,31 @@ def reference_propagate_scalars(unknowns, equations, seeds):
     return values
 
 
+def seeded_prefix(unknowns, equations, seeds):
+    """The fewest leading equations whose one-unset closure from ``seeds`` sets every unknown.
+
+    Replays only which unknowns the rule of ``propagate_scalars`` sets, not
+    their values: an equation with sources and one unset occurrence sets
+    it.  None if all of ``equations`` leave an unknown unset.
+    """
+    done, wanted = set(seeds), set(unknowns)
+    by_unknown = defaultdict(list)
+    for n, (t, _, sources, _) in enumerate(equations, 1):
+        occurrences = (t, *sources)
+        for u in set(occurrences):
+            by_unknown[u].append(occurrences)
+        work = [occurrences]
+        while work:
+            occurrences = work.pop()
+            unset = [u for u in occurrences if u not in done]
+            if len(unset) == 1 and len(occurrences) > 1:
+                done.add(unset[0])
+                work += by_unknown[unset[0]]
+        if wanted <= done:
+            return n
+    return None
+
+
 def reference_intertwiner(m1, m2, window):
     """``find_intertwiner`` from the Fraction coefficients and the reference solver."""
     rng = range(-window, window + 1)

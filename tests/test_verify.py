@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zzlie import verify
+from zzlie import verify, virmodules
 from zzlie.algebras import (
     AlgebraSpec,
     BasisElement,
@@ -42,6 +42,7 @@ from reference import (
     reference_isomorphism,
     reference_jacobi,
     reference_propagate_scalars,
+    seeded_prefix,
 )
 
 
@@ -825,6 +826,42 @@ def test_propagate_scalars_repeated_occurrences():
     # values travel along a chain in both directions from the seed
     eqs = [(1, 2 * one, (0,), one), (2, one, (1,), 3 * one)]
     assert propagate_scalars([0, 1, 2], eqs, [1]) == {0: 2, 1: 1, 2: 3}
+
+
+def test_propagation_checks_every_equation_once_all_unknowns_are_set():
+    # the first two equations set every unknown, x = (1, 2, 6); the later
+    # ones are decided by the one check pass
+    chain = [(1, 1, (0,), 2), (2, 1, (1,), 3)]
+    assert propagate_scalars([0, 1, 2], [*chain, (2, 1, (0,), 5)], [0]) is None
+    found = propagate_scalars([0, 1, 2], [*chain, (2, 1, (0, 1), 3)], [0])
+    assert found == {0: 1, 1: 2, 2: 6}
+    assert propagate_scalars([0, 1, 2], [*chain, (2, 1, (0, 1), 4)], [0]) is None
+    # a seed outside ``unknowns`` does not count towards every unknown set
+    found = propagate_scalars([0, 1, 2], [*chain, (2, 1, (1,), 3)], [0, "s"])
+    assert found == {0: 1, 1: 2, 2: 6}
+
+
+def test_seed_rows_set_every_scalar_at_the_benchmark_sizes(monkeypatch):
+    # Both searches hand over first the equations that reach every scalar
+    # from the seeds, so the solver checks all the others in one pass.
+    handed = []
+
+    def spy(unknowns, equations, seeds):
+        handed.append((unknowns, equations, seeds))
+        return propagate_scalars(unknowns, equations, seeds)
+
+    monkeypatch.setattr(verify, "propagate_scalars", spy)
+    monkeypatch.setattr(virmodules, "propagate_scalars", spy)
+    m1, m2 = ModuleSpec("a_ab", Fraction(5, 2), 0), ModuleSpec("a_ab", Fraction(5, 2), 1)
+    assert find_intertwiner(m1, m2, 40) is not None
+    target = AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0)
+    assert find_diagonal_isomorphism(QuotientC(1), target, lambda t: t, 5) is not None
+    (unknowns, intertwiner, seeds), isomorphism = handed
+    assert (len(unknowns), len(intertwiner)) == (81, 4921)
+    assert seeded_prefix(unknowns, intertwiner, seeds) <= 80
+    unknowns, equations, seeds = isomorphism
+    assert (len(unknowns), len(equations)) == (77, 1412)
+    assert seeded_prefix(unknowns, equations, seeds) <= 150
 
 
 def _assert_same_scalars(found, reference):

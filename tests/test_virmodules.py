@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zzlie.poly import MultiPoly, UsageError, symbol
 from zzlie.virmodules import (
@@ -51,7 +51,7 @@ def test_action_is_linear():
     assert act(m, 2, x) == act(m, 2, v0) + act(m, 2, v0) - act(m, 2, v3)
 
 
-def test_raw_coeff_is_integral_over_den():
+def test_numerators_are_integral_over_den():
     specs = [
         ModuleSpec("a_ab", 3, -2),
         ModuleSpec("a_ab", Fraction(5, 2), 0),
@@ -68,8 +68,7 @@ def test_raw_coeff_is_integral_over_den():
     for m in specs:
         assert type(m.den) is int and m.den > 0
         for i in span:
-            for k in span:
-                n = m.raw_coeff(i, k)
+            for k, n in zip(span, m.numerators(i, span)):
                 assert type(n) is int, (m, i, k)
                 assert Fraction(n, m.den) == reference_coeff(m, i, k)
     # den is the LCM of the denominators of alpha and beta
@@ -108,10 +107,38 @@ def test_module_axiom_random_parameters():
         assert check_module_axiom(ModuleSpec("b_paren", alpha), 4).ok
 
 
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(MODULE_FAMILIES),
+    st.one_of(st.integers(-4, 4).map(Fraction), rationals),
+    st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), rationals),
+    st.booleans(),
+    st.integers(-8, 8),
+    st.lists(st.integers(-12, 12), max_size=8),
+)
+@example("a_ab", Fraction(2), Fraction(0), True, 3, [-2, 1])
+@example("a_ab", Fraction(-3), Fraction(1), True, -1, [3, 4])
+@example("a_paren", Fraction(2, 3), None, False, 2, [])
+@example("b_paren", Fraction(-5, 2), None, False, -4, [])
+def test_numerators_match_reference_property(family, alpha, beta, subquotient, i, ks):
+    # every family and both subquotients (beta 0 and 1 at an integral
+    # alpha), each row with the exceptional entries k = 0 and k = -i
+    m = ModuleSpec(family, alpha, beta if family == "a_ab" else None)
+    if subquotient and family == "a_ab":
+        m = irreducible_subquotient(m)
+    ks = [*ks, 0, -i]
+    row = m.numerators(i, ks)
+    assert len(row) == len(ks) and all(type(n) is int for n in row)
+    assert [Fraction(n, m.den) for n in row] == [reference_coeff(m, i, k) for k in ks]
+
+
 class MutatedExceptional:
     """a_paren with the exceptional coefficient off by one.
 
-    It gives only the one module contract, ``supports``, ``raw_coeff`` and
+    It gives only the one module contract, ``supports``, ``numerators`` and
     ``den``, which both ``act`` and ``check_module_axiom`` read.
     """
 
@@ -124,11 +151,9 @@ class MutatedExceptional:
     def supports(self, k):
         return True
 
-    def raw_coeff(self, i, k):
+    def numerators(self, i, ks):
         den = self.den
-        if k == 0:
-            return i * (i * den + self.alpha.numerator) + den
-        return (i + k) * den
+        return [(i + k) * den if k else i * (i * den + self.alpha.numerator) + den for k in ks]
 
 
 def test_module_axiom_finds_injected_fault():
@@ -184,8 +209,8 @@ class DroppedIndex:
     def supports(self, k):
         return k != self.dropped and self.module.supports(k)
 
-    def raw_coeff(self, i, k):
-        return self.module.raw_coeff(i, k)
+    def numerators(self, i, ks):
+        return self.module.numerators(i, ks)
 
 
 def assert_matches_act_reference(m, window):
@@ -223,8 +248,9 @@ class Perturbed:
     def supports(self, k):
         return self.module.supports(k)
 
-    def raw_coeff(self, i, k):
-        return self.module.raw_coeff(i, k) + (self.den if (i, k) == self.at else 0)
+    def numerators(self, i, ks):
+        row = self.module.numerators(i, ks)
+        return [n + self.den if (i, k) == self.at else n for k, n in zip(ks, row)]
 
 
 def test_module_axiom_counts_at_row_boundaries():
@@ -257,9 +283,6 @@ def test_module_axiom_cap_falls_on_a_mirrored_case():
     (i, j, k), last = report.witnesses[-1]
     assert (i, j, k) == (0, -2, 2)
     assert report.witnesses.index(((j, i, k), -last)) < 19
-
-
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=7)
 
 
 @settings(max_examples=80, deadline=None)
