@@ -54,7 +54,8 @@ class ClassificationParams:
     outside the dataclass fields (``_den``, ``_nums``), so equality,
     hashing and ``repr`` see only the parameters.  ``_numeric``, set there
     too, is true iff all three numerators are ints (no parameter is a
-    MultiPoly); every numericness test reads it.
+    MultiPoly); every numericness test reads it, and ``_guarded`` (numeric,
+    beta1 or betam1 in {0, 1}) says whether the side condition can fail.
     """
 
     alpha: Fraction | MultiPoly
@@ -70,18 +71,16 @@ class ClassificationParams:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", tuple(nums))
         object.__setattr__(self, "_numeric", all(type(n) is int for n in nums))
+        object.__setattr__(self, "_guarded", self._numeric and not {0, den}.isdisjoint(nums[1:]))
 
 
 def _guard_literal(p, i, j, k):
-    """The per-equation side condition, read as printed.
+    """The per-equation side condition, read as printed, for a ``_guarded`` p.
 
     Each half is discharged by the normalization parameter lying outside
-    {0, 1} (tested first: it is cheap and almost always true) or by the
-    factor pair being nonzero; symbolic parameters make it vacuous.  Both
-    tests run on the int numerators over the common denominator D.
+    {0, 1} (tested first) or by the factor pair being nonzero; it is vacuous
+    unless ``_guarded``.  Both run on the int numerators over the common D.
     """
-    if not p._numeric:
-        return True
     d, (a, b1, bm1) = p._den, p._nums
     left = bm1 not in (0, d) or (d * i - a) * (d * (i + k) - a) != 0
     right = b1 not in (0, d) or (d * j + a) * (d * (j + k) + a) != 0
@@ -102,7 +101,7 @@ def recurrence_equation(p, i, j, k):
     distinct, and each nonzero coefficient is written as it is.  A violated
     side condition sets ``skipped`` instead of raising, k = 0 included.
     """
-    skipped = not _guard_literal(p, i, j, k)
+    skipped = p._guarded and not _guard_literal(p, i, j, k)
     coeffs = {}
     if k:
         d, (a, b1, bm1) = p._den, p._nums

@@ -42,27 +42,27 @@ diagonal-isomorphism search needs it, with ``in_domain``, ``den`` and
 The Jacobi kernel decides a triple of a graded algebra by one number: its
 three cyclic terms share a key, so with c_pq the numerator of [x_p, x_q]
 and v_pq[r] that of [x_p + x_q, x_r], it passes iff c_pq·v_pq[r] +
-c_qr·v_qr[p] + c_rp·v_rp[q] is zero (an int, or a polynomial for a
-symbolic centre).  The numbers sit in numeric rows by window position, one
-per window index and one per in-domain, non-central index sum outside the
-window.  A row comes from one of two sources: ``numerators`` when the
-algebra has it, else ``_term_row``, which reads it off ``raw_terms`` (one
-call per bracket) and gives None when an entry is neither empty nor one
-term at its degree's key.  The tests hold the two sources to each other.
-A sweep row is one pair p <= q, and its pass decides every r >= q from
-``view[q]`` and the column of p.  Only a triple whose number is nonzero,
-and every triple of a misgraded algebra (a None row leaves no view; every
-``AlgebraSpec`` is graded), reaches the keyed ``defect``: it sums the
-cyclic terms by basis key through ``raw_terms``, bracketing again each
-in-domain L key, and its witness, at the index triple, carries the true
-coefficient sum / den².
+c_qr·v_qr[p] + c_rp·v_rp[q] is zero, an int once ``_kronecker`` has made
+a symbolic centre's entries ints.  The numbers sit in numeric rows by
+window position, one per window index and one per in-domain, non-central
+index sum outside the window.  A row comes from one of two sources:
+``numerators`` when the algebra has it, else ``_term_row``, which reads it
+off ``raw_terms`` (one call per bracket) and gives None when an entry is
+neither empty nor one term at its degree's key.  The tests hold the two
+sources to each other.  A sweep row is one left index p; its pass decides
+every p <= q <= r from ``view[p]``, the tails ``view[q][q:]`` and the
+column of p.  Only a triple whose number is nonzero, and every triple of a
+misgraded algebra (a None row leaves no view; every ``AlgebraSpec`` is
+graded), reaches the keyed ``defect``: it sums the cyclic terms by basis
+key through ``raw_terms``, bracketing again each in-domain L key, and its
+witness, at the index triple, carries the true coefficient sum / den².
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import chain
 
 from .algebras import AlgebraSpec, BasisElement, DomainError, Element, _closed_form, window_indices
 from .linsolve import propagate_scalars
@@ -165,6 +165,26 @@ def _term_row(raw, central, a, idxs):
     return None
 
 
+def _kronecker(values):
+    """``values`` with each MultiPoly entry (int coefficients) made an int.
+
+    Symbol s_k goes to B^(E^k).  With D the top exponent and M the top |int|
+    entry or polynomial entry's sum of |coefficients|, a triple's number has
+    exponents at most 2D < E = 2D + 1 and coefficients at most 3M² < B/2, so
+    its monomials go to distinct powers of B and the lowest nonzero c_e of
+    its image Σ c_e·B^e leaves B^e·(c_e + B·K) != 0: 0 iff the number is 0.
+    """
+    polys = [x.terms for row in values.values() for x in row if x.__class__ is not int]
+    exps = [(s, d) for terms in polys for mono in terms for s, d in mono]
+    m = max(chain(map(abs, filter(int.__instancecheck__, chain.from_iterable(values.values()))),
+                  (sum(abs(c.numerator) for c in terms.values()) for terms in polys)))
+    bits, e = 2 * m.bit_length() + 3, 2 * max((d for _, d in exps), default=0) + 1  # 2^bits > 6M²
+    shift = {s: bits * e ** k for k, s in enumerate(sorted({s for s, _ in exps}))}
+    return {t: [x if x.__class__ is int else sum(c.numerator << sum(shift[s] * d for s, d in mono)
+                                                 for mono, c in x.terms.items()) for x in row]
+            for t, row in values.items()}
+
+
 def check_jacobi(alg, window):
     """Sweep unordered basis triples; witness each nonzero cyclic sum.
 
@@ -172,11 +192,11 @@ def check_jacobi(alg, window):
     when the algebra has it and read off ``raw_terms`` otherwise.  With
     symbolic central parameters a triple passes only if its sum is the zero
     polynomial, which certifies the cocycle identity for every parameter
-    value at once.
+    value at once (``_kronecker`` makes the entries ints).  Row p holds each
+    p <= q <= r at start(q) + r - q, start(q) = (q-p)n - (q(q-1) - p(p-1))/2.
     """
     idxs = window_indices(alg, window)
-    n = len(idxs)
-    raw, den2 = alg.raw_terms, alg.den ** 2
+    raw, den2, n = alg.raw_terms, alg.den ** 2, len(idxs)
     central = {deg: key for key, deg in alg.central_degrees().items()}
     row = getattr(alg, "numerators", None) or partial(_term_row, raw, central)
     # a numeric row per window index and per in-domain, non-central index
@@ -184,6 +204,10 @@ def check_jacobi(alg, window):
     sums = {(a[0] + b[0], a[1] + b[1]) for a in idxs for b in idxs} - set(idxs)
     values = {t: row(t, idxs) for t in [
         *idxs, *(t for t in sums if t not in central and alg.in_domain(*t))]}
+    graded, pos = None not in values.values(), {w: k for k, w in enumerate(idxs)}
+    if graded and any(values[t][pos[w]].__class__ is not int for d in central for t in values
+                      if (w := (d[0] - t[0], d[1] - t[1])) in pos):
+        values = _kronecker(values)
 
     def keyed(a, b, c):
         acc = {}
@@ -196,21 +220,23 @@ def check_jacobi(alg, window):
     # view[p][q]: (numerator of [x_p, x_q], numeric row of x_p + x_q) when
     # that index sum has a row, else (0, a row of zeros)
     zeros = (0, [0] * n)
-    view = None not in values.values() and [
+    view = graded and [
         [(c, values[t]) if (t := (a[0] + b[0], a[1] + b[1])) in values else zeros
          for b, c in zip(idxs, values[a])]
         for a in idxs
     ]
     columns = view and list(zip(*view))
+    tails = view and [v[q:] for q, v in enumerate(view)]
 
     def cases():
-        for p, q in combinations_with_replacement(range(n), 2):  # row (p, q): each r >= q
-            rs = range(q, n)
-            if view:
-                c, u = view[p][q]
-                rs = [r for r, (d, v), (e, x) in zip(rs, view[q][q:], columns[p][q:])
-                      if c * u[r] + d * v[p] + e * x[q]]
-            yield n - q, [(r - q, (idxs[p], idxs[q], idxs[r])) for r in rs]
+        for p in range(n):
+            qrs = [(q, r) for q, (c, u) in enumerate(view[p][p:], p)
+                   for r, (d, v), (e, x) in zip(range(q, n), tails[q], columns[p][q:])
+                   if c * u[r] + d * v[p] + e * x[q]
+                   ] if view else [(q, r) for q in range(p, n) for r in range(q, n)]
+            yield (n - p) * (n - p + 1) // 2, [
+                ((q - p) * n - (q * (q - 1) - p * (p - 1)) // 2 + r - q,
+                 (idxs[p], idxs[q], idxs[r])) for q, r in qrs]
 
     return ViolationReport.sweep("jacobi", cases(), keyed)
 

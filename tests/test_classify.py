@@ -118,6 +118,29 @@ def test_recurrence_guard_marks_skips():
     assert not eq["skipped"]
 
 
+@pytest.mark.parametrize("alpha, beta1, betam1", [
+    (1, 0, 1), (1, -3, 0), (1, 0, 5), (2, 1, Fraction(1, 2)), (Fraction(2, 5), 1, 0),
+    (1, 2, 3), (Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)),
+])
+def test_recurrence_guard_decided_once_matches_the_printed_condition(
+        monkeypatch, alpha, beta1, betam1):
+    # the side condition as printed, in Fractions, on every triple of a W=3
+    # window; a point with no parameter in {0, 1} never evaluates the guard
+    p = ClassificationParams(alpha, beta1, betam1)
+    a, b1, bm1 = (Fraction(v) for v in (alpha, beta1, betam1))
+    if b1 not in (0, 1) and bm1 not in (0, 1):
+        def refuse(*args):
+            raise AssertionError("the guard cannot fail here")
+        monkeypatch.setattr("zzlie.classify._guard_literal", refuse)
+    rng = range(-3, 4)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                fails = (bm1 in (0, 1) and (i - a) * (i + k - a) == 0
+                         or b1 in (0, 1) and (j + a) * (j + k + a) == 0)
+                assert recurrence_equation(p, i, j, k)["skipped"] == fails, (i, j, k)
+
+
 def test_recurrence_guard_vacuous_for_off_case_params():
     p = ClassificationParams(1, 2, 3)  # params outside {0, 1}: no skips
     assert not recurrence_equation(p, 1, 0, 0)["skipped"]

@@ -3,6 +3,8 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
 from types import SimpleNamespace
 from unittest import mock
 
@@ -241,6 +243,81 @@ def test_fast_kernel_finds_the_faults_of_the_generic_one(spec, pair):
     assert repr(fast.witnesses) == repr(generic.witnesses)
 
 
+class CorruptedMonomial(CorruptedPair):
+    """Wraps an algebra, adding ``delta`` to one ordered pair's central numerator.
+
+    Both ``raw_terms`` and ``numerators`` carry the change, so the Jacobi
+    sweep takes the fast path with the polynomial entry changed.
+    """
+
+    def __init__(self, inner, pair, delta):
+        super().__init__(inner, pair)
+        self.delta = delta
+
+    def raw_terms(self, a, b):
+        terms = self.inner.raw_terms(a, b)
+        if (a, b) == self.pair:
+            return tuple((key, n + self.delta if isinstance(key, str) else n) for key, n in terms)
+        return terms
+
+    def numerators(self, a, idxs):
+        row = self.inner.numerators(a, idxs)
+        if a == self.pair[0] and self.pair[1] in idxs:
+            row[idxs.index(self.pair[1])] += self.delta
+        return row
+
+
+def _assert_fast_matches_raw_only_and_reference(alg, window=2):
+    # the substituted pass against rows read off raw_terms (substituted
+    # alike) and against the Element reference, which substitutes nothing
+    fast, generic = check_jacobi(alg, window), check_jacobi(_raw_only(alg), window)
+    assert fast == generic
+    assert repr(fast.witnesses) == repr(generic.witnesses)
+    count, witnesses = reference_jacobi(alg, partial(AlgebraSpec.basis_bracket, alg), window)
+    assert (fast.checked_count, fast.witnesses) == (count, witnesses)
+    return fast
+
+
+_T, _X = symbol("t"), symbol("x")
+
+
+@pytest.mark.parametrize("spec, pair, delta", [
+    # one monomial's coefficient of a C1 and of a C2 numerator
+    (AlgebraSpec("block", 1, 2, **_SYM), ((0, 1), (-1, 1)), symbol("a1")),
+    (AlgebraSpec("block", 1, 2, **_SYM), ((0, 2), (-2, 2)), -3 * symbol("a2p")),
+    (AlgebraSpec("bplus-", 2, **_SYM), ((0, -1), (-2, 0)), 2 * symbol("a1")),
+    # two monomials that would cancel if two symbols went to one power
+    (AlgebraSpec("block", 1, 2, **_SYM), ((0, 2), (-2, 2)), symbol("a2") - symbol("a2p")),
+])
+def test_substitution_finds_a_changed_monomial(spec, pair, delta):
+    assert spec.raw_terms(*pair)[0][0] in ("C1", "C2")
+    assert not _assert_fast_matches_raw_only_and_reference(CorruptedMonomial(spec, pair, delta)).ok
+
+
+@pytest.mark.parametrize("family, args", [("block", (1, 2)), ("bplus-", (2,))])
+@pytest.mark.parametrize("centre", [
+    {"a1": _T, "a2": _T, "a2p": symbol("a2p")},  # a1 = a2
+    {"a1": _T * _T, "a2": _T, "a2p": 0},  # a1 = a2^2
+])
+def test_substitution_with_dependent_parameters(family, args, centre):
+    spec = AlgebraSpec(family, *args, **centre)
+    assert _assert_fast_matches_raw_only_and_reference(spec).ok
+    pair = next((a, b) for a in window_indices(spec, 2) for b in window_indices(spec, 2)
+                if any(isinstance(k, str) and n for k, n in spec.raw_terms(a, b)))
+    assert not _assert_fast_matches_raw_only_and_reference(CorruptedRow(spec, pair)).ok
+
+
+@pytest.mark.parametrize("a1", [10**30 * _X + 1, _X - 2**32, _X - 2**64, 2**64 * _X - 1])
+def test_substitution_with_coefficients_past_a_fixed_width(a1):
+    # x is the one symbol; a negated C1 term makes numbers that are
+    # multiples of a1, zero at x = 2**32 or 2**64, so a radix of a fixed
+    # width would hide them: the radix grows with the coefficients
+    spec = AlgebraSpec("block", 1, 2, a1=a1, a2=2, a2p=1)
+    assert _assert_fast_matches_raw_only_and_reference(spec).ok
+    bad = _assert_fast_matches_raw_only_and_reference(CorruptedRow(spec, ((0, 1), (-1, 1))))
+    assert not bad.ok
+
+
 def test_jacobi_and_table_read_no_terms_of_a_clean_spec(monkeypatch):
     calls = Counter()
     raw_terms = AlgebraSpec.raw_terms
@@ -250,14 +327,18 @@ def test_jacobi_and_table_read_no_terms_of_a_clean_spec(monkeypatch):
         return raw_terms(self, a, b)
 
     monkeypatch.setattr(AlgebraSpec, "raw_terms", counting)
-    for spec in (
-        AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)),
-        AlgebraSpec("block", 1, 2, a1=1, a2=2, a2p=3),
-        AlgebraSpec("cbar", Fraction(2, 3)),
+    for spec, window in (
+        (AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)), 2),
+        (AlgebraSpec("block", 1, 2, a1=1, a2=2, a2p=3), 2),
+        (AlgebraSpec("cbar", Fraction(2, 3)), 2),
+        # symbolic centres: every number, an int after the substitution, is 0
+        (AlgebraSpec("block", 1, 2, **_SYM), 2),
+        (AlgebraSpec("bplus-", 2, **_SYM), 2),
+        (AlgebraSpec("block", -1, -1, **_SYM), 3),
     ):
-        assert check_jacobi(spec, 2).ok
-        idxs, cells = table_to_json(spec, 2)
-        assert idxs == window_indices(spec, 2)
+        assert check_jacobi(spec, window).ok
+        idxs, cells = table_to_json(spec, window)
+        assert idxs == window_indices(spec, window)
         assert [len(row) for row in cells] == [len(idxs)] * len(idxs)
     assert not calls
     # a suspect still reaches raw_terms through the keyed sum
@@ -410,13 +491,29 @@ def test_pair_sweeps_match_reference_on_one_sided_brackets():
 
 
 def _jacobi_row(n, count):
-    """(offset, size) in its row (p, q) of the count-th triple of a Jacobi sweep of n indices."""
+    """(offset, size) in its row p of the count-th triple of a Jacobi sweep of n indices."""
     for p in range(n):
-        for q in range(p, n):
-            if count <= n - q:
-                return count - 1, n - q
-            count -= n - q
+        size = (n - p) * (n - p + 1) // 2  # every (q, r) with p <= q <= r
+        if count <= size:
+            return count - 1, size
+        count -= size
     raise AssertionError("count beyond the sweep")
+
+
+def test_jacobi_counts_a_lone_witness_at_its_sweep_position(monkeypatch):
+    # with a cap of one witness the count is the witness's position in the
+    # sweep: each offset start(q) + r - q of a row p is checked where it
+    # starts or ends a run of one q, and where it ends the row
+    monkeypatch.setattr(verify, "MAX_WITNESSES", 1)
+    idxs = window_indices(AlgebraSpec("vir", 1), 2)
+    order = list(combinations_with_replacement(idxs, 3))
+    for a, b, c in [((2, -2), (2, -1), (2, 2)), ((-1, 0), (0, 1), (0, 1)),
+                    ((-2, 2), (1, -2), (2, 2)), ((0, 0), (2, 2), (2, 2)),
+                    ((2, 1), (2, 2), (2, 2))]:
+        t = (a[0] + b[0], a[1] + b[1])
+        report = check_jacobi(TableAlgebra({(a, b): 1, (t, c): 1}), 2)
+        assert [at for at, _ in report.witnesses] == [(a, b, c)]
+        assert report.checked_count == order.index((a, b, c)) + 1
 
 
 def test_jacobi_counts_at_row_boundaries():
@@ -429,18 +526,19 @@ def test_jacobi_counts_at_row_boundaries():
     # misgraded (every triple a suspect)
     corrupted, bracket = _clean_and_corrupted(vir, ((1, 0), (2, 0)))[1]
     printed = PrintedIndexC(AlgebraSpec("c", 1))
-    # the only failing triple ends the row of ((2, -2), (2, -1)), which
-    # holds its four triples with r = (2, -1) .. (2, 2): [[a, b], c] =
-    # [L(4, -3), L(2, 2)] is the one nonzero bracket of a cyclic sum
-    row_end = TableAlgebra({((2, -2), (2, -1)): 1, ((4, -3), last): 1})
+    # the only failing triple ends the run q = (2, -1) of the row of
+    # (2, -2), its four triples with r = (2, -1) .. (2, 2), mid-row:
+    # [[a, b], c] = [L(4, -3), L(2, 2)] is the one nonzero bracket of a
+    # cyclic sum
+    run_end = TableAlgebra({((2, -2), (2, -1)): 1, ((4, -3), last): 1})
     assert n - idxs.index((2, -1)) == 4
     # the only failing triple is the sweep's last, (c, c, c)
     sweep_end = TableAlgebra({(last, last): 1, ((4, 4), last): 1})
     ats = []
     for alg, bracket, count, row in [
-        (corrupted, bracket, 2601, (6, 9)),
-        (printed, printed.basis_bracket, 44, (18, 24)),
-        (row_end, row_end.basis_bracket, total, None),
+        (corrupted, bracket, 2601, (39, 78)),
+        (printed, printed.basis_bracket, 44, (43, 325)),
+        (run_end, run_end.basis_bracket, total, None),
         (sweep_end, sweep_end.basis_bracket, total, None),
     ]:
         report = check_jacobi(alg, 2)
