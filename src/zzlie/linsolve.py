@@ -11,9 +11,9 @@ denominator); solved values come out as ``Fraction(const, lead)``.
 Work is done only where the system can change.  A row whose unknowns are
 all solved (their pivot rows are empty) is decided by one int sum of
 c*const/lead over a common denominator, read straight from the caller's
-map: it is neither copied nor eliminated.  A new pivot
-is back-substituted only into the open pivot rows (the non-empty ones),
-since a solved row never changes again.
+map: it is neither copied nor eliminated.  A new pivot is back-substituted
+only into the open pivot rows (the non-empty ones), since a solved row
+never changes again.
 
 Every row added to the system carries an opaque tag, and the system
 remembers the rows that raised its rank.  Elimination tracks no provenance:
@@ -22,24 +22,18 @@ combination that produces the contradicting row, and its tags form a minimal
 certificate of equations with no common solution.
 
 ``propagate_scalars`` solves the multiplicative systems behind the diagonal
-isomorphism and intertwiner searches from unit seeds.  It decides each
-equation when it examines it, in input order: it checks the equation,
-solves it for its one unset unknown, or parks it on two unset unknowns
-and examines it again when either is set.  Once every unknown is set, the
-parked and unexamined equations are checked in one pass; else the parked
-ones are checked under the gauge value 1.  The work is linear in the
-occurrences of unknowns, and the order of the equations affects only its
-speed.  Its coefficients are ints (the callers set
-their equations up over the product of their denominators), each scalar is
-kept as a reduced int pair (num, den), and the checks cross-multiply, so
-the only ``Fraction`` built is one per unknown of the returned map.
+isomorphism and intertwiner searches from unit seeds, taken as the rows the
+callers read: a head unknown (or none), targets, sources and the two sides'
+int numerators.  It examines equations one at a time only until every
+unknown is set; then one cross-multiplied comparison decides each later
+row.  The only ``Fraction`` built is one per unknown of the result.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .poly import accumulate
 
@@ -217,56 +211,60 @@ def _holds(x, equation):
     return lhs == rhs
 
 
-def propagate_scalars(unknowns, equations, seeds):
-    """Nonzero scalars x with c_lhs * x[t] == c_rhs * prod(x[s] for s in sources).
+def propagate_scalars(unknowns, rows, seeds, scale=(1, 1)):
+    """Nonzero scalars x with c_l*lhs[q]*x[t_q] == c_r*rhs[q]*x[head]*x[s_q] on every row.
 
-    ``equations`` holds (t, c_lhs, sources, c_rhs) tuples with nonzero int
-    coefficients.  Starting from x = 1 on ``seeds``, each equation is
-    decided when it is examined, in input order, by its unset occurrences:
-
-    - none: it is checked by cross-multiplying;
-    - one: it is solved for that unknown, so it holds by construction;
-    - more: it is parked on two distinct unset unknowns (on the one, if a
-      single unknown repeats) and examined again when either is set; it
-      cannot come down to one unset occurrence before that.
-
-    A repeated occurrence (t among the sources, a squared source) is never
-    solved for, and an equation with no sources only checks its target.
-    An equation is examined again at most once per distinct unknown it
-    holds, so the work is linear in occurrences.  Once every member of
-    ``unknowns`` is set (a seed outside it does not count), the equations
-    parked or not yet examined are checked in one pass.  The unknowns
-    reached are the closure of the one-unset-occurrence rule, and each is
-    forced by the seeds, so the result does not depend on the order of
-    ``equations``; the order affects only the speed, best when the
-    equations that reach every unknown from the seeds come first.  Unknowns
-    never reached get the gauge value 1, under which the equations still
-    parked at the end are checked.  A scalar is held as a reduced int pair
-    (num, den) with den > 0, reduced by one gcd when it is solved.  A
-    returned map (unknown -> Fraction, in ``unknowns`` order) is a genuine
-    solution; None means the equations force a contradiction.
+    A row is (head, targets, sources, lhs, rhs): entry q is the equation
+    above with t_q = targets[q], s_q = sources[q] and (c_l, c_r) = ``scale``;
+    a head of None leaves x[head] out.  An entry 0 on both sides holds, and
+    0 on one side only forces a zero scalar (None).  From x = 1 on
+    ``seeds``, equations are examined in row order and decided by their
+    unset occurrences: none, checked; one, solved for it; more, parked on
+    two distinct unset unknowns (one, if a single unknown repeats) until
+    either is set.  A repeated occurrence is never solved for.  The unknowns
+    reached are the closure of that rule, so the order of the rows affects
+    only the speed, best when those reaching every unknown come first.  Once
+    every member of ``unknowns`` is set (a seed outside it does not count),
+    the rest of the row in hand and the parked equations are checked one by
+    one, and the row check decides each later row: over the common
+    denominator D of x it compares the int rows c_l*lhs*D*x[t] and
+    c_r*rhs*D*x[s] (times x[head] for a head).  If the rows run out first,
+    unknowns never reached get the gauge value 1, under which the parked
+    equations are checked.  A returned map (unknown -> Fraction, in
+    ``unknowns`` order) is a genuine solution; None means a contradiction.
     """
-    x = {s: (1, 1) for s in seeds}
+    c_l, c_r = scale
+    x = dict.fromkeys(seeds, (1, 1))
     left = set(unknowns).difference(x)  # the members of ``unknowns`` still unset
-    waits = {}  # index of a parked equation -> the unset unknowns it is parked on
-    parked = defaultdict(list)  # unknown -> indices of the equations parked on it
-    rest = ()  # the equations not yet examined when the last unknown is set
-    for first in range(len(equations)):
+    waits = {}  # (row, entry) of a parked equation -> the unset unknowns it is parked on
+    parked = defaultdict(list)  # unknown -> (row, entry) of the equations parked on it
+
+    def equation(e):
+        (head, targets, sources, lhs, rhs), q = rows[e[0]], e[1]
+        pair = (sources[q],) if head is None else (head, sources[q])
+        return targets[q], c_l * lhs[q], pair, c_r * rhs[q]
+
+    at = None  # the first equation not examined, once every unknown is set
+    for first in ((r, q) for r, row in enumerate(rows) for q in range(len(row[1]))):
         if not left:
-            rest = equations[first:]
+            at = first
             break
         woken = [(first, None)]
         while woken:
             e, by = woken.pop()
             if by is not None and by not in waits.get(e, ()):
                 continue  # decided, or examined again since ``by`` was set
-            t, c_lhs, sources, c_rhs = equations[e]
+            t, c_lhs, sources, c_rhs = eq = equation(e)
+            if not (c_lhs and c_rhs):
+                if c_lhs or c_rhs:
+                    return None  # the other side's scalars would have to be zero
+                continue  # 0 = 0 (never parked, so examined only here)
             unset = [u for u in (t, *sources) if u not in x]
             if not unset:
                 waits.pop(e, None)
-                if not _holds(x, equations[e]):
+                if not _holds(x, eq):
                     return None
-            elif len(unset) == 1 and sources:
+            elif len(unset) == 1:
                 waits.pop(e, None)
                 u = unset[0]
                 if u == t:  # x[t] = c_rhs * prod(x[s]) / c_lhs
@@ -296,6 +294,15 @@ def propagate_scalars(unknowns, equations, seeds):
                         parked[u].append(e)
                 waits[e] = on
     x.update(dict.fromkeys(left, (1, 1)))  # the gauge value of an unknown never reached
-    if not all(_holds(x, eq) for eq in [*(equations[e] for e in waits), *rest]):
+    r, q = at or (len(rows), 0)
+    in_hand = [(r, p) for p in range(q, len(rows[r][1]))] if q else []
+    if not all(_holds(x, equation(e)) for e in [*waits, *in_hand]):
         return None
+    d = lcm(*(den for _, den in x.values()))
+    n = {u: num * (d // den) for u, (num, den) in x.items()}  # n[u] = D*x[u]
+    for head, targets, sources, lhs, rhs in rows[r + bool(q):]:
+        f_l, f_r = (c_l, c_r) if head is None else (c_l * d, c_r * n[head])
+        if [c * f_l * n[t] for c, t in zip(lhs, targets)] != [
+                c * f_r * n[s] for c, s in zip(rhs, sources)]:
+            return None
     return {u: Fraction(*x[u]) for u in unknowns}

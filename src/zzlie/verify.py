@@ -8,9 +8,9 @@ as its size and its suspects, the cases that one comprehension over the row
 could not show to pass.  That pass need only be sound.  The driver runs the
 check's exact per-case ``defect``, the only code that builds a witness, on
 the suspects alone, and stops at ``MAX_WITNESSES`` (20) witnesses.  The
-diagonal-isomorphism search turns the window's brackets into multiplicative
-equations and solves them with ``propagate_scalars`` from the unit seeds
-(1, 0) and (0, 1), handing over the equations at a seed first.
+diagonal-isomorphism search hands its ``numerators`` rows to
+``propagate_scalars`` as rows of multiplicative equations, the rows of the
+unit seeds (1, 0) and (0, 1) first.
 
 The symbolic checks expand the Jacobi sum with all index components and
 parameters as polynomial symbols, proving the identity for every value at
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
 
 from .algebras import AlgebraSpec, BasisElement, DomainError, Element, _closed_form, window_indices
 from .linsolve import propagate_scalars
@@ -350,54 +350,54 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     to zero with every window index.  Returns the witness map (A index ->
     scalar) or None.  Two cases raise ``ValueError``: an A-side central
     term, and a B-side bracket with a symbolic (polynomial) numerator, which
-    a symbolic B central parameter gives.  Pairs are taken in window order
-    and an outcome ends the search: for one pair the A-side check comes
-    first, then the B-side one, then a bracket that is nonzero on one side
-    only (None); central images are checked last.
+    a symbolic B central parameter gives.
 
-    Both sides are read as ``numerators`` rows, one per mapped window index:
-    A at a over the mapped indices, B at a's image over their images, so
-    the entries at (a, b) are the numerators at the keys of degree a + b
-    and its image.  The scalars are found by ``propagate_scalars`` from the
-    unit seeds (1, 0) and (0, 1) (the residual gauge freedom of a diagonal
-    rescaling), which checks every equation it is given or solves it (so
-    that it holds), so a returned witness is always genuine.  An equation
-    c_a * lam_t == c_b * lam_a * lam_b is set up in ints, both sides times
-    den_A * den_B: n_a * den_B and n_b * den_A.  When b precedes a and
-    both numerators of (b, a) are the negations of those of (a, b), the
-    two pairs give one equation, and only (b, a)'s is kept.  The equations
-    at a seed go first, so the solver usually sets every scalar from them
-    and checks the rest in one pass.  Each window index is mapped once.
+    Both sides are read as ``numerators`` rows, one per mapped window index
+    a: A at a over the mapped indices, B at a's image over their images.
+    Outcomes follow the window order of the pairs, the first ending the
+    search: for a pair, the A-side ``ValueError``, the B-side one, then None
+    for a bracket nonzero on one side only; central images come last.  A
+    row pass compares the zero patterns, the B types and the A entries at
+    central degrees, and only a row it cannot pass is decided pair by pair.
+    Row a holds c_a*lam_{a+b} == c_b*lam_a*lam_b for each b with a + b in
+    the window (both orders of a pair), in ints over den_A*den_B, and the
+    rows of the seeds (1, 0) and (0, 1), the residual gauge freedom of a
+    diagonal rescaling, go first.  ``propagate_scalars`` checks or solves
+    every equation, so a returned witness is always genuine.  Each window
+    index is mapped once.
     """
     idxs = window_indices(alg_a, window)
-    idx_set = set(idxs)
-    den_a, den_b = alg_a.den, alg_b.den
     a_central = set(alg_a.central_degrees().values())
     b_central = set(alg_b.central_degrees().values())
     images = [(a, index_map(a)) for a in idxs]
     mapped = [(a, m) for a, m in images if alg_b.in_domain(*m)]
     sources, targets = [a for a, _ in mapped], [m for _, m in mapped]
-    seeds = [s for s in ((1, 0), (0, 1)) if s in idx_set]
+    code = {a: a[0] * (4 * window + 1) + a[1] for a in idxs}  # ints that add like the pairs
+    src, window_codes = [code[b] for b in sources], set(code.values())
+    position = {b: q for q, b in enumerate(sources)}
 
-    # Equations c_a * lam_t == c_b * lam_a * lam_b, one per bracketed pair with
-    # t in the window, less the mirrors; rows[q] holds row q of each side.
-    at_seed, rest, rows = [], [], []
-    for p, (a, m) in enumerate(mapped):
+    rows = []  # (head, targets, sources, lhs, rhs) over the pairs with a + b in the window
+    for a, m in mapped:
         row_a, row_b = alg_a.numerators(a, sources), alg_b.numerators(m, targets)
-        rows.append((row_a, row_b))
-        for q, (b, na, nb) in enumerate(zip(sources, row_a, row_b)):
-            if not (na or nb):
-                continue
-            t = (a[0] + b[0], a[1] + b[1])
-            if na and t in a_central:
-                raise ValueError("A-side central terms are not supported")
-            if nb and nb.__class__ is not int:
-                raise ValueError("B-side symbolic central parameters are not supported")
-            if not (na and nb):
-                return None  # a term on one side only forces a zero scalar
-            if t in idx_set and not (q < p and rows[q][0][p] == -na and rows[q][1][p] == -nb):
-                equation = (t, na * den_b, (a, b), nb * den_a)
-                (at_seed if a in seeds or b in seeds else rest).append(equation)
+        head = code[a]
+        if ([*map(bool, row_a)] != [*map(bool, row_b)] or not {*map(type, row_b)} <= {int}
+                or any(row_a[position[b]] for d in a_central
+                       if (b := (d[0] - a[0], d[1] - a[1])) in position)):
+            for b, na, nb in zip(sources, row_a, row_b):  # the exact per-pair rule
+                if not (na or nb):
+                    continue
+                if na and (a[0] + b[0], a[1] + b[1]) in a_central:
+                    raise ValueError("A-side central terms are not supported")
+                if nb and nb.__class__ is not int:
+                    raise ValueError("B-side symbolic central parameters are not supported")
+                if not (na and nb):
+                    return None  # a term on one side only forces a zero scalar
+        sums = [head + c for c in src]
+        keep = [t in window_codes for t in sums]
+        rows.append((head, *(list(compress(v, keep)) for v in (sums, src, row_a, row_b))))
     if any(any(alg_a.numerators(a, idxs)) for a, m in images if m in b_central):
         return None  # an index with a central image must bracket to zero
-    return propagate_scalars(idxs, at_seed + rest, seeds)
+    seeds = [code[s] for s in ((1, 0), (0, 1)) if s in code]
+    rows.sort(key=lambda row: row[0] not in seeds)  # the seed rows first
+    found = propagate_scalars(list(code.values()), rows, seeds, (alg_b.den, alg_a.den))
+    return None if found is None else dict(zip(idxs, found.values()))

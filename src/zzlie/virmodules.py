@@ -28,10 +28,11 @@ once.  ``act`` divides a numerator by ``den`` only to build a
 ``ModVector``.  The sweep reads one row per i, so s is summed in ints (the
 last term scaled by D = ``den`` once more) and a failing case's witness
 is s / D^2 v_{i+j+k}, which equals lhs - rhs.  Since s(j, i, k) =
--s(i, j, k) for every coefficient table, and so s(i, i, k) = 0, the sweep
-decides the cases with i < j and reads each case with i > j as the mirror
-of one decided before it.  ``find_intertwiner`` sets up its equations
-from the rows too, so no ``Fraction`` is built per coefficient.
+-s(i, j, k) for every coefficient table, and so s(i, i, k) = 0, one sweep
+row per k decides its cases i < j in one comprehension and reads each
+case i > j as the mirror of one of them.  ``find_intertwiner`` hands the
+rows to ``propagate_scalars`` as read, so no ``Fraction`` or equation
+tuple is built per coefficient.
 """
 
 from __future__ import annotations
@@ -162,14 +163,15 @@ def irreducible_subquotient(m):
 def check_module_axiom(m, window):
     """[L_i, L_j] v_k = (j-i) L_{i+j} v_k, exactly, over the sweep window.
 
-    Runs the scalar kernel of the module docstring, one row of j per (k, i),
-    on a table of the int numerators with both indices in [-2W, 2W].  The
-    pass of row (k, i) evaluates s for each j > i; its suspects with j < i
-    are the mirrors of the nonzero cases (j, i, k) found in row (k, j), and
-    the case j = i passes.  So the rows, their suspects and the witnesses
-    are those of a sweep that evaluates every case.  Only
-    ``supports``, ``numerators`` and ``den`` are read from ``m``, so any
-    object with those members can be checked.
+    Runs the scalar kernel of the module docstring, one sweep row per k, on
+    a table of the int numerators with both indices in [-2W, 2W].  Row k
+    holds the (2W+1)^2 cases (i, j, k), each at offset (i+W)(2W+1) + j+W.
+    Its one comprehension evaluates s for every i < j; its suspects are the
+    nonzero cases and their mirrors (j, i, k), in offset order, and the
+    cases j = i pass.  So the rows, suspects and witnesses are those of a
+    sweep that evaluates every case.  Only ``supports``, ``numerators`` and
+    ``den`` are read from ``m``, so any object with those members can be
+    checked.
     """
     rng = window_range(window)
     # 0..2W then -2W..-1, so that a[i][k] = a(i, k) under negative indexing
@@ -185,17 +187,15 @@ def check_module_axiom(m, window):
         return (ModVector._from_pruned({i + j + k: Fraction(s, d * d)}),) if s else ()
 
     def rows():
+        n, a_rng = len(rng), [a[i] for i in rng]
         for k in filter(supports, rng):
             column = [row[k] for row in a]  # column[x] = a(x, k)
-            mirrors = {i: [] for i in rng}  # i -> each j < i with s(j, i, k) nonzero
-            for i in rng:
-                a_i, a_ik, ik = a[i], column[i], i + k
-                found = [j for j in range(i + 1, window + 1)
-                         if column[j] * a_i[j + k] - a_ik * a[j][ik]
-                         - (j - i) * d * column[i + j]]
-                for j in found:
-                    mirrors[j].append(i)
-                yield len(rng), [(j + window, (i, j, k)) for j in mirrors[i] + found]
+            scaled = [d * c for c in column]  # scaled[x] = D a(x, k)
+            found = [(i, j) for i, a_i, a_ik in zip(rng, a_rng, map(column.__getitem__, rng))
+                     for j in range(i + 1, window + 1)
+                     if column[j] * a_i[j + k] - a_ik * a[j][i + k] - (j - i) * scaled[i + j]]
+            yield n * n, [((i + window) * n + j + window, (i, j, k))
+                          for i, j in sorted(found + [(j, i) for i, j in found])]
 
     return ViolationReport.sweep("module-axiom", rows(), defect)
 
@@ -204,32 +204,23 @@ def find_intertwiner(m1, m2, window):
     """Nonzero scalars c_k with c-rescaled m1-action equal to the m2-action.
 
     Such a map sends each v_k to a nonzero multiple of v_k, so the two
-    modules must support the same indices in the window, else None.
-    The intertwining condition per (i, k) with all indices in the window is
-    coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k.  It is set up in ints, both
-    sides times den1 * den2: n1 * den2 and n2 * den1 for the numerators n
-    of ``numerators(i, ks)``, read one row of i at a time.  The row i = 1
-    comes first: it chains the unit seed c at the lowest supported index
-    (the global-scale gauge) through the whole support unless a hole breaks
-    the chain, so ``propagate_scalars`` usually sets every scalar from it
-    and checks every later equation in one pass.  Each equation of the
-    window is checked or holds by construction, so a returned witness is
-    always genuine; None means no witness exists.  A window holding no
-    supported index gives the empty map ``{}``, which intertwines vacuously.
+    modules must support the same indices in the window, else None.  Per
+    (i, k) in the window, coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k: row i
+    for ``propagate_scalars`` is the two ``numerators(i, ks)`` rows as read,
+    over the scale (den2, den1).  The row i = 1 comes first; it chains the
+    unit seed at the lowest supported index (the global-scale gauge) through
+    the support unless a hole breaks the chain, so the row check usually
+    decides every later row.  Each equation is checked or holds by
+    construction, so a returned witness is genuine; None means none exists.
+    A window holding no supported index gives the empty map ``{}``.
     """
     rng = window_range(window)
     support = [k for k in rng if m1.supports(k)]
     if support != [k for k in rng if m2.supports(k)]:
         return None  # a diagonal map sends each v_k to a nonzero multiple of v_k
     sup = set(support)
-    den1, den2 = m1.den, m2.den
-    equations = []
+    rows = []
     for i in sorted(rng, key=(1).__ne__):  # the row i = 1 first, then in window order
         ks = [k for k in support if i + k in sup]
-        for k, n1, n2 in zip(ks, m1.numerators(i, ks), m2.numerators(i, ks)):
-            if n1 == 0 and n2 == 0:
-                continue
-            if n1 == 0 or n2 == 0:
-                return None  # would force a scalar to zero
-            equations.append((i + k, n1 * den2, (k,), n2 * den1))
-    return propagate_scalars(support, equations, support[:1])
+        rows.append((None, [i + k for k in ks], ks, m1.numerators(i, ks), m2.numerators(i, ks)))
+    return propagate_scalars(support, rows, support[:1], (m2.den, m1.den))

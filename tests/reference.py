@@ -5,8 +5,10 @@ action coefficients from the Fraction formulas of each family, the
 antisymmetry, grading, Jacobi and module-axiom sweeps case by case with
 Element and ModVector arithmetic, propagation and elimination in Fraction
 arithmetic.  None of them calls the kernel it is compared with.
-``PrintedIndexC`` and the ``algebra_specs`` strategy are the shared test
-inputs that go with them.
+``PrintedIndexC``, ``Perturbed`` and the ``algebra_specs`` strategy are
+the shared test inputs that go with them, and ``solve_equations`` and
+``row_equations`` translate between single equations and the rows of
+``propagate_scalars``.
 """
 
 import math
@@ -19,6 +21,7 @@ from math import prod
 from hypothesis import strategies as st
 
 from zzlie.algebras import AlgebraSpec, Element, window_indices
+from zzlie.linsolve import propagate_scalars
 from zzlie.poly import accumulate, symbol, unscaled
 from zzlie.verify import MAX_WITNESSES, ViolationReport
 from zzlie.virmodules import ModVector, act
@@ -231,6 +234,28 @@ def reference_propagate_scalars(unknowns, equations, seeds):
     return values
 
 
+def solve_equations(unknowns, equations, seeds):
+    """``propagate_scalars`` on (t, c_lhs, sources, c_rhs) equations, one row each.
+
+    A source pair (h, s) is the row's head and source; one source s makes a
+    headless row.
+    """
+    rows = [(None if len(sources) == 1 else sources[0], [t], [sources[-1]], [c_lhs], [c_rhs])
+            for t, c_lhs, sources, c_rhs in equations]
+    return propagate_scalars(unknowns, rows, seeds)
+
+
+def row_equations(rows, scale=(1, 1)):
+    """The (t, c_lhs, sources, c_rhs) equations of ``propagate_scalars`` rows, in order.
+
+    An entry that is zero on both sides holds and is left out.
+    """
+    c_l, c_r = scale
+    return [(t, c_l * lhs_q, (s,) if head is None else (head, s), c_r * rhs_q)
+            for head, targets, sources, lhs, rhs in rows
+            for t, s, lhs_q, rhs_q in zip(targets, sources, lhs, rhs) if lhs_q or rhs_q]
+
+
 def seeded_prefix(unknowns, equations, seeds):
     """The fewest leading equations whose one-unset closure from ``seeds`` sets every unknown.
 
@@ -300,8 +325,26 @@ def reference_isomorphism(alg_a, alg_b, index_map, window):
 # -- modules ----------------------------------------------------------------------
 
 
+class Perturbed:
+    """A module with one action coefficient raised by 1: a(i, k) + 1 at ``at``."""
+
+    def __init__(self, module, at):
+        self.module = module
+        self.at = at
+        self.den = module.den
+
+    def supports(self, k):
+        return self.module.supports(k)
+
+    def numerators(self, i, ks):
+        row = self.module.numerators(i, ks)
+        return [n + self.den if (i, k) == self.at else n for k, n in zip(ks, row)]
+
+
 def reference_coeff(m, i, k):
     """The action coefficients of the module docstring, in Fractions."""
+    if isinstance(m, Perturbed):
+        return reference_coeff(m.module, i, k) + ((i, k) == m.at)
     alpha = Fraction(m.alpha)
     if m.family == "a_ab":
         return alpha + k + Fraction(m.beta) * i

@@ -44,7 +44,9 @@ from reference import (
     reference_isomorphism,
     reference_jacobi,
     reference_propagate_scalars,
+    row_equations,
     seeded_prefix,
+    solve_equations,
 )
 
 
@@ -181,6 +183,19 @@ class CorruptedRow(CorruptedPair):
         if a == self.pair[0] and self.pair[1] in idxs:
             p = idxs.index(self.pair[1])
             row[p] = -row[p]
+        return row
+
+
+class DroppedPair(CorruptedPair):
+    """Wraps an algebra, emptying the bracket of one ordered index pair in both forms."""
+
+    def raw_terms(self, a, b):
+        return () if (a, b) == self.pair else self.inner.raw_terms(a, b)
+
+    def numerators(self, a, idxs):
+        row = self.inner.numerators(a, idxs)
+        if a == self.pair[0] and self.pair[1] in idxs:
+            row[idxs.index(self.pair[1])] = 0
         return row
 
 
@@ -912,54 +927,205 @@ def test_quotient_isomorphism_witness_is_pinned():
 def test_propagate_scalars_repeated_occurrences():
     one = 1
     # target equal to its source (an i = 0 intertwiner equation): only checked
-    assert propagate_scalars([0], [(0, one, (0,), one)], [0]) == {0: 1}
-    assert propagate_scalars([0, 1], [(0, one, (0,), 2 * one)], [1]) is None
+    assert solve_equations([0], [(0, one, (0,), one)], [0]) == {0: 1}
+    assert solve_equations([0, 1], [(0, one, (0,), 2 * one)], [1]) is None
     # target equal to one source (b = (0,0)): the other source is solved
     eqs = [("a", 3 * one, ("a", "z"), 2 * one)]
-    assert propagate_scalars(["a", "z"], eqs, ["a"]) == {"a": 1, "z": Fraction(3, 2)}
+    assert solve_equations(["a", "z"], eqs, ["a"]) == {"a": 1, "z": Fraction(3, 2)}
     # a squared source is solved forwards, never backwards
     eqs = [("t", one, ("a", "a"), 4 * one)]
-    assert propagate_scalars(["a", "t"], eqs, ["a"]) == {"a": 1, "t": 4}
-    assert propagate_scalars(["a", "t"], eqs, ["t"]) is None
+    assert solve_equations(["a", "t"], eqs, ["a"]) == {"a": 1, "t": 4}
+    assert solve_equations(["a", "t"], eqs, ["t"]) is None
     # values travel along a chain in both directions from the seed
     eqs = [(1, 2 * one, (0,), one), (2, one, (1,), 3 * one)]
-    assert propagate_scalars([0, 1, 2], eqs, [1]) == {0: 2, 1: 1, 2: 3}
+    assert solve_equations([0, 1, 2], eqs, [1]) == {0: 2, 1: 1, 2: 3}
 
 
 def test_propagation_checks_every_equation_once_all_unknowns_are_set():
     # the first two equations set every unknown, x = (1, 2, 6); the later
-    # ones are decided by the one check pass
+    # ones are decided by the row check
     chain = [(1, 1, (0,), 2), (2, 1, (1,), 3)]
-    assert propagate_scalars([0, 1, 2], [*chain, (2, 1, (0,), 5)], [0]) is None
-    found = propagate_scalars([0, 1, 2], [*chain, (2, 1, (0, 1), 3)], [0])
+    assert solve_equations([0, 1, 2], [*chain, (2, 1, (0,), 5)], [0]) is None
+    found = solve_equations([0, 1, 2], [*chain, (2, 1, (0, 1), 3)], [0])
     assert found == {0: 1, 1: 2, 2: 6}
-    assert propagate_scalars([0, 1, 2], [*chain, (2, 1, (0, 1), 4)], [0]) is None
+    assert solve_equations([0, 1, 2], [*chain, (2, 1, (0, 1), 4)], [0]) is None
     # a seed outside ``unknowns`` does not count towards every unknown set
-    found = propagate_scalars([0, 1, 2], [*chain, (2, 1, (1,), 3)], [0, "s"])
+    found = solve_equations([0, 1, 2], [*chain, (2, 1, (1,), 3)], [0, "s"])
     assert found == {0: 1, 1: 2, 2: 6}
 
 
-def test_seed_rows_set_every_scalar_at_the_benchmark_sizes(monkeypatch):
-    # Both searches hand over first the equations that reach every scalar
-    # from the seeds, so the solver checks all the others in one pass.
+def test_row_check_takes_over_in_the_middle_of_a_row():
+    # With 2*lhs*x[t] == 3*rhs*x[head]*x[s]: the first two entries of row 0
+    # set x = (1, 3/2, 5/3) from the seed, so its third entry and the headed
+    # row 1 are decided by the row check over the common denominator 6.
+    rows = [(None, [1, 2, 2], [0, 0, 1], [1, 9, 27], [1, 10, 20]),
+            (1, [2, 0], [1, 2], [81, 15], [40, 4])]
+    expected = {0: 1, 1: Fraction(3, 2), 2: Fraction(5, 3)}
+    _assert_same_scalars(propagate_scalars([0, 1, 2], rows, [0], (2, 3)), expected)
+    for r, row in enumerate(rows):
+        for q in range(len(row[1])):
+            bad = [list(v) if isinstance(v, list) else v for v in row]
+            bad[4][q] += 1
+            moved = [*rows[:r], tuple(bad), *rows[r + 1:]]
+            assert propagate_scalars([0, 1, 2], moved, [0], (2, 3)) is None
+            assert reference_propagate_scalars([0, 1, 2], row_equations(moved, (2, 3)), [0]) is None
+
+
+def test_row_entries_that_are_zero():
+    # 0 = 0 holds wherever it is decided; a zero on one side only forces a
+    # zero scalar, whether the entry is examined (row 0) or row-checked (row 1)
+    chain = (None, [1], [0], [1], [2])
+    for rows in ([(None, [1, 1], [0, 0], [0, 1], [0, 2])],
+                 [chain, (0, [1, 1], [0, 0], [0, 1], [0, 2])]):
+        assert propagate_scalars([0, 1], rows, [0]) == {0: 1, 1: 2}
+    for lhs, rhs in (([1, 1], [0, 2]), ([1, 0], [2, 2])):
+        assert propagate_scalars([0, 1], [(None, [1, 1], [0, 0], lhs, rhs)], [0]) is None
+        assert propagate_scalars([0, 1], [chain, (None, [1, 1], [0, 0], lhs, rhs)], [0]) is None
+
+
+@st.composite
+def consistent_scalar_rows(draw):
+    """Rows with a hidden nonzero solution, 1 on the seeds, under a drawn ``scale``.
+
+    Heads and sources repeat and may equal a target; an entry may be zero
+    on both sides, and one optional entry is perturbed.
+    """
+    unknowns = list(range(draw(st.integers(2, 6))))
+    seeds = draw(st.lists(st.sampled_from(unknowns), min_size=1, max_size=2))
+    values = st.sampled_from([Fraction(v) for v in ("1", "-1", "2", "-3", "1/2", "-2/3", "5/3")])
+    hidden = {u: Fraction(1) if u in seeds else draw(values) for u in unknowns}
+    scale = draw(st.sampled_from([(1, 1), (2, 3), (-4, 1)]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.none() | st.sampled_from(unknowns))
+        row = (head, [], [], [], [])
+        for _ in range(draw(st.integers(0, 4))):
+            t, s = draw(st.sampled_from(unknowns)), draw(st.sampled_from(unknowns))
+            # rhs / lhs = c_l x[t] / (c_r x[head] x[s])
+            x_head = 1 if head is None else hidden[head]
+            ratio = scale[0] * hidden[t] / (scale[1] * x_head * hidden[s])
+            f = draw(st.sampled_from((0, 1, -1, 2, -3)))
+            for v, c in zip(row[1:], (t, s, f * ratio.denominator, f * ratio.numerator)):
+                v.append(c)
+        rows.append(row)
+    entries = [(r, q) for r, row in enumerate(rows) for q in range(len(row[1]))]
+    perturbed = bool(entries) and draw(st.booleans())
+    if perturbed:
+        r, q = draw(st.sampled_from(entries))
+        rows[r][4][q] = rows[r][4][q] * draw(st.sampled_from((2, -1, 3))) + 1
+    return unknowns, rows, seeds, scale, hidden, perturbed
+
+
+@settings(max_examples=300, deadline=None)
+@given(consistent_scalar_rows())
+def test_row_propagation_matches_reference(system):
+    unknowns, rows, seeds, scale, hidden, perturbed = system
+    equations = row_equations(rows, scale)
+    if any(not (c_lhs and c_rhs) for _, c_lhs, _, c_rhs in equations):
+        assert propagate_scalars(unknowns, rows, seeds, scale) is None  # a one-sided zero
+        return
+    found = propagate_scalars(unknowns, rows, seeds, scale)
+    _assert_same_scalars(found, reference_propagate_scalars(unknowns, equations, seeds))
+    assert propagate_scalars(unknowns, rows[::-1], seeds, scale) == found
+    if found is not None and not perturbed:
+        assert all(found[u] in (hidden[u], 1) for u in unknowns)
+
+
+def test_isomorphism_reads_every_row_to_its_ends():
+    # Faults in the first and last column of every row: a negated B
+    # numerator at a pair whose sum is in the window (an equation), and an
+    # emptied one at a pair whose sum is outside it (only the zero pattern
+    # sees it).  Each leaves no map.
+    spec = AlgebraSpec("vir", Fraction(2, 3))
+    idxs = window_indices(spec, 2)
+    for a in idxs:
+        for b, n in zip((idxs[0], idxs[-1]), spec.numerators(a, [idxs[0], idxs[-1]])):
+            if n:
+                wrap = CorruptedRow if (a[0] + b[0], a[1] + b[1]) in idxs else DroppedPair
+                bad = wrap(spec, (a, b))
+                assert find_diagonal_isomorphism(spec, bad, lambda t: t, 2) is None
+                assert reference_isomorphism(spec, bad, lambda t: t, 2) is None
+
+
+def _spy_rows(monkeypatch):
+    """Record (unknowns, rows, seeds, scale) of each call of ``propagate_scalars``."""
     handed = []
 
-    def spy(unknowns, equations, seeds):
-        handed.append((unknowns, equations, seeds))
-        return propagate_scalars(unknowns, equations, seeds)
+    def spy(unknowns, rows, seeds, scale=(1, 1)):
+        handed.append((unknowns, rows, seeds, scale))
+        return propagate_scalars(unknowns, rows, seeds, scale)
 
     monkeypatch.setattr(verify, "propagate_scalars", spy)
     monkeypatch.setattr(virmodules, "propagate_scalars", spy)
+    return handed
+
+
+def test_seed_rows_set_every_scalar_at_the_benchmark_sizes(monkeypatch):
+    # Both searches hand over first the rows that reach every scalar from
+    # the seeds (here with a few equations of the next row on the
+    # quotient), so the row check decides all the others.
+    handed = _spy_rows(monkeypatch)
     m1, m2 = ModuleSpec("a_ab", Fraction(5, 2), 0), ModuleSpec("a_ab", Fraction(5, 2), 1)
     assert find_intertwiner(m1, m2, 40) is not None
     target = AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0)
     assert find_diagonal_isomorphism(QuotientC(1), target, lambda t: t, 5) is not None
-    (unknowns, intertwiner, seeds), isomorphism = handed
-    assert (len(unknowns), len(intertwiner)) == (81, 4921)
-    assert seeded_prefix(unknowns, intertwiner, seeds) <= 80
-    unknowns, equations, seeds = isomorphism
-    assert (len(unknowns), len(equations)) == (77, 1412)
+    (unknowns, rows, seeds, scale), isomorphism = handed
+    equations = row_equations(rows, scale)
+    assert (len(unknowns), len(rows), len(equations)) == (81, 81, 4921)
+    assert seeded_prefix(unknowns, equations, seeds) <= len(rows[0][1]) == 80  # the row i = 1
+    unknowns, rows, seeds, scale = isomorphism
+    equations = row_equations(rows, scale)
+    # 1412 antisymmetric pairs, each an equation in both orders
+    assert (len(unknowns), len(rows), len(equations)) == (77, 76, 2824)
     assert seeded_prefix(unknowns, equations, seeds) <= 150
+
+
+@pytest.mark.parametrize("search", ["quotient1", "quotient2", "subquotients"])
+def test_propagation_goes_on_past_the_seed_rows(monkeypatch, search):
+    # The seed rows alone leave scalars unset: on the quotients at W=5, and
+    # past the k = -2 hole of the subquotient pair at W=40.  The solver keeps
+    # propagating into the later rows before the row check takes over.
+    handed = _spy_rows(monkeypatch)
+    if search == "subquotients":
+        m1 = irreducible_subquotient(ModuleSpec("a_ab", 2, 0))
+        m2 = irreducible_subquotient(ModuleSpec("a_ab", 2, 1))
+        found, reference = find_intertwiner(m1, m2, 40), reference_intertwiner(m1, m2, 40)
+        ((unknowns, rows, seeds, scale),) = handed
+        seed_rows = rows[:1]  # the row i = 1
+    else:
+        alpha = {"quotient1": 1, "quotient2": 2}[search]
+        q, target = QuotientC(alpha), AlgebraSpec("bplus-", -alpha, a1=1, a2=0, a2p=0)
+        found = find_diagonal_isomorphism(q, target, lambda t: t, 5)
+        reference = reference_isomorphism(q, target, lambda t: t, 5)
+        ((unknowns, rows, seeds, scale),) = handed
+        seed_rows = [row for row in rows if row[0] in seeds]
+        assert rows[:len(seed_rows)] == seed_rows
+    assert seeded_prefix(unknowns, row_equations(seed_rows, scale), seeds) is None
+    assert seeded_prefix(unknowns, row_equations(rows, scale), seeds) is not None
+    assert found is not None
+    _assert_same_scalars(found, reference)
+
+
+@pytest.mark.parametrize("alg_a, alg_b", [
+    (AlgebraSpec("vir", Fraction(2, 3)), AlgebraSpec("vir", Fraction(2, 3))),
+    (QuotientC(1), AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0)),
+])
+def test_isomorphism_catches_a_fault_in_its_last_row(alg_a, alg_b):
+    # The seed rows go first, so the last row handed over is the last
+    # window index, a = (3, 3), and the row check alone decides it.  Each
+    # case negates one of its B numerators at a pair (a, b) with a + b in
+    # the window; the mirror (b, a) keeps its sign, so no map exists.
+    idxs = window_indices(alg_a, 3)
+    a = idxs[-1]
+    assert find_diagonal_isomorphism(alg_a, alg_b, lambda t: t, 3) is not None
+    faults = [b for b, n in zip(idxs, alg_b.numerators(a, idxs))
+              if n and (a[0] + b[0], a[1] + b[1]) in idxs]
+    assert len(faults) >= 6
+    for b in faults:
+        bad = CorruptedRow(alg_b, (a, b))
+        lam = find_diagonal_isomorphism(alg_a, bad, lambda t: t, 3)
+        assert lam is None
+        assert reference_isomorphism(alg_a, bad, lambda t: t, 3) is None
 
 
 def _assert_same_scalars(found, reference):
@@ -1020,7 +1186,7 @@ def test_int_propagation_matches_fraction_reference():
         ([0, 1], [(1, 2, (0,), 1), (1, 1, (0,), 1)], [0], None),
         ([0, 1, 2], [(1, 3, (0,), 1), (2, 3, (1,), 1), (2, 1, (0,), 9)], [0], None),
     ]:
-        got = propagate_scalars(unknowns, eqs, seeds)
+        got = solve_equations(unknowns, eqs, seeds)
         assert got == expected
         _assert_same_scalars(got, reference_propagate_scalars(unknowns, eqs, seeds))
 
@@ -1038,7 +1204,7 @@ def test_int_propagation_property(raw):
     eqs = [(t, c_lhs, tuple(sources), c_rhs) for t, c_lhs, sources, c_rhs in raw]
     unknowns = list(range(5))
     _assert_same_scalars(
-        propagate_scalars(unknowns, eqs, [0]), reference_propagate_scalars(unknowns, eqs, [0])
+        solve_equations(unknowns, eqs, [0]), reference_propagate_scalars(unknowns, eqs, [0])
     )
 
 
@@ -1075,9 +1241,9 @@ def consistent_scalar_systems(draw):
 @given(consistent_scalar_systems())
 def test_propagation_of_consistent_systems_matches_reference(system):
     unknowns, equations, seeds, hidden, perturbed = system
-    found = propagate_scalars(unknowns, equations, seeds)
+    found = solve_equations(unknowns, equations, seeds)
     _assert_same_scalars(found, reference_propagate_scalars(unknowns, equations, seeds))
-    assert propagate_scalars(unknowns, equations[::-1], seeds) == found
+    assert solve_equations(unknowns, equations[::-1], seeds) == found
     if found is not None and not perturbed:
         # a reached value is forced by the seeds; the others take the gauge 1
         assert all(found[u] in (hidden[u], 1) for u in unknowns)
@@ -1098,7 +1264,7 @@ def test_propagation_solves_an_equation_once_its_other_unknowns_are_set():
          {"a": 1, "p": Fraction(8, 3), "q": 3, "t": 4}),
     ]
     for unknowns, equations, expected in cases:
-        found = propagate_scalars(unknowns, equations, ["a"])
+        found = solve_equations(unknowns, equations, ["a"])
         assert found == expected
         _assert_same_scalars(found, reference_propagate_scalars(unknowns, equations, ["a"]))
 
@@ -1109,9 +1275,9 @@ def test_propagation_of_a_reversed_chain_matches_the_chain():
     n = 2000
     chain = [(u + 1, (2, 3)[u % 2], (u,), (3, 2)[u % 2]) for u in range(n)]
     unknowns = list(range(n + 1))
-    in_order = propagate_scalars(unknowns, chain, [0])
+    in_order = solve_equations(unknowns, chain, [0])
     assert in_order == {u: Fraction(3, 2) if u % 2 else Fraction(1) for u in unknowns}
-    _assert_same_scalars(propagate_scalars(unknowns, chain[::-1], [0]), in_order)
+    _assert_same_scalars(solve_equations(unknowns, chain[::-1], [0]), in_order)
 
 
 def test_symbolic_jacobi_single_term_rule():

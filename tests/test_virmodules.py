@@ -17,7 +17,7 @@ from zzlie.virmodules import (
     irreducible_subquotient,
 )
 
-from reference import act_reference_sweep, reference_coeff
+from reference import Perturbed, act_reference_sweep, reference_coeff, reference_intertwiner
 
 
 def test_two_parameter_action():
@@ -237,35 +237,20 @@ def test_module_axiom_matches_act_reference():
         assert not assert_matches_act_reference(double, 4).ok
 
 
-class Perturbed:
-    """A module with one action coefficient raised by 1: a(i, k) + 1 at ``at``."""
-
-    def __init__(self, module, at):
-        self.module = module
-        self.at = at
-        self.den = module.den
-
-    def supports(self, k):
-        return self.module.supports(k)
-
-    def numerators(self, i, ks):
-        row = self.module.numerators(i, ks)
-        return [n + self.den if (i, k) == self.at else n for k, n in zip(ks, row)]
-
-
 def test_module_axiom_counts_at_row_boundaries():
-    # A row is one (k, i) with its 2W + 1 cases j = -W..W.  Each case's
-    # defect is antisymmetric in i and j, so failing cases come in mirrored
-    # pairs and the sweep's last case (i = j = k = W) always passes.
-    # The 20th witness falls in the middle of a row: case 347 is the 5th of 9.
+    # A row is one k with its (2W + 1)^2 cases, (i, j) at offset
+    # (i + W)(2W + 1) + j + W.  Each case's defect is antisymmetric in i and
+    # j, so failing cases come in mirrored pairs and the sweep's last case
+    # (i = j = k = W) always passes.  The 20th witness falls in the middle
+    # of a row: case 347 is (-2, 0, 0), the 23rd of row k = 0.
     report = assert_matches_act_reference(MutatedExceptional(1), 4)
     assert (report.checked_count, len(report.witnesses)) == (347, 20)
     assert report.checked_count % 9 == 5
     assert hashlib.sha256(repr(report.witnesses).encode()).hexdigest() == (
         "3e629a822c8a5d04c6a26aa1d2c4a4531a9bae65901205fe3b27a4403277571f"
     )
-    # a(0, 2W) is read only by the cases (0, W, W), the last of its row,
-    # and its mirror (W, 0, W) in the sweep's last row
+    # a(0, 2W) is read only by the case (0, W, W) and its mirror (W, 0, W),
+    # both in the sweep's last row
     perturbed = Perturbed(ModuleSpec("a_ab", Fraction(1, 2), 3), (0, 6))
     report = assert_matches_act_reference(perturbed, 3)
     assert report.checked_count == 7 ** 3
@@ -274,8 +259,9 @@ def test_module_axiom_counts_at_row_boundaries():
 
 def test_module_axiom_cap_falls_on_a_mirrored_case():
     # The sweep evaluates s(i, j, k) for j > i only; a case with i > j is the
-    # mirror of (j, i, k), found in the earlier row (k, j).  Here the 20th
-    # witness is the first case of row (2, 0), the mirror of (-2, 0, 2).
+    # mirror of (j, i, k), found in the same row k.  Here the 20th witness is
+    # (0, -2, 2), the first case of i = 0 in row k = 2 and the mirror of
+    # (-2, 0, 2).
     perturbed = Perturbed(ModuleSpec("a_ab", Fraction(1, 2), 3), (0, 0))
     report = assert_matches_act_reference(perturbed, 2)
     assert (report.checked_count, len(report.witnesses)) == (111, 20)
@@ -376,6 +362,21 @@ def test_intertwiner_found_for_subquotients():
     w = find_intertwiner(s1, s2, 6)
     assert w is not None
     assert 0 not in w
+
+
+@pytest.mark.parametrize("window, ks", [(6, range(-6, 1)), (40, [0])])
+@pytest.mark.parametrize("side", [0, 1])
+def test_intertwiner_catches_a_fault_in_its_last_row(window, ks, side):
+    # The row i = 1 sets every scalar, and the last row handed over, i = W
+    # over k = -W..0, is decided by the row check alone.  Each case raises
+    # one of its coefficients on one side by 1, which leaves it nonzero.
+    pair = [ModuleSpec("a_ab", Fraction(5, 2), 0), ModuleSpec("a_ab", Fraction(5, 2), 1)]
+    assert find_intertwiner(*pair, window) is not None
+    for k in ks:
+        bad = list(pair)
+        bad[side] = Perturbed(pair[side], (window, k))
+        assert find_intertwiner(*bad, window) is None
+        assert reference_intertwiner(*bad, window) is None
 
 
 def test_intertwiner_needs_matching_supports():
