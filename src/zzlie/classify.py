@@ -325,10 +325,12 @@ _CANDIDATES = [Fraction(n, 2) for n in range(-10, 11)]
 def enumerate_case_split():
     """The four generic parameter relations plus the exceptional pairs.
 
-    Derived from the constraint polynomials themselves: the i^6 coefficient
-    factors into the four relation factors (times beta1^2 betam1^2), and
-    the i^4 coefficient's rational roots at betam1 = 0, minus those already
-    implied by a generic relation, give the exceptional pairs.
+    The four relation factors are written by hand, not derived: the i^6
+    coefficient ``p6`` is checked, with ``proportionality``, to be a scalar
+    multiple (``p6_scale``) of their product times beta1^2 betam1^2, and a
+    ``UsageError`` is raised if it is not.  The exceptional pairs are
+    derived from the constraint polynomials: the i^4 coefficient's rational
+    roots at betam1 = 0, minus those already implied by a generic relation.
     """
     polys = derive_constraint_polys()
     b1 = symbol("beta1")

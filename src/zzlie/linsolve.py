@@ -24,9 +24,10 @@ certificate of equations with no common solution.
 ``propagate_scalars`` solves the multiplicative systems behind the diagonal
 isomorphism and intertwiner searches from unit seeds, taken as the rows the
 callers read: a head unknown (or none), targets, sources and the two sides'
-int numerators.  It examines equations one at a time only until every
-unknown is set; then one cross-multiplied comparison decides each later
-row.  The only ``Fraction`` built is one per unknown of the result.
+int numerators.  It solves equations one at a time only until every
+unknown is set; then one cross-multiplied comparison per row decides every
+row, the rows it solved from included.  The only ``Fraction`` built is one
+per unknown of the result.
 """
 
 from __future__ import annotations
@@ -200,107 +201,72 @@ class LinearSystem:
         return sorted(self.contradiction, key=repr)
 
 
-def _holds(x, equation):
-    """Whether c_lhs * x[t] == c_rhs * prod(x[s]), by cross-multiplying the (num, den) pairs."""
-    t, c_lhs, sources, c_rhs = equation
-    lhs, rhs = c_lhs * x[t][0], c_rhs * x[t][1]
-    for s in sources:
-        num, den = x[s]
-        lhs *= den
-        rhs *= num
-    return lhs == rhs
-
-
 def propagate_scalars(unknowns, rows, seeds, scale=(1, 1)):
     """Nonzero scalars x with c_l*lhs[q]*x[t_q] == c_r*rhs[q]*x[head]*x[s_q] on every row.
 
     A row is (head, targets, sources, lhs, rhs): entry q is the equation
     above with t_q = targets[q], s_q = sources[q] and (c_l, c_r) = ``scale``;
-    a head of None leaves x[head] out.  An entry 0 on both sides holds, and
-    0 on one side only forces a zero scalar (None).  From x = 1 on
-    ``seeds``, equations are examined in row order and decided by their
-    unset occurrences: none, checked; one, solved for it; more, parked on
-    two distinct unset unknowns (one, if a single unknown repeats) until
-    either is set.  A repeated occurrence is never solved for.  The unknowns
-    reached are the closure of that rule, so the order of the rows affects
-    only the speed, best when those reaching every unknown come first.  Once
-    every member of ``unknowns`` is set (a seed outside it does not count),
-    the rest of the row in hand and the parked equations are checked one by
-    one, and the row check decides each later row: over the common
+    a head of None leaves x[head] out.  Two phases.  Solve: from x = 1 on
+    ``seeds``, the entries are walked in row order until every member of
+    ``unknowns`` is set (a seed outside it does not count).  An entry with
+    both sides nonzero and exactly one unset occurrence is solved for it;
+    one with more is parked on each distinct unset unknown, examined again
+    as each of them is set, and solved once one unset occurrence is left.
+    Any other entry is left alone, and a repeated occurrence is never
+    solved for.  The unknowns reached are the closure of that rule, so the
+    order of the rows affects only the speed, best when those reaching
+    every unknown come first.  Decide: unknowns never reached get the gauge
+    value 1, and one row check decides every row: over the common
     denominator D of x it compares the int rows c_l*lhs*D*x[t] and
-    c_r*rhs*D*x[s] (times x[head] for a head).  If the rows run out first,
-    unknowns never reached get the gauge value 1, under which the parked
-    equations are checked.  A returned map (unknown -> Fraction, in
-    ``unknowns`` order) is a genuine solution; None means a contradiction.
+    c_r*rhs*D*x[s] (times x[head] for a head).  As every scalar is nonzero,
+    an entry 0 on both sides holds and one 0 on one side only fails.  A
+    returned map (unknown -> Fraction, in ``unknowns`` order) is a genuine
+    solution; None means a contradiction.
     """
     c_l, c_r = scale
     x = dict.fromkeys(seeds, (1, 1))
     left = set(unknowns).difference(x)  # the members of ``unknowns`` still unset
-    waits = {}  # (row, entry) of a parked equation -> the unset unknowns it is parked on
+    waiting = set()  # (row, entry) of each parked equation not yet solved from
     parked = defaultdict(list)  # unknown -> (row, entry) of the equations parked on it
-
-    def equation(e):
-        (head, targets, sources, lhs, rhs), q = rows[e[0]], e[1]
-        pair = (sources[q],) if head is None else (head, sources[q])
-        return targets[q], c_l * lhs[q], pair, c_r * rhs[q]
-
-    at = None  # the first equation not examined, once every unknown is set
     for first in ((r, q) for r, row in enumerate(rows) for q in range(len(row[1]))):
         if not left:
-            at = first
             break
-        woken = [(first, None)]
+        woken = [first]
         while woken:
-            e, by = woken.pop()
-            if by is not None and by not in waits.get(e, ()):
-                continue  # decided, or examined again since ``by`` was set
-            t, c_lhs, sources, c_rhs = eq = equation(e)
-            if not (c_lhs and c_rhs):
-                if c_lhs or c_rhs:
-                    return None  # the other side's scalars would have to be zero
-                continue  # 0 = 0 (never parked, so examined only here)
-            unset = [u for u in (t, *sources) if u not in x]
-            if not unset:
-                waits.pop(e, None)
-                if not _holds(x, eq):
-                    return None
-            elif len(unset) == 1:
-                waits.pop(e, None)
-                u = unset[0]
-                if u == t:  # x[t] = c_rhs * prod(x[s]) / c_lhs
-                    num, den = c_rhs, c_lhs
-                    for s in sources:
-                        num *= x[s][0]
-                        den *= x[s][1]
-                else:  # x[u] = c_lhs * x[t] / (c_rhs * prod(x[s] for s != u))
-                    num, den = c_lhs * x[t][0], c_rhs * x[t][1]
-                    for s in sources:
-                        if s != u:
-                            num *= x[s][1]
-                            den *= x[s][0]
-                g = gcd(num, den)
-                x[u] = (num // g, den // g) if den > 0 else (-num // g, -den // g)
-                left.discard(u)
-                woken += [(f, u) for f in parked.pop(u, ())]
-            else:
-                # keep the unset unknowns e is parked on already, and park
-                # it on new ones up to two distinct
-                on = [w for w in waits.get(e, ()) if w not in x]
-                for u in unset:
-                    if len(on) == 2:
-                        break
-                    if u not in on:
-                        on.append(u)
+            e = woken.pop()
+            (head, targets, sources, lhs, rhs), q = rows[e[0]], e[1]
+            t, c_lhs, c_rhs = targets[q], c_l * lhs[q], c_r * rhs[q]
+            pair = (sources[q],) if head is None else (head, sources[q])
+            unset = [u for u in (t, *pair) if u not in x]
+            if not (c_lhs and c_rhs and unset):
+                continue  # the row check decides it
+            if len(unset) > 1:
+                if e not in waiting:
+                    waiting.add(e)
+                    for u in set(unset):
                         parked[u].append(e)
-                waits[e] = on
+                continue
+            waiting.discard(e)
+            u = unset[0]
+            if u == t:  # x[t] = c_rhs * prod(x[s]) / c_lhs
+                num, den = c_rhs, c_lhs
+                for s in pair:
+                    num *= x[s][0]
+                    den *= x[s][1]
+            else:  # x[u] = c_lhs * x[t] / (c_rhs * prod(x[s] for s != u))
+                num, den = c_lhs * x[t][0], c_rhs * x[t][1]
+                for s in pair:
+                    if s != u:
+                        num *= x[s][1]
+                        den *= x[s][0]
+            g = gcd(num, den)
+            x[u] = (num // g, den // g) if den > 0 else (-num // g, -den // g)
+            left.discard(u)
+            woken += [f for f in parked.pop(u, ()) if f in waiting]
     x.update(dict.fromkeys(left, (1, 1)))  # the gauge value of an unknown never reached
-    r, q = at or (len(rows), 0)
-    in_hand = [(r, p) for p in range(q, len(rows[r][1]))] if q else []
-    if not all(_holds(x, equation(e)) for e in [*waits, *in_hand]):
-        return None
     d = lcm(*(den for _, den in x.values()))
     n = {u: num * (d // den) for u, (num, den) in x.items()}  # n[u] = D*x[u]
-    for head, targets, sources, lhs, rhs in rows[r + bool(q):]:
+    for head, targets, sources, lhs, rhs in rows:
         f_l, f_r = (c_l, c_r) if head is None else (c_l * d, c_r * n[head])
         if [c * f_l * n[t] for c, t in zip(lhs, targets)] != [
                 c * f_r * n[s] for c, s in zip(rhs, sources)]:

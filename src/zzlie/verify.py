@@ -362,9 +362,9 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     Row a holds c_a*lam_{a+b} == c_b*lam_a*lam_b for each b with a + b in
     the window (both orders of a pair), in ints over den_A*den_B, and the
     rows of the seeds (1, 0) and (0, 1), the residual gauge freedom of a
-    diagonal rescaling, go first.  ``propagate_scalars`` checks or solves
-    every equation, so a returned witness is always genuine.  Each window
-    index is mapped once.
+    diagonal rescaling, go first.  ``propagate_scalars`` solves from the
+    seeds and then decides every equation by its row check, so a returned
+    witness is always genuine.  Each window index is mapped once.
     """
     idxs = window_indices(alg_a, window)
     a_central = set(alg_a.central_degrees().values())

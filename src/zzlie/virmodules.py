@@ -209,9 +209,9 @@ def find_intertwiner(m1, m2, window):
     for ``propagate_scalars`` is the two ``numerators(i, ks)`` rows as read,
     over the scale (den2, den1).  The row i = 1 comes first; it chains the
     unit seed at the lowest supported index (the global-scale gauge) through
-    the support unless a hole breaks the chain, so the row check usually
-    decides every later row.  Each equation is checked or holds by
-    construction, so a returned witness is genuine; None means none exists.
+    the support unless a hole breaks the chain, so solving usually stops
+    within that row.  The row check then decides every equation, so a
+    returned witness is genuine; None means none exists.
     A window holding no supported index gives the empty map ``{}``.
     """
     rng = window_range(window)

@@ -303,6 +303,12 @@ _T, _X = symbol("t"), symbol("x")
     (AlgebraSpec("bplus-", 2, **_SYM), ((0, -1), (-2, 0)), 2 * symbol("a1")),
     # two monomials that would cancel if two symbols went to one power
     (AlgebraSpec("block", 1, 2, **_SYM), ((0, 2), (-2, 2)), symbol("a2") - symbol("a2p")),
+    # a number that carries at a radix bounding the entries but not their
+    # products: the entry -72 - 3x of a row outside the window becomes
+    # 56 - 4x, so the entries' bound (a sum of |coefficients|) is M = 63, and
+    # the change 128 - x is 0 at x = 2^(bitlen(M) + 1); at the radix above
+    # 6M² it stays nonzero
+    (AlgebraSpec("block", 1, 2, a1=0, a2=12, a2p=_X), ((-4, 2), (2, 2)), 128 - _X),
 ])
 def test_substitution_finds_a_changed_monomial(spec, pair, delta):
     assert spec.raw_terms(*pair)[0][0] in ("C1", "C2")
@@ -942,8 +948,9 @@ def test_propagate_scalars_repeated_occurrences():
 
 
 def test_propagation_checks_every_equation_once_all_unknowns_are_set():
-    # the first two equations set every unknown, x = (1, 2, 6); the later
-    # ones are decided by the row check
+    # the first two equations set every unknown, x = (1, 2, 6), so solving
+    # stops there; the row check then decides every equation, those two
+    # included
     chain = [(1, 1, (0,), 2), (2, 1, (1,), 3)]
     assert solve_equations([0, 1, 2], [*chain, (2, 1, (0,), 5)], [0]) is None
     found = solve_equations([0, 1, 2], [*chain, (2, 1, (0, 1), 3)], [0])
@@ -956,8 +963,9 @@ def test_propagation_checks_every_equation_once_all_unknowns_are_set():
 
 def test_row_check_takes_over_in_the_middle_of_a_row():
     # With 2*lhs*x[t] == 3*rhs*x[head]*x[s]: the first two entries of row 0
-    # set x = (1, 3/2, 5/3) from the seed, so its third entry and the headed
-    # row 1 are decided by the row check over the common denominator 6.
+    # set x = (1, 3/2, 5/3) from the seed, so solving stops in the middle of
+    # row 0.  The row check then decides every entry of both rows, the two
+    # solved from included, over the common denominator 6.
     rows = [(None, [1, 2, 2], [0, 0, 1], [1, 9, 27], [1, 10, 20]),
             (1, [2, 0], [1, 2], [81, 15], [40, 4])]
     expected = {0: 1, 1: Fraction(3, 2), 2: Fraction(5, 3)}
@@ -972,8 +980,9 @@ def test_row_check_takes_over_in_the_middle_of_a_row():
 
 
 def test_row_entries_that_are_zero():
-    # 0 = 0 holds wherever it is decided; a zero on one side only forces a
-    # zero scalar, whether the entry is examined (row 0) or row-checked (row 1)
+    # Solving leaves an entry with a zero side alone, and the row check
+    # decides it: 0 = 0 holds, and a zero on one side only would force a
+    # zero scalar, whether solving stops in its row (row 0) or before (row 1)
     chain = (None, [1], [0], [1], [2])
     for rows in ([(None, [1, 1], [0, 0], [0, 1], [0, 2])],
                  [chain, (0, [1, 1], [0, 0], [0, 1], [0, 2])]):
