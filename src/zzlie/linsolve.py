@@ -226,7 +226,6 @@ def propagate_scalars(unknowns, rows, seeds, scale=(1, 1)):
     c_l, c_r = scale
     x = dict.fromkeys(seeds, (1, 1))
     left = set(unknowns).difference(x)  # the members of ``unknowns`` still unset
-    waiting = set()  # (row, entry) of each parked equation not yet solved from
     parked = defaultdict(list)  # unknown -> (row, entry) of the equations parked on it
     for first in ((r, q) for r, row in enumerate(rows) for q in range(len(row[1]))):
         if not left:
@@ -241,12 +240,10 @@ def propagate_scalars(unknowns, rows, seeds, scale=(1, 1)):
             if not (c_lhs and c_rhs and unset):
                 continue  # the row check decides it
             if len(unset) > 1:
-                if e not in waiting:
-                    waiting.add(e)
+                if e == first:  # a woken entry is already parked on all its unset unknowns
                     for u in set(unset):
                         parked[u].append(e)
                 continue
-            waiting.discard(e)
             u = unset[0]
             if u == t:  # x[t] = c_rhs * prod(x[s]) / c_lhs
                 num, den = c_rhs, c_lhs
@@ -262,7 +259,7 @@ def propagate_scalars(unknowns, rows, seeds, scale=(1, 1)):
             g = gcd(num, den)
             x[u] = (num // g, den // g) if den > 0 else (-num // g, -den // g)
             left.discard(u)
-            woken += [f for f in parked.pop(u, ()) if f in waiting]
+            woken += parked.pop(u, ())
     x.update(dict.fromkeys(left, (1, 1)))  # the gauge value of an unknown never reached
     d = lcm(*(den for _, den in x.values()))
     n = {u: num * (d // den) for u, (num, den) in x.items()}  # n[u] = D*x[u]

@@ -2,12 +2,11 @@
 
 Run from anywhere, with the test extra installed::
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named mutants only
+    python tests/mutants.py
 
 A mutant is one exact text replacement in one file of ``src/zzlie``.  The
 runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory and first runs the named tests of the selected mutants there
+directory and first runs the named tests of every mutant there
 unchanged: they must pass.  Then, for each mutant, it replaces the old text
 in a fresh copy and runs the mutant's tests with ``-x``; pytest must report
 a test failure (exit code 1).  The old text must occur exactly once, so a
@@ -21,7 +20,6 @@ The file is not collected by pytest: its name does not start with
 
 from __future__ import annotations
 
-import os
 import shutil
 import subprocess
 import sys
@@ -88,8 +86,7 @@ def _copy(dest):
 def _pytest(where, tests, *flags):
     """The exit code of pytest run on ``tests`` in the copy at ``where``."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, *tests]
-    env = {**os.environ, "PYTHONPATH": str(where / "src")}
-    return subprocess.run(cmd, cwd=where, env=env).returncode
+    return subprocess.run(cmd, cwd=where).returncode
 
 
 def run(mutants):
@@ -122,16 +119,12 @@ def run(mutants):
     return bad
 
 
-def main(argv):
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [name for name in argv if name not in by_name]
-    if unknown:
-        sys.exit(f"mutants: unknown mutant(s) {', '.join(unknown)}; known: {', '.join(by_name)}")
-    bad = run([by_name[name] for name in argv] if argv else MUTANTS)
+def main():
+    bad = run(MUTANTS)
     if bad:
         print(f"mutants: {len(bad)} not killed: {', '.join(bad)}", file=sys.stderr)
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
