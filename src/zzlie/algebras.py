@@ -151,10 +151,11 @@ class AlgebraSpec:
 
     The block families' punctures (-alpha, beta) and (-2 alpha, 2 beta),
     where integral, are the central degrees, kept in one map from degree to
-    "C1"/"C2" that ``in_domain`` and ``central_degrees`` read.  A block
-    bracket is an L term at the index sum, the central term when that sum
-    is a puncture, or nothing.  The half-planes are closed under it: a sum
-    leaves one only from two indices at j = s, where the closed form is 0.
+    "C1"/"C2" that ``in_domain``, ``raw_terms`` and ``central_degrees``
+    read.  A block bracket is an L term at the index sum, the central term
+    when that sum is a puncture, or nothing.  The half-planes are closed
+    under it, so no target is tested: a sum leaves one only from two
+    indices at j = s, where the closed form is 0.
     That map, the half-plane side, ``den``, the int weights of
     ``_closed_row`` and the scaled central parameters are computed once at
     construction and kept outside the dataclass fields, so equality,
@@ -240,20 +241,31 @@ class AlgebraSpec:
         A key is the index pair ``(i, j)`` of an L term, or ``"C1"``/``"C2"``
         for a central generator; each key occurs at most once, L before C1
         before C2.  A numerator is an int, or an int-coefficient MultiPoly
-        when a central parameter is symbolic.  Inputs must be in the domain,
-        else ``DomainError``.
+        when a central parameter is symbolic.  One call does it all: a block
+        family tests both unpacked inputs (``DomainError`` outside the
+        domain) and gives the central term at a puncture sum; else the L
+        coefficient is the ``_closed_row`` of ``a`` at ``b``, or ``_c_line``.
         """
         (i, j), (k, ell) = a, b
         family = self.family
-        if family in ("vir", "d"):
-            n = _closed_form(self._weights, i, j, k, ell)
-        elif family in _CENTRAL_FAMILIES:
-            return self._block_raw(i, j, k, ell)
-        else:  # cbar is c under j -> -j; the two flips cancel in the target
+        if family in ("c", "cbar"):  # cbar is c under j -> -j; the flips cancel in the target
             a_k, a_0 = (_c_line(self._weights, i, j, ell) if family == "c"
                         else _c_line(self._weights, i, -j, -ell))
             n = a_k * k + a_0
-        return (((i + k, j + ell), n),) if n else ()
+            return (((i + k, j + ell), n),) if n else ()
+        t = (i + k, j + ell)
+        if family in _CENTRAL_FAMILIES:
+            side, punctures = self._side, self._punctures
+            if side * j > 1 or (i, j) in punctures:
+                raise DomainError(f"{(i, j)} not in domain of {family}")
+            if side * ell > 1 or (k, ell) in punctures:
+                raise DomainError(f"{(k, ell)} not in domain of {family}")
+            if kind := punctures.get(t):
+                n = self._central(kind, i, j)
+                return ((kind, n),) if n else ()
+        a_l, a_k, a_0 = _closed_row(self._weights, i, j)
+        n = a_l * ell + a_k * k + a_0
+        return ((t, n),) if n else ()
 
     def basis_bracket(self, a, b):
         """[L_a, L_b] as an Element: ``raw_terms`` divided by ``den``."""
@@ -282,18 +294,6 @@ class AlgebraSpec:
             if (b := (pi - i, pj - j)) in idxs:
                 row[idxs.index(b)] = self._central(kind, i, j)
         return row
-
-    def _block_raw(self, i, j, k, ell):
-        # Only the block families have punctures or a half-plane.
-        if not self.in_domain(i, j):
-            raise DomainError(f"{(i, j)} not in domain of {self.family}")
-        if not self.in_domain(k, ell):
-            raise DomainError(f"{(k, ell)} not in domain of {self.family}")
-        t = (i + k, j + ell)
-        kind = self._punctures.get(t)
-        # no in_domain test of t: the half-plane is closed
-        n = self._central(kind, i, j) if kind else _closed_form(self._weights, i, j, k, ell)
-        return ((kind or t, n),) if n else ()
 
     def _central(self, kind, i, j):
         """The numerator of ``kind`` in [L(i, j), L_b] for the b that sums to its puncture."""

@@ -132,10 +132,14 @@ class ViolationReport:
 
 
 def check_antisymmetry(alg, window):
-    """Witness every ordered pair with [a,b] != -[b,a]; a row is one left index."""
+    """Witness every ordered pair with [a,b] != -[b,a]; a row is one left index.
+
+    The row pass is symmetric in the pair, so row p evaluates q >= p, the
+    diagonal included, and takes each failing q < p as the mirror of row q's
+    failing p: counts and witnesses are those of every ordered pair.
+    """
     idxs = window_indices(alg, window)
     raw, den, n = alg.raw_terms, alg.den, len(idxs)
-    matrix = [[raw(a, b) for b in idxs] for a in idxs]
 
     def defect(a, b):
         bad = accumulate(dict(raw(a, b)), raw(b, a))
@@ -143,13 +147,18 @@ def check_antisymmetry(alg, window):
 
     # a pair passes the row's pass when both brackets are empty, or one term
     # each at one key with numerators summing to zero
-    rows = (
-        (n, [(q, (a, b)) for q, (b, x, y) in enumerate(zip(idxs, row, column))
-             if not (len(x) == len(y) < 2
-                     and (not x or x[0][0] == y[0][0] and not x[0][1] + y[0][1]))])
-        for a, row, column in zip(idxs, matrix, zip(*matrix))
-    )
-    return ViolationReport.sweep("antisymmetry", rows, defect)
+    def rows():
+        mirrors = [[] for _ in idxs]  # mirrors[q]: each p < q whose row found q
+        for p, a in enumerate(idxs):
+            found = [q for q, b in enumerate(idxs[p:], p)
+                     if not (len(x := raw(a, b)) == len(y := raw(b, a)) < 2
+                             and (not x or x[0][0] == y[0][0] and not x[0][1] + y[0][1]))]
+            suspects = mirrors[p] + found
+            for q in found:
+                mirrors[q].append(p)
+            yield n, [(q, (a, idxs[q])) for q in suspects]
+
+    return ViolationReport.sweep("antisymmetry", rows(), defect)
 
 
 def _term_row(raw, central, a, idxs):

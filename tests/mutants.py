@@ -39,6 +39,12 @@ class Mutant(NamedTuple):
 
 
 _VERIFY = "tests/test_verify.py::"
+_ALGEBRAS = "tests/test_algebras.py::"
+_GUARD = "tests/test_classify.py::test_recurrence_guard_decided_once_matches_the_printed_condition"
+_OFFSET = "((q - p) * n - (q * (q - 1) - p * (p - 1)) // 2 + r - q,"
+_RIGHT_INPUT_TEST = """            if side * ell > 1 or (k, ell) in punctures:
+                raise DomainError(f"{(k, ell)} not in domain of {family}")
+"""
 _ROW_CHECK = """        if [c * f_l * n[t] for c, t in zip(lhs, targets)] != [
                 c * f_r * n[s] for c, s in zip(rhs, sources)]:"""
 
@@ -72,6 +78,44 @@ MUTANTS = [
     Mutant("radix-bounds-only-the-entries", "verify.py",
            "bits, e = 2 * m.bit_length() + 3,", "bits, e = m.bit_length() + 1,",
            (_VERIFY + "test_substitution_finds_a_changed_monomial[spec4-pair4-delta4]",)),
+    # _kronecker: E = 1 sends every symbol to the same power of B
+    Mutant("one-power-for-every-symbol", "verify.py",
+           "2 * max((d for _, d in exps), default=0) + 1", "1",
+           (_VERIFY + "test_substitution_finds_a_changed_monomial[spec3-pair3-delta3]",)),
+    # _kronecker: the rows of odd i keep their polynomials, so a clean
+    # symbolic triple is a suspect and reaches raw_terms
+    Mutant("substitute-half-the-rows", "verify.py",
+           "[x if x.__class__ is int else", "[x if x.__class__ is int or t[0] % 2 else",
+           (_VERIFY + "test_jacobi_and_table_read_no_terms_of_a_clean_spec",)),
+    # check_jacobi: a suspect's offset in its row p
+    *(Mutant(f"jacobi-offset-{name}", "verify.py", _OFFSET, _OFFSET.replace(old, new),
+             (_VERIFY + "test_jacobi_counts_a_lone_witness_at_its_sweep_position",))
+      for name, old, new in (("from-p", "r - q,", "r - p,"),
+                             ("start-off-by-a-run", "q * (q - 1) - p * (p - 1)",
+                              "q * (q + 1) - p * (p + 1)"),
+                             ("short-runs", "(q - p) * n", "(q - p) * (n - 1)"))),
+    # ClassificationParams._guarded: the points where the side condition can fail
+    *(Mutant(f"guard-{name}", "classify.py", "not {0, den}.isdisjoint(nums[1:])", new, (_GUARD,))
+      for name, new in (("without-0", "not {den}.isdisjoint(nums[1:])"),
+                        ("without-1", "not {0}.isdisjoint(nums[1:])"),
+                        ("beta1-only", "not {0, den}.isdisjoint(nums[1:2])"),
+                        ("betam1-only", "not {0, den}.isdisjoint(nums[2:])"))),
+    # check_antisymmetry: row p decides q >= p and reads q < p as mirrors
+    Mutant("antisymmetry-skips-the-diagonal", "verify.py",
+           "enumerate(idxs[p:], p)", "enumerate(idxs[p + 1:], p + 1)",
+           (_VERIFY + "test_antisymmetry_finds_a_fault_on_the_diagonal",)),
+    Mutant("antisymmetry-drops-the-mirrors", "verify.py",
+           "suspects = mirrors[p] + found", "suspects = found",
+           (_VERIFY + "test_antisymmetry_cap_falls_on_a_mirrored_pair",
+            _VERIFY + "test_pair_sweeps_match_reference_on_one_sided_brackets")),
+    # AlgebraSpec.raw_terms: the domain test of the right input, and the
+    # puncture of the index sum
+    Mutant("raw-terms-skips-the-right-input", "algebras.py", _RIGHT_INPUT_TEST, "",
+           (_ALGEBRAS + "test_numerators_refuse_an_out_of_domain_index",)),
+    Mutant("puncture-at-the-left-index", "algebras.py",
+           "punctures.get(t)", "punctures.get((i, j))",
+           (_ALGEBRAS + "test_block_central_term_example",
+            _ALGEBRAS + "test_block_second_center")),
 ]
 
 

@@ -210,17 +210,27 @@ def test_out_of_domain_raises():
 
 
 def test_numerators_refuse_an_out_of_domain_index():
-    # a puncture, and an index off each half-plane: the error raw_terms gives
+    # a puncture, and an index off each half-plane, as the left or the right
+    # input: the error raw_terms gives names the index as a pair
     for spec, a in [
         (AlgebraSpec("block", 1, 2, a1=1), (-1, 2)),
         (AlgebraSpec("bplus-", 1), (0, -2)),
         (AlgebraSpec("bplus+", 2), (1, 2)),
     ]:
-        with pytest.raises(DomainError) as raw:
-            spec.raw_terms(a, (0, 0))
+        message = f"{a} not in domain of {spec.family}"
+        for left, right in ((a, (0, 0)), ((0, 0), a), (list(a), [0, 0]), ([0, 0], list(a))):
+            for bracket in (spec.raw_terms, spec.basis_bracket):
+                with pytest.raises(DomainError) as raw:
+                    bracket(left, right)
+                assert str(raw.value) == message
         with pytest.raises(DomainError) as row:
             spec.numerators(a, [(0, 0), (1, 1)])
-        assert str(row.value) == str(raw.value)
+        assert str(row.value) == message
+    # an index may be any pair-shaped sequence, at a puncture sum too
+    spec = AlgebraSpec("block", 1, 2, a1=1)
+    for a, b in (((0, 1), (1, 1)), ((0, 1), (-1, 1))):
+        assert spec.raw_terms(list(a), list(b)) == spec.raw_terms(a, b)
+    assert spec.raw_terms([0, 1], [-1, 1])[0][0] == "C1"
 
 
 def _raw_key(basis):

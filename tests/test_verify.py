@@ -511,6 +511,34 @@ def test_pair_sweeps_match_reference_on_one_sided_brackets():
         ((-1, -1), (2, 2)), ((0, 1), (1, 0)), ((1, 0), (0, 1)), ((2, 2), (-1, -1))]
 
 
+@pytest.mark.parametrize("table, at", [
+    # [a, a] != 0 at one index, alone and beside a one-sided pair that
+    # straddles it, so its row holds a mirror, the diagonal and a later q
+    ({((1, 0), (1, 0)): 1}, [((1, 0), (1, 0))]),
+    ({((0, 2), (1, 0)): 3, ((1, 0), (1, 0)): -2, ((1, 0), (2, 1)): 1},
+     [((0, 2), (1, 0)), ((1, 0), (0, 2)), ((1, 0), (1, 0)), ((1, 0), (2, 1)),
+      ((2, 1), (1, 0))]),
+])
+def test_antisymmetry_finds_a_fault_on_the_diagonal(table, at):
+    alg = TableAlgebra(table)
+    report = check_antisymmetry(alg, 2)
+    assert (report.checked_count, report.witnesses) == reference_antisymmetry(
+        alg, alg.basis_bracket, 2)
+    assert [w for w, _ in report.witnesses] == at
+
+
+def test_antisymmetry_cap_falls_on_a_mirrored_pair():
+    # row 0 finds 19 one-sided pairs; the 20th witness is the mirror of the
+    # first, in row 1 at q = 0, so the count stops at n + 1
+    idxs = window_indices(TableAlgebra({}), 2)
+    alg = TableAlgebra({(idxs[0], b): 1 for b in idxs[1:20]})
+    report = check_antisymmetry(alg, 2)
+    assert (report.checked_count, report.witnesses) == reference_antisymmetry(
+        alg, alg.basis_bracket, 2)
+    assert report.checked_count == len(idxs) + 1
+    assert report.witnesses[-1][0] == (idxs[1], idxs[0])
+
+
 def _jacobi_row(n, count):
     """(offset, size) in its row p of the count-th triple of a Jacobi sweep of n indices."""
     for p in range(n):
