@@ -373,6 +373,23 @@ def structure_table(spec, window):
     ]
 
 
+def _degree_grid(idxs, window, central):
+    """``(codes, offset, keys)``: int codes of ``idxs`` that add like the indices, and the box.
+
+    Index (i, j) has code i*(4W + 1) + j.  Every sum of two window indices
+    lies in the box |i|, |j| <= 2W, whose degrees ``keys`` lists in lex
+    order, degree t at ``offset`` + code(t); the key of a degree of
+    ``central`` (key to degree) that lies inside the box stands in its place.
+    """
+    radix, reach = 4 * window + 1, 2 * window
+    keys = [(i, j) for i in range(-reach, reach + 1) for j in range(-reach, reach + 1)]
+    offset = reach * (radix + 1)
+    for key, (i, j) in central.items():
+        if abs(i) <= reach >= abs(j):
+            keys[offset + i * radix + j] = key
+    return [i * radix + j for i, j in idxs], offset, keys
+
+
 def table_to_json(spec, window):
     """The structure table as a cell matrix ``(idxs, cells)``.
 
@@ -381,22 +398,20 @@ def table_to_json(spec, window):
     order, the JSON text of ``terms_json`` of the bracket, the records the
     ``bracket`` command prints, exactly as ``json.JSONEncoder(sort_keys=True)``
     writes them.  A row is filled from one ``numerators`` row: 0 is the empty
-    cell, else the one term sits at the central generator of a puncture or
-    at the L index sum.  A cell is the text of its degree, written once per
-    degree, joined to the text of its coefficient, written once per int
-    numerator n as "{n//g}/{den//g}" with g = gcd(n, den); a polynomial one
-    is the encoded records of n/den.
+    cell, else the one term sits at the key of the index sum's degree.  A
+    cell is the head text of that key, read from a list over the degree box
+    of ``_degree_grid`` at the sum's offset, joined to the text of its
+    coefficient, written once per int numerator n as "{n//g}/{den//g}" with
+    g = gcd(n, den); a polynomial one is the encoded records of n/den.
     """
     idxs = window_indices(spec, window)
+    codes, offset, keys = _degree_grid(idxs, window, spec.central_degrees())
     den = spec.den
-    heads = {deg: f'[{{"basis": {{"kind": "{kind}"}}, "coeff": '
-             for kind, deg in spec.central_degrees().items()}
+    heads = [f'[{{"basis": {{"kind": "{t}"}}, "coeff": ' if t.__class__ is str
+             else f'[{{"basis": {{"i": {t[0]}, "j": {t[1]}, "kind": "L"}}, "coeff": '
+             for t in keys]
     encode = json.JSONEncoder(sort_keys=True).encode
     tails = {}  # int numerators only: a constant MultiPoly equals its int
-
-    def head(t):
-        heads[t] = f'[{{"basis": {{"i": {t[0]}, "j": {t[1]}, "kind": "L"}}, "coeff": '
-        return heads[t]
 
     def tail(n):
         if n.__class__ is not int:
@@ -407,10 +422,9 @@ def table_to_json(spec, window):
 
     return idxs, [
         [
-            "[]" if not n else
-            (heads.get(t := (i + k, j + ell)) or head(t))
+            "[]" if not n else heads[base + c]
             + ((tails.get(n) or tail(n)) if n.__class__ is int else tail(n))
-            for (k, ell), n in zip(idxs, spec.numerators((i, j), idxs))
+            for c, n in zip(codes, spec.numerators(a, idxs))
         ]
-        for i, j in idxs
+        for a, base in zip(idxs, [offset + c for c in codes])
     ]

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import chain, repeat
 
 from . import algebras, classify, verify, virmodules
 # structure_table is not called here; zzbench/tracing.py wraps it on this module.
@@ -182,9 +181,8 @@ def _cmd_table(args):
     if args.format == "json":
         rights = [f', "right": [{k}, {ell}]}}, ' for k, ell in idxs]
         rows = [
-            "".join(chain.from_iterable(
-                zip(repeat(f'{{"left": [{i}, {j}], "result": '), row, rights)))
-            for (i, j), row in zip(idxs, cells)
+            left + left.join([f"{cell}{right}" for cell, right in zip(row, rights)])
+            for left, row in zip([f'{{"left": [{i}, {j}], "result": ' for i, j in idxs], cells)
         ]
         rows[-1] = rows[-1][:-2]  # the table's last object takes no ", "
         text = "".join(["[", *rows, "]\n"])
@@ -194,7 +192,7 @@ def _cmd_table(args):
         header = sep.join(("left_i", "left_j", "right_i", "right_j", "terms"))
         text = "".join([
             header + "\n",
-            *("".join(chain.from_iterable(zip(repeat(left), texts, row, repeat("\n"))))
+            *(left + left.join([f"{right}{cell}\n" for right, cell in zip(texts, row)])
               for left, row in zip(texts, cells)),
         ])
     _write(text, args)

@@ -42,17 +42,19 @@ diagonal-isomorphism search needs it, with ``in_domain``, ``den`` and
 The Jacobi kernel decides a triple of a graded algebra by one number: its
 three cyclic terms share a key, so with c_pq the numerator of [x_p, x_q]
 and v_pq[r] that of [x_p + x_q, x_r], it passes iff c_pq·v_pq[r] +
-c_qr·v_qr[p] + c_rp·v_rp[q] is zero, an int once ``_kronecker`` has made
-a symbolic centre's entries ints.  The numbers sit in numeric rows by
-window position, one per window index and one per in-domain, non-central
-index sum outside the window.  A row comes from one of two sources:
-``numerators`` when the algebra has it, else ``_term_row``, which reads it
-off ``raw_terms`` (one call per bracket) and gives None when an entry is
-neither empty nor one term at its degree's key.  The tests hold the two
-sources to each other.  A sweep row is one left index p; its pass decides
-every p <= q <= r from ``view[p]``, the tails ``view[q][q:]`` and the
-column of p.  Only a triple whose number is nonzero, and every triple of a
-misgraded algebra (a None row leaves no view; every ``AlgebraSpec`` is
+c_qr·v_qr[p] + c_rp·v_rp[q] is zero, an int once ``_kronecker`` has made a
+symbolic centre's entries ints.  The numbers sit in numeric rows by window
+position, one per window index and one per in-domain, non-central index sum
+outside the window, found as sums of ``algebras._degree_grid`` codes; each
+pair's row is read from a list over the degree box at its code sum plus one
+offset, as grading reads each pair's key.  A row comes from one of two
+sources: ``numerators`` when the algebra has it, else ``_term_row``, which
+reads it off ``raw_terms`` (one call per bracket) and gives None when an
+entry is neither empty nor one term at its degree's key.  The tests hold
+the two sources to each other.  A sweep row is one left index p; its pass
+decides every p <= q <= r from ``view[p]``, the tails ``view[q][q:]`` and
+the column of p.  Only a triple whose number is nonzero, and every triple
+of a misgraded algebra (a None row leaves no view; every ``AlgebraSpec`` is
 graded), reaches the keyed ``defect``: it sums the cyclic terms by basis
 key through ``raw_terms``, bracketing again each in-domain L key, and its
 witness, at the index triple, carries the true coefficient sum / den².
@@ -64,7 +66,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress
 
-from .algebras import AlgebraSpec, BasisElement, DomainError, Element, _closed_form, window_indices
+from .algebras import AlgebraSpec, BasisElement, DomainError, Element, window_indices
+from .algebras import _closed_form, _degree_grid
 from .linsolve import propagate_scalars
 from .poly import accumulate, symbol
 
@@ -201,18 +204,21 @@ def check_jacobi(alg, window):
     when the algebra has it and read off ``raw_terms`` otherwise.  With
     symbolic central parameters a triple passes only if its sum is the zero
     polynomial, which certifies the cocycle identity for every parameter
-    value at once (``_kronecker`` makes the entries ints).  Row p holds each
-    p <= q <= r at start(q) + r - q, start(q) = (q-p)n - (q(q-1) - p(p-1))/2.
+    value at once (``_kronecker`` makes the entries ints).  Index sums are
+    ``_degree_grid`` codes, and each pair's row is read from the box by offset.
+    Row p holds each p <= q <= r at start(q) + r - q, start(q) = (q-p)n -
+    (q(q-1) - p(p-1))/2.
     """
     idxs = window_indices(alg, window)
     raw, den2, n = alg.raw_terms, alg.den ** 2, len(idxs)
     central = {deg: key for key, deg in alg.central_degrees().items()}
     row = getattr(alg, "numerators", None) or partial(_term_row, raw, central)
+    codes, offset, keys = _degree_grid(idxs, window, alg.central_degrees())
     # a numeric row per window index and per in-domain, non-central index
-    # sum outside the window; a None row (misgraded) leaves no view
-    sums = {(a[0] + b[0], a[1] + b[1]) for a in idxs for b in idxs} - set(idxs)
-    values = {t: row(t, idxs) for t in [
-        *idxs, *(t for t in sums if t not in central and alg.in_domain(*t))]}
+    # sum outside the window, found by code; a None row (misgraded) leaves no view
+    sums = {c + d for k, c in enumerate(codes) for d in codes[k:]}.difference(codes)
+    outer = [t for s in sums if (t := keys[offset + s]).__class__ is tuple and alg.in_domain(*t)]
+    values = {t: row(t, idxs) for t in [*idxs, *outer]}
     graded, pos = None not in values.values(), {w: k for k, w in enumerate(idxs)}
     if graded and any(values[t][pos[w]].__class__ is not int for d in central for t in values
                       if (w := (d[0] - t[0], d[1] - t[1])) in pos):
@@ -227,12 +233,11 @@ def check_jacobi(alg, window):
         return (Element.from_raw(acc.items(), den2),) if acc else ()
 
     # view[p][q]: (numerator of [x_p, x_q], numeric row of x_p + x_q) when
-    # that index sum has a row, else (0, a row of zeros)
-    zeros = (0, [0] * n)
+    # that index sum has a row, else (0, a row of zeros); rows by box offset
+    zeros, grid = (0, [0] * n), [values.get(t) for t in keys]
     view = graded and [
-        [(c, values[t]) if (t := (a[0] + b[0], a[1] + b[1])) in values else zeros
-         for b, c in zip(idxs, values[a])]
-        for a in idxs
+        [(c, v) if (v := grid[base + d]) else zeros for d, c in zip(codes, values[a])]
+        for a, base in zip(idxs, [offset + c for c in codes])
     ]
     columns = view and list(zip(*view))
     tails = view and [v[q:] for q, v in enumerate(view)]
@@ -251,11 +256,13 @@ def check_jacobi(alg, window):
 
 
 def check_grading(alg, window):
-    """Every L term must sit at the index sum; central terms at their degree."""
+    """Every L term must sit at the index sum; central terms at their degree.
+
+    A row is one left index; its pass reads each pair's key off the ``_degree_grid`` box."""
     idxs = window_indices(alg, window)
     raw, n = alg.raw_terms, len(idxs)
     central = alg.central_degrees()
-    key_at = {deg: key for key, deg in central.items()}
+    codes, offset, keys = _degree_grid(idxs, window, central)
 
     def defect(a, b):
         total = (a[0] + b[0], a[1] + b[1])
@@ -265,12 +272,10 @@ def check_grading(alg, window):
             if (central.get(key) if isinstance(key, str) else key) != total
         ]
 
-    # a row is one left index; an empty bracket or one term at its degree's key passes
     rows = (
-        (n, [(q, (a, b)) for q, (b, terms) in enumerate(zip(idxs, [raw(a, b) for b in idxs]))
-             if terms and (len(terms) > 1
-                           or terms[0][0] != key_at.get(t := (a[0] + b[0], a[1] + b[1]), t))])
-        for a in idxs
+        (n, [(q, (a, b)) for q, (b, d) in enumerate(zip(idxs, codes))
+             if (terms := raw(a, b)) and (len(terms) > 1 or terms[0][0] != keys[base + d])])
+        for a, base in zip(idxs, [offset + c for c in codes])
     )
     return ViolationReport.sweep("grading", rows, defect)
 
@@ -381,7 +386,7 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     images = [(a, index_map(a)) for a in idxs]
     mapped = [(a, m) for a, m in images if alg_b.in_domain(*m)]
     sources, targets = [a for a, _ in mapped], [m for _, m in mapped]
-    code = {a: a[0] * (4 * window + 1) + a[1] for a in idxs}  # ints that add like the pairs
+    code = dict(zip(idxs, _degree_grid(idxs, window, {})[0]))  # ints that add like the pairs
     src, window_codes = [code[b] for b in sources], set(code.values())
     position = {b: q for q, b in enumerate(sources)}
 

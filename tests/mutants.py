@@ -108,6 +108,22 @@ MUTANTS = [
            "suspects = mirrors[p] + found", "suspects = found",
            (_VERIFY + "test_antisymmetry_cap_falls_on_a_mirrored_pair",
             _VERIFY + "test_pair_sweeps_match_reference_on_one_sided_brackets")),
+    # _degree_grid: codes that collide at the box's j edges, a grid read one
+    # degree off, and a central key written at a degree outside the box
+    # (an index past the list, or at (2, 8) the slot of (3, -5))
+    *(Mutant(f"grid-{name}", "algebras.py", old, new,
+             (_VERIFY + "test_tables_at_the_grid_edges_match_terms_json",
+              _VERIFY + "test_clean_sweeps_at_the_grid_edges_read_each_bracket_once"))
+      for name, old, new in (
+          ("radix-4w", "radix, reach = 4 * window + 1, 2 * window",
+           "radix, reach = 4 * window, 2 * window"),
+          ("offset-off-by-one", "offset = reach * (radix + 1)", "offset = reach * (radix + 1) - 1"),
+          ("central-key-without-the-box-bound", "if abs(i) <= reach >= abs(j):", "if True:"))),
+    # check_grading: a grid without the central keys makes every central
+    # term a suspect, which the exact rule clears at a second raw_terms call
+    Mutant("grading-grid-without-central-keys", "verify.py",
+           "_degree_grid(idxs, window, central)", "_degree_grid(idxs, window, {})",
+           (_VERIFY + "test_clean_sweeps_at_the_grid_edges_read_each_bracket_once",)),
     # AlgebraSpec.raw_terms: the domain test of the right input, and the
     # puncture of the index sum
     Mutant("raw-terms-skips-the-right-input", "algebras.py", _RIGHT_INPUT_TEST, "",

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -18,6 +19,7 @@ from zzlie.algebras import (
     DomainError,
     Element,
     table_to_json,
+    terms_json,
     window_indices,
 )
 from zzlie.linsolve import propagate_scalars
@@ -728,6 +730,91 @@ def test_grading_literal_index_variant_fails():
     for family in ("c", "cbar"):
         assert not check_grading(PrintedIndexC(AlgebraSpec(family, 1)), 2).ok
         assert check_grading(AlgebraSpec(family, 1), 2).ok
+
+
+# -- the degree grid's edges -------------------------------------------------
+#
+# The table, the Jacobi set-up and grading read each index sum's key and row
+# from a list over the box |i|, |j| <= 2W at the sum's code plus an offset.
+# Lists take negative indices, so a wrong code or offset reads a wrong entry
+# and raises nothing.  block(-5, 1) has C1 at (5, 1), inside the W=3 box but
+# outside the window, and C2 at (10, 2), outside the box; block(-1, 4) has
+# C2 at (2, 8), outside the box, where the code 2*13 + 8 is that of the box
+# degree (3, -5).  At W=1 the C1 of block(1, 2) at (-1, 2) is inside the box
+# and outside the window; at W=0 the box is (0, 0) alone.
+_GRID_EDGES = [
+    (AlgebraSpec("block", -5, 1, a1=2, a2=3, a2p=-1), 3),
+    (AlgebraSpec("block", -5, 1, **_SYM), 3),
+    (AlgebraSpec("block", -1, 4, a1=1, a2=2, a2p=3), 3),
+    (AlgebraSpec("bplus-", 2, a1=1, a2=-2, a2p=3), 3),
+    (AlgebraSpec("bplus+", Fraction(3, 2), a1=2, a2=5, a2p=1), 3),
+    (AlgebraSpec("bplus+", 1, **_SYM), 3),
+    (AlgebraSpec("block", 1, 2, a1=1, a2=2, a2p=3), 1),
+    (AlgebraSpec("block", 1, 2, a1=1, a2=2, a2p=3), 0),
+    (AlgebraSpec("bplus-", 1, a1=1, a2=2, a2p=3), 1),
+    (AlgebraSpec("vir", Fraction(-5, 6)), 0),
+    (AlgebraSpec("d", Fraction(2, 3), Fraction(-7, 4)), 1),
+    (AlgebraSpec("c", Fraction(2, 3)), 1),
+    (AlgebraSpec("cbar", Fraction(5, 3)), 0),
+]
+
+
+def test_grid_edges_are_where_the_comment_says():
+    assert AlgebraSpec("block", -5, 1).central_degrees() == {"C1": (5, 1), "C2": (10, 2)}
+    assert AlgebraSpec("block", -1, 4).central_degrees() == {"C1": (1, 4), "C2": (2, 8)}
+    assert AlgebraSpec("block", 1, 2).central_degrees() == {"C1": (-1, 2), "C2": (-2, 4)}
+    # (3, -5) is an index sum of the W=3 window, and a central one of its
+    # table cells sits at (5, 1)
+    spec = AlgebraSpec("block", -5, 1, a1=2, a2=3, a2p=-1)
+    assert spec.raw_terms((3, 0), (2, 1))[0][0] == "C1"
+    assert AlgebraSpec("block", -1, 4).raw_terms((3, -2), (0, -3))[0][0] == (3, -5)
+
+
+def test_tables_at_the_grid_edges_match_terms_json():
+    for spec, window in _GRID_EDGES:
+        idxs, cells = table_to_json(spec, window)
+        assert idxs == window_indices(spec, window)
+        assert cells == [
+            [json.dumps(terms_json(spec.raw_terms(a, b), spec.den), sort_keys=True) for b in idxs]
+            for a in idxs
+        ], (spec, window)
+
+
+def test_clean_sweeps_at_the_grid_edges_read_each_bracket_once(monkeypatch):
+    # Jacobi decides a clean spec from its rows alone, and grading reads
+    # each window pair once: a wrong grid entry makes a suspect, which the
+    # exact per-case rule would clear, so only the calls show it
+    calls = Counter()
+    raw_terms = AlgebraSpec.raw_terms
+
+    def counting(self, a, b):
+        calls[a, b] += 1
+        return raw_terms(self, a, b)
+
+    monkeypatch.setattr(AlgebraSpec, "raw_terms", counting)
+    for spec, window in _GRID_EDGES:
+        calls.clear()
+        assert check_jacobi(spec, window).ok, (spec, window)
+        assert not calls, (spec, window)
+        report = check_grading(spec, window)
+        idxs = window_indices(spec, window)
+        assert calls == Counter({(a, b): 1 for a in idxs for b in idxs}), (spec, window)
+        reference = reference_grading(spec, partial(AlgebraSpec.basis_bracket, spec), window)
+        assert (report.checked_count, report.witnesses) == reference == (len(idxs) ** 2, [])
+
+
+@pytest.mark.parametrize("spec, pair", [
+    # the inner bracket of every triple over (3, 0) = x + y and (2, 1) is C1
+    # at (5, 1), a box degree outside the window
+    (AlgebraSpec("block", -5, 1, a1=2, a2=3, a2p=-1), ((3, 0), (2, 1))),
+    # the outer bracket lands at (3, -5), whose code is that of C2 at (2, 8)
+    (AlgebraSpec("block", -1, 4, a1=1, a2=2, a2p=3), ((3, -2), (0, -3))),
+    # the half-plane j >= -1: the outer bracket lands at (5, 6), on the
+    # box's edge j = 2W
+    (AlgebraSpec("bplus-", 2, a1=1, a2=-2, a2p=3), ((3, 3), (2, 3))),
+], ids=["central-in-box", "aliased-code", "half-plane"])
+def test_corrupted_sweeps_at_the_grid_edges_match_reference(spec, pair):
+    assert not _assert_fast_matches_raw_only_and_reference(CorruptedRow(spec, pair), 3).ok
 
 
 @pytest.mark.parametrize(
