@@ -258,7 +258,9 @@ def check_jacobi(alg, window):
 def check_grading(alg, window):
     """Every L term must sit at the index sum; central terms at their degree.
 
-    A row is one left index; its pass reads each pair's key off the ``_degree_grid`` box."""
+    A row is one left index.  A pair passes its pass when it is empty or one
+    term at the key that its code sum reads off the ``_degree_grid`` box.
+    """
     idxs = window_indices(alg, window)
     raw, n = alg.raw_terms, len(idxs)
     central = alg.central_degrees()
