@@ -87,6 +87,23 @@ def _guard_literal(p, i, j, k):
     return left and right
 
 
+def _row(p, i, j, k):
+    """The coefficients of instance (i, j, k), k != 0, as the map of its nonzero ones.
+
+    The relation moved to one side (= 0) and multiplied by D, as
+    ``recurrence_equation`` describes; the three unknowns are distinct.
+    """
+    d, (a, b1, bm1) = p._den, p._nums
+    coeffs = {}
+    if c := -a + d * i + bm1 * k:
+        coeffs[(i + k, j)] = c
+    if c := a + d * j + b1 * k:
+        coeffs[(i, j + k)] = c
+    if c := -d * (i + j - k):
+        coeffs[(i, j)] = c
+    return coeffs
+
+
 def recurrence_equation(p, i, j, k):
     """One instance of the recurrence as unknown -> coefficient, plus guard.
 
@@ -98,20 +115,12 @@ def recurrence_equation(p, i, j, k):
     is zero.  At k = 0 the three unknowns are c_{i,j} and the coefficients
     cancel identically, (-a + D i) + (a + D j) - D (i + j) = 0, so the row
     is empty; for k != 0 the unknowns c_{i+k,j}, c_{i,j+k} and c_{i,j} are
-    distinct, and each nonzero coefficient is written as it is.  A violated
-    side condition sets ``skipped`` instead of raising, k = 0 included.
+    distinct, and each nonzero coefficient is written as it is (``_row``).
+    A violated side condition sets ``skipped`` instead of raising, k = 0
+    included.
     """
     skipped = p._guarded and not _guard_literal(p, i, j, k)
-    coeffs = {}
-    if k:
-        d, (a, b1, bm1) = p._den, p._nums
-        if c := -a + d * i + bm1 * k:
-            coeffs[(i + k, j)] = c
-        if c := a + d * j + b1 * k:
-            coeffs[(i, j + k)] = c
-        if c := -d * (i + j - k):
-            coeffs[(i, j)] = c
-    return {"coeffs": coeffs, "skipped": skipped}
+    return {"coeffs": _row(p, i, j, k) if k else {}, "skipped": skipped}
 
 
 @dataclass
@@ -198,13 +207,16 @@ def solve_c_window(p, window):
     every unpinned unknown lies on the window boundary.
 
     The instances are walked in the sweep order of ``_sweep_order``,
-    computed once per window, and each admitted row is added as soon as
-    ``recurrence_equation`` builds it; the empty k = 0 rows are not added.
-    For a consistent system the order is irrelevant.  On an inconsistent
-    system the certificate names a contradicting equation subset; values
-    and undetermined unknowns then describe the maximal consistent
-    subsystem met in sweep order (the closed forms the system pins down
-    before the contradiction surfaces), so the order makes them canonical.
+    computed once per window.  The guard is tested only when the point is
+    ``_guarded``, and each admitted k != 0 instance builds one map, its
+    nonzero coefficients (``_row``, the formula ``recurrence_equation``
+    also reads), which is added as soon as it is built; the empty k = 0
+    rows and any all-zero row are not added.  For a consistent system the
+    order is irrelevant.  On an inconsistent system the certificate names a
+    contradicting equation subset; values and undetermined unknowns then
+    describe the maximal consistent subsystem met in sweep order (the
+    closed forms the system pins down before the contradiction surfaces),
+    so the order makes them canonical.
     """
     if not p._numeric:
         raise UsageError("window solving needs numeric parameters")
@@ -214,13 +226,12 @@ def solve_c_window(p, window):
     unknowns = [(i, j) for i in rng for j in rng]
     system = LinearSystem()
     system.add_equation({(0, 0): p._den}, 2 * p._nums[0], ("norm",))
-    skipped = 0
+    skipped, guarded = 0, p._guarded
     for i, j, k in _sweep_order(window):
-        eq = recurrence_equation(p, i, j, k)
-        if eq["skipped"]:
+        if guarded and not _guard_literal(p, i, j, k):
             skipped += 1
-        elif eq["coeffs"]:
-            system.add_equation(eq["coeffs"], 0, ("eq", i, j, k))
+        elif k and (coeffs := _row(p, i, j, k)):
+            system.add_equation(coeffs, 0, ("eq", i, j, k))
     # the system keeps only the first contradiction met in sweep order
     tags = system.certificate_tags()
     certificate = None if tags is None else [list(t) for t in tags]

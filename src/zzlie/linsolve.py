@@ -11,15 +11,20 @@ denominator); solved values come out as ``Fraction(const, lead)``.
 Work is done only where the system can change.  A row whose unknowns are
 all solved (their pivot rows are empty) is decided by one int sum of
 c*const/lead over a common denominator, read straight from the caller's
-map: it is neither copied nor eliminated.  A new pivot is back-substituted
-only into the open pivot rows (the non-empty ones), since a solved row
-never changes again.
+map: it is neither copied nor eliminated.  A row with one more unknown
+that is not yet a pivot is solved for it from the same sum, and that value
+is installed as an empty pivot row without elimination.  A new pivot is
+back-substituted only into the open pivot rows (the non-empty ones), since
+a solved row never changes again; both ways of installing a pivot share
+that step, ``_install``.
 
 Every row added to the system carries an opaque tag, and the system
 remembers the rows that raised its rank.  Elimination tracks no provenance:
 at the first contradiction one transposed solve over those rows finds the
 combination that produces the contradicting row, and its tags form a minimal
-certificate of equations with no common solution.
+certificate of equations with no common solution.  That solve takes its
+rows (the columns of the installed rows) shortest first; its solution is
+unique, so the order changes only the cost.
 
 ``propagate_scalars`` solves the multiplicative systems behind the diagonal
 isomorphism and intertwiner searches from unit seeds, taken as the rows the
@@ -77,7 +82,8 @@ class LinearSystem:
     denominator first.
 
     A row over solved unknowns only is redundant or contradicting by one
-    int sum; any other row is eliminated.  ``_open`` holds, in install
+    int sum, and one with a single fresh unknown besides is solved for it
+    from that sum; any other row is eliminated.  ``_open`` holds, in install
     order, the pivot unknowns whose row is not empty, and a new pivot is
     back-substituted into those alone: a row that empties leaves it, and a
     solved row never changes again.
@@ -113,9 +119,17 @@ class LinearSystem:
         if lead < 0:
             coeffs = {v: -c for v, c in coeffs.items()}
             const, lead = -const, -lead
-        pivot = _primitive(coeffs, const, lead)
-        # back-substitute into the open pivot rows; a solved row mentions nothing
-        opened = self._open
+        self._install(var, _primitive(coeffs, const, lead))
+        return None
+
+    def _install(self, var, pivot):
+        """Make ``pivot`` the row of the new pivot unknown ``var``.
+
+        ``var`` is back-substituted into the open pivot rows that mention
+        it (a solved row mentions nothing), and ``var`` joins ``_open``
+        when its own row is not empty.
+        """
+        pivots, opened = self.pivots, self._open
         for pvar in [p for p in opened if var in pivots[p][0]]:
             pivots[pvar] = new = _primitive(*_cancel(*pivots[pvar], var, pivot))
             if not new[0]:
@@ -123,53 +137,71 @@ class LinearSystem:
         pivots[var] = pivot
         if pivot[0]:
             opened[var] = None
-        return None
 
     def _combination(self, coeffs, tag):
         """Tag combination of the contradicting row ``coeffs`` tagged ``tag``.
 
         Solves sum_t y_t * row_t = coeffs over the installed rows (unique, as
         they are independent); the row minus that sum reads 0 = nonzero.
+        The dual system takes its rows (the columns of the installed rows)
+        shortest first, which keeps its pivot rows short; as the solution
+        is unique, the order changes nothing else.
         """
         columns = defaultdict(dict)
         for t, (row, _) in enumerate(self._installed):
             for var, c in row.items():
                 columns[var][t] = c
         dual = LinearSystem()
-        for var, column in columns.items():
+        for var, column in sorted(columns.items(), key=lambda item: len(item[1])):
             dual._eliminate(column, coeffs.get(var, 0))
         y = dual.solved_values()
         return accumulate(
-            {tag: Fraction(1)}, ((self._installed[t][1], -y_t) for t, y_t in y.items())
+            {tag: Fraction(1)}, ((t_tag, -y[t]) for t, (_, t_tag) in enumerate(self._installed))
         )
 
     def add_equation(self, coeffs, const, tag):
         """Add sum(coeffs[v]*v) = const; returns False on contradiction.
 
         ``coeffs`` maps unknowns to ints, zeros allowed, and ``const`` is an
-        int; the caller's map is not changed.  A row over solved unknowns is
-        decided from that map as it is; a copy without zeros is made only
-        for a row that goes to elimination.  A contradictory row is not
+        int; the caller's map is not changed.  One walk over that map reads
+        the pivots of its unknowns.  A row over solved unknowns is decided
+        by its int sum.  A row over solved unknowns and one fresh unknown
+        (not yet a pivot) is solved for it from the same sum and installed
+        as an empty pivot row, without elimination.  Any other row is copied
+        without zeros and eliminated.  A contradictory row is not
         installed; the first one is remembered (certificate) and the rest of
         the system stays usable.
         """
-        # While every unknown is solved, keep sum(c*const/lead) - const as
-        # the int fraction residue/den; any other unknown needs elimination.
+        # While every unknown but one fresh one is solved, keep
+        # sum(c*const/lead) - const over the solved ones as the int fraction
+        # residue/den; an open pivot or a second fresh unknown needs elimination.
         pivots = self.pivots
-        residue, den = -const, 1
+        residue, den, fresh = -const, 1, None
         for var, c in coeffs.items():
             if not c:
                 continue
             piv = pivots.get(var)
-            if piv is None or piv[0]:
-                clean = {v: c for v, c in coeffs.items() if c}
-                residue = self._eliminate(dict(clean), const)
-                if residue is None:
-                    self._installed.append((clean, tag))
-                    return True
-                break
-            residue = residue * piv[2] + c * piv[1] * den
-            den *= piv[2]
+            if piv is None:
+                if fresh is None:
+                    fresh, lead = var, c
+                    continue
+            elif not piv[0]:
+                residue = residue * piv[2] + c * piv[1] * den
+                den *= piv[2]
+                continue
+            clean = {v: c for v, c in coeffs.items() if c}
+            residue = self._eliminate(dict(clean), const)
+            if residue is None:
+                self._installed.append((clean, tag))
+                return True
+            break
+        else:
+            if fresh is not None:
+                # lead*x + residue/den = 0, so x = -residue/(den*lead)
+                lead *= den
+                self._install(fresh, _primitive({}, -residue if lead > 0 else residue, abs(lead)))
+                self._installed.append(({v: c for v, c in coeffs.items() if c}, tag))
+                return True
         if not residue:
             return True
         if self.contradiction is None:

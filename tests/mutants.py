@@ -45,6 +45,8 @@ _OFFSET = "((q - p) * n - (q * (q - 1) - p * (p - 1)) // 2 + r - q,"
 _RIGHT_INPUT_TEST = """            if side * ell > 1 or (k, ell) in punctures:
                 raise DomainError(f"{(k, ell)} not in domain of {family}")
 """
+_LINSOLVE = "tests/test_linsolve.py::"
+_FRESH = _LINSOLVE + "test_rows_over_solved_unknowns_are_decided_by_their_sum"
 _ROW_CHECK = """        if [c * f_l * n[t] for c, t in zip(lhs, targets)] != [
                 c * f_r * n[s] for c, s in zip(rhs, sources)]:"""
 
@@ -74,6 +76,21 @@ MUTANTS = [
            _ROW_CHECK.replace("(lhs, targets)", "(lhs[:-1], targets[:-1])")
            .replace("(rhs, sources)", "(rhs[:-1], sources[:-1])"),
            (_VERIFY + "test_isomorphism_reads_every_row_to_its_ends",)),
+    # LinearSystem.add_equation: a fresh unknown solved from its row's int sum
+    Mutant("fresh-path-skips-back-substitution", "linsolve.py",
+           "self._install(fresh, ", "self.pivots.__setitem__(fresh, ",
+           (_FRESH, _LINSOLVE + "test_solved_rows_match_tagged_elimination")),
+    Mutant("fresh-value-with-the-residue-sign-flipped", "linsolve.py",
+           "-residue if lead > 0 else residue", "residue if lead > 0 else -residue",
+           (_FRESH, _LINSOLVE + "test_solved_rows_match_tagged_elimination")),
+    Mutant("fresh-path-for-an-open-pivot", "linsolve.py",
+           "            if piv is None:\n", "            if piv is None or piv[0]:\n",
+           (_FRESH, _LINSOLVE + "test_matches_tagged_elimination")),
+    # solve_c_window: an all-zero k != 0 row reaches the system
+    Mutant("solve-loop-hands-over-all-zero-rows", "classify.py",
+           "elif k and (coeffs := _row(p, i, j, k)):",
+           "elif k and (coeffs := _row(p, i, j, k)) is not None:",
+           (_LINSOLVE + "test_window_rows_reach_the_system_in_sweep_order[point5-3]",)),
     # _kronecker: a radix that bounds the entries but not their products
     Mutant("radix-bounds-only-the-entries", "verify.py",
            "bits, e = 2 * m.bit_length() + 3,", "bits, e = m.bit_length() + 1,",

@@ -147,6 +147,22 @@ def test_rows_over_solved_unknowns_are_decided_by_their_sum():
     assert not system.add_equation({}, 1, "0 = 1")
     assert system.add_equation({"x": 0}, 0, "0 = 0")
     assert system.certificate_tags() == ["off", "x", "y"]
+    # a fresh unknown (not a pivot) over solved ones is solved from the same
+    # sum: 3x + 5y = -2, so -2z = 4 + 2, with a negative coefficient
+    assert system.add_equation({"x": 3, "z": -2, "y": 5}, 4, "z")
+    assert system.pivots["z"] == ({}, -3, 1) and not system._open
+    # a fresh unknown in an open pivot row is back-substituted into that row
+    system = LinearSystem()
+    assert system.add_equation({"x": 1, "y": 1}, 3, "x + y")
+    assert system.add_equation({"y": 2}, 4, "2y")
+    assert system.pivots == {"x": ({}, 1, 1), "y": ({}, 2, 1)} and not system._open
+    assert not system.add_equation({"x": 1}, 2, "x = 2")
+    assert system.certificate_tags() == ["2y", "x + y", "x = 2"]
+    # an unknown with an open pivot row is eliminated, not solved afresh
+    system = LinearSystem()
+    assert system.add_equation({"x": 1, "y": 1}, 3, "x + y")
+    assert system.add_equation({"x": 1}, 1, "x")
+    assert system.pivots == {"x": ({}, 1, 1), "y": ({}, 2, 1)} and not system._open
 
 
 # Unknowns 0-3 are solved first, with leads that are mostly not 1; the rows
@@ -305,9 +321,12 @@ def assert_window_solve_matches_reference(alpha, beta1, betam1, window):
     ((Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)), 3),
     ((Fraction(1), Fraction(0), Fraction(1)), 4),
     ((Fraction(1), Fraction(-3), Fraction(0)), 3),
+    # k = i + j on beta1 + betam1 = -1: instance (-2, 1, -1) has three zero coefficients
+    ((Fraction(1), Fraction(2), Fraction(-3)), 3),
 ])
 def test_window_rows_reach_the_system_in_sweep_order(monkeypatch, point, window):
-    # skipped instances and empty rows (the k = 0 instances) never reach it
+    # skipped instances and empty rows (the k = 0 instances and any all-zero
+    # k != 0 instance) never reach it
     tags = []
     add_equation = LinearSystem.add_equation
 
