@@ -19,13 +19,14 @@ rule ``_closed_row`` with per-family weights, which a spec scales to ints
 over one denominator ``den`` once.  ``den`` also clears the denominators of
 the central parameters, so every structure constant is an int (or
 int-coefficient polynomial) numerator over ``den``.  A spec gives them in
-two forms that take the same branches: ``raw_terms(a, b)``, one bracket as
-``(key, numerator)`` terms, and ``numerators(a, idxs)``, a row of
-numbers, one per right index, each at the one key of its degree.  A
-numerator is divided by ``den`` only where a value is shown: in an
-``Element`` (``Element.from_raw``) or a JSON record (``terms_json``, and
-``table_to_json``, the window's table as a matrix of JSON cell texts with
-one row per left index, which the CLI joins a row at a time).
+two row forms, one left index against a list of right ones, that take the
+same branches: ``raw_row(a, idxs)``, ``(key, numerator)`` terms with
+``raw_terms(a, b)`` the one-entry case, and ``numerators(a, idxs)``, each
+at the one key of its degree.  A numerator is divided by ``den`` only where
+a value is shown: in an ``Element`` (``Element.from_raw``) or a JSON record
+(``terms_json``, and ``table_to_json``, the window's table as a matrix of
+JSON cell texts with one row per left index, which the CLI joins a row at a
+time).
 """
 
 from __future__ import annotations
@@ -137,11 +138,11 @@ class Element(SparseVector):
 class AlgebraSpec:
     """A family tag plus parameters; determines all structure constants.
 
-    A spec gives its brackets as ``raw_terms`` and ``numerators`` over
-    ``den``, the contract the windowed checks of ``verify`` read, with
-    ``in_domain`` and ``central_degrees``; ``basis_bracket`` reads only
-    ``raw_terms`` and ``den``, so a duck-typed algebra
-    (``verify.QuotientC``) can borrow it.
+    A spec gives its brackets as ``raw_row`` (``raw_terms`` one at a time)
+    and ``numerators`` over ``den``, the contract the windowed checks of
+    ``verify`` read, with ``in_domain`` and ``central_degrees``;
+    ``basis_bracket`` reads only ``raw_terms`` and ``den``, so a duck-typed
+    algebra (``verify.QuotientC``) can borrow it.
 
     On ``bplus-``/``bplus+`` (beta = s) ``a2p`` is redundant: a bracket
     lands at C2's degree (-2 alpha, 2s) only from two indices with j = s,
@@ -151,7 +152,7 @@ class AlgebraSpec:
 
     The block families' punctures (-alpha, beta) and (-2 alpha, 2 beta),
     where integral, are the central degrees, kept in one map from degree to
-    "C1"/"C2" that ``in_domain``, ``raw_terms`` and ``central_degrees``
+    "C1"/"C2" that ``in_domain``, both row forms and ``central_degrees``
     read.  A block bracket is an L term at the index sum, the central term
     when that sum is a puncture, or nothing.  The half-planes are closed
     under it, so no target is tested: a sum leaves one only from two
@@ -236,71 +237,73 @@ class AlgebraSpec:
     # -- brackets ------------------------------------------------------------
 
     def raw_terms(self, a, b):
-        """[L_a, L_b] as raw ``(key, numerator)`` terms over ``den``, zeros dropped.
+        """[L_a, L_b] as raw terms: the one entry of ``raw_row(a, [b])``.
 
-        A key is the index pair ``(i, j)`` of an L term, or ``"C1"``/``"C2"``
-        for a central generator; each key occurs at most once, L before C1
-        before C2.  A numerator is an int, or an int-coefficient MultiPoly
-        when a central parameter is symbolic.  One call does it all: a block
-        family tests both unpacked inputs (``DomainError`` outside the
-        domain) and gives the central term at a puncture sum; else the L
-        coefficient is the ``_closed_row`` of ``a`` at ``b``, or ``_c_line``.
+        ``DomainError`` for either input (any pair-shaped sequence), the left one first.
         """
-        (i, j), (k, ell) = a, b
-        family = self.family
-        if family in ("c", "cbar"):  # cbar is c under j -> -j; the flips cancel in the target
-            a_k, a_0 = (_c_line(self._weights, i, j, ell) if family == "c"
-                        else _c_line(self._weights, i, -j, -ell))
-            n = a_k * k + a_0
-            return (((i + k, j + ell), n),) if n else ()
-        t = (i + k, j + ell)
-        if family in _CENTRAL_FAMILIES:
-            side, punctures = self._side, self._punctures
-            if side * j > 1 or (i, j) in punctures:
-                raise DomainError(f"{(i, j)} not in domain of {family}")
-            if side * ell > 1 or (k, ell) in punctures:
-                raise DomainError(f"{(k, ell)} not in domain of {family}")
-            if kind := punctures.get(t):
-                n = self._central(kind, i, j)
-                return ((kind, n),) if n else ()
-        a_l, a_k, a_0 = _closed_row(self._weights, i, j)
-        n = a_l * ell + a_k * k + a_0
-        return ((t, n),) if n else ()
+        (terms,) = self.raw_row(a, [b := tuple(b)])
+        if self._side * b[1] > 1 or b in self._punctures:
+            raise DomainError(f"{b} not in domain of {self.family}")
+        return terms
 
     def basis_bracket(self, a, b):
         """[L_a, L_b] as an Element: ``raw_terms`` divided by ``den``."""
         return Element.from_raw(self.raw_terms(a, b), self.den)
 
-    def numerators(self, a, idxs):
-        """The numerators over ``den`` of [L_a, L_w] for each w of ``idxs``, in order.
+    def raw_row(self, a, idxs):
+        """[L_a, L_w] as raw ``(key, numerator)`` terms over ``den`` for each w of ``idxs``.
 
-        Each is the coefficient at the one key of its degree a + w: the
-        central generator at a puncture, else the L index a + w; an empty
-        bracket reads 0.  The row takes the branches of ``raw_terms`` and
-        agrees with it entry by entry.  ``a`` must be in the domain, else
-        ``DomainError``; the indices of ``idxs`` are taken to be.
+        An entry is empty or one term, keyed "C1"/"C2" when a + w is a puncture,
+        else a + w; a numerator is an int, or an int-coefficient MultiPoly for a
+        symbolic centre.  ``DomainError`` for ``a``; ``idxs`` are taken to be in the domain.
         """
         i, j = a
-        weights = self._weights
-        if self.family in ("c", "cbar"):  # cbar is c under j -> -j, as in raw_terms
-            s = 1 if self.family == "c" else -1
-            lines = {ell: _c_line(weights, i, s * j, s * ell) for ell in {ell for _, ell in idxs}}
+        if self.family in ("c", "cbar"):
+            lines = self._c_lines(i, j, idxs)
+            return [(((i + k, j + ell), n),) if (n := a_k * k + a_0) else ()
+                    for k, ell in idxs for a_k, a_0 in (lines[ell],)]
+        if self._side * j > 1 or (i, j) in self._punctures:
+            raise DomainError(f"{(i, j)} not in domain of {self.family}")
+        a_l, a_k, a_0 = _closed_row(self._weights, i, j)
+        row = [(((i + k, j + ell), n),) if (n := a_l * ell + a_k * k + a_0) else ()
+               for k, ell in idxs]
+        for q, kind, n in self._central_at(i, j, idxs):
+            row[q] = ((kind, n),) if n else ()
+        return row
+
+    def numerators(self, a, idxs):
+        """``raw_row`` with each entry its numerator at the one key of its degree, 0 if empty.
+
+        It takes the same branches on its own, and the tests hold the two
+        forms to each other entry by entry.
+        """
+        i, j = a
+        if self.family in ("c", "cbar"):
+            lines = self._c_lines(i, j, idxs)
             return [a_k * k + a_0 for k, ell in idxs for a_k, a_0 in (lines[ell],)]
         if not self.in_domain(i, j):
             raise DomainError(f"{a} not in domain of {self.family}")
-        a_l, a_k, a_0 = _closed_row(weights, i, j)
+        a_l, a_k, a_0 = _closed_row(self._weights, i, j)
         row = [a_l * ell + a_k * k + a_0 for k, ell in idxs]
-        for (pi, pj), kind in self._punctures.items():
-            if (b := (pi - i, pj - j)) in idxs:
-                row[idxs.index(b)] = self._central(kind, i, j)
+        for q, _, n in self._central_at(i, j, idxs):
+            row[q] = n
         return row
 
-    def _central(self, kind, i, j):
-        """The numerator of ``kind`` in [L(i, j), L_b] for the b that sums to its puncture."""
-        (a_num, b_num, den), (a1, a2, a2p) = self._centre
-        if kind == "C1":
-            return (a_num * j + b_num * i) * a1
-        return a2 * (a_num * j + b_num * i) + a2p * (a_num + den * i)
+    def _c_lines(self, i, j, idxs):
+        """``_c_line`` of row (i, j) at each ell of ``idxs``; cbar is c under j -> -j."""
+        s = 1 if self.family == "c" else -1
+        return {ell: _c_line(self._weights, i, s * j, s * ell) for ell in {ell for _, ell in idxs}}
+
+    def _central_at(self, i, j, idxs):
+        """(position, kind, numerator) of each w of ``idxs`` with (i, j) + w a puncture."""
+        found = []
+        for (pi, pj), kind in self._punctures.items():
+            if (w := (pi - i, pj - j)) in idxs:
+                (a_num, b_num, den), (a1, a2, a2p) = self._centre
+                c = a_num * j + b_num * i
+                found.append((idxs.index(w), kind,
+                              c * a1 if kind == "C1" else a2 * c + a2p * (a_num + den * i)))
+        return found
 
 
 def _closed_row(w, i, j):
@@ -364,13 +367,10 @@ def window_indices(spec, window):
 
 
 def structure_table(spec, window):
-    """All basis brackets for index pairs in the window, lex order."""
+    """All basis brackets for index pairs in the window, lex order, a ``raw_row`` per left index."""
     idxs = window_indices(spec, window)
-    return [
-        {"left": a, "right": b, "result": spec.basis_bracket(a, b)}
-        for a in idxs
-        for b in idxs
-    ]
+    return [{"left": a, "right": b, "result": Element.from_raw(terms, spec.den)}
+            for a in idxs for b, terms in zip(idxs, spec.raw_row(a, idxs))]
 
 
 def _degree_grid(idxs, window, central):

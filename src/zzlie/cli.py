@@ -296,6 +296,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if [] in vars(args).values():  # argparse before 3.12 reads "--flag=--" as []
+            raise UsageError("a flag's value may not be '--'")
         return _COMMANDS[args.command](args)
     except (UsageError, DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,23 +21,22 @@ D(alpha, -1), the c/cbar generic region.  The c/cbar factorial regions (a
 falling factorial of symbolic length) and the block families' punctures,
 half-planes and central terms remain window-checked.
 
-An algebra here is duck-typed.  The windowed checks read four members:
-``in_domain(i, j)``; ``raw_terms(a, b)``, the bracket as raw ``(key,
-numerator)`` terms (key ``(i, j)`` for L, "C1"/"C2" for a central
-generator; numerator an int, or an int-coefficient ``MultiPoly`` for
-symbolic central parameters), which raises ``DomainError`` for an input
-index outside the domain; ``den``, the one positive int every numerator is
-over; and ``central_degrees()``, mapping each present central generator to
-its degree.  ``raw_terms`` may return L terms outside the domain: the
-Jacobi kernel owns the in-domain filter of outer targets.  An algebra may
-add ``numerators(a, idxs)``: for each w of ``idxs`` the numerator of
-[L_a, L_w] at the one key of its degree a + w (the central generator
-there, else the L index), 0 for an empty bracket, with the same
-``DomainError`` for ``a``.  The Jacobi sweep reads it when present; the
-diagonal-isomorphism search needs it, with ``in_domain``, ``den`` and
-``central_degrees``, and reads no ``raw_terms``.  ``AlgebraSpec`` and
-``QuotientC`` provide all five, and ``QuotientC`` borrows
-``AlgebraSpec.basis_bracket``, which reads only ``raw_terms`` and ``den``.
+An algebra here is duck-typed.  The windowed checks read ``in_domain(i,
+j)``; ``raw_terms(a, b)``, the bracket as raw ``(key, numerator)`` terms
+(key ``(i, j)`` for L, "C1"/"C2" for a central generator; numerator an
+int, or an int-coefficient ``MultiPoly`` for a symbolic centre), with
+``DomainError`` for an input outside the domain; ``den``, the one positive
+int every numerator is over; and ``central_degrees()``, each present
+central generator's degree.  L terms may lie outside the domain: the
+Jacobi kernel owns the in-domain filter of outer targets.  Two row forms
+are optional, each with the ``DomainError`` for ``a``: ``raw_row(a,
+idxs)``, the ``raw_terms`` of [L_a, L_w] for each w of ``idxs``, and
+``numerators(a, idxs)``, each one's numerator at the one key of its degree
+a + w, 0 when empty.  Antisymmetry and grading read a raw-term row per
+left index (``raw_row``, else a ``raw_terms`` call per entry), Jacobi
+``numerators`` rows, else ``_term_row`` rows read off the raw-term rows;
+the diagonal-isomorphism search needs ``numerators``.  ``QuotientC`` gives
+all but ``raw_row`` and borrows ``AlgebraSpec.basis_bracket``.
 
 The Jacobi kernel decides a triple of a graded algebra by one number: its
 three cyclic terms share a key, so with c_pq the numerator of [x_p, x_q]
@@ -47,17 +46,14 @@ symbolic centre's entries ints.  The numbers sit in numeric rows by window
 position, one per window index and one per in-domain, non-central index sum
 outside the window, found as sums of ``algebras._degree_grid`` codes; each
 pair's row is read from a list over the degree box at its code sum plus one
-offset, as grading reads each pair's key.  A row comes from one of two
-sources: ``numerators`` when the algebra has it, else ``_term_row``, which
-reads it off ``raw_terms`` (one call per bracket) and gives None when an
-entry is neither empty nor one term at its degree's key.  The tests hold
-the two sources to each other.  A sweep row is one left index p; its pass
-decides every p <= q <= r from ``view[p]``, the tails ``view[q][q:]`` and
-the column of p.  Only a triple whose number is nonzero, and every triple
-of a misgraded algebra (a None row leaves no view; every ``AlgebraSpec`` is
-graded), reaches the keyed ``defect``: it sums the cyclic terms by basis
-key through ``raw_terms``, bracketing again each in-domain L key, and its
-witness, at the index triple, carries the true coefficient sum / den².
+offset, as grading reads each pair's key.  A sweep row is one left index p;
+its pass decides every p <= q <= r from ``view[p]``, the tails
+``view[q][q:]`` and the column of p.  Only a triple whose number is
+nonzero, and every triple of a misgraded algebra (a None row leaves no
+view; every ``AlgebraSpec`` is graded), reaches the keyed ``defect``: it
+sums the cyclic terms by basis key through ``raw_terms``, bracketing again
+each in-domain L key, and its witness, at the index triple, carries the
+true coefficient sum / den².
 """
 
 from __future__ import annotations
@@ -134,15 +130,21 @@ class ViolationReport:
         }
 
 
+def _row_source(alg):
+    """``raw_row(a, idxs)``: the algebra's own, else one ``raw_terms`` call per entry."""
+    return getattr(alg, "raw_row", None) or (lambda a, idxs: [alg.raw_terms(a, w) for w in idxs])
+
+
 def check_antisymmetry(alg, window):
     """Witness every ordered pair with [a,b] != -[b,a]; a row is one left index.
 
-    The row pass is symmetric in the pair, so row p evaluates q >= p, the
-    diagonal included, and takes each failing q < p as the mirror of row q's
-    failing p: counts and witnesses are those of every ordered pair.
+    The row pass is symmetric in the pair, so row p of the table of raw rows
+    meets column p at q >= p, the diagonal included, and takes each failing
+    q < p as the mirror of row q's failing p, as if it read every ordered pair.
     """
     idxs = window_indices(alg, window)
-    raw, den, n = alg.raw_terms, alg.den, len(idxs)
+    raw, den, n, row = alg.raw_terms, alg.den, len(idxs), _row_source(alg)
+    table = [row(a, idxs) for a in idxs]
 
     def defect(a, b):
         bad = accumulate(dict(raw(a, b)), raw(b, a))
@@ -152,9 +154,9 @@ def check_antisymmetry(alg, window):
     # each at one key with numerators summing to zero
     def rows():
         mirrors = [[] for _ in idxs]  # mirrors[q]: each p < q whose row found q
-        for p, a in enumerate(idxs):
-            found = [q for q, b in enumerate(idxs[p:], p)
-                     if not (len(x := raw(a, b)) == len(y := raw(b, a)) < 2
+        for p, (a, xs, ys) in enumerate(zip(idxs, table, zip(*table))):
+            found = [q for q, x, y in zip(range(p, n), xs[p:], ys[p:])
+                     if not (len(x) == len(y) < 2
                              and (not x or x[0][0] == y[0][0] and not x[0][1] + y[0][1]))]
             suspects = mirrors[p] + found
             for q in found:
@@ -164,13 +166,12 @@ def check_antisymmetry(alg, window):
     return ViolationReport.sweep("antisymmetry", rows(), defect)
 
 
-def _term_row(raw, central, a, idxs):
-    """The numerators of [a, w] for w of ``idxs`` off ``raw``, or None if one is misgraded.
+def _term_row(row, central, a, idxs):
+    """``row(a, idxs)`` as numerators, None unless each entry is empty or one term at its key.
 
-    An entry is read when it is empty (0) or one term at its degree's key;
-    ``central`` maps a degree to the central generator there.
+    The key of degree t is ``central.get(t, t)``: the central generator there, else t.
     """
-    entries = [(raw(a, w), (a[0] + w[0], a[1] + w[1])) for w in idxs]
+    entries = list(zip(row(a, idxs), [(a[0] + w[0], a[1] + w[1]) for w in idxs]))
     if all(not terms or len(terms) == 1 and terms[0][0] == central.get(t, t)
            for terms, t in entries):
         return [terms[0][1] if terms else 0 for terms, _ in entries]
@@ -201,7 +202,7 @@ def check_jacobi(alg, window):
     """Sweep unordered basis triples; witness each nonzero cyclic sum.
 
     Runs the one kernel of the module docstring, on rows from ``numerators``
-    when the algebra has it and read off ``raw_terms`` otherwise.  With
+    when the algebra has it and read off its raw-term rows otherwise.  With
     symbolic central parameters a triple passes only if its sum is the zero
     polynomial, which certifies the cocycle identity for every parameter
     value at once (``_kronecker`` makes the entries ints).  Index sums are
@@ -212,7 +213,7 @@ def check_jacobi(alg, window):
     idxs = window_indices(alg, window)
     raw, den2, n = alg.raw_terms, alg.den ** 2, len(idxs)
     central = {deg: key for key, deg in alg.central_degrees().items()}
-    row = getattr(alg, "numerators", None) or partial(_term_row, raw, central)
+    row = getattr(alg, "numerators", None) or partial(_term_row, _row_source(alg), central)
     codes, offset, keys = _degree_grid(idxs, window, alg.central_degrees())
     # a numeric row per window index and per in-domain, non-central index
     # sum outside the window, found by code; a None row (misgraded) leaves no view
@@ -262,21 +263,18 @@ def check_grading(alg, window):
     term at the key that its code sum reads off the ``_degree_grid`` box.
     """
     idxs = window_indices(alg, window)
-    raw, n = alg.raw_terms, len(idxs)
+    raw, n, row = alg.raw_terms, len(idxs), _row_source(alg)
     central = alg.central_degrees()
     codes, offset, keys = _degree_grid(idxs, window, central)
 
     def defect(a, b):
         total = (a[0] + b[0], a[1] + b[1])
-        return [
-            BasisElement.of(key)
-            for key, _ in raw(a, b)
-            if (central.get(key) if isinstance(key, str) else key) != total
-        ]
+        return [BasisElement.of(key) for key, _ in raw(a, b)
+                if (central.get(key) if isinstance(key, str) else key) != total]
 
     rows = (
-        (n, [(q, (a, b)) for q, (b, d) in enumerate(zip(idxs, codes))
-             if (terms := raw(a, b)) and (len(terms) > 1 or terms[0][0] != keys[base + d])])
+        (n, [(q, (a, b)) for q, (b, d, terms) in enumerate(zip(idxs, codes, row(a, idxs)))
+             if terms and (len(terms) > 1 or terms[0][0] != keys[base + d])])
         for a, base in zip(idxs, [offset + c for c in codes])
     )
     return ViolationReport.sweep("grading", rows, defect)

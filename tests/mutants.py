@@ -42,9 +42,13 @@ _VERIFY = "tests/test_verify.py::"
 _ALGEBRAS = "tests/test_algebras.py::"
 _GUARD = "tests/test_classify.py::test_recurrence_guard_decided_once_matches_the_printed_condition"
 _OFFSET = "((q - p) * n - (q * (q - 1) - p * (p - 1)) // 2 + r - q,"
-_RIGHT_INPUT_TEST = """            if side * ell > 1 or (k, ell) in punctures:
-                raise DomainError(f"{(k, ell)} not in domain of {family}")
+_RIGHT_INPUT_TEST = """        if self._side * b[1] > 1 or b in self._punctures:
+            raise DomainError(f"{b} not in domain of {self.family}")
 """
+_PUNCTURE_OVERWRITE = """        for q, kind, n in self._central_at(i, j, idxs):
+            row[q] = ((kind, n),) if n else ()
+"""
+_ROW_PASS = "zip(range(p, n), xs[p:], ys[p:])"
 _LINSOLVE = "tests/test_linsolve.py::"
 _FRESH = _LINSOLVE + "test_rows_over_solved_unknowns_are_decided_by_their_sum"
 _ROW_CHECK = """        if [c * f_l * n[t] for c, t in zip(lhs, targets)] != [
@@ -117,10 +121,15 @@ MUTANTS = [
                         ("without-1", "not {0}.isdisjoint(nums[1:])"),
                         ("beta1-only", "not {0, den}.isdisjoint(nums[1:2])"),
                         ("betam1-only", "not {0, den}.isdisjoint(nums[2:])"))),
-    # check_antisymmetry: row p decides q >= p and reads q < p as mirrors
+    # check_antisymmetry: row p decides q >= p against column p and reads
+    # q < p as mirrors
     Mutant("antisymmetry-skips-the-diagonal", "verify.py",
-           "enumerate(idxs[p:], p)", "enumerate(idxs[p + 1:], p + 1)",
+           _ROW_PASS, "zip(range(p + 1, n), xs[p + 1:], ys[p + 1:])",
            (_VERIFY + "test_antisymmetry_finds_a_fault_on_the_diagonal",)),
+    Mutant("antisymmetry-row-against-itself", "verify.py",
+           _ROW_PASS, "zip(range(p, n), xs[p:], xs[p:])",
+           (_VERIFY + "test_pair_sweeps_read_no_terms_of_a_clean_spec",
+            _VERIFY + "test_pair_sweeps_match_reference_on_one_sided_brackets")),
     Mutant("antisymmetry-drops-the-mirrors", "verify.py",
            "suspects = mirrors[p] + found", "suspects = found",
            (_VERIFY + "test_antisymmetry_cap_falls_on_a_mirrored_pair",
@@ -141,14 +150,24 @@ MUTANTS = [
     Mutant("grading-grid-without-central-keys", "verify.py",
            "_degree_grid(idxs, window, central)", "_degree_grid(idxs, window, {})",
            (_VERIFY + "test_clean_sweeps_at_the_grid_edges_read_each_bracket_once",)),
-    # AlgebraSpec.raw_terms: the domain test of the right input, and the
-    # puncture of the index sum
+    # check_grading: each pair's key read at the left index's own degree
+    # makes every nonempty bracket a suspect, which the exact rule clears
+    Mutant("grading-key-of-the-left-index", "verify.py",
+           "terms[0][0] != keys[base + d]", "terms[0][0] != keys[base]",
+           (_VERIFY + "test_pair_sweeps_read_no_terms_of_a_clean_spec",
+            _VERIFY + "test_clean_sweeps_at_the_grid_edges_read_each_bracket_once")),
+    # AlgebraSpec.raw_terms: the domain test of the right input; the
+    # puncture lookup of both row forms: the partner of the index sum, and
+    # raw_row's central entries
     Mutant("raw-terms-skips-the-right-input", "algebras.py", _RIGHT_INPUT_TEST, "",
            (_ALGEBRAS + "test_numerators_refuse_an_out_of_domain_index",)),
     Mutant("puncture-at-the-left-index", "algebras.py",
-           "punctures.get(t)", "punctures.get((i, j))",
+           "(w := (pi - i, pj - j))", "(w := (i, j))",
            (_ALGEBRAS + "test_block_central_term_example",
             _ALGEBRAS + "test_block_second_center")),
+    Mutant("raw-row-without-the-puncture-overwrite", "algebras.py", _PUNCTURE_OVERWRITE, "",
+           (_ALGEBRAS + "test_block_central_term_example",
+            _ALGEBRAS + "test_raw_row_matches_reference_property")),
 ]
 
 

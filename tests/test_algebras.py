@@ -223,9 +223,10 @@ def test_numerators_refuse_an_out_of_domain_index():
                 with pytest.raises(DomainError) as raw:
                     bracket(left, right)
                 assert str(raw.value) == message
-        with pytest.raises(DomainError) as row:
-            spec.numerators(a, [(0, 0), (1, 1)])
-        assert str(row.value) == message
+        for row_of in (spec.numerators, spec.raw_row):
+            with pytest.raises(DomainError) as row:
+                row_of(a, [(0, 0), (1, 1)])
+            assert str(row.value) == message
     # an index may be any pair-shaped sequence, at a puncture sum too
     spec = AlgebraSpec("block", 1, 2, a1=1)
     for a, b in (((0, 1), (1, 1)), ((0, 1), (-1, 1))):
@@ -322,6 +323,18 @@ def test_bracket_terms_fraction_reference_property(spec, pairs):
     targets = spec.central_degrees().values()
     aimed = [(a, (t[0] - a[0], t[1] - a[1])) for a, _ in pairs for t in targets]
     _assert_kernel_matches_reference(spec, pairs + aimed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_specs(), st.integers(0, 2))
+def test_raw_row_matches_reference_property(spec, window):
+    # every row of the window, the punctures' partners included: entry by
+    # entry the Fraction formulas' terms, L before C1 before C2
+    idxs = window_indices(spec, window)
+    for a in idxs:
+        row = spec.raw_row(a, idxs)
+        assert [tuple((key, unscaled(n, spec.den)) for key, n in terms) for terms in row] == [
+            reference_bracket_terms(spec, a, w) for w in idxs], (spec, a)
 
 
 # -- raw primitive: int numerators over one denominator ------------------------

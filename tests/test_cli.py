@@ -314,6 +314,14 @@ def test_algebra_and_classify_commands_never_raise(argv):
         assert main(argv) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("flag", ["--alpha=--", "--window=--", "--family=--"])
+def test_a_flag_valued_double_dash_is_a_usage_error(capsys, flag):
+    # argparse before Python 3.12 reads "--alpha=--" as an empty list
+    argv = ["table", "--family=vir", "--alpha=1", "--window=0", flag]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_classify_constraints(capsys):
     code, out = run(capsys, "classify", "constraints")
     assert code == 0

@@ -201,6 +201,24 @@ class DroppedPair(CorruptedPair):
         return row
 
 
+class RawRow:
+    """Mixin: ``raw_row`` for a one-pair wrapper of an ``AlgebraSpec``, read by the pair sweeps.
+
+    A row is the inner spec's ``raw_row`` with the wrapped pair's entry
+    replaced by the wrapper's ``raw_terms``, so the row path and the
+    per-pair fallback read the same fault.
+    """
+
+    rows = 0
+
+    def raw_row(self, a, idxs):
+        self.rows += 1
+        row = self.inner.raw_row(a, idxs)
+        if a == self.pair[0] and self.pair[1] in idxs:
+            row[idxs.index(self.pair[1])] = self.raw_terms(*self.pair)
+        return row
+
+
 def _raw_only(spec):
     """``spec`` as a duck-typed algebra without ``numerators``: Jacobi rows off ``raw_terms``."""
     return SimpleNamespace(raw_terms=spec.raw_terms, in_domain=spec.in_domain,
@@ -242,6 +260,9 @@ def test_numerators_match_raw_terms_property(spec, window):
     fast, generic = check_jacobi(spec, window), check_jacobi(_raw_only(spec), window)
     assert fast == generic
     assert repr(fast.witnesses) == repr(generic.witnesses)
+    if hasattr(spec, "raw_row"):  # rows read off raw_row rows
+        assert check_jacobi(SimpleNamespace(**vars(_raw_only(spec)), raw_row=spec.raw_row),
+                            window) == fast
 
 
 @pytest.mark.parametrize("spec, pair", [
@@ -369,6 +390,30 @@ def test_jacobi_and_table_read_no_terms_of_a_clean_spec(monkeypatch):
     assert calls
 
 
+def test_pair_sweeps_read_no_terms_of_a_clean_spec(monkeypatch):
+    # antisymmetry and grading pass every pair of a clean spec from its
+    # raw_row rows: a pass that lets a passing pair through to the exact
+    # per-case rule reports alike, so only the raw_terms calls show it
+    calls = Counter()
+    raw_terms = AlgebraSpec.raw_terms
+
+    def counting(self, a, b):
+        calls[a, b] += 1
+        return raw_terms(self, a, b)
+
+    monkeypatch.setattr(AlgebraSpec, "raw_terms", counting)
+    for spec in (
+        AlgebraSpec("d", Fraction(2, 3), Fraction(3, 2)),
+        AlgebraSpec("c", Fraction(2, 3)),
+        AlgebraSpec("block", -1, -1, **_SYM),  # both punctures in the window
+        AlgebraSpec("bplus+", Fraction(3, 2), a1=Fraction(2, 3), a2=5, a2p=1),
+    ):
+        for check in (check_antisymmetry, check_grading):
+            report = check(spec, 3)
+            assert report.ok and report.checked_count == len(window_indices(spec, 3)) ** 2
+    assert not calls
+
+
 def _clean_and_corrupted(spec, pair):
     """(algebra, Element bracket) for ``spec`` and for ``CorruptedPair(spec, pair)``."""
     def corrupted(a, b):
@@ -472,6 +517,33 @@ def test_pair_sweeps_match_reference_property(spec, wrapper, data):
             count, witnesses = reference(alg, bracket, 2)
             assert report.checked_count == count
             assert repr(report.witnesses) == repr(witnesses)
+
+
+@pytest.mark.parametrize("wrapper", [CorruptedPair, MovedKey, ExtraKey])
+@pytest.mark.parametrize("spec, pair", [
+    (AlgebraSpec("vir", 1), ((1, 0), (2, 0))),
+    (AlgebraSpec("block", 1, 2, **_SYM), ((0, 1), (-1, 1))),  # the C1 term at the puncture
+    (AlgebraSpec("bplus+", Fraction(3, 2), a1=Fraction(2, 3), a2=5, a2p=1), ((0, 1), (-1, 0))),
+    (AlgebraSpec("block", 1, 2, **_SYM), ((1, 1), (0, -1))),
+    (AlgebraSpec("c", Fraction(2, 3)), ((1, 0), (0, -2))),  # the factorial region
+])
+def test_pair_sweeps_read_rows_as_the_per_pair_fallback(wrapper, spec, pair):
+    # a negated pair, a moved key and an extra key (the last two move only
+    # L keys), read from raw_row rows and from one raw_terms call per pair:
+    # the same counts and witnesses, which are the Element references'
+    rowed, plain = type("Rowed", (RawRow, wrapper), {})(spec, pair), wrapper(spec, pair)
+    bracket = partial(AlgebraSpec.basis_bracket, plain)
+    n, oks = len(window_indices(spec, 2)), []
+    for check, reference in ((check_antisymmetry, reference_antisymmetry),
+                             (check_grading, reference_grading)):
+        rowed.rows = 0
+        fast, slow = check(rowed, 2), check(plain, 2)
+        assert rowed.rows == n
+        assert fast == slow
+        assert repr(fast.witnesses) == repr(slow.witnesses)
+        assert (fast.checked_count, fast.witnesses) == reference(plain, bracket, 2)
+        oks.append(fast.ok)
+    assert all(oks) == (plain.raw_terms(*pair) == spec.raw_terms(*pair))
 
 
 class TableAlgebra:
@@ -781,24 +853,32 @@ def test_tables_at_the_grid_edges_match_terms_json():
 
 
 def test_clean_sweeps_at_the_grid_edges_read_each_bracket_once(monkeypatch):
-    # Jacobi decides a clean spec from its rows alone, and grading reads
-    # each window pair once: a wrong grid entry makes a suspect, which the
-    # exact per-case rule would clear, so only the calls show it
-    calls = Counter()
-    raw_terms = AlgebraSpec.raw_terms
+    # Jacobi decides a clean spec from its numerator rows alone, and grading
+    # reads each left index's raw-term row once and no single bracket: a
+    # wrong grid entry makes a suspect, which the exact per-case rule would
+    # clear at a raw_terms call, so only the calls show it
+    calls, rows = Counter(), Counter()
+    raw_terms, raw_row = AlgebraSpec.raw_terms, AlgebraSpec.raw_row
 
     def counting(self, a, b):
         calls[a, b] += 1
         return raw_terms(self, a, b)
 
+    def counting_rows(self, a, idxs):
+        rows[a, tuple(idxs)] += 1
+        return raw_row(self, a, idxs)
+
     monkeypatch.setattr(AlgebraSpec, "raw_terms", counting)
+    monkeypatch.setattr(AlgebraSpec, "raw_row", counting_rows)
     for spec, window in _GRID_EDGES:
         calls.clear()
+        rows.clear()
         assert check_jacobi(spec, window).ok, (spec, window)
-        assert not calls, (spec, window)
+        assert not calls and not rows, (spec, window)
         report = check_grading(spec, window)
         idxs = window_indices(spec, window)
-        assert calls == Counter({(a, b): 1 for a in idxs for b in idxs}), (spec, window)
+        assert rows == Counter({(a, tuple(idxs)): 1 for a in idxs}), (spec, window)
+        assert not calls, (spec, window)
         reference = reference_grading(spec, partial(AlgebraSpec.basis_bracket, spec), window)
         assert (report.checked_count, report.witnesses) == reference == (len(idxs) ** 2, [])
 
