@@ -61,6 +61,14 @@ class DomainError(ValueError):
     """An index outside the algebra's basis index set was used."""
 
 
+def domain_index(alg, a, name):
+    """``a`` as the pair (i, j), a ``DomainError`` naming ``name`` unless ``alg.in_domain(i, j)``."""
+    i, j = a
+    if alg.in_domain(i, j):
+        return i, j
+    raise DomainError(f"{(i, j)} not in domain of {name}")
+
+
 @dataclass(frozen=True, order=True)
 class BasisElement:
     """A basis vector: L at an index, or one of the central generators."""
@@ -115,8 +123,8 @@ def _basis_sort_key(b):
 class Element(SparseVector):
     """A finite linear combination of basis elements.
 
-    Coefficients are stored as given: Fractions, or MultiPoly when symbolic
-    central parameters are in play.
+    Coefficients are Fractions, or MultiPoly when symbolic central
+    parameters are in play; the constructor takes each through ``exact_value``.
     """
 
     __slots__ = ()
@@ -196,7 +204,7 @@ class AlgebraSpec:
                 continue
             if self.family not in _CENTRAL_FAMILIES:
                 raise ValueError(f"{name} only applies to families {_CENTRAL_FAMILIES}")
-            object.__setattr__(self, name, exact_value(val))
+            object.__setattr__(self, name, exact_value(val, name))
         # C2's degree is twice C1's, so C2 is present whenever C1 is.
         punctures = {}
         if self.family in _CENTRAL_FAMILIES:
@@ -226,7 +234,9 @@ class AlgebraSpec:
     # -- domain ------------------------------------------------------------
 
     def in_domain(self, i, j):
-        return self._side * j <= 1 and (i, j) not in self._punctures
+        """The one index rule: int components, on the half-plane side, off the punctures."""
+        return (i.__class__ is j.__class__ is int
+                and self._side * j <= 1 and (i, j) not in self._punctures)
 
     # -- central generators -------------------------------------------------
 
@@ -241,9 +251,8 @@ class AlgebraSpec:
 
         ``DomainError`` for either input (any pair-shaped sequence), the left one first.
         """
-        (terms,) = self.raw_row(a, [b := tuple(b)])
-        if self._side * b[1] > 1 or b in self._punctures:
-            raise DomainError(f"{b} not in domain of {self.family}")
+        a = domain_index(self, a, self.family)
+        (terms,) = self._raw_row(a, [domain_index(self, b, self.family)])
         return terms
 
     def basis_bracket(self, a, b):
@@ -257,13 +266,14 @@ class AlgebraSpec:
         else a + w; a numerator is an int, or an int-coefficient MultiPoly for a
         symbolic centre.  ``DomainError`` for ``a``; ``idxs`` are taken to be in the domain.
         """
+        return self._raw_row(domain_index(self, a, self.family), idxs)
+
+    def _raw_row(self, a, idxs):
         i, j = a
         if self.family in ("c", "cbar"):
             lines = self._c_lines(i, j, idxs)
             return [(((i + k, j + ell), n),) if (n := a_k * k + a_0) else ()
                     for k, ell in idxs for a_k, a_0 in (lines[ell],)]
-        if self._side * j > 1 or (i, j) in self._punctures:
-            raise DomainError(f"{(i, j)} not in domain of {self.family}")
         a_l, a_k, a_0 = _closed_row(self._weights, i, j)
         row = [(((i + k, j + ell), n),) if (n := a_l * ell + a_k * k + a_0) else ()
                for k, ell in idxs]
@@ -277,12 +287,10 @@ class AlgebraSpec:
         It takes the same branches on its own, and the tests hold the two
         forms to each other entry by entry.
         """
-        i, j = a
+        i, j = domain_index(self, a, self.family)
         if self.family in ("c", "cbar"):
             lines = self._c_lines(i, j, idxs)
             return [a_k * k + a_0 for k, ell in idxs for a_k, a_0 in (lines[ell],)]
-        if not self.in_domain(i, j):
-            raise DomainError(f"{a} not in domain of {self.family}")
         a_l, a_k, a_0 = _closed_row(self._weights, i, j)
         row = [a_l * ell + a_k * k + a_0 for k, ell in idxs]
         for q, _, n in self._central_at(i, j, idxs):

@@ -64,7 +64,7 @@ class ClassificationParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta1", "betam1"):
-            object.__setattr__(self, name, exact_value(getattr(self, name)))
+            object.__setattr__(self, name, exact_value(getattr(self, name), name))
         if isinstance(self.alpha, Fraction) and self.alpha == 0:
             raise ValueError("alpha must be nonzero when numeric")
         den, nums = integer_scaled([self.alpha, self.beta1, self.betam1])
@@ -263,7 +263,7 @@ def solve_c_window(p, window):
 def closed_form_uniform(alpha, beta):
     """c_{i,j} = 2*alpha + (beta-1)i + (beta+1)j (the beta1 = -2 - betam1 case,
     beta = beta1 + 1)."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = exact_number(alpha, "alpha"), exact_number(beta, "beta")
 
     def c(i, j):
         return 2 * alpha + (beta - 1) * i + (beta + 1) * j
@@ -273,7 +273,8 @@ def closed_form_uniform(alpha, beta):
 
 def closed_form_equal_params(alpha, beta1, k):
     """(c_{0,2k}, c_{2k,0}) in the beta1 = betam1 case."""
-    alpha, beta1, k = Fraction(alpha), Fraction(beta1), Fraction(k)
+    alpha, beta1, k = (exact_number(alpha, "alpha"), exact_number(beta1, "beta1"),
+                       exact_number(k, "k"))
     den = alpha**2 - 2 * beta1**2 * (1 + beta1) * k**2
     if den == 0:
         raise UsageError("degenerate denominator in closed form")
@@ -284,7 +285,8 @@ def closed_form_equal_params(alpha, beta1, k):
 
 def closed_form_opposite_params(alpha, beta1, k):
     """(c_{0,2k}, c_{2k,0}, c_{2k,2k}) in the beta1 = -betam1 case."""
-    alpha, beta1, k = Fraction(alpha), Fraction(beta1), Fraction(k)
+    alpha, beta1, k = (exact_number(alpha, "alpha"), exact_number(beta1, "beta1"),
+                       exact_number(k, "k"))
     d1 = alpha + 2 * beta1 * k
     d2 = alpha + 4 * beta1 * k
     if d1 == 0 or d2 == 0:

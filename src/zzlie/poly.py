@@ -5,11 +5,11 @@ Polynomials are stored as a sparse map from exponent vectors (sorted tuples
 of (name, positive exponent) pairs) to rational coefficients; zero
 coefficients are never stored, so equality of the term maps is equality of
 polynomials.  ``accumulate`` is the one sparse linear-combination step that
-every layer builds its sums with, ``exact_value`` the one coercion of a
-parameter (``exact_number`` when it must be a number), ``integer_scaled``
-the one way any layer scales coefficients to ints (``unscaled`` divides a
-numerator back), and ``SparseVector`` the one sparse-map type of
-polynomials, algebra elements and module vectors (see its contract).
+every layer builds its sums with, ``exact_value`` the one coercion of every
+number a caller passes in (``exact_number`` when it must be a number),
+``integer_scaled`` the one way any layer scales coefficients to ints
+(``unscaled`` divides a numerator back), and ``SparseVector`` the one
+sparse-map type of polynomials, algebra elements and module vectors.
 """
 
 from __future__ import annotations
@@ -101,21 +101,23 @@ def integer_scaled(coeffs):
                for c in coeffs]
 
 
-def exact_value(value):
-    """A parameter as a Fraction, or as a MultiPoly only when a symbol occurs in it.
+def exact_value(value, name):
+    """A caller's number as a Fraction, or as a MultiPoly only when a symbol occurs in it.
 
-    A constant MultiPoly becomes the Fraction it equals, so parameters that
-    compare equal also compute alike.
+    Anything but an int, a Fraction or a MultiPoly (a float, a str) is a
+    ``UsageError`` naming ``name``.  A constant MultiPoly becomes the
+    Fraction it equals, so numbers that compare equal also compute alike.
     """
     if isinstance(value, MultiPoly):
         return value if value.symbols() else value.terms.get((), Fraction(0))
-    return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return value if isinstance(value, Fraction) else Fraction(value)
+    raise UsageError(f"{name} must be an int, a Fraction or a MultiPoly, not {value!r}")
 
 
 def exact_number(value, name):
-    """``exact_value`` of a parameter that must be a number: a symbol is a ``UsageError``."""
-    value = exact_value(value)
-    if isinstance(value, MultiPoly):
+    """``exact_value`` of a number that must not be a polynomial: a symbol is a ``UsageError``."""
+    if isinstance(value := exact_value(value, name), MultiPoly):
         raise UsageError(f"{name} must be a number, not the polynomial {value!r}")
     return value
 
@@ -133,17 +135,20 @@ class SparseVector:
     """A finite linear combination: a map key -> coefficient, zeros pruned.
 
     The subclasses are ``MultiPoly``, ``algebras.Element`` and
-    ``virmodules.ModVector``.  Public constructors prune zeros; results are
-    built with ``_from_pruned`` around a dict that is already pruned, so a
-    constructor that converts its input runs only on what a caller passes
-    in.  A vector is falsy exactly when it is zero.  Vectors of different
-    subclasses never compare equal.
+    ``virmodules.ModVector``.  The public constructor takes each coefficient
+    through the class's ``_exact`` (``exact_value``, or ``exact_number`` for
+    a polynomial or a module vector) and prunes zeros; results are built
+    with ``_from_pruned`` around a dict that is already pruned, so that runs
+    only on what a caller passes in.  A vector is falsy exactly when it is
+    zero.  Vectors of different subclasses never compare equal.
     """
 
     __slots__ = ("terms",)
+    _exact = staticmethod(exact_value)
 
     def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+        self.terms = {k: v for k, c in terms.items()
+                      if (v := self._exact(c, "coefficient"))} if terms else {}
 
     @classmethod
     def _from_pruned(cls, terms):
@@ -169,14 +174,6 @@ class SparseVector:
         return self.terms == other.terms
 
 
-def _coerce_coeff(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise UsageError(f"cannot use {value!r} as a polynomial coefficient")
-
-
 def _mono_mul(exps, mono):
     """The monomial exps * mono, with ``exps`` given as a name -> exponent dict."""
     exps = dict(exps)
@@ -189,22 +186,19 @@ class MultiPoly(SparseVector):
     """Sparse multivariate polynomial over the rationals in named symbols."""
 
     __slots__ = ()
+    _exact = staticmethod(exact_number)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value):
-        c = _coerce_coeff(value)
+        c = exact_number(value, "polynomial coefficient")
         return cls._from_pruned({(): c} if c else {})
 
     # -- basic queries -----------------------------------------------------
 
     def symbols(self):
-        names = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                names.add(name)
-        return names
+        return {name for mono in self.terms for name, _ in mono}
 
     # -- equality / hashing ------------------------------------------------
 
@@ -239,7 +233,7 @@ class MultiPoly(SparseVector):
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):  # a number: scale term by term
-            c = _coerce_coeff(other)
+            c = exact_number(other, "polynomial coefficient")
             return self._from_pruned({m: v * c for m, v in self.terms.items()} if c else {})
         out = {}
         for m1, c1 in self.terms.items():
@@ -267,23 +261,20 @@ class MultiPoly(SparseVector):
         """The polynomial (in the remaining symbols) multiplying name**degree."""
         if degree < 0:
             raise UsageError("degree must be non-negative")
-        out = {}
-        for mono, c in self.terms.items():
-            exps = dict(mono)
-            if exps.pop(name, 0) != degree:
-                continue
-            out[tuple(sorted(exps.items()))] = c
-        return self._from_pruned(out)
+        return self._from_pruned({tuple((s, e) for s, e in mono if s != name): c
+                                  for mono, c in self.terms.items()
+                                  if dict(mono).get(name, 0) == degree})
 
     def substitute(self, assignment):
         """Partial evaluation: replace the given symbols by rationals."""
+        assignment = {name: exact_number(v, name) for name, v in assignment.items()}
         out = {}
         for mono, c in self.terms.items():
-            factor = _coerce_coeff(c)
+            factor = c
             rest = {}
             for name, e in mono:
                 if name in assignment:
-                    factor *= _coerce_coeff(assignment[name]) ** e
+                    factor *= assignment[name] ** e
                 else:
                     rest[name] = e
             accumulate(out, ((tuple(sorted(rest.items())), factor),))
@@ -300,12 +291,8 @@ class MultiPoly(SparseVector):
 
     def to_records(self):
         """Sorted list of {"exponents": {...}, "coeff": "p/q"} records."""
-        records = []
-        for mono in sorted(self.terms):
-            records.append(
-                {"exponents": dict(mono), "coeff": format_rational(self.terms[mono])}
-            )
-        return records
+        return [{"exponents": dict(mono), "coeff": format_rational(self.terms[mono])}
+                for mono in sorted(self.terms)]
 
     def __repr__(self):
         if not self.terms:
@@ -334,7 +321,8 @@ def rational_root_scan(p, candidates):
     syms = p.symbols()
     if len(syms) > 1:
         raise UsageError(f"rational_root_scan needs a univariate polynomial, got symbols {sorted(syms)}")
-    return {c for c in map(Fraction, candidates) if p.eval(dict.fromkeys(syms, c)) == 0}
+    return {c for c in (exact_number(c, "candidate root") for c in candidates)
+            if p.eval(dict.fromkeys(syms, c)) == 0}
 
 
 def proportionality(p, q):

@@ -22,21 +22,22 @@ falling factorial of symbolic length) and the block families' punctures,
 half-planes and central terms remain window-checked.
 
 An algebra here is duck-typed.  The windowed checks read ``in_domain(i,
-j)``; ``raw_terms(a, b)``, the bracket as raw ``(key, numerator)`` terms
-(key ``(i, j)`` for L, "C1"/"C2" for a central generator; numerator an
-int, or an int-coefficient ``MultiPoly`` for a symbolic centre), with
-``DomainError`` for an input outside the domain; ``den``, the one positive
-int every numerator is over; and ``central_degrees()``, each present
-central generator's degree.  L terms may lie outside the domain: the
-Jacobi kernel owns the in-domain filter of outer targets.  Two row forms
-are optional, each with the ``DomainError`` for ``a``: ``raw_row(a,
-idxs)``, the ``raw_terms`` of [L_a, L_w] for each w of ``idxs``, and
-``numerators(a, idxs)``, each one's numerator at the one key of its degree
-a + w, 0 when empty.  Antisymmetry and grading read a raw-term row per
-left index (``raw_row``, else a ``raw_terms`` call per entry), Jacobi
-``numerators`` rows, else ``_term_row`` rows read off the raw-term rows;
-the diagonal-isomorphism search needs ``numerators``.  ``QuotientC`` gives
-all but ``raw_row`` and borrows ``AlgebraSpec.basis_bracket``.
+j)``, which alone decides whether an index is valid; ``raw_terms(a, b)``,
+the bracket as raw ``(key, numerator)`` terms (key ``(i, j)`` for L,
+"C1"/"C2" for a central generator; numerator an int, or an int-coefficient
+``MultiPoly`` for a symbolic centre), with ``DomainError`` for an input
+``in_domain`` refuses; ``den``, the one positive int every numerator is
+over; and ``central_degrees()``, each present central generator's degree.
+L terms may lie outside the domain: the Jacobi kernel owns the in-domain
+filter of outer targets.  Two row forms are optional, each with the
+``DomainError`` for ``a``: ``raw_row(a, idxs)``, the ``raw_terms`` of
+[L_a, L_w] for each w of ``idxs``, and ``numerators(a, idxs)``, each one's
+numerator at the one key of its degree a + w, 0 when empty.  Antisymmetry
+and grading read a raw-term row per left index (``raw_row``, else a
+``raw_terms`` call per entry), Jacobi ``numerators`` rows, else
+``_term_row`` rows read off the raw-term rows; the diagonal-isomorphism
+search needs ``numerators``.  ``QuotientC`` gives all but ``raw_row`` and
+borrows ``AlgebraSpec.basis_bracket``.
 
 The Jacobi kernel decides a triple of a graded algebra by one number: its
 three cyclic terms share a key, so with c_pq the numerator of [x_p, x_q]
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress
 
-from .algebras import AlgebraSpec, BasisElement, DomainError, Element, window_indices
+from .algebras import AlgebraSpec, BasisElement, Element, domain_index, window_indices
 from .algebras import _closed_form, _degree_grid
 from .linsolve import propagate_scalars
 from .poly import accumulate, symbol
@@ -320,11 +321,11 @@ def symbolic_jacobi_block():
 class QuotientC:
     """The c-family algebra modulo its abelian ideal in degrees j <= -2.
 
-    Its domain is j >= -1: ``raw_terms`` and ``numerators`` refuse an input
-    below it with ``DomainError``.  Only two indices at j = -1 bracket out
-    of it, to zero in the quotient; every other bracket is the upstairs one
-    unchanged.  So a ``numerators`` row is the upstairs row, with 0 at each
-    w with w[1] = -1 when a[1] = -1.
+    Its domain is the int indices at j >= -1: ``raw_terms`` and
+    ``numerators`` refuse any other input with ``DomainError``.  Only two
+    indices at j = -1 bracket out of it, to zero in the quotient; every
+    other bracket is the upstairs one unchanged.  So a ``numerators`` row is
+    the upstairs row, with 0 at each w with w[1] = -1 when a[1] = -1.
     """
 
     def __init__(self, alpha):
@@ -332,21 +333,19 @@ class QuotientC:
         self.den = self.upstairs.den
 
     def in_domain(self, i, j):
-        return j >= -1
+        return i.__class__ is j.__class__ is int and j >= -1
 
     def central_degrees(self):
         return {}
 
     def raw_terms(self, a, b):
-        if a[1] < -1 or b[1] < -1:
-            raise DomainError(f"{a if a[1] < -1 else b} not in domain of the quotient of c")
+        a, b = (domain_index(self, x, "the quotient of c") for x in (a, b))
         if a[1] == b[1] == -1:
             return ()
         return self.upstairs.raw_terms(a, b)
 
     def numerators(self, a, idxs):
-        if a[1] < -1:
-            raise DomainError(f"{a} not in domain of the quotient of c")
+        a = domain_index(self, a, "the quotient of c")
         row = self.upstairs.numerators(a, idxs)
         if a[1] == -1:
             return [0 if w[1] == -1 else n for w, n in zip(idxs, row)]
@@ -358,27 +357,28 @@ class QuotientC:
 def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     """Nonzero scalars lambda_idx making rescaled brackets of A match B.
 
-    ``index_map`` must be an additive bijection on the window (grading
-    compatible); A-side basis indices whose image is not a B basis index may
-    land on a B central generator of matching degree, and must then bracket
-    to zero with every window index.  Returns the witness map (A index ->
-    scalar) or None.  Two cases raise ``ValueError``: an A-side central
-    term, and a B-side bracket with a symbolic (polynomial) numerator, which
-    a symbolic B central parameter gives.
+    Each A window index must map to a B basis index, or to a B central
+    degree and bracket to zero with every window index; else None.  The map
+    is taken to be additive, and its images need not cover B's window, so a
+    witness is a diagonal homomorphism on A's window.  Returns the witness
+    map (A index -> scalar) or None.  Two cases raise ``ValueError``: an
+    A-side central term, and a B-side bracket with a symbolic (polynomial)
+    numerator, which a symbolic B central parameter gives.
 
     Both sides are read as ``numerators`` rows, one per mapped window index
     a: A at a over the mapped indices, B at a's image over their images.
     Outcomes follow the window order of the pairs, the first ending the
     search: for a pair, the A-side ``ValueError``, the B-side one, then None
-    for a bracket nonzero on one side only; central images come last.  A
-    row pass compares the zero patterns, the B types and the A entries at
-    central degrees, and only a row it cannot pass is decided pair by pair.
-    Row a holds c_a*lam_{a+b} == c_b*lam_a*lam_b for each b with a + b in
-    the window (both orders of a pair), in ints over den_A*den_B, and the
-    rows of the seeds (1, 0) and (0, 1), the residual gauge freedom of a
-    diagonal rescaling, go first.  ``propagate_scalars`` solves from the
-    seeds and then decides every equation by its row check, so a returned
-    witness is always genuine.  Each window index is mapped once.
+    for a bracket nonzero on one side only; images outside B's domain come
+    last.  A row pass compares the zero patterns, the B types and the A
+    entries at central degrees, and only a row it cannot pass is decided
+    pair by pair.  Row a holds c_a*lam_{a+b} == c_b*lam_a*lam_b for each b
+    with a + b in the window (both orders of a pair), in ints over
+    den_A*den_B, and the rows of the seeds (1, 0) and (0, 1), the residual
+    gauge freedom of a diagonal rescaling, go first.  ``propagate_scalars``
+    solves from the seeds and then decides every equation by its row check,
+    so a returned witness always satisfies every equation.  Each window
+    index is mapped once.
     """
     idxs = window_indices(alg_a, window)
     a_central = set(alg_a.central_degrees().values())
@@ -409,8 +409,9 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
         sums = [head + c for c in src]
         keep = [t in window_codes for t in sums]
         rows.append((head, *(list(compress(v, keep)) for v in (sums, src, row_a, row_b))))
-    if any(any(alg_a.numerators(a, idxs)) for a, m in images if m in b_central):
-        return None  # an index with a central image must bracket to zero
+    if any(m not in b_central or any(alg_a.numerators(a, idxs))
+           for a, m in images if a not in position):
+        return None  # an image outside B's domain must be central, and bracket to zero
     seeds = [code[s] for s in ((1, 0), (0, 1)) if s in code]
     rows.sort(key=lambda row: row[0] not in seeds)  # the seed rows first
     found = propagate_scalars(list(code.values()), rows, seeds, (alg_b.den, alg_a.den))

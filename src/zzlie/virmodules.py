@@ -116,9 +116,7 @@ class ModVector(SparseVector):
     """A finite linear combination of the v_k with Fraction coefficients."""
 
     __slots__ = ()
-
-    def __init__(self, terms=None):
-        self.terms = {k: Fraction(c) for k, c in terms.items() if c} if terms else {}
+    _exact = staticmethod(exact_number)
 
     @classmethod
     def basis(cls, k):

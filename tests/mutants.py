@@ -40,11 +40,9 @@ class Mutant(NamedTuple):
 
 _VERIFY = "tests/test_verify.py::"
 _ALGEBRAS = "tests/test_algebras.py::"
+_POLY = "tests/test_poly.py::"
 _GUARD = "tests/test_classify.py::test_recurrence_guard_decided_once_matches_the_printed_condition"
 _OFFSET = "((q - p) * n - (q * (q - 1) - p * (p - 1)) // 2 + r - q,"
-_RIGHT_INPUT_TEST = """        if self._side * b[1] > 1 or b in self._punctures:
-            raise DomainError(f"{b} not in domain of {self.family}")
-"""
 _PUNCTURE_OVERWRITE = """        for q, kind, n in self._central_at(i, j, idxs):
             row[q] = ((kind, n),) if n else ()
 """
@@ -159,7 +157,8 @@ MUTANTS = [
     # AlgebraSpec.raw_terms: the domain test of the right input; the
     # puncture lookup of both row forms: the partner of the index sum, and
     # raw_row's central entries
-    Mutant("raw-terms-skips-the-right-input", "algebras.py", _RIGHT_INPUT_TEST, "",
+    Mutant("raw-terms-skips-the-right-input", "algebras.py",
+           "[domain_index(self, b, self.family)]", "[tuple(b)]",
            (_ALGEBRAS + "test_numerators_refuse_an_out_of_domain_index",)),
     Mutant("puncture-at-the-left-index", "algebras.py",
            "(w := (pi - i, pj - j))", "(w := (i, j))",
@@ -168,6 +167,24 @@ MUTANTS = [
     Mutant("raw-row-without-the-puncture-overwrite", "algebras.py", _PUNCTURE_OVERWRITE, "",
            (_ALGEBRAS + "test_block_central_term_example",
             _ALGEBRAS + "test_raw_row_matches_reference_property")),
+    # exact_value: Fraction(value) takes a float or a str as it is
+    Mutant("exact-value-converts-anything", "poly.py",
+           "    if isinstance(value, (int, Fraction)):\n"
+           "        return value if isinstance(value, Fraction) else Fraction(value)\n",
+           "    return Fraction(value)\n",
+           (_POLY + "test_numbers_are_exact_at_every_entry_point[AlgebraSpec]",
+            _POLY + "test_numbers_are_exact_at_every_entry_point[closed_form_uniform]")),
+    # AlgebraSpec.in_domain: an index equal to an int passes as one
+    Mutant("in-domain-without-the-int-test", "algebras.py",
+           "return (i.__class__ is j.__class__ is int\n                and ", "return (",
+           (_ALGEBRAS + "test_index_components_must_be_ints[d]",
+            _ALGEBRAS + "test_index_components_must_be_ints[c]")),
+    # find_diagonal_isomorphism: an index whose image is outside B's domain
+    # and not central is dropped, so a partial map gives a witness
+    Mutant("isomorphism-drops-an-index-without-an-image", "verify.py",
+           "for a, m in images if a not in position)", "for a, m in images if m in b_central)",
+           tuple(_VERIFY + "test_isomorphism_refuses_a_partial_map[" + case + "]"
+                 for case in ("block-rotated-to-bplus-3", "d-to-quotient-2"))),
 ]
 
 

@@ -303,6 +303,8 @@ def reference_isomorphism(alg_a, alg_b, index_map, window):
     """``find_diagonal_isomorphism`` from the Fraction brackets and the reference solver."""
     idxs = window_indices(alg_a, window)
     central = {deg: kind for kind, deg in alg_b.central_degrees().items()}
+    if any(not alg_b.in_domain(*m) and m not in central for m in map(index_map, idxs)):
+        return None  # an index with neither a basis image nor a central one
     equations = []
     for a, b in product(idxs, repeat=2):
         ma, mb = index_map(a), index_map(b)

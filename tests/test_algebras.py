@@ -234,6 +234,30 @@ def test_numerators_refuse_an_out_of_domain_index():
     assert spec.raw_terms([0, 1], [-1, 1])[0][0] == "C1"
 
 
+@pytest.mark.parametrize("alg", [
+    AlgebraSpec("d", 1, 3),
+    AlgebraSpec("block", 1, 2, a1=1, a2=1, a2p=1),
+    AlgebraSpec("c", Fraction(2, 3)),
+    QuotientC(1),
+], ids=["d", "block", "c", "quotient"])
+def test_index_components_must_be_ints(alg):
+    # in_domain decides: a component equal to an int, but a float, a
+    # Fraction or a bool, is outside the domain at every entry point
+    name = "the quotient of c" if isinstance(alg, QuotientC) else alg.family
+    assert alg.in_domain(1, 1) and alg.in_domain(0, 2)
+    for bad in ((1.0, 1), (1, Fraction(1)), (True, 1), (0, 2.0), (Fraction(0), 2), (0, True)):
+        assert not alg.in_domain(*bad)
+        calls = [(alg.raw_terms, bad, (0, 2)), (alg.raw_terms, (0, 2), bad),
+                 (alg.basis_bracket, bad, (0, 2)), (alg.basis_bracket, (0, 2), bad),
+                 (alg.numerators, bad, [(0, 2)])]
+        if hasattr(alg, "raw_row"):
+            calls.append((alg.raw_row, bad, [(0, 2)]))
+        for call, *args in calls:
+            with pytest.raises(DomainError) as refused:
+                call(*args)
+            assert str(refused.value) == f"{bad} not in domain of {name}"
+
+
 def _raw_key(basis):
     return (basis.i, basis.j) if basis.kind == "L" else basis.kind
 

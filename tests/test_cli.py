@@ -222,6 +222,16 @@ def test_module_check_and_intertwine(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("given", [["--family2", "a_ab"], ["--alpha2", "1/2"]])
+def test_intertwine_needs_both_target_flags(capsys, given):
+    code = main(["module", "intertwine", "--family", "a_ab", "--alpha", "1/2", "--beta", "0",
+                 *given, "--window", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: intertwine needs --family2 and --alpha2\n"
+
+
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).map(str)
 malformed = st.one_of(
     st.sampled_from(["", " ", "1/0", "0/0", "x", "1/", "/2", "--1", "nan", "inf", "2.5", "1e3"]),

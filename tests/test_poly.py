@@ -1,9 +1,17 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from zzlie.algebras import AlgebraSpec
+from zzlie.algebras import AlgebraSpec, BasisElement, Element
+from zzlie.classify import (
+    ClassificationParams,
+    check_impossibility,
+    closed_form_equal_params,
+    closed_form_opposite_params,
+    closed_form_uniform,
+)
 from zzlie.poly import (
     MultiPoly,
     UsageError,
@@ -14,6 +22,7 @@ from zzlie.poly import (
     rational_root_scan,
     symbol,
 )
+from zzlie.virmodules import ModuleSpec, ModVector
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -128,6 +137,38 @@ def test_poly_refuses_non_rational_coefficients_and_negative_powers():
         MultiPoly.const("x")
     with pytest.raises(UsageError, match="non-negative integers"):
         symbol("x") ** -1
+
+
+# every entry point that takes a number, called with it in one place
+_NUMBER_ENTRY_POINTS = {
+    "AlgebraSpec": lambda x: AlgebraSpec("d", x, 1),
+    "ModuleSpec": lambda x: ModuleSpec("a_ab", x, 0),
+    "ClassificationParams": lambda x: ClassificationParams(1, 1, x),
+    "check_impossibility": lambda x: check_impossibility(x, 2),
+    "closed_form_uniform": lambda x: closed_form_uniform(1, x)(1, 0),
+    "closed_form_equal_params": lambda x: closed_form_equal_params(1, 1, x),
+    "closed_form_opposite_params": lambda x: closed_form_opposite_params(x, 1, 1),
+    "rational_root_scan": lambda x: rational_root_scan(symbol("x") - 1, [x]),
+    "ModVector": lambda x: ModVector({0: x}),
+    "Element": lambda x: Element({BasisElement("L", 0, 0): x}),
+    "MultiPoly": lambda x: MultiPoly({(("x", 1),): x}),
+    "MultiPoly.const": MultiPoly.const,
+    "MultiPoly.__mul__": lambda x: symbol("x") * x,
+    "MultiPoly.substitute": lambda x: (symbol("x") + symbol("y")).substitute({"x": x}),
+}
+
+
+@pytest.mark.parametrize("entry", _NUMBER_ENTRY_POINTS.values(), ids=_NUMBER_ENTRY_POINTS)
+def test_numbers_are_exact_at_every_entry_point(entry):
+    # exact_value decides: a float, a str or a Decimal is refused, even one
+    # that equals an exact number, and an int, a Fraction or a constant
+    # MultiPoly all give the one result
+    for inexact in (1.0, "1", Decimal(1)):
+        with pytest.raises(UsageError) as refused:
+            entry(inexact)
+        assert str(refused.value).endswith(
+            f" must be an int, a Fraction or a MultiPoly, not {inexact!r}")
+    assert entry(1) == entry(Fraction(1)) == entry(MultiPoly.const(1))
 
 
 def test_poly_eval():

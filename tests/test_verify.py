@@ -1034,6 +1034,44 @@ def test_isomorphism_refuses_a_central_image_that_brackets():
     assert find_diagonal_isomorphism(d, block, lambda t: t, 3) is None
 
 
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("alg_a, alg_b, index_map", [
+    (AlgebraSpec("block", 1, 1), AlgebraSpec("bplus-", 1), lambda t: (-t[1], t[0])),
+    (AlgebraSpec("block", 1, -1), AlgebraSpec("bplus-", 1), lambda t: t),
+    (AlgebraSpec("d", 1, -1), QuotientC(1), lambda t: t),
+    (AlgebraSpec("d", 1, 1), QuotientC(1), lambda t: (-t[0], -t[1])),
+], ids=["block-rotated-to-bplus", "block-to-bplus", "d-to-quotient",
+        "d-negated-to-quotient"])
+def test_isomorphism_refuses_a_partial_map(alg_a, alg_b, index_map, window):
+    # some window index of A has neither a B basis index nor a B central
+    # degree as its image, and every row that the search reads still matches
+    idxs = window_indices(alg_a, window)
+    central = set(alg_b.central_degrees().values())
+    lost = [a for a in idxs if not alg_b.in_domain(*index_map(a))]
+    assert lost and not central.intersection(map(index_map, lost))
+    assert find_diagonal_isomorphism(alg_a, alg_b, index_map, window) is None
+    assert reference_isomorphism(alg_a, alg_b, index_map, window) is None
+    # e.g. [L(-1, 0), L(-2, 0)] = -L(-3, 0) of block(1, 1) at W=3, and (-3, 0)
+    # goes to (0, -3), below the half-plane of bplus-(1)
+    if window == 3 and alg_a == AlgebraSpec("block", 1, 1):
+        assert fraction_terms(alg_a, (-1, 0), (-2, 0)) == (((-3, 0), Fraction(-1)),)
+        assert (-3, 0) in lost
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_isomorphism_accepts_the_inverse_rotation_into_block(window):
+    # every image of bplus-(1)'s window lies in block(1, 1)'s domain, so the
+    # witness is a diagonal homomorphism on A's window; its images need not
+    # cover B's window
+    alg_a, alg_b = AlgebraSpec("bplus-", 1), AlgebraSpec("block", 1, 1)
+    index_map = lambda t: (t[1], -t[0])  # noqa: E731
+    lam = find_diagonal_isomorphism(alg_a, alg_b, index_map, window)
+    assert lam is not None and sorted(lam) == window_indices(alg_a, window)
+    _assert_same_scalars(lam, reference_isomorphism(alg_a, alg_b, index_map, window))
+    covered = {index_map(a) for a in lam}
+    assert covered < set(window_indices(alg_b, window))
+
+
 def test_isomorphism_maps_each_window_index_once():
     calls = Counter()
 
