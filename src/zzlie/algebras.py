@@ -26,7 +26,8 @@ at the one key of its degree.  A numerator is divided by ``den`` only where
 a value is shown: in an ``Element`` (``Element.from_raw``) or a JSON record
 (``terms_json``, and ``table_to_json``, the window's table as a matrix of
 JSON cell texts with one row per left index, which the CLI joins a row at a
-time).
+time).  Every windowed consumer reads its indices and degree grid from one
+``window_grid`` call, and ``window_range`` is the one window rule.
 """
 
 from __future__ import annotations
@@ -361,59 +362,59 @@ def _c_line(w, i, j, ell):
     return f * a_k, f * (a_l * ell + a_0)
 
 
-def window_range(window):
-    """The indices -window..window; a negative window is a ``UsageError``."""
-    if window < 0:
-        raise UsageError("window must be >= 0")
+def window_range(window, least=0):
+    """The indices -window..window; ``UsageError`` unless ``window`` is an int >= ``least``.
+
+    The one window rule: a ``bool`` is refused, as in ``in_domain``.
+    """
+    if window.__class__ is not int or window < least:
+        raise UsageError(f"window must be >= {least}")
     return range(-window, window + 1)
 
 
-def window_indices(spec, window):
-    """Domain indices with |i|, |j| <= window, in lexicographic order."""
+def window_grid(alg, window):
+    """``(idxs, codes, offset, keys)``: the window's domain indices and their degree grid.
+
+    ``idxs`` are the indices with |i|, |j| <= window that ``alg.in_domain``
+    accepts, in lex order.  Index (i, j) has code i*(4W + 1) + j, so codes
+    add like the indices.  Every sum of two window indices lies in the box
+    |i|, |j| <= 2W, whose degrees ``keys`` lists in lex order, degree t at
+    ``offset`` + code(t); the key of a degree of ``alg.central_degrees()``
+    that lies inside the box stands in its place.
+    """
     rng = window_range(window)
-    return [(i, j) for i in rng for j in rng if spec.in_domain(i, j)]
+    idxs = [(i, j) for i in rng for j in rng if alg.in_domain(i, j)]
+    radix, reach = 4 * window + 1, 2 * window
+    keys = [(i, j) for i in range(-reach, reach + 1) for j in range(-reach, reach + 1)]
+    offset = reach * (radix + 1)
+    for key, (i, j) in alg.central_degrees().items():
+        if abs(i) <= reach >= abs(j):
+            keys[offset + i * radix + j] = key
+    return idxs, [i * radix + j for i, j in idxs], offset, keys
 
 
 def structure_table(spec, window):
     """All basis brackets for index pairs in the window, lex order, a ``raw_row`` per left index."""
-    idxs = window_indices(spec, window)
+    idxs = window_grid(spec, window)[0]
     return [{"left": a, "right": b, "result": Element.from_raw(terms, spec.den)}
             for a in idxs for b, terms in zip(idxs, spec.raw_row(a, idxs))]
-
-
-def _degree_grid(idxs, window, central):
-    """``(codes, offset, keys)``: int codes of ``idxs`` that add like the indices, and the box.
-
-    Index (i, j) has code i*(4W + 1) + j.  Every sum of two window indices
-    lies in the box |i|, |j| <= 2W, whose degrees ``keys`` lists in lex
-    order, degree t at ``offset`` + code(t); the key of a degree of
-    ``central`` (key to degree) that lies inside the box stands in its place.
-    """
-    radix, reach = 4 * window + 1, 2 * window
-    keys = [(i, j) for i in range(-reach, reach + 1) for j in range(-reach, reach + 1)]
-    offset = reach * (radix + 1)
-    for key, (i, j) in central.items():
-        if abs(i) <= reach >= abs(j):
-            keys[offset + i * radix + j] = key
-    return [i * radix + j for i, j in idxs], offset, keys
 
 
 def table_to_json(spec, window):
     """The structure table as a cell matrix ``(idxs, cells)``.
 
-    ``idxs`` is ``window_indices(spec, window)``, and ``cells[p]`` is the
-    row of left index ``idxs[p]``: for each right index of ``idxs``, in
+    ``idxs`` are the window indices of ``window_grid``, and ``cells[p]`` is
+    the row of left index ``idxs[p]``: for each right index of ``idxs``, in
     order, the JSON text of ``terms_json`` of the bracket, the records the
     ``bracket`` command prints, exactly as ``json.JSONEncoder(sort_keys=True)``
     writes them.  A row is filled from one ``numerators`` row: 0 is the empty
     cell, else the one term sits at the key of the index sum's degree.  A
-    cell is the head text of that key, read from a list over the degree box
-    of ``_degree_grid`` at the sum's offset, joined to the text of its
-    coefficient, written once per int numerator n as "{n//g}/{den//g}" with
-    g = gcd(n, den); a polynomial one is the encoded records of n/den.
+    cell is the head text of that key, read from the grid's degree box at
+    the sum's offset, joined to the text of its coefficient, written once
+    per int numerator n as "{n//g}/{den//g}" with g = gcd(n, den); a
+    polynomial one is the encoded records of n/den.
     """
-    idxs = window_indices(spec, window)
-    codes, offset, keys = _degree_grid(idxs, window, spec.central_degrees())
+    idxs, codes, offset, keys = window_grid(spec, window)
     den = spec.den
     heads = [f'[{{"basis": {{"kind": "{t}"}}, "coeff": ' if t.__class__ is str
              else f'[{{"basis": {{"i": {t[0]}, "j": {t[1]}, "kind": "L"}}, "coeff": '

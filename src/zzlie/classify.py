@@ -220,9 +220,7 @@ def solve_c_window(p, window):
     """
     if not p._numeric:
         raise UsageError("window solving needs numeric parameters")
-    if window < 2:
-        raise UsageError("window must be >= 2")
-    rng = window_range(window)
+    rng = window_range(window, 2)
     unknowns = [(i, j) for i in rng for j in rng]
     system = LinearSystem()
     system.add_equation({(0, 0): p._den}, 2 * p._nums[0], ("norm",))
@@ -404,9 +402,7 @@ def check_impossibility(alpha, window):
     built.  Skipping them changes neither the rank nor ``only_zero``.
     """
     den, (num,) = integer_scaled([exact_number(alpha, "alpha")])
-    if window < 2:
-        raise UsageError("window must be >= 2")
-    rng = window_range(window)
+    rng = window_range(window, 2)
     # |i+j| <= window keeps the coupled unknown d'_{0,i+j} inside the set
     unknowns = [(i, j) for i in rng for j in rng if abs(i + j) <= window]
     system = LinearSystem()

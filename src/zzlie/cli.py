@@ -20,7 +20,7 @@ from . import algebras, classify, verify, virmodules
 # structure_table is not called here; zzbench/tracing.py wraps it on this module.
 # It wraps table_to_json on this module too, so _cmd_table must call it through
 # this module's global, as imported here by name.
-from .algebras import AlgebraSpec, DomainError, structure_table, table_to_json  # noqa: F401
+from .algebras import AlgebraSpec, structure_table, table_to_json  # noqa: F401
 from .poly import UsageError, format_rational, parse_rational, symbol
 
 
@@ -208,8 +208,7 @@ _CHECKS = {
 
 def _cmd_verify(args):
     spec = _algebra_spec(args)
-    if args.window < 1:
-        raise UsageError("window must be >= 1")
+    algebras.window_range(args.window, 1)
     names = list(_CHECKS) if args.check == "all" else [args.check]
     reports = [_CHECKS[name](spec, args.window) for name in names]
     payload = [r.to_json() for r in reports]
@@ -219,8 +218,7 @@ def _cmd_verify(args):
 
 def _cmd_module(args):
     m1 = _module_spec(args.family, args.alpha, args.beta, args.subquotient)
-    if args.window < 1:
-        raise UsageError("window must be >= 1")
+    algebras.window_range(args.window, 1)
     if args.action == "check":
         report = virmodules.check_module_axiom(m1, args.window)
         _emit(report.to_json(), args)
@@ -299,7 +297,7 @@ def main(argv=None):
         if [] in vars(args).values():  # argparse before 3.12 reads "--flag=--" as []
             raise UsageError("a flag's value may not be '--'")
         return _COMMANDS[args.command](args)
-    except (UsageError, DomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,7 +45,7 @@ and v_pq[r] that of [x_p + x_q, x_r], it passes iff c_pq·v_pq[r] +
 c_qr·v_qr[p] + c_rp·v_rp[q] is zero, an int once ``_kronecker`` has made a
 symbolic centre's entries ints.  The numbers sit in numeric rows by window
 position, one per window index and one per in-domain, non-central index sum
-outside the window, found as sums of ``algebras._degree_grid`` codes; each
+outside the window, found as sums of ``algebras.window_grid`` codes; each
 pair's row is read from a list over the degree box at its code sum plus one
 offset, as grading reads each pair's key.  A sweep row is one left index p;
 its pass decides every p <= q <= r from ``view[p]``, the tails
@@ -63,8 +63,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress
 
-from .algebras import AlgebraSpec, BasisElement, Element, domain_index, window_indices
-from .algebras import _closed_form, _degree_grid
+from .algebras import AlgebraSpec, BasisElement, Element, _closed_form, domain_index, window_grid
 from .linsolve import propagate_scalars
 from .poly import accumulate, symbol
 
@@ -143,7 +142,7 @@ def check_antisymmetry(alg, window):
     meets column p at q >= p, the diagonal included, and takes each failing
     q < p as the mirror of row q's failing p, as if it read every ordered pair.
     """
-    idxs = window_indices(alg, window)
+    idxs = window_grid(alg, window)[0]
     raw, den, n, row = alg.raw_terms, alg.den, len(idxs), _row_source(alg)
     table = [row(a, idxs) for a in idxs]
 
@@ -207,15 +206,14 @@ def check_jacobi(alg, window):
     symbolic central parameters a triple passes only if its sum is the zero
     polynomial, which certifies the cocycle identity for every parameter
     value at once (``_kronecker`` makes the entries ints).  Index sums are
-    ``_degree_grid`` codes, and each pair's row is read from the box by offset.
+    ``window_grid`` codes, and each pair's row is read from the box by offset.
     Row p holds each p <= q <= r at start(q) + r - q, start(q) = (q-p)n -
     (q(q-1) - p(p-1))/2.
     """
-    idxs = window_indices(alg, window)
+    idxs, codes, offset, keys = window_grid(alg, window)
     raw, den2, n = alg.raw_terms, alg.den ** 2, len(idxs)
     central = {deg: key for key, deg in alg.central_degrees().items()}
     row = getattr(alg, "numerators", None) or partial(_term_row, _row_source(alg), central)
-    codes, offset, keys = _degree_grid(idxs, window, alg.central_degrees())
     # a numeric row per window index and per in-domain, non-central index
     # sum outside the window, found by code; a None row (misgraded) leaves no view
     sums = {c + d for k, c in enumerate(codes) for d in codes[k:]}.difference(codes)
@@ -261,12 +259,11 @@ def check_grading(alg, window):
     """Every L term must sit at the index sum; central terms at their degree.
 
     A row is one left index.  A pair passes its pass when it is empty or one
-    term at the key that its code sum reads off the ``_degree_grid`` box.
+    term at the key that its code sum reads off the ``window_grid`` box.
     """
-    idxs = window_indices(alg, window)
+    idxs, codes, offset, keys = window_grid(alg, window)
     raw, n, row = alg.raw_terms, len(idxs), _row_source(alg)
     central = alg.central_degrees()
-    codes, offset, keys = _degree_grid(idxs, window, central)
 
     def defect(a, b):
         total = (a[0] + b[0], a[1] + b[1])
@@ -380,14 +377,14 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     so a returned witness always satisfies every equation.  Each window
     index is mapped once.
     """
-    idxs = window_indices(alg_a, window)
+    idxs, codes = window_grid(alg_a, window)[:2]
     a_central = set(alg_a.central_degrees().values())
     b_central = set(alg_b.central_degrees().values())
     images = [(a, index_map(a)) for a in idxs]
     mapped = [(a, m) for a, m in images if alg_b.in_domain(*m)]
     sources, targets = [a for a, _ in mapped], [m for _, m in mapped]
-    code = dict(zip(idxs, _degree_grid(idxs, window, {})[0]))  # ints that add like the pairs
-    src, window_codes = [code[b] for b in sources], set(code.values())
+    code = dict(zip(idxs, codes))  # ints that add like the pairs
+    src, window_codes = [code[b] for b in sources], set(codes)
     position = {b: q for q, b in enumerate(sources)}
 
     rows = []  # (head, targets, sources, lhs, rhs) over the pairs with a + b in the window
@@ -414,5 +411,5 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
         return None  # an image outside B's domain must be central, and bracket to zero
     seeds = [code[s] for s in ((1, 0), (0, 1)) if s in code]
     rows.sort(key=lambda row: row[0] not in seeds)  # the seed rows first
-    found = propagate_scalars(list(code.values()), rows, seeds, (alg_b.den, alg_a.den))
+    found = propagate_scalars(codes, rows, seeds, (alg_b.den, alg_a.den))
     return None if found is None else dict(zip(idxs, found.values()))

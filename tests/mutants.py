@@ -132,7 +132,7 @@ MUTANTS = [
            "suspects = mirrors[p] + found", "suspects = found",
            (_VERIFY + "test_antisymmetry_cap_falls_on_a_mirrored_pair",
             _VERIFY + "test_pair_sweeps_match_reference_on_one_sided_brackets")),
-    # _degree_grid: codes that collide at the box's j edges, a grid read one
+    # window_grid: codes that collide at the box's j edges, a grid read one
     # degree off, and a central key written at a degree outside the box
     # (an index past the list, or at (2, 8) the slot of (3, -5))
     *(Mutant(f"grid-{name}", "algebras.py", old, new,
@@ -143,11 +143,16 @@ MUTANTS = [
            "radix, reach = 4 * window, 2 * window"),
           ("offset-off-by-one", "offset = reach * (radix + 1)", "offset = reach * (radix + 1) - 1"),
           ("central-key-without-the-box-bound", "if abs(i) <= reach >= abs(j):", "if True:"))),
-    # check_grading: a grid without the central keys makes every central
-    # term a suspect, which the exact rule clears at a second raw_terms call
-    Mutant("grading-grid-without-central-keys", "verify.py",
-           "_degree_grid(idxs, window, central)", "_degree_grid(idxs, window, {})",
+    # window_grid without the central keys: check_grading then makes every
+    # central term a suspect, which the exact rule clears at a second raw_terms call
+    Mutant("grading-grid-without-central-keys", "algebras.py",
+           "in alg.central_degrees().items():", "in {}.items():",
            (_VERIFY + "test_clean_sweeps_at_the_grid_edges_read_each_bracket_once",)),
+    # window_range: a float or bool window passes a window rule that tests only the minimum
+    Mutant("window-rule-without-the-int-test", "algebras.py",
+           "if window.__class__ is not int or window < least:", "if window < least:",
+           (_ALGEBRAS + "test_negative_window_is_refused[window_grid]",
+            _ALGEBRAS + "test_negative_window_is_refused[impossibility]")),
     # check_grading: each pair's key read at the left index's own degree
     # makes every nonempty bracket a suspect, which the exact rule clears
     Mutant("grading-key-of-the-left-index", "verify.py",

@@ -20,7 +20,7 @@ from math import prod
 
 from hypothesis import strategies as st
 
-from zzlie.algebras import AlgebraSpec, Element, window_indices
+from zzlie.algebras import AlgebraSpec, Element, window_grid
 from zzlie.linsolve import propagate_scalars
 from zzlie.poly import accumulate, symbol, unscaled
 from zzlie.verify import MAX_WITNESSES, ViolationReport
@@ -301,7 +301,7 @@ def reference_intertwiner(m1, m2, window):
 
 def reference_isomorphism(alg_a, alg_b, index_map, window):
     """``find_diagonal_isomorphism`` from the Fraction brackets and the reference solver."""
-    idxs = window_indices(alg_a, window)
+    idxs = window_grid(alg_a, window)[0]
     central = {deg: kind for kind, deg in alg_b.central_degrees().items()}
     if any(not alg_b.in_domain(*m) and m not in central for m in map(index_map, idxs)):
         return None  # an index with neither a basis image nor a central one

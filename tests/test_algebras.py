@@ -14,8 +14,9 @@ from zzlie.algebras import (
     structure_table,
     table_to_json,
     terms_json,
-    window_indices,
+    window_grid,
 )
+from zzlie.classify import ClassificationParams, check_impossibility, solve_c_window
 from zzlie.poly import MultiPoly, UsageError, symbol, unscaled
 from zzlie.verify import (
     QuotientC,
@@ -139,7 +140,7 @@ def test_half_plane_a2p_duplicates_a2():
             a = AlgebraSpec(family, alpha, a1=1, a2=1, a2p=0)
             b = AlgebraSpec(family, alpha, a1=1, a2=0, a2p=s)
             other = AlgebraSpec(family, alpha, a1=1, a2=0, a2p=1)
-            idxs = window_indices(a, 4)
+            idxs = window_grid(a, 4)[0]
             at_c2 = 0
             for x in idxs:
                 for y in idxs:
@@ -160,8 +161,8 @@ def test_block_coefficient_expansion_matches_determinant_form():
     assert isinstance(expansion, MultiPoly)
     assert expansion == determinant
     spec = AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2))
-    for a in window_indices(spec, 2):
-        for b in window_indices(spec, 2):
+    for a in window_grid(spec, 2)[0]:
+        for b in window_grid(spec, 2)[0]:
             (ia, ja), (ib, jb) = a, b
             coeff = (ia + spec.alpha) * (jb - spec.beta) - (ja - spec.beta) * (ib + spec.alpha)
             assert spec.basis_bracket(a, b) == single(ia + ib, ja + jb, coeff)
@@ -354,7 +355,7 @@ def test_bracket_terms_fraction_reference_property(spec, pairs):
 def test_raw_row_matches_reference_property(spec, window):
     # every row of the window, the punctures' partners included: entry by
     # entry the Fraction formulas' terms, L before C1 before C2
-    idxs = window_indices(spec, window)
+    idxs = window_grid(spec, window)[0]
     for a in idxs:
         row = spec.raw_row(a, idxs)
         assert [tuple((key, unscaled(n, spec.den)) for key, n in terms) for terms in row] == [
@@ -407,7 +408,7 @@ def test_raw_terms_are_integral_over_den():
         numeric = [spec.alpha, spec.beta or 0]
         numeric += [p for p in (spec.a1, spec.a2, spec.a2p) if isinstance(p, Fraction)]
         assert all(den % p.denominator == 0 for p in numeric), spec
-        idxs = window_indices(alg, 3)
+        idxs = window_grid(alg, 3)[0]
         for a in idxs:
             for b in idxs:
                 raw = alg.raw_terms(a, b)
@@ -426,7 +427,7 @@ def test_raw_terms_are_integral_over_den():
     assert _RAW_SPECS[2].den == 84 and _RAW_SPECS[3].den == 12
     # the quotient really drops terms the c family keeps
     assert any(len(q.raw_terms(a, b)) < len(q.upstairs.raw_terms(a, b))
-               for a in window_indices(q, 3) for b in window_indices(q, 3))
+               for a in window_grid(q, 3)[0] for b in window_grid(q, 3)[0])
 
 
 def test_table_cells_match_json_encoding():
@@ -439,7 +440,7 @@ def test_table_cells_match_json_encoding():
     t = symbol("t")
     seen = set()
     for spec in [*_RAW_SPECS, AlgebraSpec("block", 1, 1, a1=t, a2=t + 1, a2p=-t)]:
-        idxs = window_indices(spec, 3)
+        idxs = window_grid(spec, 3)[0]
         table_idxs, cells = table_to_json(spec, 3)
         assert table_idxs == idxs
         assert [len(row) for row in cells] == [len(idxs)] * len(idxs)
@@ -604,28 +605,34 @@ _A_AB = ModuleSpec("a_ab", 1, 2)
 
 
 @pytest.mark.parametrize(
-    "entry",
+    "entry, least",
     [
-        lambda w: window_indices(_VIR, w),
-        lambda w: structure_table(_VIR, w),
-        lambda w: table_to_json(_VIR, w),
-        lambda w: check_antisymmetry(_VIR, w),
-        lambda w: check_jacobi(_VIR, w),
-        lambda w: check_grading(_VIR, w),
-        lambda w: find_diagonal_isomorphism(
+        (lambda w: window_grid(_VIR, w), 0),
+        (lambda w: structure_table(_VIR, w), 0),
+        (lambda w: table_to_json(_VIR, w), 0),
+        (lambda w: check_antisymmetry(_VIR, w), 0),
+        (lambda w: check_jacobi(_VIR, w), 0),
+        (lambda w: check_grading(_VIR, w), 0),
+        (lambda w: find_diagonal_isomorphism(
             QuotientC(1), AlgebraSpec("bplus-", 1), lambda t: t, w
-        ),
-        lambda w: check_module_axiom(_A_AB, w),
-        lambda w: find_intertwiner(_A_AB, _A_AB, w),
+        ), 0),
+        (lambda w: check_module_axiom(_A_AB, w), 0),
+        (lambda w: find_intertwiner(_A_AB, _A_AB, w), 0),
+        (lambda w: solve_c_window(ClassificationParams(1, 2, -4), w), 2),
+        (lambda w: check_impossibility(1, w), 2),
     ],
     ids=[
-        "window_indices", "structure_table", "table_to_json", "antisymmetry",
+        "window_grid", "structure_table", "table_to_json", "antisymmetry",
         "jacobi", "grading", "isomorphism", "module_axiom", "intertwiner",
+        "solve_c_window", "impossibility",
     ],
 )
-def test_negative_window_is_refused(entry):
-    with pytest.raises(UsageError, match="window must be >= 0"):
-        entry(-1)
+def test_negative_window_is_refused(entry, least):
+    # a window is an int of at least the entry's minimum: a float, a bool
+    # and a Fraction are refused even where their value would pass
+    for window in (least - 1, 1.5, True, Fraction(2)):
+        with pytest.raises(UsageError, match=f"window must be >= {least}"):
+            entry(window)
 
 
 def test_structure_table_c_dead_rows():

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zzlie.algebras import FAMILIES, terms_json, window_indices
+from zzlie.algebras import FAMILIES, terms_json, window_grid
 from zzlie.cli import _algebra_spec, build_parser, main
 
 
@@ -133,7 +133,7 @@ def test_rational_literals_parse(capsys, literal, coeff):
 
 def test_table_formats_agree(capsys):
     # the three layouts against an independent route: json.dumps of the
-    # terms_json records of raw_terms over window_indices pairs, and every
+    # terms_json records of raw_terms over window_grid pairs, and every
     # csv/text line split back into (left, right, cell); every TABLE_FLAGS
     # spec at its window and at W=0, and vir at W=1
     inputs = [["--family", "vir", "--alpha", "1", "--window", "1"]]
@@ -143,7 +143,7 @@ def test_table_formats_agree(capsys):
     for flags in inputs:
         args = build_parser().parse_args(["table", *flags])
         spec = _algebra_spec(args)
-        idxs = window_indices(spec, args.window)
+        idxs = window_grid(spec, args.window)[0]
         pairs = [(a, b) for a in idxs for b in idxs]
         terms = {(a, b): terms_json(spec.raw_terms(a, b), spec.den) for a, b in pairs}
         code, as_json = run(capsys, "table", *flags, "--format", "json")

@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +81,14 @@ def test_removed_names_stay_removed():
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
     # an Element is mutable through its terms, so, like a ModVector, it is unhashable
     assert algebras.Element.__hash__ is None
+
+
+def test_traced_names_exist():
+    # the benchmark's traced mode wraps each (owner, attr) in place, so no
+    # clean-up may remove one of them from its owner
+    path = Path(__file__).resolve().parent.parent / "zzbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("zzbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, _, _ in tracing.targets():
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"

@@ -20,7 +20,7 @@ from zzlie.algebras import (
     Element,
     table_to_json,
     terms_json,
-    window_indices,
+    window_grid,
 )
 from zzlie.linsolve import propagate_scalars
 from zzlie.poly import MultiPoly, symbol
@@ -167,7 +167,7 @@ def test_jacobi_evaluates_each_bracket_once():
         den=spec.den,
     )
     assert check_jacobi(counting, 2) == check_jacobi(spec, 2)
-    window = len(window_indices(spec, 2))
+    window = len(window_grid(spec, 2)[0])
     # every window pair, plus the pairs of bracketed targets outside the window
     assert len(calls) > window * window
     assert set(calls.values()) == {1}
@@ -244,7 +244,7 @@ def test_numerators_match_raw_terms_property(spec, window):
     # numerators rows against rows read off raw_terms: every row the sweep
     # reads, the window's and the outside index sums', is raw_terms' number
     # at its degree's key, and the Jacobi kernel reports alike on both
-    idxs = window_indices(spec, window)
+    idxs = window_grid(spec, window)[0]
     key_at = {deg: key for key, deg in spec.central_degrees().items()}
     sums = {(a[0] + b[0], a[1] + b[1]) for a in idxs for b in idxs} - set(idxs)
     for t in [*idxs, *sorted(sums)]:
@@ -346,7 +346,7 @@ def test_substitution_finds_a_changed_monomial(spec, pair, delta):
 def test_substitution_with_dependent_parameters(family, args, centre):
     spec = AlgebraSpec(family, *args, **centre)
     assert _assert_fast_matches_raw_only_and_reference(spec).ok
-    pair = next((a, b) for a in window_indices(spec, 2) for b in window_indices(spec, 2)
+    pair = next((a, b) for a in window_grid(spec, 2)[0] for b in window_grid(spec, 2)[0]
                 if any(isinstance(k, str) and n for k, n in spec.raw_terms(a, b)))
     assert not _assert_fast_matches_raw_only_and_reference(CorruptedRow(spec, pair)).ok
 
@@ -382,7 +382,7 @@ def test_jacobi_and_table_read_no_terms_of_a_clean_spec(monkeypatch):
     ):
         assert check_jacobi(spec, window).ok
         idxs, cells = table_to_json(spec, window)
-        assert idxs == window_indices(spec, window)
+        assert idxs == window_grid(spec, window)[0]
         assert [len(row) for row in cells] == [len(idxs)] * len(idxs)
     assert not calls
     # a suspect still reaches raw_terms through the keyed sum
@@ -410,7 +410,7 @@ def test_pair_sweeps_read_no_terms_of_a_clean_spec(monkeypatch):
     ):
         for check in (check_antisymmetry, check_grading):
             report = check(spec, 3)
-            assert report.ok and report.checked_count == len(window_indices(spec, 3)) ** 2
+            assert report.ok and report.checked_count == len(window_grid(spec, 3)[0]) ** 2
     assert not calls
 
 
@@ -490,7 +490,7 @@ def test_jacobi_kernel_matches_reference_property(spec, data):
     # the scalar zero test and the keyed sum report what Element sums report
     if spec.family in ("c", "cbar") and data.draw(st.booleans()):
         spec = PrintedIndexC(spec)
-    idxs = window_indices(spec, 1)
+    idxs = window_grid(spec, 1)[0]
     pair = data.draw(st.tuples(st.sampled_from(idxs), st.sampled_from(idxs)))
     for alg, bracket in _clean_and_corrupted(spec, pair):
         report = check_jacobi(alg, 1)
@@ -506,7 +506,7 @@ def test_pair_sweeps_match_reference_property(spec, wrapper, data):
     # through: every family, clean, misgraded, cut or with one negated pair
     if wrapper is HalfPlaneCut:
         spec = HalfPlaneCut(spec)
-    idxs = window_indices(spec, 2)
+    idxs = window_grid(spec, 2)[0]
     pair = data.draw(st.tuples(st.sampled_from(idxs), st.sampled_from(idxs)))
     if wrapper in (MovedKey, ExtraKey):
         spec = wrapper(spec, pair)
@@ -533,7 +533,7 @@ def test_pair_sweeps_read_rows_as_the_per_pair_fallback(wrapper, spec, pair):
     # the same counts and witnesses, which are the Element references'
     rowed, plain = type("Rowed", (RawRow, wrapper), {})(spec, pair), wrapper(spec, pair)
     bracket = partial(AlgebraSpec.basis_bracket, plain)
-    n, oks = len(window_indices(spec, 2)), []
+    n, oks = len(window_grid(spec, 2)[0]), []
     for check, reference in ((check_antisymmetry, reference_antisymmetry),
                              (check_grading, reference_grading)):
         rowed.rows = 0
@@ -604,7 +604,7 @@ def test_antisymmetry_finds_a_fault_on_the_diagonal(table, at):
 def test_antisymmetry_cap_falls_on_a_mirrored_pair():
     # row 0 finds 19 one-sided pairs; the 20th witness is the mirror of the
     # first, in row 1 at q = 0, so the count stops at n + 1
-    idxs = window_indices(TableAlgebra({}), 2)
+    idxs = window_grid(TableAlgebra({}), 2)[0]
     alg = TableAlgebra({(idxs[0], b): 1 for b in idxs[1:20]})
     report = check_antisymmetry(alg, 2)
     assert (report.checked_count, report.witnesses) == reference_antisymmetry(
@@ -628,7 +628,7 @@ def test_jacobi_counts_a_lone_witness_at_its_sweep_position(monkeypatch):
     # sweep: each offset start(q) + r - q of a row p is checked where it
     # starts or ends a run of one q, and where it ends the row
     monkeypatch.setattr(verify, "MAX_WITNESSES", 1)
-    idxs = window_indices(AlgebraSpec("vir", 1), 2)
+    idxs = window_grid(AlgebraSpec("vir", 1), 2)[0]
     order = list(combinations_with_replacement(idxs, 3))
     for a, b, c in [((2, -2), (2, -1), (2, 2)), ((-1, 0), (0, 1), (0, 1)),
                     ((-2, 2), (1, -2), (2, 2)), ((0, 0), (2, 2), (2, 2)),
@@ -641,7 +641,7 @@ def test_jacobi_counts_a_lone_witness_at_its_sweep_position(monkeypatch):
 
 def test_jacobi_counts_at_row_boundaries():
     vir = AlgebraSpec("vir", 1)
-    idxs = window_indices(vir, 2)
+    idxs = window_grid(vir, 2)[0]
     n, last = len(idxs), (2, 2)
     assert idxs[-1] == last
     total = n * (n + 1) * (n + 2) // 6
@@ -666,7 +666,7 @@ def test_jacobi_counts_at_row_boundaries():
     ]:
         report = check_jacobi(alg, 2)
         reference_count, witnesses = reference_jacobi(alg, bracket, 2)
-        assert window_indices(alg, 2) == idxs
+        assert window_grid(alg, 2)[0] == idxs
         assert report.checked_count == reference_count == count
         assert report.witnesses == witnesses
         assert repr(report.witnesses) == repr(witnesses)
@@ -845,7 +845,7 @@ def test_grid_edges_are_where_the_comment_says():
 def test_tables_at_the_grid_edges_match_terms_json():
     for spec, window in _GRID_EDGES:
         idxs, cells = table_to_json(spec, window)
-        assert idxs == window_indices(spec, window)
+        assert idxs == window_grid(spec, window)[0]
         assert cells == [
             [json.dumps(terms_json(spec.raw_terms(a, b), spec.den), sort_keys=True) for b in idxs]
             for a in idxs
@@ -876,7 +876,7 @@ def test_clean_sweeps_at_the_grid_edges_read_each_bracket_once(monkeypatch):
         assert check_jacobi(spec, window).ok, (spec, window)
         assert not calls and not rows, (spec, window)
         report = check_grading(spec, window)
-        idxs = window_indices(spec, window)
+        idxs = window_grid(spec, window)[0]
         assert rows == Counter({(a, tuple(idxs)): 1 for a in idxs}), (spec, window)
         assert not calls, (spec, window)
         reference = reference_grading(spec, partial(AlgebraSpec.basis_bracket, spec), window)
@@ -959,12 +959,12 @@ def test_quotient_contract():
     alg = QuotientC(Fraction(2, 3))
     report = check_grading(alg, 3)
     assert report.ok
-    assert report.checked_count == len(window_indices(alg, 3)) ** 2
+    assert report.checked_count == len(window_grid(alg, 3)[0]) ** 2
 
 
 def test_quotient_numerators_refuse_a_low_index():
     q = QuotientC(Fraction(2, 3))
-    idxs = window_indices(q, 2)
+    idxs = window_grid(q, 2)[0]
     for a in ((0, -2), (3, -5)):  # raw_terms' refusal, message and all
         with pytest.raises(DomainError) as row_error:
             q.numerators(a, idxs)
@@ -1045,7 +1045,7 @@ def test_isomorphism_refuses_a_central_image_that_brackets():
 def test_isomorphism_refuses_a_partial_map(alg_a, alg_b, index_map, window):
     # some window index of A has neither a B basis index nor a B central
     # degree as its image, and every row that the search reads still matches
-    idxs = window_indices(alg_a, window)
+    idxs = window_grid(alg_a, window)[0]
     central = set(alg_b.central_degrees().values())
     lost = [a for a in idxs if not alg_b.in_domain(*index_map(a))]
     assert lost and not central.intersection(map(index_map, lost))
@@ -1066,10 +1066,10 @@ def test_isomorphism_accepts_the_inverse_rotation_into_block(window):
     alg_a, alg_b = AlgebraSpec("bplus-", 1), AlgebraSpec("block", 1, 1)
     index_map = lambda t: (t[1], -t[0])  # noqa: E731
     lam = find_diagonal_isomorphism(alg_a, alg_b, index_map, window)
-    assert lam is not None and sorted(lam) == window_indices(alg_a, window)
+    assert lam is not None and sorted(lam) == window_grid(alg_a, window)[0]
     _assert_same_scalars(lam, reference_isomorphism(alg_a, alg_b, index_map, window))
     covered = {index_map(a) for a in lam}
-    assert covered < set(window_indices(alg_b, window))
+    assert covered < set(window_grid(alg_b, window)[0])
 
 
 def test_isomorphism_maps_each_window_index_once():
@@ -1082,7 +1082,7 @@ def test_isomorphism_maps_each_window_index_once():
     q = QuotientC(1)
     assert find_diagonal_isomorphism(
         q, AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0), index_map, 3) is not None
-    assert set(window_indices(q, 3)) <= calls.keys()
+    assert set(window_grid(q, 3)[0]) <= calls.keys()
     assert set(calls.values()) == {1}
 
 
@@ -1279,7 +1279,7 @@ def test_isomorphism_reads_every_row_to_its_ends():
     # emptied one at a pair whose sum is outside it (only the zero pattern
     # sees it).  Each leaves no map.
     spec = AlgebraSpec("vir", Fraction(2, 3))
-    idxs = window_indices(spec, 2)
+    idxs = window_grid(spec, 2)[0]
     for a in idxs:
         for b, n in zip((idxs[0], idxs[-1]), spec.numerators(a, [idxs[0], idxs[-1]])):
             if n:
@@ -1357,7 +1357,7 @@ def test_isomorphism_catches_a_fault_in_its_last_row(alg_a, alg_b):
     # window index, a = (3, 3), and the row check alone decides it.  Each
     # case negates one of its B numerators at a pair (a, b) with a + b in
     # the window; the mirror (b, a) keeps its sign, so no map exists.
-    idxs = window_indices(alg_a, 3)
+    idxs = window_grid(alg_a, 3)[0]
     a = idxs[-1]
     assert find_diagonal_isomorphism(alg_a, alg_b, lambda t: t, 3) is not None
     faults = [b for b, n in zip(idxs, alg_b.numerators(a, idxs))
