@@ -19,15 +19,20 @@ rule ``_closed_row`` with per-family weights, which a spec scales to ints
 over one denominator ``den`` once.  ``den`` also clears the denominators of
 the central parameters, so every structure constant is an int (or
 int-coefficient polynomial) numerator over ``den``.  A spec gives them in
-two row forms, one left index against a list of right ones, that take the
-same branches: ``raw_row(a, idxs)``, ``(key, numerator)`` terms with
-``raw_terms(a, b)`` the one-entry case, and ``numerators(a, idxs)``, each
-at the one key of its degree.  A numerator is divided by ``den`` only where
-a value is shown: in an ``Element`` (``Element.from_raw``) or a JSON record
-(``terms_json``, and ``table_to_json``, the window's table as a matrix of
-JSON cell texts with one row per left index, which the CLI joins a row at a
-time).  Every windowed consumer reads its indices and degree grid from one
-``window_grid`` call, and ``window_range`` is the one window rule.
+two row forms, one left index against a sequence of right ones:
+``numerators(a, idxs)``, each at the one key of its degree, and
+``raw_row(a, idxs)``, its ``(key, numerator)`` terms, with ``raw_terms(a,
+b)`` the one-entry case.  The right indices are a ``Window``, or any
+sequence of pairs, which a row form wraps in one once per call.
+``numerators`` writes a row run by run, each run an int progression: a
+closed-form row along the window's blocks, a c or cbar row along each ell's
+runs; ``raw_row`` computes each entry apart.  Both find a puncture's
+position in the window's position map.  A numerator is divided
+by ``den`` only where a value is shown: in an ``Element``
+(``Element.from_raw``) or a JSON record (``terms_json``, and
+``table_to_json``, the window's table as text with one join per left
+index).  Every windowed consumer reads its indices, codes and degree box
+from one ``window_grid`` call, and ``window_range`` is the one window rule.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .poly import (
@@ -253,7 +259,7 @@ class AlgebraSpec:
         ``DomainError`` for either input (any pair-shaped sequence), the left one first.
         """
         a = domain_index(self, a, self.family)
-        (terms,) = self._raw_row(a, [domain_index(self, b, self.family)])
+        (terms,) = self._raw_row(a, Window([domain_index(self, b, self.family)]))
         return terms
 
     def basis_bracket(self, a, b):
@@ -265,54 +271,72 @@ class AlgebraSpec:
 
         An entry is empty or one term, keyed "C1"/"C2" when a + w is a puncture,
         else a + w; a numerator is an int, or an int-coefficient MultiPoly for a
-        symbolic centre.  ``DomainError`` for ``a``; ``idxs`` are taken to be in the domain.
+        symbolic centre.  ``DomainError`` for ``a``; ``idxs`` (a ``Window`` or
+        any sequence of pairs, wrapped once) are taken to be in the domain.
         """
-        return self._raw_row(domain_index(self, a, self.family), idxs)
+        return self._raw_row(domain_index(self, a, self.family), Window.of(idxs))
 
-    def _raw_row(self, a, idxs):
+    def _raw_row(self, a, win):
         i, j = a
         if self.family in ("c", "cbar"):
-            lines = self._c_lines(i, j, idxs)
-            return [(((i + k, j + ell), n),) if (n := a_k * k + a_0) else ()
-                    for k, ell in idxs for a_k, a_0 in (lines[ell],)]
-        a_l, a_k, a_0 = _closed_row(self._weights, i, j)
-        row = [(((i + k, j + ell), n),) if (n := a_l * ell + a_k * k + a_0) else ()
-               for k, ell in idxs]
-        for q, kind, n in self._central_at(i, j, idxs):
+            lines = dict(zip(win.runs, self._c_lines(i, j, win)))
+            row = [(((i + k, j + ell), n),) if (n := a_k * k + a_0) else ()
+                   for k, ell in win for a_k, a_0 in (lines[ell],)]
+        else:
+            a_l, a_k, a_0 = _closed_row(self._weights, i, j)
+            row = [(((i + k, j + ell), n),) if (n := a_l * ell + a_k * k + a_0) else ()
+                   for k, ell in win]
+        for q, kind, n in self._central_at(i, j, win):
             row[q] = ((kind, n),) if n else ()
         return row
 
     def numerators(self, a, idxs):
         """``raw_row`` with each entry its numerator at the one key of its degree, 0 if empty.
 
-        It takes the same branches on its own, and the tests hold the two
-        forms to each other entry by entry.
+        Written run by run, each an int progression: a closed-form row along
+        the window's blocks, a c or cbar row along each ell's runs by slice
+        assignment.  The tests hold it to ``raw_row`` entry by entry.
         """
         i, j = domain_index(self, a, self.family)
+        win = Window.of(idxs)
         if self.family in ("c", "cbar"):
-            lines = self._c_lines(i, j, idxs)
-            return [a_k * k + a_0 for k, ell in idxs for a_k, a_0 in (lines[ell],)]
-        a_l, a_k, a_0 = _closed_row(self._weights, i, j)
-        row = [a_l * ell + a_k * k + a_0 for k, ell in idxs]
-        for q, _, n in self._central_at(i, j, idxs):
+            row = [0] * len(win)
+            for (b, c), runs in zip(self._c_lines(i, j, win), win.runs.values()):
+                for at, k, dk, n in runs:
+                    v, step = b * k + c, b * dk
+                    row[at] = range(v, v + step * n, step) if step else [v] * n
+        else:
+            a_l, a_k, a_0 = _closed_row(self._weights, i, j)
+            row = []
+            for _, k, ell, dk, dl, n in win.blocks:
+                v, step = a_l * ell + a_k * k + a_0, a_l * dl + a_k * dk
+                row += range(v, v + step * n, step) if step else [v] * n
+        for q, _, n in self._central_at(i, j, win):
             row[q] = n
         return row
 
-    def _c_lines(self, i, j, idxs):
-        """``_c_line`` of row (i, j) at each ell of ``idxs``; cbar is c under j -> -j."""
+    def _c_lines(self, i, j, win):
+        """``_c_lines`` of row (i, j) at each ell of ``win.runs``; cbar is c under j -> -j."""
         s = 1 if self.family == "c" else -1
-        return {ell: _c_line(self._weights, i, s * j, s * ell) for ell in {ell for _, ell in idxs}}
+        return _c_lines(self._weights, i, s * j, [s * ell for ell in win.runs])
 
-    def _central_at(self, i, j, idxs):
-        """(position, kind, numerator) of each w of ``idxs`` with (i, j) + w a puncture."""
+    def _central_at(self, i, j, win):
+        """(position, kind, numerator) of each w of ``win`` with (i, j) + w a puncture."""
         found = []
         for (pi, pj), kind in self._punctures.items():
-            if (w := (pi - i, pj - j)) in idxs:
+            if (q := win.pos.get((pi - i, pj - j))) is not None:
                 (a_num, b_num, den), (a1, a2, a2p) = self._centre
                 c = a_num * j + b_num * i
-                found.append((idxs.index(w), kind,
-                              c * a1 if kind == "C1" else a2 * c + a2p * (a_num + den * i)))
+                found.append((q, kind, _times(a1, c) if kind == "C1"
+                              else _times(a2, c) + _times(a2p, a_num + den * i)))
         return found
+
+
+def _times(p, c):
+    """p * c for an int c: a scaled central parameter p (an int or a MultiPoly) times c."""
+    if p.__class__ is int:
+        return p * c
+    return MultiPoly._from_pruned({m: v * c for m, v in p.terms.items()} if c else {})
 
 
 def _closed_row(w, i, j):
@@ -335,8 +359,8 @@ def _closed_form(w, i, j, k, ell):
     return a_l * ell + a_k * k + a_0
 
 
-def _c_line(w, i, j, ell):
-    """(B, C) with B*k + C the c structure constant of [L(i, j), L(k, ell)] times D.
+def _c_lines(w, i, j, ells):
+    """(B, C) for each ell of ``ells``: B*k + C is the c constant of [L(i, j), L(k, ell)] times D.
 
     For a fixed (i, j) and ell the constant is affine in k; the (j, ell)
     regions give it as follows.  ``w`` = (-D, alpha*D, D) are the weights of
@@ -348,18 +372,19 @@ def _c_line(w, i, j, ell):
     two indices at j, ell <= -2 bracket to 0.
     """
     _, a_num, den = w
-    if j == -1 and ell <= -1:
-        return (den, -i * den) if ell == -1 else (0, i * den - a_num)
-    if j <= -2 and ell <= -1:
-        return (-den, a_num) if ell == -1 else (0, 0)
     a_l, a_k, a_0 = _closed_row(w, i, j)
-    if ell <= -2:
-        f = math.perm(-ell - 2, j)
-    elif j <= -2:
-        f = math.perm(-j - 2, ell)
-    else:
-        return a_k, a_l * ell + a_0
-    return f * a_k, f * (a_l * ell + a_0)
+    lines = []
+    for ell in ells:
+        if j == -1 and ell <= -1:
+            lines.append((den, -i * den) if ell == -1 else (0, i * den - a_num))
+        elif j <= -2 and ell <= -1:
+            lines.append((-den, a_num) if ell == -1 else (0, 0))
+        elif ell <= -2 or j <= -2:
+            f = math.perm(-ell - 2, j) if ell <= -2 else math.perm(-j - 2, ell)
+            lines.append((f * a_k, f * (a_l * ell + a_0)))
+        else:
+            lines.append((a_k, a_l * ell + a_0))
+    return lines
 
 
 def window_range(window, least=0):
@@ -372,68 +397,160 @@ def window_range(window, least=0):
     return range(-window, window + 1)
 
 
-def window_grid(alg, window):
-    """``(idxs, codes, offset, keys)``: the window's domain indices and their degree grid.
+class Window(list):
+    """The list of a window's pairs, with their positions and the runs row forms write along.
 
-    ``idxs`` are the indices with |i|, |j| <= window that ``alg.in_domain``
-    accepts, in lex order.  Index (i, j) has code i*(4W + 1) + j, so codes
-    add like the indices.  Every sum of two window indices lies in the box
-    |i|, |j| <= 2W, whose degrees ``keys`` lists in lex order, degree t at
-    ``offset`` + code(t); the key of a degree of ``alg.central_degrees()``
-    that lies inside the box stands in its place.
+    ``pos`` maps each pair to its first position.  Built when first read:
+    ``blocks``, the maximal runs ``(start, k, ell, dk, dl, n)`` of the pairs
+    (k + t*dk, ell + t*dl), t < n, at consecutive positions from ``start``;
+    and ``runs``, each ell's maximal runs ``(at, k, dk, n)`` of the pairs
+    (k + t*dk, ell) at the positions of the slice ``at``, its step positive.
+    A lone pair steps by (1, 0).  ``window_grid`` adds ``radix``, ``reach``,
+    ``codes``, ``offset`` and ``keys``, the degree box, built when first read.
+    """
+
+    def __init__(self, pairs, window=None, central=None):
+        super().__init__(pairs)
+        self.pos = dict(zip(reversed(self), range(len(self) - 1, -1, -1)))
+        if window is not None:
+            self.radix, self.reach = 4 * window + 1, 2 * window
+            self.codes = [i * self.radix + j for i, j in self]
+            self.offset = self.reach * (self.radix + 1)
+            self._central = central
+
+    @classmethod
+    def of(cls, idxs):
+        """``idxs`` if it is a Window, else the Window of its pairs."""
+        return idxs if idxs.__class__ is cls else cls(idxs)
+
+    @cached_property
+    def blocks(self):
+        blocks = []  # [start, k, ell, k step, ell step, length]
+        for q, (k, ell) in enumerate(self):
+            if blocks and (b := blocks[-1])[5] == 1:
+                b[3], b[4], b[5] = k - b[1], ell - b[2], 2
+            elif blocks and k == b[1] + b[3] * b[5] and ell == b[2] + b[4] * b[5]:
+                b[5] += 1
+            else:
+                blocks.append([q, k, ell, 1, 0, 1])
+        return blocks
+
+    @cached_property
+    def runs(self):
+        runs = {}  # ell -> [start, position step, first k, k step, length] of each run
+        for q, (k, ell) in enumerate(self):
+            if (rs := runs.get(ell)) is None:
+                runs[ell] = [[q, 1, k, 1, 1]]
+            elif (r := rs[-1])[4] == 1:
+                r[1], r[3], r[4] = q - r[0], k - r[2], 2
+            elif q == r[0] + r[1] * r[4] and k == r[2] + r[3] * r[4]:
+                r[4] += 1
+            else:
+                rs.append([q, 1, k, 1, 1])
+        return {ell: [(slice(q, q + st * n, st), k, dk, n) for q, st, k, dk, n in rs]
+                for ell, rs in runs.items()}
+
+    @cached_property
+    def keys(self):
+        """Every degree of the box |i|, |j| <= 2W, lex order, degree t at ``offset`` + code(t).
+
+        The key of a central degree inside the box stands in its place.
+        """
+        radix, reach = self.radix, self.reach
+        keys = [(i, j) for i in range(-reach, reach + 1) for j in range(-reach, reach + 1)]
+        for key, (i, j) in self._central.items():
+            if abs(i) <= reach >= abs(j):
+                keys[self.offset + i * radix + j] = key
+        return keys
+
+
+def window_grid(alg, window):
+    """The ``Window`` of the domain indices with |i|, |j| <= window, in lex order.
+
+    ``alg.in_domain`` decides the indices.  Index (i, j) has code
+    i*(4W + 1) + j, so codes add like the indices, and every sum of two
+    window indices lies in the box of ``keys``, whose central keys are those
+    of ``alg.central_degrees()``.
     """
     rng = window_range(window)
-    idxs = [(i, j) for i in rng for j in rng if alg.in_domain(i, j)]
-    radix, reach = 4 * window + 1, 2 * window
-    keys = [(i, j) for i in range(-reach, reach + 1) for j in range(-reach, reach + 1)]
-    offset = reach * (radix + 1)
-    for key, (i, j) in alg.central_degrees().items():
-        if abs(i) <= reach >= abs(j):
-            keys[offset + i * radix + j] = key
-    return idxs, [i * radix + j for i, j in idxs], offset, keys
+    return Window([(i, j) for i in rng for j in rng if alg.in_domain(i, j)],
+                  window, alg.central_degrees())
 
 
 def structure_table(spec, window):
     """All basis brackets for index pairs in the window, lex order, a ``raw_row`` per left index."""
-    idxs = window_grid(spec, window)[0]
+    win = window_grid(spec, window)
     return [{"left": a, "right": b, "result": Element.from_raw(terms, spec.den)}
-            for a in idxs for b, terms in zip(idxs, spec.raw_row(a, idxs))]
+            for a in win for b, terms in zip(win, spec.raw_row(a, win))]
 
 
-def table_to_json(spec, window):
-    """The structure table as a cell matrix ``(idxs, cells)``.
+class _Tails(dict):
+    """A cell's text after its head, then ``end``, per int numerator n over ``den``.
 
-    ``idxs`` are the window indices of ``window_grid``, and ``cells[p]`` is
-    the row of left index ``idxs[p]``: for each right index of ``idxs``, in
-    order, the JSON text of ``terms_json`` of the bracket, the records the
-    ``bracket`` command prints, exactly as ``json.JSONEncoder(sort_keys=True)``
-    writes them.  A row is filled from one ``numerators`` row: 0 is the empty
-    cell, else the one term sits at the key of the index sum's degree.  A
-    cell is the head text of that key, read from the grid's degree box at
-    the sum's offset, joined to the text of its coefficient, written once
-    per int numerator n as "{n//g}/{den//g}" with g = gcd(n, den); a
-    polynomial one is the encoded records of n/den.
+    0 is the empty cell "[]", n is '"{n//g}/{den//g}"}]' with g = gcd(n, den),
+    made on first use; a polynomial gets None.
     """
-    idxs, codes, offset, keys = window_grid(spec, window)
-    den = spec.den
+
+    def __init__(self, den, end):
+        super().__init__({0: "[]" + end})
+        self.den, self.end = den, end
+
+    def __missing__(self, n):
+        if n.__class__ is not int:
+            return None
+        g = math.gcd(n, self.den)
+        text = self[n] = f'"{n // g}/{self.den // g}"}}]{self.end}'
+        return text
+
+
+def table_to_json(spec, window, sep=None):
+    """The structure table as text: every bracket of window indices, lex order.
+
+    A cell is the JSON text of ``terms_json``, as ``json.JSONEncoder(sort_keys=True)``
+    writes it.  Without ``sep`` the table is the list of ``{"left", "result",
+    "right"}`` objects ``json.dumps(..., sort_keys=True)`` writes; with ``sep``
+    a header and one line per bracket: left i, left j, right i, right j, cell.
+    A left index's text is one join of four pieces per cell: its own text, the
+    right index's, the head (the degree box's key text, read along the
+    window's blocks) and the tail (``_Tails`` of the ``numerators`` row; a
+    polynomial's is the encoded records of n/den).
+    """
+    win = window_grid(spec, window)
+    den, keys, offset, n = spec.den, win.keys, win.offset, len(win)
     heads = [f'[{{"basis": {{"kind": "{t}"}}, "coeff": ' if t.__class__ is str
              else f'[{{"basis": {{"i": {t[0]}, "j": {t[1]}, "kind": "L"}}, "coeff": '
              for t in keys]
-    encode = json.JSONEncoder(sort_keys=True).encode
-    tails = {}  # int numerators only: a constant MultiPoly equals its int
-
-    def tail(n):
-        if n.__class__ is not int:
-            return encode(unscaled(n, den).to_records()) + "}]"
-        g = math.gcd(n, den)
-        tails[n] = f'"{n // g}/{den // g}"}}]'
-        return tails[n]
-
-    return idxs, [
-        [
-            "[]" if not n else heads[base + c]
-            + ((tails.get(n) or tail(n)) if n.__class__ is int else tail(n))
-            for c, n in zip(codes, spec.numerators(a, idxs))
-        ]
-        for a, base in zip(idxs, [offset + c for c in codes])
-    ]
+    if sep is None:  # piece slots: left, head, tail, right
+        lefts = [f'{{"left": [{i}, {j}], "result": ' for i, j in win]
+        rights = [f', "right": [{k}, {ell}]}}, ' for k, ell in win]
+        r, h, end = 3, 1, ""
+    else:  # left, right, head, tail with its newline
+        lefts = rights = [f"{i}{sep}{j}{sep}" for i, j in win]
+        r, h, end = 1, 2, "\n"
+    tails, encode = _Tails(den, end), json.JSONEncoder(sort_keys=True).encode
+    # each block's head slots, and its first box code and code step
+    runs = [(slice(4 * q + h, 4 * (q + m) + h, 4), k * win.radix + ell, dk * win.radix + dl, m)
+            for q, k, ell, dk, dl, m in win.blocks]
+    central = spec.central_degrees().values()
+    rows = []
+    for (i, j), left, base in zip(win, lefts, [offset + c for c in win.codes]):
+        nums = spec.numerators((i, j), win)
+        pieces = [left] * (4 * n)
+        pieces[r::4] = rights
+        for at, c, step, m in runs:
+            pieces[at] = heads[base + c:base + c + step * m:step]
+        pieces[h + 1::4] = map(tails.__getitem__, nums)
+        q = -1
+        for _ in range(nums.count(0)):
+            q = nums.index(0, q + 1)
+            pieces[4 * q + h] = ""
+        for pi, pj in central:
+            q = win.pos.get((pi - i, pj - j))
+            if q is not None and nums[q] and nums[q].__class__ is not int:
+                pieces[4 * q + h + 1] = encode(unscaled(nums[q], den).to_records()) + "}]" + end
+        rows.append("".join(pieces))
+    if sep is None:
+        rows[-1] = rows[-1][:-2]  # the table's last object takes no ", "
+        return "".join(["[", *rows, "]\n"])
+    header = sep.join(("left_i", "left_j", "right_i", "right_j", "terms"))
+    return "".join([header, "\n", *rows])

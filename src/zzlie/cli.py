@@ -169,33 +169,8 @@ def _cmd_bracket(args):
 
 
 def _cmd_table(args):
-    """Write the table's cell matrix with one join per left index.
-
-    Each index's text is formatted once per table, and a left index's
-    lines are its row of cells interleaved with those texts.  The json
-    form is the list of ``{"left", "result", "right"}`` objects
-    ``json.dumps(..., sort_keys=True)`` would write; csv and text print a
-    header and one line per bracket, the cell as the last column.
-    """
-    idxs, cells = table_to_json(_algebra_spec(args), args.window)
-    if args.format == "json":
-        rights = [f', "right": [{k}, {ell}]}}, ' for k, ell in idxs]
-        rows = [
-            left + left.join([f"{cell}{right}" for cell, right in zip(row, rights)])
-            for left, row in zip([f'{{"left": [{i}, {j}], "result": ' for i, j in idxs], cells)
-        ]
-        rows[-1] = rows[-1][:-2]  # the table's last object takes no ", "
-        text = "".join(["[", *rows, "]\n"])
-    else:
-        sep = _SEPARATORS[args.format]
-        texts = [f"{i}{sep}{j}{sep}" for i, j in idxs]
-        header = sep.join(("left_i", "left_j", "right_i", "right_j", "terms"))
-        text = "".join([
-            header + "\n",
-            *(left + left.join([f"{right}{cell}\n" for right, cell in zip(texts, row)])
-              for left, row in zip(texts, cells)),
-        ])
-    _write(text, args)
+    """Write ``table_to_json``'s text: json, or csv/text lines with the format's separator."""
+    _write(table_to_json(_algebra_spec(args), args.window, _SEPARATORS.get(args.format)), args)
     return 0
 
 

@@ -32,7 +32,10 @@ L terms may lie outside the domain: the Jacobi kernel owns the in-domain
 filter of outer targets.  Two row forms are optional, each with the
 ``DomainError`` for ``a``: ``raw_row(a, idxs)``, the ``raw_terms`` of
 [L_a, L_w] for each w of ``idxs``, and ``numerators(a, idxs)``, each one's
-numerator at the one key of its degree a + w, 0 when empty.  Antisymmetry
+numerator at the one key of its degree a + w, 0 when empty.  ``idxs`` is an
+``algebras.Window``, a list of distinct pairs with their positions and runs,
+or any sequence of distinct pairs; the checks pass the window of one
+``window_grid`` call, built inside the call that reads it.  Antisymmetry
 and grading read a raw-term row per left index (``raw_row``, else a
 ``raw_terms`` call per entry), Jacobi ``numerators`` rows, else
 ``_term_row`` rows read off the raw-term rows; the diagonal-isomorphism
@@ -42,12 +45,13 @@ borrows ``AlgebraSpec.basis_bracket``.
 The Jacobi kernel decides a triple of a graded algebra by one number: its
 three cyclic terms share a key, so with c_pq the numerator of [x_p, x_q]
 and v_pq[r] that of [x_p + x_q, x_r], it passes iff c_pq·v_pq[r] +
-c_qr·v_qr[p] + c_rp·v_rp[q] is zero, an int once ``_kronecker`` has made a
-symbolic centre's entries ints.  The numbers sit in numeric rows by window
-position, one per window index and one per in-domain, non-central index sum
-outside the window, found as sums of ``algebras.window_grid`` codes; each
-pair's row is read from a list over the degree box at its code sum plus one
-offset, as grading reads each pair's key.  A sweep row is one left index p;
+c_qr·v_qr[p] + c_rp·v_rp[q] is zero, an int once ``_kronecker`` has made
+the polynomial entries ints, wherever they sit, when a central one is
+found.  The numbers sit in numeric rows by window position, one per window
+index and one per in-domain, non-central index sum outside the window,
+found as sums of ``algebras.window_grid`` codes; each pair's row is read
+from a list over the degree box at its code sum plus one offset, as
+grading reads each pair's key.  A sweep row is one left index p;
 its pass decides every p <= q <= r from ``view[p]``, the tails
 ``view[q][q:]`` and the column of p.  Only a triple whose number is
 nonzero, and every triple of a misgraded algebra (a None row leaves no
@@ -62,8 +66,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress
+from operator import neg
 
-from .algebras import AlgebraSpec, BasisElement, Element, _closed_form, domain_index, window_grid
+from .algebras import (
+    AlgebraSpec, BasisElement, Element, Window, _closed_form, domain_index, window_grid,
+)
 from .linsolve import propagate_scalars
 from .poly import accumulate, symbol
 
@@ -142,7 +149,7 @@ def check_antisymmetry(alg, window):
     meets column p at q >= p, the diagonal included, and takes each failing
     q < p as the mirror of row q's failing p, as if it read every ordered pair.
     """
-    idxs = window_grid(alg, window)[0]
+    idxs = window_grid(alg, window)
     raw, den, n, row = alg.raw_terms, alg.den, len(idxs), _row_source(alg)
     table = [row(a, idxs) for a in idxs]
 
@@ -186,16 +193,22 @@ def _kronecker(values):
     exponents at most 2D < E = 2D + 1 and coefficients at most 3M² < B/2, so
     its monomials go to distinct powers of B and the lowest nonzero c_e of
     its image Σ c_e·B^e leaves B^e·(c_e + B·K) != 0: 0 iff the number is 0.
+    Only the rows holding a polynomial entry, wherever it sits, are rebuilt;
+    the all-int rows give M by their max and min.
     """
-    polys = [x.terms for row in values.values() for x in row if x.__class__ is not int]
+    mixed = {t: row for t, row in values.items() if not all(map(int.__instancecheck__, row))}
+    clean = [row for t, row in values.items() if t not in mixed]
+    polys = [x.terms for row in mixed.values() for x in row if x.__class__ is not int]
     exps = [(s, d) for terms in polys for mono in terms for s, d in mono]
-    m = max(chain(map(abs, filter(int.__instancecheck__, chain.from_iterable(values.values()))),
+    m = max(chain(map(max, clean), map(neg, map(min, clean)),
+                  map(abs, filter(int.__instancecheck__, chain.from_iterable(mixed.values()))),
                   (sum(abs(c.numerator) for c in terms.values()) for terms in polys)))
     bits, e = 2 * m.bit_length() + 3, 2 * max((d for _, d in exps), default=0) + 1  # 2^bits > 6M²
     shift = {s: bits * e ** k for k, s in enumerate(sorted({s for s, _ in exps}))}
-    return {t: [x if x.__class__ is int else sum(c.numerator << sum(shift[s] * d for s, d in mono)
-                                                 for mono, c in x.terms.items()) for x in row]
-            for t, row in values.items()}
+    values.update({t: [x if x.__class__ is int else sum(c.numerator << sum(
+                           shift[s] * d for s, d in mono) for mono, c in x.terms.items()) for x in row]
+                   for t, row in mixed.items()})
+    return values
 
 
 def check_jacobi(alg, window):
@@ -210,7 +223,8 @@ def check_jacobi(alg, window):
     Row p holds each p <= q <= r at start(q) + r - q, start(q) = (q-p)n -
     (q(q-1) - p(p-1))/2.
     """
-    idxs, codes, offset, keys = window_grid(alg, window)
+    idxs = window_grid(alg, window)
+    codes, offset, keys, pos = idxs.codes, idxs.offset, idxs.keys, idxs.pos
     raw, den2, n = alg.raw_terms, alg.den ** 2, len(idxs)
     central = {deg: key for key, deg in alg.central_degrees().items()}
     row = getattr(alg, "numerators", None) or partial(_term_row, _row_source(alg), central)
@@ -219,7 +233,7 @@ def check_jacobi(alg, window):
     sums = {c + d for k, c in enumerate(codes) for d in codes[k:]}.difference(codes)
     outer = [t for s in sums if (t := keys[offset + s]).__class__ is tuple and alg.in_domain(*t)]
     values = {t: row(t, idxs) for t in [*idxs, *outer]}
-    graded, pos = None not in values.values(), {w: k for k, w in enumerate(idxs)}
+    graded = None not in values.values()
     if graded and any(values[t][pos[w]].__class__ is not int for d in central for t in values
                       if (w := (d[0] - t[0], d[1] - t[1])) in pos):
         values = _kronecker(values)
@@ -261,7 +275,8 @@ def check_grading(alg, window):
     A row is one left index.  A pair passes its pass when it is empty or one
     term at the key that its code sum reads off the ``window_grid`` box.
     """
-    idxs, codes, offset, keys = window_grid(alg, window)
+    idxs = window_grid(alg, window)
+    codes, offset, keys = idxs.codes, idxs.offset, idxs.keys
     raw, n, row = alg.raw_terms, len(idxs), _row_source(alg)
     central = alg.central_degrees()
 
@@ -322,7 +337,7 @@ class QuotientC:
     ``numerators`` refuse any other input with ``DomainError``.  Only two
     indices at j = -1 bracket out of it, to zero in the quotient; every
     other bracket is the upstairs one unchanged.  So a ``numerators`` row is
-    the upstairs row, with 0 at each w with w[1] = -1 when a[1] = -1.
+    the upstairs row, with 0 along the window's runs at w[1] = -1 when a[1] = -1.
     """
 
     def __init__(self, alpha):
@@ -342,10 +357,11 @@ class QuotientC:
         return self.upstairs.raw_terms(a, b)
 
     def numerators(self, a, idxs):
-        a = domain_index(self, a, "the quotient of c")
-        row = self.upstairs.numerators(a, idxs)
+        a, win = domain_index(self, a, "the quotient of c"), Window.of(idxs)
+        row = self.upstairs.numerators(a, win)
         if a[1] == -1:
-            return [0 if w[1] == -1 else n for w, n in zip(idxs, row)]
+            for at, _, _, n in win.runs.get(-1, ()):
+                row[at] = [0] * n
         return row
 
     basis_bracket = AlgebraSpec.basis_bracket
@@ -377,15 +393,15 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     so a returned witness always satisfies every equation.  Each window
     index is mapped once.
     """
-    idxs, codes = window_grid(alg_a, window)[:2]
+    idxs = window_grid(alg_a, window)
+    codes = idxs.codes
     a_central = set(alg_a.central_degrees().values())
     b_central = set(alg_b.central_degrees().values())
     images = [(a, index_map(a)) for a in idxs]
     mapped = [(a, m) for a, m in images if alg_b.in_domain(*m)]
-    sources, targets = [a for a, _ in mapped], [m for _, m in mapped]
+    sources, targets = Window([a for a, _ in mapped]), Window([m for _, m in mapped])
     code = dict(zip(idxs, codes))  # ints that add like the pairs
-    src, window_codes = [code[b] for b in sources], set(codes)
-    position = {b: q for q, b in enumerate(sources)}
+    src, window_codes, position = [code[b] for b in sources], set(codes), sources.pos
 
     rows = []  # (head, targets, sources, lhs, rhs) over the pairs with a + b in the window
     for a, m in mapped:

@@ -205,7 +205,8 @@ def find_intertwiner(m1, m2, window):
     modules must support the same indices in the window, else None.  Per
     (i, k) in the window, coeff1(i,k) * c_{i+k} = coeff2(i,k) * c_k: row i
     for ``propagate_scalars`` is the two ``numerators(i, ks)`` rows as read,
-    over the scale (den2, den1).  The row i = 1 comes first; it chains the
+    over the scale (den2, den1), its ks and targets slices of the support
+    when the support has no hole.  The row i = 1 comes first; it chains the
     unit seed at the lowest supported index (the global-scale gauge) through
     the support unless a hole breaks the chain, so solving usually stops
     within that row.  The row check then decides every equation, so a
@@ -216,9 +217,14 @@ def find_intertwiner(m1, m2, window):
     support = [k for k in rng if m1.supports(k)]
     if support != [k for k in rng if m2.supports(k)]:
         return None  # a diagonal map sends each v_k to a nonzero multiple of v_k
-    sup = set(support)
+    sup, n = set(support), len(support)
     rows = []
     for i in sorted(rng, key=(1).__ne__):  # the row i = 1 first, then in window order
-        ks = [k for k in support if i + k in sup]
-        rows.append((None, [i + k for k in ks], ks, m1.numerators(i, ks), m2.numerators(i, ks)))
+        if n == len(rng):  # no hole: ks and their targets i + k are slices of the support
+            lo, hi = max(0, -i), min(n, n - i)
+            ks, targets = support[lo:hi], support[lo + i:hi + i]
+        else:
+            ks = [k for k in support if i + k in sup]
+            targets = [i + k for k in ks]
+        rows.append((None, targets, ks, m1.numerators(i, ks), m2.numerators(i, ks)))
     return propagate_scalars(support, rows, support[:1], (m2.den, m1.den))

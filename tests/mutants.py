@@ -43,7 +43,7 @@ _ALGEBRAS = "tests/test_algebras.py::"
 _POLY = "tests/test_poly.py::"
 _GUARD = "tests/test_classify.py::test_recurrence_guard_decided_once_matches_the_printed_condition"
 _OFFSET = "((q - p) * n - (q * (q - 1) - p * (p - 1)) // 2 + r - q,"
-_PUNCTURE_OVERWRITE = """        for q, kind, n in self._central_at(i, j, idxs):
+_PUNCTURE_OVERWRITE = """        for q, kind, n in self._central_at(i, j, win):
             row[q] = ((kind, n),) if n else ()
 """
 _ROW_PASS = "zip(range(p, n), xs[p:], ys[p:])"
@@ -139,14 +139,15 @@ MUTANTS = [
              (_VERIFY + "test_tables_at_the_grid_edges_match_terms_json",
               _VERIFY + "test_clean_sweeps_at_the_grid_edges_read_each_bracket_once"))
       for name, old, new in (
-          ("radix-4w", "radix, reach = 4 * window + 1, 2 * window",
-           "radix, reach = 4 * window, 2 * window"),
-          ("offset-off-by-one", "offset = reach * (radix + 1)", "offset = reach * (radix + 1) - 1"),
+          ("radix-4w", "self.radix, self.reach = 4 * window + 1, 2 * window",
+           "self.radix, self.reach = 4 * window, 2 * window"),
+          ("offset-off-by-one", "self.offset = self.reach * (self.radix + 1)",
+           "self.offset = self.reach * (self.radix + 1) - 1"),
           ("central-key-without-the-box-bound", "if abs(i) <= reach >= abs(j):", "if True:"))),
-    # window_grid without the central keys: check_grading then makes every
+    # the degree box without the central keys: check_grading then makes every
     # central term a suspect, which the exact rule clears at a second raw_terms call
     Mutant("grading-grid-without-central-keys", "algebras.py",
-           "in alg.central_degrees().items():", "in {}.items():",
+           "in self._central.items():", "in {}.items():",
            (_VERIFY + "test_clean_sweeps_at_the_grid_edges_read_each_bracket_once",)),
     # window_range: a float or bool window passes a window rule that tests only the minimum
     Mutant("window-rule-without-the-int-test", "algebras.py",
@@ -166,12 +167,29 @@ MUTANTS = [
            "[domain_index(self, b, self.family)]", "[tuple(b)]",
            (_ALGEBRAS + "test_numerators_refuse_an_out_of_domain_index",)),
     Mutant("puncture-at-the-left-index", "algebras.py",
-           "(w := (pi - i, pj - j))", "(w := (i, j))",
+           "(q := win.pos.get((pi - i, pj - j)))", "(q := win.pos.get((i, j)))",
            (_ALGEBRAS + "test_block_central_term_example",
             _ALGEBRAS + "test_block_second_center")),
     Mutant("raw-row-without-the-puncture-overwrite", "algebras.py", _PUNCTURE_OVERWRITE, "",
            (_ALGEBRAS + "test_block_central_term_example",
             _ALGEBRAS + "test_raw_row_matches_reference_property")),
+    # Window: a block that runs on past a hole in its ell steps, a column
+    # run written one position too far apart, and a position map that reads
+    # each pair's position from the other end of the window
+    Mutant("run-spans-a-hole", "algebras.py",
+           "elif blocks and k == b[1] + b[3] * b[5] and ell == b[2] + b[4] * b[5]:",
+           "elif blocks and k == b[1] + b[3] * b[5]:",
+           (_ALGEBRAS + "test_row_forms_match_reference_on_every_window_property",
+            _VERIFY + "test_tables_at_the_grid_edges_match_terms_json")),
+    Mutant("c-column-stride-off-by-one", "algebras.py",
+           "(slice(q, q + st * n, st), k, dk, n)", "(slice(q, q + (st + 1) * n, st + 1), k, dk, n)",
+           (_ALGEBRAS + "test_row_forms_match_reference_on_every_window_property",
+            _VERIFY + "test_numerators_match_raw_terms_property")),
+    Mutant("puncture-position-of-the-wrong-index", "algebras.py",
+           "dict(zip(reversed(self), range(len(self) - 1, -1, -1)))",
+           "dict(zip(self, range(len(self) - 1, -1, -1)))",
+           (_ALGEBRAS + "test_row_forms_match_reference_on_every_window_property",
+            _ALGEBRAS + "test_table_cells_match_json_encoding")),
     # exact_value: Fraction(value) takes a float or a str as it is
     Mutant("exact-value-converts-anything", "poly.py",
            "    if isinstance(value, (int, Fraction)):\n"

@@ -11,6 +11,7 @@ the shared test inputs that go with them, and ``solve_equations`` and
 ``propagate_scalars``.
 """
 
+import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -20,7 +21,7 @@ from math import prod
 
 from hypothesis import strategies as st
 
-from zzlie.algebras import AlgebraSpec, Element, window_grid
+from zzlie.algebras import AlgebraSpec, Element, terms_json, window_grid
 from zzlie.linsolve import propagate_scalars
 from zzlie.poly import accumulate, symbol, unscaled
 from zzlie.verify import MAX_WITNESSES, ViolationReport
@@ -146,6 +147,29 @@ def _reference_window(alg, window):
         for j in range(-window, window + 1)
         if alg.in_domain(i, j)
     ]
+
+
+def reference_table(spec, window, sep=None):
+    """The ``table`` command's text from ``json.dumps`` of the ``terms_json`` of each bracket.
+
+    Without ``sep`` the json list of ``{"left", "result", "right"}``
+    objects; with it a header and one line per bracket, its cell the json
+    text of the terms.  Both are split as ``table_lines`` splits them.
+    """
+    idxs = _reference_window(spec, window)
+    pairs = [(a, b, terms_json(spec.raw_terms(a, b), spec.den)) for a in idxs for b in idxs]
+    if sep is None:
+        return table_lines(json.dumps([{"left": list(a), "result": terms, "right": list(b)}
+                                       for a, b, terms in pairs], sort_keys=True) + "\n")
+    lines = [sep.join(("left_i", "left_j", "right_i", "right_j", "terms"))]
+    lines += [sep.join(map(str, (*a, *b, json.dumps(terms, sort_keys=True))))
+              for a, b, terms in pairs]
+    return table_lines("\n".join(lines) + "\n")
+
+
+def table_lines(text):
+    """A table's text split before each bracket, so a mismatch names its first bracket."""
+    return text.replace(', {"left": ', '\n{"left": ').split("\n")
 
 
 def reference_antisymmetry(alg, bracket, window):
@@ -301,7 +325,7 @@ def reference_intertwiner(m1, m2, window):
 
 def reference_isomorphism(alg_a, alg_b, index_map, window):
     """``find_diagonal_isomorphism`` from the Fraction brackets and the reference solver."""
-    idxs = window_grid(alg_a, window)[0]
+    idxs = window_grid(alg_a, window)
     central = {deg: kind for kind, deg in alg_b.central_degrees().items()}
     if any(not alg_b.in_domain(*m) and m not in central for m in map(index_map, idxs)):
         return None  # an index with neither a basis image nor a central one

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zzlie.algebras import (
     FAMILIES,
@@ -11,6 +12,7 @@ from zzlie.algebras import (
     BasisElement,
     DomainError,
     Element,
+    Window,
     structure_table,
     table_to_json,
     terms_json,
@@ -27,7 +29,10 @@ from zzlie.verify import (
 )
 from zzlie.virmodules import ModuleSpec, ModVector, check_module_axiom, find_intertwiner
 
-from reference import algebra_specs, factorial_ratio, fraction_terms, reference_bracket_terms
+from reference import (
+    algebra_specs, factorial_ratio, fraction_terms, reference_bracket_terms, reference_table,
+    table_lines,
+)
 
 
 def L(i, j):
@@ -140,7 +145,7 @@ def test_half_plane_a2p_duplicates_a2():
             a = AlgebraSpec(family, alpha, a1=1, a2=1, a2p=0)
             b = AlgebraSpec(family, alpha, a1=1, a2=0, a2p=s)
             other = AlgebraSpec(family, alpha, a1=1, a2=0, a2p=1)
-            idxs = window_grid(a, 4)[0]
+            idxs = window_grid(a, 4)
             at_c2 = 0
             for x in idxs:
                 for y in idxs:
@@ -161,8 +166,8 @@ def test_block_coefficient_expansion_matches_determinant_form():
     assert isinstance(expansion, MultiPoly)
     assert expansion == determinant
     spec = AlgebraSpec("block", Fraction(1, 2), Fraction(3, 2))
-    for a in window_grid(spec, 2)[0]:
-        for b in window_grid(spec, 2)[0]:
+    for a in window_grid(spec, 2):
+        for b in window_grid(spec, 2):
             (ia, ja), (ib, jb) = a, b
             coeff = (ia + spec.alpha) * (jb - spec.beta) - (ja - spec.beta) * (ib + spec.alpha)
             assert spec.basis_bracket(a, b) == single(ia + ib, ja + jb, coeff)
@@ -355,11 +360,66 @@ def test_bracket_terms_fraction_reference_property(spec, pairs):
 def test_raw_row_matches_reference_property(spec, window):
     # every row of the window, the punctures' partners included: entry by
     # entry the Fraction formulas' terms, L before C1 before C2
-    idxs = window_grid(spec, window)[0]
+    idxs = window_grid(spec, window)
     for a in idxs:
         row = spec.raw_row(a, idxs)
         assert [tuple((key, unscaled(n, spec.den)) for key, n in terms) for terms in row] == [
             reference_bracket_terms(spec, a, w) for w in idxs], (spec, a)
+
+
+def _row_windows(alg, window, rnd):
+    """Sequences of distinct domain pairs that a row form is held to, by name.
+
+    The window's own grid (a block spec's has its punctures as holes), a
+    half-plane of the box, the grid with random holes, the pairs whose
+    image under (i, j) -> (-j, i) is in the domain and those images, as the
+    diagonal-isomorphism search passes them, and the grid shuffled.
+    """
+    grid = list(window_grid(alg, window))
+    box = [(i, j) for i in range(-window, window + 1) for j in range(-window, window + 1)]
+    side = rnd.choice((-1, 1))
+    rotated = [(-j, i) for i, j in grid]
+    return {
+        "grid": grid,
+        "half-plane": [w for w in box if side * w[1] <= 1 and alg.in_domain(*w)],
+        "holes": [w for w in grid if rnd.random() < 0.8],
+        "sources": [w for w, m in zip(grid, rotated) if alg.in_domain(*m)],
+        "images": [m for m in rotated if alg.in_domain(*m)],
+        "shuffled": rnd.sample(grid, len(grid)),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebra_specs() | st.sampled_from([Fraction(2, 3), -1, Fraction(5, 2)]).map(QuotientC),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+# both punctures in the window with a symbolic centre, a half-plane's
+# puncture at its edge, the factorial regions of c, and the quotient of c
+@example(AlgebraSpec("block", -1, -1, **_SYM_CENTRE), 3, random.Random(1))
+@example(AlgebraSpec("bplus-", 2, a1=1, a2=-2, a2p=3), 3, random.Random(2))
+@example(AlgebraSpec("cbar", Fraction(2, 3)), 3, random.Random(3))
+@example(QuotientC(Fraction(2, 3)), 3, random.Random(4))
+def test_row_forms_match_reference_on_every_window_property(alg, window, rnd):
+    # numerators, written run by run, and raw_row, entry by entry, on a
+    # Window and on the same plain list: each entry is the Fraction
+    # formulas' term, on windows whose runs break at holes, change their
+    # stride or step backwards; left indices include the punctures' partners
+    den, grid = alg.den, window_grid(alg, window)
+    partners = {(d[0] - w[0], d[1] - w[1]) for d in alg.central_degrees().values() for w in grid}
+    partners = sorted(partners.intersection(grid))
+    lefts = rnd.sample(grid, min(len(grid), 5)) + rnd.sample(partners, min(len(partners), 5))
+    for name, pairs in _row_windows(alg, window, rnd).items():
+        win = Window(pairs)
+        for a in lefts:
+            expected = [_raw_reference(alg, a, w) for w in pairs]
+            nums = alg.numerators(a, win)
+            assert nums == alg.numerators(a, pairs), (alg, name, a)
+            assert [unscaled(n, den) if n else None for n in nums] == [
+                terms[0][1] if terms else None for terms in expected], (alg, name, a)
+            if hasattr(alg, "raw_row"):
+                row = alg.raw_row(a, win)
+                assert row == alg.raw_row(a, pairs), (alg, name, a)
+                assert [tuple((key, unscaled(n, den)) for key, n in terms) for terms in row] == [
+                    tuple(terms) for terms in expected], (alg, name, a)
 
 
 # -- raw primitive: int numerators over one denominator ------------------------
@@ -408,7 +468,7 @@ def test_raw_terms_are_integral_over_den():
         numeric = [spec.alpha, spec.beta or 0]
         numeric += [p for p in (spec.a1, spec.a2, spec.a2p) if isinstance(p, Fraction)]
         assert all(den % p.denominator == 0 for p in numeric), spec
-        idxs = window_grid(alg, 3)[0]
+        idxs = window_grid(alg, 3)
         for a in idxs:
             for b in idxs:
                 raw = alg.raw_terms(a, b)
@@ -427,28 +487,26 @@ def test_raw_terms_are_integral_over_den():
     assert _RAW_SPECS[2].den == 84 and _RAW_SPECS[3].den == 12
     # the quotient really drops terms the c family keeps
     assert any(len(q.raw_terms(a, b)) < len(q.upstairs.raw_terms(a, b))
-               for a in window_grid(q, 3)[0] for b in window_grid(q, 3)[0])
+               for a in window_grid(q, 3) for b in window_grid(q, 3))
 
 
 def test_table_cells_match_json_encoding():
-    # the cell matrix has a row per window index and a cell per window
-    # index, and every cell, filled from one numerators row per left index,
-    # is the bytes json writes for terms_json of the bracket: every family,
-    # with int and polynomial central cells.  With a2 = t + 1 and a2p = -t
-    # the C2 numerator t(X + Y) + X is the constant X where Y = -X, a
-    # MultiPoly equal to an int, which is still written as polynomial records
+    # the table's text, each left index's lines one join of pieces filled
+    # from one numerators row, is the bytes json writes for terms_json of
+    # every bracket, in json and in csv and text: every family, with int
+    # and polynomial central cells.  With a2 = t + 1 and a2p = -t the C2
+    # numerator t(X + Y) + X is the constant X where Y = -X, a MultiPoly
+    # equal to an int, which is still written as polynomial records
     t = symbol("t")
     seen = set()
     for spec in [*_RAW_SPECS, AlgebraSpec("block", 1, 1, a1=t, a2=t + 1, a2p=-t)]:
-        idxs = window_grid(spec, 3)[0]
-        table_idxs, cells = table_to_json(spec, 3)
-        assert table_idxs == idxs
-        assert [len(row) for row in cells] == [len(idxs)] * len(idxs)
-        for a, row in zip(idxs, cells):
-            for b, cell in zip(idxs, row):
+        for sep in (None, ",", " "):
+            lines = table_lines(table_to_json(spec, 3, sep))
+            assert lines == reference_table(spec, 3, sep), (spec, sep)
+        idxs = window_grid(spec, 3)
+        for a in idxs:
+            for b in idxs:
                 terms = spec.raw_terms(a, b)
-                expected = json.dumps(terms_json(terms, spec.den), sort_keys=True)
-                assert cell == expected, (spec, a, b)
                 seen.update(
                     ("int" if not isinstance(c, MultiPoly)
                      else "constant poly" if c.terms.keys() <= {()} else "poly",

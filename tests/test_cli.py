@@ -143,7 +143,7 @@ def test_table_formats_agree(capsys):
     for flags in inputs:
         args = build_parser().parse_args(["table", *flags])
         spec = _algebra_spec(args)
-        idxs = window_grid(spec, args.window)[0]
+        idxs = window_grid(spec, args.window)
         pairs = [(a, b) for a in idxs for b in idxs]
         terms = {(a, b): terms_json(spec.raw_terms(a, b), spec.den) for a, b in pairs}
         code, as_json = run(capsys, "table", *flags, "--format", "json")

@@ -46,7 +46,9 @@ from reference import (
     reference_isomorphism,
     reference_jacobi,
     reference_propagate_scalars,
+    reference_table,
     row_equations,
+    table_lines,
     seeded_prefix,
     solve_equations,
 )
@@ -167,7 +169,7 @@ def test_jacobi_evaluates_each_bracket_once():
         den=spec.den,
     )
     assert check_jacobi(counting, 2) == check_jacobi(spec, 2)
-    window = len(window_grid(spec, 2)[0])
+    window = len(window_grid(spec, 2))
     # every window pair, plus the pairs of bracketed targets outside the window
     assert len(calls) > window * window
     assert set(calls.values()) == {1}
@@ -244,7 +246,7 @@ def test_numerators_match_raw_terms_property(spec, window):
     # numerators rows against rows read off raw_terms: every row the sweep
     # reads, the window's and the outside index sums', is raw_terms' number
     # at its degree's key, and the Jacobi kernel reports alike on both
-    idxs = window_grid(spec, window)[0]
+    idxs = window_grid(spec, window)
     key_at = {deg: key for key, deg in spec.central_degrees().items()}
     sums = {(a[0] + b[0], a[1] + b[1]) for a in idxs for b in idxs} - set(idxs)
     for t in [*idxs, *sorted(sums)]:
@@ -338,6 +340,30 @@ def test_substitution_finds_a_changed_monomial(spec, pair, delta):
     assert not _assert_fast_matches_raw_only_and_reference(CorruptedMonomial(spec, pair, delta)).ok
 
 
+class PolynomialEntry(CorruptedMonomial):
+    """``CorruptedMonomial`` at an L term: one pair's L numerator plus ``delta``, in both forms."""
+
+    def raw_terms(self, a, b):
+        terms = self.inner.raw_terms(a, b)
+        if (a, b) == self.pair:
+            return tuple((key, n if isinstance(key, str) else n + self.delta) for key, n in terms)
+        return terms
+
+
+@pytest.mark.parametrize("spec", [
+    AlgebraSpec("block", 1, 2, **_SYM),  # the central probe substitutes
+    AlgebraSpec("vir", 1),  # no central entry: the pass reads the polynomial as it is
+], ids=["symbolic-centre", "numeric"])
+@pytest.mark.parametrize("delta", [0 * symbol("a1"), symbol("a1"), symbol("t") - 1])
+def test_substitution_reaches_a_polynomial_at_a_non_central_key(spec, delta):
+    # a polynomial L numerator sits where no central degree is; the Jacobi
+    # pass still decides every triple exactly as the Element reference does
+    pair = ((1, 0), (2, 1))
+    assert not isinstance(spec.raw_terms(*pair)[0][0], str)
+    report = _assert_fast_matches_raw_only_and_reference(PolynomialEntry(spec, pair, delta))
+    assert report.ok == (not delta)
+
+
 @pytest.mark.parametrize("family, args", [("block", (1, 2)), ("bplus-", (2,))])
 @pytest.mark.parametrize("centre", [
     {"a1": _T, "a2": _T, "a2p": symbol("a2p")},  # a1 = a2
@@ -346,7 +372,7 @@ def test_substitution_finds_a_changed_monomial(spec, pair, delta):
 def test_substitution_with_dependent_parameters(family, args, centre):
     spec = AlgebraSpec(family, *args, **centre)
     assert _assert_fast_matches_raw_only_and_reference(spec).ok
-    pair = next((a, b) for a in window_grid(spec, 2)[0] for b in window_grid(spec, 2)[0]
+    pair = next((a, b) for a in window_grid(spec, 2) for b in window_grid(spec, 2)
                 if any(isinstance(k, str) and n for k, n in spec.raw_terms(a, b)))
     assert not _assert_fast_matches_raw_only_and_reference(CorruptedRow(spec, pair)).ok
 
@@ -381,9 +407,7 @@ def test_jacobi_and_table_read_no_terms_of_a_clean_spec(monkeypatch):
         (AlgebraSpec("block", -1, -1, **_SYM), 3),
     ):
         assert check_jacobi(spec, window).ok
-        idxs, cells = table_to_json(spec, window)
-        assert idxs == window_grid(spec, window)[0]
-        assert [len(row) for row in cells] == [len(idxs)] * len(idxs)
+        assert len(json.loads(table_to_json(spec, window))) == len(window_grid(spec, window)) ** 2
     assert not calls
     # a suspect still reaches raw_terms through the keyed sum
     assert not check_jacobi(CorruptedRow(AlgebraSpec("vir", 1), ((1, 0), (2, 0))), 2).ok
@@ -410,7 +434,7 @@ def test_pair_sweeps_read_no_terms_of_a_clean_spec(monkeypatch):
     ):
         for check in (check_antisymmetry, check_grading):
             report = check(spec, 3)
-            assert report.ok and report.checked_count == len(window_grid(spec, 3)[0]) ** 2
+            assert report.ok and report.checked_count == len(window_grid(spec, 3)) ** 2
     assert not calls
 
 
@@ -490,7 +514,7 @@ def test_jacobi_kernel_matches_reference_property(spec, data):
     # the scalar zero test and the keyed sum report what Element sums report
     if spec.family in ("c", "cbar") and data.draw(st.booleans()):
         spec = PrintedIndexC(spec)
-    idxs = window_grid(spec, 1)[0]
+    idxs = window_grid(spec, 1)
     pair = data.draw(st.tuples(st.sampled_from(idxs), st.sampled_from(idxs)))
     for alg, bracket in _clean_and_corrupted(spec, pair):
         report = check_jacobi(alg, 1)
@@ -506,7 +530,7 @@ def test_pair_sweeps_match_reference_property(spec, wrapper, data):
     # through: every family, clean, misgraded, cut or with one negated pair
     if wrapper is HalfPlaneCut:
         spec = HalfPlaneCut(spec)
-    idxs = window_grid(spec, 2)[0]
+    idxs = window_grid(spec, 2)
     pair = data.draw(st.tuples(st.sampled_from(idxs), st.sampled_from(idxs)))
     if wrapper in (MovedKey, ExtraKey):
         spec = wrapper(spec, pair)
@@ -533,7 +557,7 @@ def test_pair_sweeps_read_rows_as_the_per_pair_fallback(wrapper, spec, pair):
     # the same counts and witnesses, which are the Element references'
     rowed, plain = type("Rowed", (RawRow, wrapper), {})(spec, pair), wrapper(spec, pair)
     bracket = partial(AlgebraSpec.basis_bracket, plain)
-    n, oks = len(window_grid(spec, 2)[0]), []
+    n, oks = len(window_grid(spec, 2)), []
     for check, reference in ((check_antisymmetry, reference_antisymmetry),
                              (check_grading, reference_grading)):
         rowed.rows = 0
@@ -604,7 +628,7 @@ def test_antisymmetry_finds_a_fault_on_the_diagonal(table, at):
 def test_antisymmetry_cap_falls_on_a_mirrored_pair():
     # row 0 finds 19 one-sided pairs; the 20th witness is the mirror of the
     # first, in row 1 at q = 0, so the count stops at n + 1
-    idxs = window_grid(TableAlgebra({}), 2)[0]
+    idxs = window_grid(TableAlgebra({}), 2)
     alg = TableAlgebra({(idxs[0], b): 1 for b in idxs[1:20]})
     report = check_antisymmetry(alg, 2)
     assert (report.checked_count, report.witnesses) == reference_antisymmetry(
@@ -628,7 +652,7 @@ def test_jacobi_counts_a_lone_witness_at_its_sweep_position(monkeypatch):
     # sweep: each offset start(q) + r - q of a row p is checked where it
     # starts or ends a run of one q, and where it ends the row
     monkeypatch.setattr(verify, "MAX_WITNESSES", 1)
-    idxs = window_grid(AlgebraSpec("vir", 1), 2)[0]
+    idxs = window_grid(AlgebraSpec("vir", 1), 2)
     order = list(combinations_with_replacement(idxs, 3))
     for a, b, c in [((2, -2), (2, -1), (2, 2)), ((-1, 0), (0, 1), (0, 1)),
                     ((-2, 2), (1, -2), (2, 2)), ((0, 0), (2, 2), (2, 2)),
@@ -641,7 +665,7 @@ def test_jacobi_counts_a_lone_witness_at_its_sweep_position(monkeypatch):
 
 def test_jacobi_counts_at_row_boundaries():
     vir = AlgebraSpec("vir", 1)
-    idxs = window_grid(vir, 2)[0]
+    idxs = window_grid(vir, 2)
     n, last = len(idxs), (2, 2)
     assert idxs[-1] == last
     total = n * (n + 1) * (n + 2) // 6
@@ -666,7 +690,7 @@ def test_jacobi_counts_at_row_boundaries():
     ]:
         report = check_jacobi(alg, 2)
         reference_count, witnesses = reference_jacobi(alg, bracket, 2)
-        assert window_grid(alg, 2)[0] == idxs
+        assert window_grid(alg, 2) == idxs
         assert report.checked_count == reference_count == count
         assert report.witnesses == witnesses
         assert repr(report.witnesses) == repr(witnesses)
@@ -844,12 +868,9 @@ def test_grid_edges_are_where_the_comment_says():
 
 def test_tables_at_the_grid_edges_match_terms_json():
     for spec, window in _GRID_EDGES:
-        idxs, cells = table_to_json(spec, window)
-        assert idxs == window_grid(spec, window)[0]
-        assert cells == [
-            [json.dumps(terms_json(spec.raw_terms(a, b), spec.den), sort_keys=True) for b in idxs]
-            for a in idxs
-        ], (spec, window)
+        for sep in (None, ","):
+            lines = table_lines(table_to_json(spec, window, sep))
+            assert lines == reference_table(spec, window, sep), (spec, sep)
 
 
 def test_clean_sweeps_at_the_grid_edges_read_each_bracket_once(monkeypatch):
@@ -876,7 +897,7 @@ def test_clean_sweeps_at_the_grid_edges_read_each_bracket_once(monkeypatch):
         assert check_jacobi(spec, window).ok, (spec, window)
         assert not calls and not rows, (spec, window)
         report = check_grading(spec, window)
-        idxs = window_grid(spec, window)[0]
+        idxs = window_grid(spec, window)
         assert rows == Counter({(a, tuple(idxs)): 1 for a in idxs}), (spec, window)
         assert not calls, (spec, window)
         reference = reference_grading(spec, partial(AlgebraSpec.basis_bracket, spec), window)
@@ -959,12 +980,12 @@ def test_quotient_contract():
     alg = QuotientC(Fraction(2, 3))
     report = check_grading(alg, 3)
     assert report.ok
-    assert report.checked_count == len(window_grid(alg, 3)[0]) ** 2
+    assert report.checked_count == len(window_grid(alg, 3)) ** 2
 
 
 def test_quotient_numerators_refuse_a_low_index():
     q = QuotientC(Fraction(2, 3))
-    idxs = window_grid(q, 2)[0]
+    idxs = window_grid(q, 2)
     for a in ((0, -2), (3, -5)):  # raw_terms' refusal, message and all
         with pytest.raises(DomainError) as row_error:
             q.numerators(a, idxs)
@@ -1045,7 +1066,7 @@ def test_isomorphism_refuses_a_central_image_that_brackets():
 def test_isomorphism_refuses_a_partial_map(alg_a, alg_b, index_map, window):
     # some window index of A has neither a B basis index nor a B central
     # degree as its image, and every row that the search reads still matches
-    idxs = window_grid(alg_a, window)[0]
+    idxs = window_grid(alg_a, window)
     central = set(alg_b.central_degrees().values())
     lost = [a for a in idxs if not alg_b.in_domain(*index_map(a))]
     assert lost and not central.intersection(map(index_map, lost))
@@ -1066,10 +1087,10 @@ def test_isomorphism_accepts_the_inverse_rotation_into_block(window):
     alg_a, alg_b = AlgebraSpec("bplus-", 1), AlgebraSpec("block", 1, 1)
     index_map = lambda t: (t[1], -t[0])  # noqa: E731
     lam = find_diagonal_isomorphism(alg_a, alg_b, index_map, window)
-    assert lam is not None and sorted(lam) == window_grid(alg_a, window)[0]
+    assert lam is not None and sorted(lam) == window_grid(alg_a, window)
     _assert_same_scalars(lam, reference_isomorphism(alg_a, alg_b, index_map, window))
     covered = {index_map(a) for a in lam}
-    assert covered < set(window_grid(alg_b, window)[0])
+    assert covered < set(window_grid(alg_b, window))
 
 
 def test_isomorphism_maps_each_window_index_once():
@@ -1082,7 +1103,7 @@ def test_isomorphism_maps_each_window_index_once():
     q = QuotientC(1)
     assert find_diagonal_isomorphism(
         q, AlgebraSpec("bplus-", -1, a1=1, a2=0, a2p=0), index_map, 3) is not None
-    assert set(window_grid(q, 3)[0]) <= calls.keys()
+    assert set(window_grid(q, 3)) <= calls.keys()
     assert set(calls.values()) == {1}
 
 
@@ -1279,7 +1300,7 @@ def test_isomorphism_reads_every_row_to_its_ends():
     # emptied one at a pair whose sum is outside it (only the zero pattern
     # sees it).  Each leaves no map.
     spec = AlgebraSpec("vir", Fraction(2, 3))
-    idxs = window_grid(spec, 2)[0]
+    idxs = window_grid(spec, 2)
     for a in idxs:
         for b, n in zip((idxs[0], idxs[-1]), spec.numerators(a, [idxs[0], idxs[-1]])):
             if n:
@@ -1357,7 +1378,7 @@ def test_isomorphism_catches_a_fault_in_its_last_row(alg_a, alg_b):
     # window index, a = (3, 3), and the row check alone decides it.  Each
     # case negates one of its B numerators at a pair (a, b) with a + b in
     # the window; the mirror (b, a) keeps its sign, so no map exists.
-    idxs = window_grid(alg_a, 3)[0]
+    idxs = window_grid(alg_a, 3)
     a = idxs[-1]
     assert find_diagonal_isomorphism(alg_a, alg_b, lambda t: t, 3) is not None
     faults = [b for b, n in zip(idxs, alg_b.numerators(a, idxs))
