@@ -23,7 +23,7 @@ two row forms, one left index against a sequence of right ones:
 ``numerators(a, idxs)``, each at the one key of its degree, and
 ``raw_row(a, idxs)``, its ``(key, numerator)`` terms, with ``raw_terms(a,
 b)`` the one-entry case.  The right indices are a ``Window``, or any
-sequence of pairs, which a row form wraps in one once per call.
+sequence of distinct pairs, which a row form wraps in one once per call.
 ``numerators`` writes a row run by run, each run an int progression: a
 closed-form row along the window's blocks, a c or cbar row along each ell's
 runs; ``raw_row`` computes each entry apart.  Both find a puncture's
@@ -272,7 +272,7 @@ class AlgebraSpec:
         An entry is empty or one term, keyed "C1"/"C2" when a + w is a puncture,
         else a + w; a numerator is an int, or an int-coefficient MultiPoly for a
         symbolic centre.  ``DomainError`` for ``a``; ``idxs`` (a ``Window`` or
-        any sequence of pairs, wrapped once) are taken to be in the domain.
+        any sequence of distinct pairs, wrapped once) are taken to be in the domain.
         """
         return self._raw_row(domain_index(self, a, self.family), Window.of(idxs))
 
