@@ -420,8 +420,8 @@ class Window(list):
 
     @classmethod
     def of(cls, idxs):
-        """``idxs`` if it is a Window, else the Window of its pairs."""
-        return idxs if idxs.__class__ is cls else cls(idxs)
+        """``idxs`` if it is a Window, else the Window of its pairs as tuples."""
+        return idxs if idxs.__class__ is cls else cls(map(tuple, idxs))
 
     @cached_property
     def blocks(self):

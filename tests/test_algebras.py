@@ -400,7 +400,8 @@ def _row_windows(alg, window, rnd):
 @example(QuotientC(Fraction(2, 3)), 3, random.Random(4))
 def test_row_forms_match_reference_on_every_window_property(alg, window, rnd):
     # numerators, written run by run, and raw_row, entry by entry, on a
-    # Window and on the same plain list: each entry is the Fraction
+    # Window and on the same plain list (of tuples, and of lists for
+    # numerators): each entry is the Fraction
     # formulas' term, on windows whose runs break at holes, change their
     # stride or step backwards; left indices include the punctures' partners
     den, grid = alg.den, window_grid(alg, window)
@@ -412,7 +413,7 @@ def test_row_forms_match_reference_on_every_window_property(alg, window, rnd):
         for a in lefts:
             expected = [_raw_reference(alg, a, w) for w in pairs]
             nums = alg.numerators(a, win)
-            assert nums == alg.numerators(a, pairs), (alg, name, a)
+            assert nums == alg.numerators(a, pairs) == alg.numerators(a, [[*w] for w in pairs])
             assert [unscaled(n, den) if n else None for n in nums] == [
                 terms[0][1] if terms else None for terms in expected], (alg, name, a)
             if hasattr(alg, "raw_row"):
