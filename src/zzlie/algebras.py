@@ -420,8 +420,17 @@ class Window(list):
 
     @classmethod
     def of(cls, idxs):
-        """``idxs`` if it is a Window, else the Window of its pairs as tuples."""
-        return idxs if idxs.__class__ is cls else cls(map(tuple, idxs))
+        """``idxs`` if it is a Window, else the Window of its pairs as tuples.
+
+        ``UsageError`` when a pair repeats: the row forms write a puncture's
+        central term at its partner's first position only.
+        """
+        if idxs.__class__ is cls:
+            return idxs
+        win = cls(map(tuple, idxs))
+        if len(win.pos) < len(win):
+            raise UsageError("the right indices must be distinct pairs")
+        return win
 
     @cached_property
     def blocks(self):

@@ -87,21 +87,21 @@ def _guard_literal(p, i, j, k):
     return left and right
 
 
-def _row(p, i, j, k):
-    """The coefficients of instance (i, j, k), k != 0, as the map of its nonzero ones.
+def _terms(p, i, j, k):
+    """Instance (i, j, k), k != 0, as its unknowns and coefficients (u1, c1, u2, c2, u3, c3).
 
     The relation moved to one side (= 0) and multiplied by D, as
-    ``recurrence_equation`` describes; the three unknowns are distinct.
+    ``recurrence_equation`` describes, zeros included; the three unknowns
+    are distinct.
     """
     d, (a, b1, bm1) = p._den, p._nums
-    coeffs = {}
-    if c := -a + d * i + bm1 * k:
-        coeffs[(i + k, j)] = c
-    if c := a + d * j + b1 * k:
-        coeffs[(i, j + k)] = c
-    if c := -d * (i + j - k):
-        coeffs[(i, j)] = c
-    return coeffs
+    return ((i + k, j), -a + d * i + bm1 * k, (i, j + k), a + d * j + b1 * k,
+            (i, j), -d * (i + j - k))
+
+
+def _row(terms):
+    """The map of the nonzero coefficients of ``_terms``, in their order."""
+    return {u: c for u, c in zip(terms[::2], terms[1::2]) if c}
 
 
 def recurrence_equation(p, i, j, k):
@@ -115,12 +115,12 @@ def recurrence_equation(p, i, j, k):
     is zero.  At k = 0 the three unknowns are c_{i,j} and the coefficients
     cancel identically, (-a + D i) + (a + D j) - D (i + j) = 0, so the row
     is empty; for k != 0 the unknowns c_{i+k,j}, c_{i,j+k} and c_{i,j} are
-    distinct, and each nonzero coefficient is written as it is (``_row``).
+    distinct, and each nonzero coefficient is written as it is (``_terms``).
     A violated side condition sets ``skipped`` instead of raising, k = 0
     included.
     """
     skipped = p._guarded and not _guard_literal(p, i, j, k)
-    return {"coeffs": _row(p, i, j, k) if k else {}, "skipped": skipped}
+    return {"coeffs": _row(_terms(p, i, j, k)) if k else {}, "skipped": skipped}
 
 
 @dataclass
@@ -208,10 +208,13 @@ def solve_c_window(p, window):
 
     The instances are walked in the sweep order of ``_sweep_order``,
     computed once per window.  The guard is tested only when the point is
-    ``_guarded``, and each admitted k != 0 instance builds one map, its
-    nonzero coefficients (``_row``, the formula ``recurrence_equation``
-    also reads), which is added as soon as it is built; the empty k = 0
-    rows and any all-zero row are not added.  For a consistent system the
+    ``_guarded``.  Each admitted k != 0 instance is read as its unknowns
+    and coefficients (``_terms``, the formula ``recurrence_equation`` also
+    reads) and put to ``LinearSystem.settled`` first; a row over solved
+    unknowns that changes nothing (most rows of a W=6 solve) is never
+    built.  Any other instance builds one map, its nonzero coefficients
+    (``_row``), which is added at once; the empty k = 0 rows and any
+    all-zero row are not added.  For a consistent system the
     order is irrelevant.  On an inconsistent system the certificate names a
     contradicting equation subset; values and undetermined unknowns then
     describe the maximal consistent subsystem met in sweep order (the
@@ -224,11 +227,11 @@ def solve_c_window(p, window):
     unknowns = [(i, j) for i in rng for j in rng]
     system = LinearSystem()
     system.add_equation({(0, 0): p._den}, 2 * p._nums[0], ("norm",))
-    skipped, guarded = 0, p._guarded
+    skipped, guarded, settled = 0, p._guarded, system.settled
     for i, j, k in _sweep_order(window):
         if guarded and not _guard_literal(p, i, j, k):
             skipped += 1
-        elif k and (coeffs := _row(p, i, j, k)):
+        elif k and not settled(*(terms := _terms(p, i, j, k))) and (coeffs := _row(terms)):
             system.add_equation(coeffs, 0, ("eq", i, j, k))
     # the system keeps only the first contradiction met in sweep order
     tags = system.certificate_tags()

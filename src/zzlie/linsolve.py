@@ -11,9 +11,12 @@ denominator); solved values come out as ``Fraction(const, lead)``.
 Work is done only where the system can change.  A row whose unknowns are
 all solved (their pivot rows are empty) is decided by one int sum of
 c*const/lead over a common denominator, read straight from the caller's
-map: it is neither copied nor eliminated.  A row with one more unknown
-that is not yet a pivot is solved for it from the same sum, and that value
-is installed as an empty pivot row without elimination.  A new pivot is
+map: it is neither copied nor eliminated.  A caller with homogeneous
+three-term rows asks ``settled`` first: it decides such a row from its
+unknowns and coefficients alone, before any map of it exists, and only the
+rows it leaves open are built and added.  A row with one more unknown that
+is not yet a pivot is solved for it from the same sum, and that value is
+installed as an empty pivot row without elimination.  A new pivot is
 back-substituted only into the open pivot rows (the non-empty ones), since
 a solved row never changes again; both ways of installing a pivot share
 that step, ``_install``.
@@ -159,18 +162,36 @@ class LinearSystem:
             {tag: Fraction(1)}, ((t_tag, -y[t]) for t, (_, t_tag) in enumerate(self._installed))
         )
 
+    def settled(self, v1, c1, v2, c2, v3, c3):
+        """Whether the row c1*v1 + c2*v2 + c3*v3 = 0 is known to change nothing.
+
+        True when its three distinct unknowns are solved (empty pivot rows
+        (n, l) = (const, lead)) and a contradiction is already recorded or
+        the sum c1*n1*l2*l3 + c2*n2*l1*l3 + c3*n3*l1*l2 is zero: then
+        ``add_equation`` would install nothing and record no certificate.
+        Otherwise False, and the row must go to ``add_equation``.
+        """
+        pivots = self.pivots
+        p1, p2, p3 = pivots.get(v1), pivots.get(v2), pivots.get(v3)
+        if p1 is None or p2 is None or p3 is None or p1[0] or p2[0] or p3[0]:
+            return False
+        (_, n1, l1), (_, n2, l2), (_, n3, l3) = p1, p2, p3
+        return (self.contradiction is not None
+                or not c1 * n1 * l2 * l3 + c2 * n2 * l1 * l3 + c3 * n3 * l1 * l2)
+
     def add_equation(self, coeffs, const, tag):
         """Add sum(coeffs[v]*v) = const; returns False on contradiction.
 
         ``coeffs`` maps unknowns to ints, zeros allowed, and ``const`` is an
         int; the caller's map is not changed.  One walk over that map reads
         the pivots of its unknowns.  A row over solved unknowns is decided
-        by its int sum.  A row over solved unknowns and one fresh unknown
-        (not yet a pivot) is solved for it from the same sum and installed
-        as an empty pivot row, without elimination.  Any other row is copied
-        without zeros and eliminated.  A contradictory row is not
-        installed; the first one is remembered (certificate) and the rest of
-        the system stays usable.
+        by its int sum (``settled`` decides a three-term homogeneous one
+        before its map exists, unless it contradicts first).  A row over
+        solved unknowns and one fresh unknown (not yet a pivot) is solved
+        for it from the same sum and installed as an empty pivot row,
+        without elimination.  Any other row is copied without zeros and
+        eliminated.  A contradictory row is not installed; the first one is
+        remembered (certificate) and the rest of the system stays usable.
         """
         # While every unknown but one fresh one is solved, keep
         # sum(c*const/lead) - const over the solved ones as the int fraction

@@ -49,6 +49,8 @@ _PUNCTURE_OVERWRITE = """        for q, kind, n in self._central_at(i, j, win):
 _ROW_PASS = "zip(range(p, n), xs[p:], ys[p:])"
 _LINSOLVE = "tests/test_linsolve.py::"
 _FRESH = _LINSOLVE + "test_rows_over_solved_unknowns_are_decided_by_their_sum"
+_SETTLED = _LINSOLVE + "test_settled_decides_rows_over_solved_unknowns_by_their_sum"
+_SETTLED_RULE = _LINSOLVE + "test_settled_rows_are_those_that_change_nothing"
 _ROW_CHECK = """        if [c * f_l * n[t] for c, t in zip(lhs, targets)] != [
                 c * f_r * n[s] for c, s in zip(rhs, sources)]:"""
 
@@ -88,11 +90,20 @@ MUTANTS = [
     Mutant("fresh-path-for-an-open-pivot", "linsolve.py",
            "            if piv is None:\n", "            if piv is None or piv[0]:\n",
            (_FRESH, _LINSOLVE + "test_matches_tagged_elimination")),
-    # solve_c_window: an all-zero k != 0 row reaches the system
+    # LinearSystem.settled: a row over three solved unknowns decided by its sum
+    Mutant("settled-reads-an-open-pivot-as-solved", "linsolve.py",
+           "p3 is None or p1[0] or p2[0] or p3[0]:", "p3 is None:",
+           (_SETTLED, _SETTLED_RULE)),
+    Mutant("settled-sum-drops-a-lead", "linsolve.py",
+           "c1 * n1 * l2 * l3 +", "c1 * n1 * l2 +",
+           (_SETTLED, _SETTLED_RULE)),
+    Mutant("settled-contradiction-test-inverted", "linsolve.py",
+           "self.contradiction is not None\n", "self.contradiction is None\n",
+           (_SETTLED, _SETTLED_RULE)),
+    # solve_c_window: an all-zero k != 0 row that ``settled`` leaves open reaches the system
     Mutant("solve-loop-hands-over-all-zero-rows", "classify.py",
-           "elif k and (coeffs := _row(p, i, j, k)):",
-           "elif k and (coeffs := _row(p, i, j, k)) is not None:",
-           (_LINSOLVE + "test_window_rows_reach_the_system_in_sweep_order[point5-3]",)),
+           "and (coeffs := _row(terms)):", "and (coeffs := _row(terms)) is not None:",
+           (_LINSOLVE + "test_window_rows_reach_the_system_in_sweep_order[point6-3]",)),
     # _kronecker: a radix that bounds the entries but not their products
     Mutant("radix-bounds-only-the-entries", "verify.py",
            "bits, e = 2 * m.bit_length() + 3,", "bits, e = m.bit_length() + 1,",
@@ -202,6 +213,10 @@ MUTANTS = [
            "return (i.__class__ is j.__class__ is int\n                and ", "return (",
            (_ALGEBRAS + "test_index_components_must_be_ints[d]",
             _ALGEBRAS + "test_index_components_must_be_ints[c]")),
+    # Window.of: a sequence that repeats a pair is taken as it is
+    Mutant("row-window-takes-a-repeated-pair", "algebras.py",
+           "if len(win.pos) < len(win):", "if False:",
+           (_ALGEBRAS + "test_row_forms_refuse_a_repeated_pair",)),
     # find_diagonal_isomorphism: an index whose image is outside B's domain
     # and not central is dropped, so a partial map gives a witness
     Mutant("isomorphism-drops-an-index-without-an-image", "verify.py",

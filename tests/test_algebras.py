@@ -240,6 +240,24 @@ def test_numerators_refuse_an_out_of_domain_index():
     assert spec.raw_terms([0, 1], [-1, 1])[0][0] == "C1"
 
 
+def test_row_forms_refuse_a_repeated_pair():
+    # (-1, 1) is the partner of (0, 1) at the puncture (-1, 2): a row form
+    # writes the central term at its first position only, so a repeat would
+    # get an L term at the puncture
+    spec, q = AlgebraSpec("block", 1, 2, a1=1, a2=1, a2p=1), QuotientC(Fraction(2, 3))
+    assert spec.raw_row((0, 1), [(-1, 1), (0, 0)]) == [(("C1", 1),), (((0, 1), -1),)]
+    assert spec.numerators((0, 1), [(-1, 1), (0, 0)]) == [1, -1]
+    for row_of, a, idxs in [
+        (spec.raw_row, (0, 1), [(-1, 1), (-1, 1)]),
+        (spec.numerators, (0, 1), [(-1, 1), (-1, 1)]),
+        (spec.numerators, (0, 1), [[-1, 1], (0, 0), (-1, 1)]),
+        (q.numerators, (1, 0), [(0, 2), (1, 1), [0, 2]]),
+    ]:
+        with pytest.raises(UsageError) as refused:
+            row_of(a, idxs)
+        assert str(refused.value) == "the right indices must be distinct pairs"
+
+
 @pytest.mark.parametrize("alg", [
     AlgebraSpec("d", 1, 3),
     AlgebraSpec("block", 1, 2, a1=1, a2=1, a2p=1),

@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -206,6 +207,64 @@ def test_solved_rows_match_tagged_elimination(raw):
     assert_matches_tagged_elimination(raw)
 
 
+def test_settled_decides_rows_over_solved_unknowns_by_their_sum():
+    system = LinearSystem()
+    system.add_equation({"x": 3}, 2, "x")
+    system.add_equation({"y": -5}, 4, "y")
+    system.add_equation({"u": 2}, 1, "u")
+    system.add_equation({"w": 1, "z": 1}, 0, "w + z")  # w's pivot row is open
+    assert system.settled("x", 6, "y", 5, "u", 0)  # 4 - 4 = 0, every lead a factor
+    assert system.settled("x", 6, "u", 0, "y", 5)
+    assert not system.settled("x", 3, "y", 5, "u", 0)  # 2 - 4 != 0
+    assert not system.settled("x", 6, "y", 5, "w", 0)
+    assert not system.settled("x", 6, "y", 5, "z", 0)  # z is no pivot
+    assert not system.add_equation({"x": 3, "y": 5}, 0, "off")
+    # after a contradiction a row over solved unknowns changes nothing
+    assert system.settled("x", 3, "y", 5, "u", 0)
+    assert not system.settled("x", 3, "y", 5, "w", 0)
+    assert system.certificate_tags() == ["off", "x", "y"]
+
+
+def system_state(system):
+    return system.pivots, list(system._open), system._installed, system.contradiction
+
+
+def system_from(raw):
+    system = LinearSystem()
+    results = [system.add_equation(coeffs, const, ("row", n))
+               for n, (coeffs, const) in enumerate(raw)]
+    return system, results
+
+
+# A system from either row strategy, as often as not without its
+# contradicting rows, then a homogeneous row over three distinct unknowns:
+# drawn from the solved ones or the pivots when there are three, or from 0-5,
+# with coefficients zero or not, and as often as not with a zero sum.
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rows_strategy, solved_rows_strategy()), st.data())
+def test_settled_rows_are_those_that_change_nothing(raw, data):
+    system, results = system_from(raw)
+    if data.draw(st.booleans()):  # rejected rows left no trace, so the pivots stay
+        system, _ = system_from([row for row, ok in zip(raw, results) if ok])
+    values = system.solved_values()
+    pools = [pool for pool in (sorted(values), sorted(system.pivots)) if len(pool) >= 3]
+    pool = data.draw(st.sampled_from([*pools, range(6)]))
+    unknowns = data.draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3, unique=True))
+    row = dict(zip(unknowns, data.draw(st.lists(small_rationals, min_size=3, max_size=3))))
+    v1, v2, v3 = unknowns
+    solved = all(v in values for v in unknowns)
+    if solved and values[v3] and data.draw(st.booleans()):
+        row[v3] = -(row[v1] * values[v1] + row[v2] * values[v2]) / values[v3]
+    coeffs, _ = integer_row(row, 0)
+    total = sum(c * values[v] for v, c in coeffs.items()) if solved else None
+    verdict = system.settled(v1, coeffs[v1], v2, coeffs[v2], v3, coeffs[v3])
+    assert verdict is (solved and (system.contradiction is not None or total == 0))
+    if verdict:
+        before = copy.deepcopy(system_state(system))
+        system.add_equation(coeffs, 0, "new")
+        assert system_state(system) == before
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows_strategy.filter(bool), st.data())
 def test_scaling_a_row_changes_nothing(raw, data):
@@ -321,23 +380,40 @@ def assert_window_solve_matches_reference(alpha, beta1, betam1, window):
     ((Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)), 3),
     ((Fraction(1), Fraction(0), Fraction(1)), 4),
     ((Fraction(1), Fraction(-3), Fraction(0)), 3),
-    # k = i + j on beta1 + betam1 = -1: instance (-2, 1, -1) has three zero coefficients
+    # k = i + j on beta1 + betam1 = -1: instance (-2, 1, -1) has three zero
+    # coefficients, and its unknowns are solved when it is met
     ((Fraction(1), Fraction(2), Fraction(-3)), 3),
+    # the same, with instance (0, 1, 1) met before its unknowns are solved
+    ((Fraction(-4), Fraction(3), Fraction(-4)), 3),
 ])
 def test_window_rows_reach_the_system_in_sweep_order(monkeypatch, point, window):
-    # skipped instances and empty rows (the k = 0 instances and any all-zero
-    # k != 0 instance) never reach it
-    tags = []
-    add_equation = LinearSystem.add_equation
+    # every admitted k != 0 instance is put to ``settled`` once, in sweep
+    # order; those it does not decide go on to ``add_equation`` unless all
+    # their coefficients are zero.  Skipped instances and the empty k = 0
+    # rows reach neither.
+    asked, added = [], []
+    settled, add_equation = LinearSystem.settled, LinearSystem.add_equation
 
-    def spy(system, coeffs, const, tag):
-        tags.append(tag)
+    def settled_spy(system, *terms):
+        (i, j), k = terms[4], terms[0][0] - terms[4][0]
+        verdict = settled(system, *terms)
+        asked.append((("eq", i, j, k), verdict))
+        return verdict
+
+    def add_spy(system, coeffs, const, tag):
+        added.append(tag)
         return add_equation(system, coeffs, const, tag)
 
-    monkeypatch.setattr(LinearSystem, "add_equation", spy)
+    monkeypatch.setattr(LinearSystem, "settled", settled_spy)
+    monkeypatch.setattr(LinearSystem, "add_equation", add_spy)
     solve_c_window(ClassificationParams(*point), window)
     rows, _ = reference_window(*point, window)
-    assert tags == [tag for coeffs, _, tag in rows if any(coeffs.values())]
+    rows = [(coeffs, tag) for coeffs, _, tag in rows[1:] if tag[3]]
+    assert [tag for tag, _ in asked] == [tag for _, tag in rows]
+    assert added == [("norm",)] + [
+        tag for (coeffs, tag), (_, verdict) in zip(rows, asked)
+        if not verdict and any(coeffs.values())
+    ]
 
 
 def test_the_sweep_order_is_shared_across_solves():
