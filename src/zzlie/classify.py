@@ -99,11 +99,6 @@ def _terms(p, i, j, k):
             (i, j), -d * (i + j - k))
 
 
-def _row(terms):
-    """The map of the nonzero coefficients of ``_terms``, in their order."""
-    return {u: c for u, c in zip(terms[::2], terms[1::2]) if c}
-
-
 def recurrence_equation(p, i, j, k):
     """One instance of the recurrence as unknown -> coefficient, plus guard.
 
@@ -120,7 +115,8 @@ def recurrence_equation(p, i, j, k):
     included.
     """
     skipped = p._guarded and not _guard_literal(p, i, j, k)
-    return {"coeffs": _row(_terms(p, i, j, k)) if k else {}, "skipped": skipped}
+    t = _terms(p, i, j, k) if k else ()
+    return {"coeffs": {u: c for u, c in zip(t[::2], t[1::2]) if c}, "skipped": skipped}
 
 
 @dataclass
@@ -212,9 +208,9 @@ def solve_c_window(p, window):
     and coefficients (``_terms``, the formula ``recurrence_equation`` also
     reads) and put to ``LinearSystem.settled`` first; a row over solved
     unknowns that changes nothing (most rows of a W=6 solve) is never
-    built.  Any other instance builds one map, its nonzero coefficients
-    (``_row``), which is added at once; the empty k = 0 rows and any
-    all-zero row are not added.  For a consistent system the
+    built.  Any other instance is added at once as its three (unknown,
+    coefficient) pairs, zeros included (an all-zero row changes nothing);
+    the empty k = 0 rows are not added.  For a consistent system the
     order is irrelevant.  On an inconsistent system the certificate names a
     contradicting equation subset; values and undetermined unknowns then
     describe the maximal consistent subsystem met in sweep order (the
@@ -226,13 +222,13 @@ def solve_c_window(p, window):
     rng = window_range(window, 2)
     unknowns = [(i, j) for i in rng for j in rng]
     system = LinearSystem()
-    system.add_equation({(0, 0): p._den}, 2 * p._nums[0], ("norm",))
+    system.add_equation((((0, 0), p._den),), 2 * p._nums[0], ("norm",))
     skipped, guarded, settled = 0, p._guarded, system.settled
     for i, j, k in _sweep_order(window):
         if guarded and not _guard_literal(p, i, j, k):
             skipped += 1
-        elif k and not settled(*(terms := _terms(p, i, j, k))) and (coeffs := _row(terms)):
-            system.add_equation(coeffs, 0, ("eq", i, j, k))
+        elif k and not settled(*(t := _terms(p, i, j, k))):
+            system.add_equation(zip(t[::2], t[1::2]), 0, ("eq", i, j, k))
     # the system keeps only the first contradiction met in sweep order
     tags = system.certificate_tags()
     certificate = None if tags is None else [list(t) for t in tags]
@@ -396,13 +392,14 @@ def check_impossibility(alpha, window):
     (-1, s+1).  So the rank equals the number of unknowns for every alpha
     and every window >= 2, and ``only_zero`` reports that rank check.
 
-    Only rows that raise the rank are built.  The i = 0 rows vanish
-    (A = B), and a row whose unknowns are all solved is redundant: the
-    system is homogeneous, so a solved unknown is 0 and the row is a
-    combination of the rows that solved it.  So the k rows of (i, j) stop
-    once d'_{i,j} and d'_{0,i+j} are both solved, and a one-unknown row
-    (A or B zero at an integral 4 alpha) over a solved unknown is never
-    built.  Skipping them changes neither the rank nor ``only_zero``.
+    Only rows that raise the rank are built, as two (unknown, coefficient)
+    pairs.  The i = 0 rows vanish (A = B), and a row whose unknowns are all
+    solved is redundant: the system is homogeneous, so a solved unknown is
+    0 and the row is a combination of the rows that solved it.  So the k
+    rows of (i, j) stop once d'_{i,j} and d'_{0,i+j} are both solved, and a
+    row is built only when an unsolved unknown has a nonzero coefficient: a
+    one-unknown row (A or B zero at an integral 4 alpha) over a solved
+    unknown never is.  Skipping them changes neither rank nor ``only_zero``.
     """
     den, (num,) = integer_scaled([exact_number(alpha, "alpha")])
     rng = window_range(window, 2)
@@ -412,15 +409,14 @@ def check_impossibility(alpha, window):
     for i, j in unknowns:
         if i == 0:  # A = B: every row is zero
             continue
-        pair = ((i, j), (0, i + j))
+        pair = u, v = (i, j), (0, i + j)
         for k in rng:
             unsolved = system.undetermined(pair)
             if not unsolved:
                 break
             a = 4 * num - (7 * i + 7 * j + k) * den
             b = -(4 * num + (9 * i - 7 * j - k) * den)
-            coeffs = {v: c for v, c in zip(pair, (a, b)) if c}
-            if not coeffs.keys().isdisjoint(unsolved):
-                system.add_equation(coeffs, 0, ("eq", i, j, k))
+            if a and u in unsolved or b and v in unsolved:
+                system.add_equation(((u, a), (v, b)), 0, ("eq", i, j, k))
     rank = system.rank()
     return {"only_zero": rank == len(unknowns), "rank": rank, "unknowns": len(unknowns)}

@@ -5,8 +5,9 @@ deterministic (sorted keys, canonical "p/q" rationals) and identical in
 information across --format json|csv|text: csv and text print one row per
 JSON leaf or empty list/dict, with null, true, false, [] and {} as JSON
 writes them (``table`` prints one row per bracket).  Exit codes: 0 success /
-all checks pass, 1 violation or infeasibility found, 2 usage error or an
-``--out`` path that cannot be written.
+all checks pass, 1 violation or infeasibility found, 2 usage error, a
+window past the platform's index range or an ``--out`` path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def main(argv=None):
         if [] in vars(args).values():  # argparse before 3.12 reads "--flag=--" as []
             raise UsageError("a flag's value may not be '--'")
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,28 +6,26 @@ positive lead, divided by the gcd of its entries.  Elimination and
 back-substitution share one step, ``_cancel``, which cross-multiplies (or
 divides exactly, when a lead divides the factor); the gcd is divided out of
 every row installed or updated, so no ``Fraction`` is built per row or per
-step.  Rows come in as ints (callers set their equations up over a common
-denominator); solved values come out as ``Fraction(const, lead)``.
-Work is done only where the system can change.  A row whose unknowns are
-all solved (their pivot rows are empty) is decided by one int sum of
-c*const/lead over a common denominator, read straight from the caller's
-map: it is neither copied nor eliminated.  A caller with homogeneous
-three-term rows asks ``settled`` first: it decides such a row from its
-unknowns and coefficients alone, before any map of it exists, and only the
-rows it leaves open are built and added.  A row with one more unknown that
-is not yet a pivot is solved for it from the same sum, and that value is
-installed as an empty pivot row without elimination.  A new pivot is
-back-substituted only into the open pivot rows (the non-empty ones), since
-a solved row never changes again; both ways of installing a pivot share
-that step, ``_install``.
+step.  A row comes in as (unknown, int coefficient) pairs, with an int
+constant (callers set their equations up over a common denominator);
+solved values come out as ``Fraction(const, lead)``.  Work is done only
+where the system can change.  A row whose unknowns are all solved (their
+pivot rows are empty) is decided by one int sum of c*const/lead over a
+common denominator, read off its pairs; ``settled`` decides a homogeneous
+three-term row so before it is built.  A row with one more unknown that is
+not yet a pivot is solved for it from the same sum and installed as an
+empty pivot row.  Only a row that needs elimination becomes a map, for
+``_eliminate``.  A new pivot is back-substituted only into the open pivot
+rows (the non-empty ones), since a solved row never changes again; both
+ways of installing a pivot share that step, ``_install``.
 
 Every row added to the system carries an opaque tag, and the system
-remembers the rows that raised its rank.  Elimination tracks no provenance:
-at the first contradiction one transposed solve over those rows finds the
-combination that produces the contradicting row, and its tags form a minimal
-certificate of equations with no common solution.  That solve takes its
-rows (the columns of the installed rows) shortest first; its solution is
-unique, so the order changes only the cost.
+remembers the rows that raised its rank, as the pairs they were given.
+Elimination tracks no provenance: at the first contradiction one transposed
+solve over those rows finds the combination that produces the contradicting
+row, and its tags form a minimal certificate of equations with no common
+solution.  That solve takes its rows (the columns of the installed rows)
+shortest first; its solution is unique, so the order changes only the cost.
 
 ``propagate_scalars`` solves the multiplicative systems behind the diagonal
 isomorphism and intertwiner searches from unit seeds, taken as the rows the
@@ -41,10 +39,11 @@ per unknown of the result.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import accumulate
+from .poly import UsageError, accumulate
 
 __all__ = ["LinearSystem"]
 
@@ -82,14 +81,10 @@ class LinearSystem:
     lead*x + sum(row[v]*v) = const, lead > 0 and the gcd of all entries 1,
     where no row mentions another pivot unknown.  Rows must have int
     coefficients and an int constant: scale a rational row over its common
-    denominator first.
-
-    A row over solved unknowns only is redundant or contradicting by one
-    int sum, and one with a single fresh unknown besides is solved for it
-    from that sum; any other row is eliminated.  ``_open`` holds, in install
-    order, the pivot unknowns whose row is not empty, and a new pivot is
-    back-substituted into those alone: a row that empties leaves it, and a
-    solved row never changes again.
+    denominator first.  ``_open`` holds, in install order, the pivot
+    unknowns whose row is not empty, and a new pivot is back-substituted
+    into those alone: a row that empties leaves it, and a solved row never
+    changes again.
 
     The rows that raised the rank are linearly independent, so a
     contradicting row is a unique combination of them plus a nonzero
@@ -101,7 +96,7 @@ class LinearSystem:
     def __init__(self):
         self.pivots = {}  # unknown -> (row, const, lead)
         self._open = {}  # pivot unknowns whose row is not empty, as dict keys
-        self._installed = []  # (coeffs, tag) of each row that raised the rank
+        self._installed = []  # (terms, tag) of each row that raised the rank, as given
         self.contradiction = None  # tag combination of the first inconsistent row
 
     def _eliminate(self, coeffs, const):
@@ -141,19 +136,22 @@ class LinearSystem:
         if pivot[0]:
             opened[var] = None
 
-    def _combination(self, coeffs, tag):
-        """Tag combination of the contradicting row ``coeffs`` tagged ``tag``.
+    def _combination(self, terms, tag):
+        """Tag combination of the contradicting row ``terms`` tagged ``tag``.
 
-        Solves sum_t y_t * row_t = coeffs over the installed rows (unique, as
+        Solves sum_t y_t * row_t = row over the installed rows (unique, as
         they are independent); the row minus that sum reads 0 = nonzero.
-        The dual system takes its rows (the columns of the installed rows)
-        shortest first, which keeps its pivot rows short; as the solution
-        is unique, the order changes nothing else.
+        The installed rows' pairs are read with zeros skipped, and only here
+        is the contradicting row a map.  The dual system takes its rows (the
+        columns of the installed rows) shortest first, which keeps its pivot
+        rows short; as the solution is unique, the order changes nothing else.
         """
         columns = defaultdict(dict)
         for t, (row, _) in enumerate(self._installed):
-            for var, c in row.items():
-                columns[var][t] = c
+            for var, c in row:
+                if c:
+                    columns[var][t] = c
+        coeffs = dict(terms)
         dual = LinearSystem()
         for var, column in sorted(columns.items(), key=lambda item: len(item[1])):
             dual._eliminate(column, coeffs.get(var, 0))
@@ -179,26 +177,29 @@ class LinearSystem:
         return (self.contradiction is not None
                 or not c1 * n1 * l2 * l3 + c2 * n2 * l1 * l3 + c3 * n3 * l1 * l2)
 
-    def add_equation(self, coeffs, const, tag):
-        """Add sum(coeffs[v]*v) = const; returns False on contradiction.
+    def add_equation(self, terms, const, tag):
+        """Add sum(c*v for v, c in terms) = const; returns False on contradiction.
 
-        ``coeffs`` maps unknowns to ints, zeros allowed, and ``const`` is an
-        int; the caller's map is not changed.  One walk over that map reads
-        the pivots of its unknowns.  A row over solved unknowns is decided
-        by its int sum (``settled`` decides a three-term homogeneous one
-        before its map exists, unless it contradicts first).  A row over
-        solved unknowns and one fresh unknown (not yet a pivot) is solved
-        for it from the same sum and installed as an empty pivot row,
-        without elimination.  Any other row is copied without zeros and
-        eliminated.  A contradictory row is not installed; the first one is
-        remembered (certificate) and the rest of the system stays usable.
+        ``terms`` is a sequence of (unknown, int coefficient) pairs over
+        distinct unknowns, zeros allowed, read once into a tuple (so a
+        generator works); a mapping is refused with ``UsageError`` (pass
+        its ``.items()``).  ``const`` is an int.  A zero coefficient is
+        skipped: it neither solves nor installs its unknown.  The row is
+        decided by its int sum, solved for its one fresh unknown, or else
+        eliminated as the map of its nonzero coefficients (module
+        docstring); a row that raises the rank is kept as its pairs.  The
+        first contradictory row is remembered (certificate), none is
+        installed, and the rest of the system stays usable.
         """
+        if isinstance(terms, Mapping):
+            raise UsageError("a row is (unknown, coefficient) pairs: pass a mapping's .items()")
+        terms = tuple(terms)
         # While every unknown but one fresh one is solved, keep
         # sum(c*const/lead) - const over the solved ones as the int fraction
         # residue/den; an open pivot or a second fresh unknown needs elimination.
         pivots = self.pivots
         residue, den, fresh = -const, 1, None
-        for var, c in coeffs.items():
+        for var, c in terms:
             if not c:
                 continue
             piv = pivots.get(var)
@@ -210,10 +211,9 @@ class LinearSystem:
                 residue = residue * piv[2] + c * piv[1] * den
                 den *= piv[2]
                 continue
-            clean = {v: c for v, c in coeffs.items() if c}
-            residue = self._eliminate(dict(clean), const)
+            residue = self._eliminate({v: c for v, c in terms if c}, const)
             if residue is None:
-                self._installed.append((clean, tag))
+                self._installed.append((terms, tag))
                 return True
             break
         else:
@@ -221,13 +221,12 @@ class LinearSystem:
                 # lead*x + residue/den = 0, so x = -residue/(den*lead)
                 lead *= den
                 self._install(fresh, _primitive({}, -residue if lead > 0 else residue, abs(lead)))
-                self._installed.append(({v: c for v, c in coeffs.items() if c}, tag))
+                self._installed.append((terms, tag))
                 return True
         if not residue:
             return True
         if self.contradiction is None:
-            # reads coeffs[v] only for installed unknowns; a zero reads as absent
-            self.contradiction = self._combination(coeffs, tag)
+            self.contradiction = self._combination(terms, tag)
         return False
 
     def solved_values(self):

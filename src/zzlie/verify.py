@@ -397,7 +397,7 @@ def find_diagonal_isomorphism(alg_a, alg_b, index_map, window):
     codes = idxs.codes
     a_central = set(alg_a.central_degrees().values())
     b_central = set(alg_b.central_degrees().values())
-    images = [(a, index_map(a)) for a in idxs]
+    images = [(a, tuple(index_map(a))) for a in idxs]
     mapped = [(a, m) for a, m in images if alg_b.in_domain(*m)]
     sources, targets = Window([a for a, _ in mapped]), Window([m for _, m in mapped])
     code = dict(zip(idxs, codes))  # ints that add like the pairs

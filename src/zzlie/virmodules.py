@@ -129,10 +129,12 @@ class ModVector(SparseVector):
 
 
 def act(m, i, x):
-    """Linear extension of the basis action of L_i: ``numerators`` over ``den``."""
+    """L_i x by linearity from ``numerators`` over ``den``; its indices are ints in the support."""
+    if i.__class__ is not int:
+        raise ValueError(f"L_{i} is not an int index")
     image = []
     for (k, c), n in zip(x.terms.items(), m.numerators(i, x.terms)):
-        if not m.supports(k):
+        if k.__class__ is not int or not m.supports(k):
             raise ValueError(f"v_{k} is outside the module support")
         if m.supports(i + k):
             image.append((i + k, c * Fraction(n, m.den)))

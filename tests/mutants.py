@@ -100,10 +100,17 @@ MUTANTS = [
     Mutant("settled-contradiction-test-inverted", "linsolve.py",
            "self.contradiction is not None\n", "self.contradiction is None\n",
            (_SETTLED, _SETTLED_RULE)),
-    # solve_c_window: an all-zero k != 0 row that ``settled`` leaves open reaches the system
-    Mutant("solve-loop-hands-over-all-zero-rows", "classify.py",
-           "and (coeffs := _row(terms)):", "and (coeffs := _row(terms)) is not None:",
-           (_LINSOLVE + "test_window_rows_reach_the_system_in_sweep_order[point6-3]",)),
+    # LinearSystem.add_equation: a zero coefficient on an unsolved unknown
+    # is read as its fresh unknown, which it then installs with lead 0
+    Mutant("walk-reads-a-zero-coefficient", "linsolve.py",
+           "            if not c:\n                continue\n", "",
+           (_LINSOLVE + "test_add_equation_leaves_the_callers_row_alone_on_every_path",
+            _LINSOLVE + "test_matches_tagged_elimination")),
+    # LinearSystem.add_equation: a mapping read as a sequence gives its keys,
+    # so a key (0, 1) reads as the pair "unknown 0, coefficient 1"
+    Mutant("mapping-keys-read-as-pairs", "linsolve.py",
+           "if isinstance(terms, Mapping):", "if False:",
+           (_LINSOLVE + "test_add_equation_refuses_a_mapping",)),
     # _kronecker: a radix that bounds the entries but not their products
     Mutant("radix-bounds-only-the-entries", "verify.py",
            "bits, e = 2 * m.bit_length() + 3,", "bits, e = m.bit_length() + 1,",
@@ -217,6 +224,15 @@ MUTANTS = [
     Mutant("row-window-takes-a-repeated-pair", "algebras.py",
            "if len(win.pos) < len(win):", "if False:",
            (_ALGEBRAS + "test_row_forms_refuse_a_repeated_pair",)),
+    # act: an index that only equals an int, or is no int at all, is taken
+    Mutant("act-takes-a-non-int-index", "virmodules.py",
+           "if k.__class__ is not int or not m.supports(k):", "if not m.supports(k):",
+           ("tests/test_virmodules.py::test_act_refuses_an_index_that_is_not_an_int",)),
+    # find_diagonal_isomorphism: a list image is taken as it is, and a
+    # Window of list pairs cannot be built
+    Mutant("isomorphism-images-taken-as-given", "verify.py",
+           "tuple(index_map(a))", "index_map(a)",
+           (_VERIFY + "test_isomorphism_takes_list_images_as_tuples",)),
     # find_diagonal_isomorphism: an index whose image is outside B's domain
     # and not central is dropped, so a partial map gives a witness
     Mutant("isomorphism-drops-an-index-without-an-image", "verify.py",

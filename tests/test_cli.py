@@ -98,6 +98,16 @@ def test_negative_table_window_exits_two(capsys):
     assert captured.err == "error: window must be >= 0\n"
 
 
+def test_window_past_the_index_range_exits_two(capsys):
+    # the module sweep's index table cannot hold 2W + 1 entries
+    code = main(["module", "check", "--family", "a_ab", "--alpha", "1", "--beta", "0",
+                 "--window", "99999999999999999999"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_oversized_coefficient_exits_two_naming_the_digit_limit(capsys):
     # the coefficient of this c(1) bracket has 10,938 digits
     code = main(["bracket", "--family", "c", "--alpha", "1", "--left=1,3000", "--right=0,-6000"])

@@ -1,6 +1,7 @@
 import copy
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from zzlie.classify import (
     solve_c_window,
 )
 from zzlie.linsolve import LinearSystem
-from zzlie.poly import integer_scaled
+from zzlie.poly import UsageError, integer_scaled
 
 from reference import tagged_elimination
 
@@ -32,9 +33,9 @@ def assert_minimal_certificate(rows, tags):
 
 def test_consistent_solve():
     system = LinearSystem()
-    assert system.add_equation({"x": 1, "y": 1}, 3, "a")
-    assert system.add_equation({"x": 1, "y": -1, "z": 0}, 1, "b")
-    assert system.add_equation({"z": 2, "w": 1}, 4, "c")
+    assert system.add_equation([("x", 1), ("y", 1)], 3, "a")
+    assert system.add_equation([("x", 1), ("y", -1), ("z", 0)], 1, "b")
+    assert system.add_equation([("z", 2), ("w", 1)], 4, "c")
     assert system.rank() == 3
     assert system.solved_values() == {"x": 2, "y": 1}
     assert system.undetermined(["w", "x", "y", "z"]) == ["w", "z"]
@@ -43,31 +44,31 @@ def test_consistent_solve():
 
 def test_redundant_row_is_accepted_and_never_certified():
     system = LinearSystem()
-    assert system.add_equation({"x": 1, "y": 1}, 3, "a")
-    assert system.add_equation({"x": 2, "y": 2}, 6, "twice a")
+    assert system.add_equation([("x", 1), ("y", 1)], 3, "a")
+    assert system.add_equation([("x", 2), ("y", 2)], 6, "twice a")
     assert system.rank() == 1
     assert system.certificate_tags() is None
-    assert system.add_equation({"x": 1, "y": -1}, 1, "b")
-    assert not system.add_equation({"x": 1}, 5, "c")
+    assert system.add_equation([("x", 1), ("y", -1)], 1, "b")
+    assert not system.add_equation([("x", 1)], 5, "c")
     assert system.certificate_tags() == ["a", "b", "c"]
 
 
 def test_first_contradiction_is_kept():
     system = LinearSystem()
-    system.add_equation({"x": 1}, 1, "a")
-    system.add_equation({"y": 1}, 2, "b")
-    assert not system.add_equation({"x": 1}, 0, "first")
-    assert not system.add_equation({"y": 1}, 0, "second")
-    assert not system.add_equation({"x": 1, "y": 1}, 0, "third")
+    system.add_equation([("x", 1)], 1, "a")
+    system.add_equation([("y", 1)], 2, "b")
+    assert not system.add_equation([("x", 1)], 0, "first")
+    assert not system.add_equation([("y", 1)], 0, "second")
+    assert not system.add_equation([("x", 1), ("y", 1)], 0, "third")
     assert system.certificate_tags() == ["a", "first"]
     assert system.contradiction == {"a": -1, "first": 1}
 
 
 def test_rows_after_a_contradiction_still_install():
     system = LinearSystem()
-    system.add_equation({"x": 1}, 1, "a")
-    assert not system.add_equation({"x": 1}, 2, "bad")
-    assert system.add_equation({"x": 1, "y": 1}, 4, "b")
+    system.add_equation([("x", 1)], 1, "a")
+    assert not system.add_equation([("x", 1)], 2, "bad")
+    assert system.add_equation([("x", 1), ("y", 1)], 4, "b")
     assert system.solved_values() == {"x": 1, "y": 3}
     assert system.rank() == 2
     assert system.certificate_tags() == ["a", "bad"]
@@ -109,8 +110,8 @@ def assert_matches_tagged_elimination(raw):
     rows = [(coeffs, const, ("row", n)) for n, (coeffs, const) in enumerate(raw)]
     system = LinearSystem()
     results = []
-    for row in rows:
-        results.append(system.add_equation(*row))
+    for coeffs, const, tag in rows:
+        results.append(system.add_equation(coeffs.items(), const, tag))
         assert set(system._open) == {v for v, (prow, _, _) in system.pivots.items() if prow}
     expected_results, expected_pivots, expected_combo = tagged_elimination(rows)
     assert results == expected_results
@@ -137,32 +138,32 @@ def test_matches_tagged_elimination(raw):
 
 def test_rows_over_solved_unknowns_are_decided_by_their_sum():
     system = LinearSystem()
-    assert system.add_equation({"x": 3}, 2, "x")
-    assert system.add_equation({"y": -5}, 4, "y")
+    assert system.add_equation([("x", 3)], 2, "x")
+    assert system.add_equation([("y", -5)], 4, "y")
     assert system.pivots == {"x": ({}, 2, 3), "y": ({}, -4, 5)}
-    assert system.add_equation({"x": 6, "y": 5}, 0, "sum")  # 4 - 4 = 0
-    assert system.add_equation({"x": -9}, -6, "scaled x")
+    assert system.add_equation([("x", 6), ("y", 5)], 0, "sum")  # 4 - 4 = 0
+    assert system.add_equation([("x", -9)], -6, "scaled x")
     assert system.rank() == 2 and system.contradiction is None
-    assert not system.add_equation({"x": 3, "y": 5}, 0, "off")  # 2 - 4 != 0
+    assert not system.add_equation([("x", 3), ("y", 5)], 0, "off")  # 2 - 4 != 0
     assert system.certificate_tags() == ["off", "x", "y"]
-    assert not system.add_equation({}, 1, "0 = 1")
-    assert system.add_equation({"x": 0}, 0, "0 = 0")
+    assert not system.add_equation([], 1, "0 = 1")
+    assert system.add_equation([("x", 0)], 0, "0 = 0")
     assert system.certificate_tags() == ["off", "x", "y"]
     # a fresh unknown (not a pivot) over solved ones is solved from the same
     # sum: 3x + 5y = -2, so -2z = 4 + 2, with a negative coefficient
-    assert system.add_equation({"x": 3, "z": -2, "y": 5}, 4, "z")
+    assert system.add_equation([("x", 3), ("z", -2), ("y", 5)], 4, "z")
     assert system.pivots["z"] == ({}, -3, 1) and not system._open
     # a fresh unknown in an open pivot row is back-substituted into that row
     system = LinearSystem()
-    assert system.add_equation({"x": 1, "y": 1}, 3, "x + y")
-    assert system.add_equation({"y": 2}, 4, "2y")
+    assert system.add_equation([("x", 1), ("y", 1)], 3, "x + y")
+    assert system.add_equation([("y", 2)], 4, "2y")
     assert system.pivots == {"x": ({}, 1, 1), "y": ({}, 2, 1)} and not system._open
-    assert not system.add_equation({"x": 1}, 2, "x = 2")
+    assert not system.add_equation([("x", 1)], 2, "x = 2")
     assert system.certificate_tags() == ["2y", "x + y", "x = 2"]
     # an unknown with an open pivot row is eliminated, not solved afresh
     system = LinearSystem()
-    assert system.add_equation({"x": 1, "y": 1}, 3, "x + y")
-    assert system.add_equation({"x": 1}, 1, "x")
+    assert system.add_equation([("x", 1), ("y", 1)], 3, "x + y")
+    assert system.add_equation([("x", 1)], 1, "x")
     assert system.pivots == {"x": ({}, 1, 1), "y": ({}, 2, 1)} and not system._open
 
 
@@ -209,16 +210,16 @@ def test_solved_rows_match_tagged_elimination(raw):
 
 def test_settled_decides_rows_over_solved_unknowns_by_their_sum():
     system = LinearSystem()
-    system.add_equation({"x": 3}, 2, "x")
-    system.add_equation({"y": -5}, 4, "y")
-    system.add_equation({"u": 2}, 1, "u")
-    system.add_equation({"w": 1, "z": 1}, 0, "w + z")  # w's pivot row is open
+    system.add_equation([("x", 3)], 2, "x")
+    system.add_equation([("y", -5)], 4, "y")
+    system.add_equation([("u", 2)], 1, "u")
+    system.add_equation([("w", 1), ("z", 1)], 0, "w + z")  # w's pivot row is open
     assert system.settled("x", 6, "y", 5, "u", 0)  # 4 - 4 = 0, every lead a factor
     assert system.settled("x", 6, "u", 0, "y", 5)
     assert not system.settled("x", 3, "y", 5, "u", 0)  # 2 - 4 != 0
     assert not system.settled("x", 6, "y", 5, "w", 0)
     assert not system.settled("x", 6, "y", 5, "z", 0)  # z is no pivot
-    assert not system.add_equation({"x": 3, "y": 5}, 0, "off")
+    assert not system.add_equation([("x", 3), ("y", 5)], 0, "off")
     # after a contradiction a row over solved unknowns changes nothing
     assert system.settled("x", 3, "y", 5, "u", 0)
     assert not system.settled("x", 3, "y", 5, "w", 0)
@@ -231,7 +232,7 @@ def system_state(system):
 
 def system_from(raw):
     system = LinearSystem()
-    results = [system.add_equation(coeffs, const, ("row", n))
+    results = [system.add_equation(coeffs.items(), const, ("row", n))
                for n, (coeffs, const) in enumerate(raw)]
     return system, results
 
@@ -261,7 +262,7 @@ def test_settled_rows_are_those_that_change_nothing(raw, data):
     assert verdict is (solved and (system.contradiction is not None or total == 0))
     if verdict:
         before = copy.deepcopy(system_state(system))
-        system.add_equation(coeffs, 0, "new")
+        system.add_equation(coeffs.items(), 0, "new")
         assert system_state(system) == before
 
 
@@ -272,10 +273,10 @@ def test_scaling_a_row_changes_nothing(raw, data):
     m = data.draw(st.integers(-3, 3).filter(bool))
     plain, scaled = LinearSystem(), LinearSystem()
     for t, (coeffs, const) in enumerate(raw):
-        plain.add_equation(coeffs, const, ("row", t))
+        plain.add_equation(coeffs.items(), const, ("row", t))
         if t == n:
             coeffs, const = {v: m * c for v, c in coeffs.items()}, m * const
-        scaled.add_equation(coeffs, const, ("row", t))
+        scaled.add_equation(coeffs.items(), const, ("row", t))
     assert scaled.solved_values() == plain.solved_values()
     assert scaled.rank() == plain.rank()
     assert scaled.undetermined(range(4)) == plain.undetermined(range(4))
@@ -388,9 +389,10 @@ def assert_window_solve_matches_reference(alpha, beta1, betam1, window):
 ])
 def test_window_rows_reach_the_system_in_sweep_order(monkeypatch, point, window):
     # every admitted k != 0 instance is put to ``settled`` once, in sweep
-    # order; those it does not decide go on to ``add_equation`` unless all
-    # their coefficients are zero.  Skipped instances and the empty k = 0
-    # rows reach neither.
+    # order; every one it does not decide goes on to ``add_equation`` as its
+    # three (unknown, coefficient) pairs, all-zero rows included, with the
+    # reference's unknowns and zero pattern.  Skipped instances and the empty
+    # k = 0 rows reach neither.
     asked, added = [], []
     settled, add_equation = LinearSystem.settled, LinearSystem.add_equation
 
@@ -400,9 +402,10 @@ def test_window_rows_reach_the_system_in_sweep_order(monkeypatch, point, window)
         asked.append((("eq", i, j, k), verdict))
         return verdict
 
-    def add_spy(system, coeffs, const, tag):
-        added.append(tag)
-        return add_equation(system, coeffs, const, tag)
+    def add_spy(system, terms, const, tag):
+        terms = tuple(terms)
+        added.append((tag, [(u, bool(c)) for u, c in terms]))
+        return add_equation(system, terms, const, tag)
 
     monkeypatch.setattr(LinearSystem, "settled", settled_spy)
     monkeypatch.setattr(LinearSystem, "add_equation", add_spy)
@@ -410,9 +413,9 @@ def test_window_rows_reach_the_system_in_sweep_order(monkeypatch, point, window)
     rows, _ = reference_window(*point, window)
     rows = [(coeffs, tag) for coeffs, _, tag in rows[1:] if tag[3]]
     assert [tag for tag, _ in asked] == [tag for _, tag in rows]
-    assert added == [("norm",)] + [
-        tag for (coeffs, tag), (_, verdict) in zip(rows, asked)
-        if not verdict and any(coeffs.values())
+    assert added == [(("norm",), [((0, 0), True)])] + [
+        (tag, [(u, bool(c)) for u, c in coeffs.items()])
+        for (coeffs, tag), (_, verdict) in zip(rows, asked) if not verdict
     ]
 
 
@@ -425,9 +428,9 @@ def test_the_sweep_order_is_shared_across_solves():
 
 def test_add_equation_leaves_the_callers_row_alone_on_every_path():
     def add(system, coeffs, const, tag):
-        row = dict(coeffs)
+        row = list(coeffs.items())
         result = system.add_equation(row, const, tag)
-        assert row == coeffs
+        assert row == list(coeffs.items())
         return result
 
     system = LinearSystem()
@@ -457,6 +460,32 @@ def test_add_equation_leaves_the_callers_row_alone_on_every_path():
     assert not add(plain, {"x": 2, "y": 2}, 7, "off")
     assert not add(twin, {"y": 2, "v": 0, "x": 2}, 7, "off")
     assert twin.contradiction == plain.contradiction == {"off": 1, "a": -2}
+
+
+def test_add_equation_refuses_a_mapping():
+    # read as a sequence, a map would give its keys: here (0, 1) would read
+    # as the pair "unknown 0, coefficient 1"
+    system = LinearSystem()
+    system.add_equation([("x", 1)], 2, "x")
+    for row in ({(0, 1): 3}, {"x": 1, "y": 2}, MappingProxyType({"y": 1})):
+        with pytest.raises(UsageError, match=r"\.items\(\)"):
+            system.add_equation(row, 0, "map")
+    assert system_state(system) == ({"x": ({}, 2, 1)}, [], [((("x", 1),), "x")], None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rows_strategy, solved_rows_strategy()))
+def test_a_generator_of_pairs_gives_the_same_system_as_a_tuple(raw):
+    given_as = {}
+    for form in (tuple, iter):
+        system = LinearSystem()
+        results = [system.add_equation(form(tuple(coeffs.items())), const, ("row", n))
+                   for n, (coeffs, const) in enumerate(raw)]
+        given_as[form] = results, system_state(system)
+    assert given_as[iter] == given_as[tuple]
+    # the rows that raised the rank are kept as the pairs they were given
+    _, (_, _, installed, _) = given_as[tuple]
+    assert all(terms == tuple(raw[n][0].items()) for terms, (_, n) in installed)
 
 
 # an integral alpha makes A or B vanish at some k, which gives one-unknown rows

@@ -1107,6 +1107,17 @@ def test_isomorphism_maps_each_window_index_once():
     assert set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("alg_a, alg_b, index_map, found", [
+    (AlgebraSpec("d", 1, 3), AlgebraSpec("d", 1, 3), lambda t: (t[0], t[1]), True),
+    (AlgebraSpec("bplus-", 1), AlgebraSpec("block", 1, 1), lambda t: (t[1], -t[0]), True),
+    (AlgebraSpec("block", 1, 1), AlgebraSpec("bplus-", 1), lambda t: (-t[1], t[0]), False),
+], ids=["d-identity", "bplus-rotated-into-block", "block-rotated-partially"])
+def test_isomorphism_takes_list_images_as_tuples(alg_a, alg_b, index_map, found):
+    lam = find_diagonal_isomorphism(alg_a, alg_b, index_map, 2)
+    assert (lam is not None) is found
+    assert find_diagonal_isomorphism(alg_a, alg_b, lambda t: list(index_map(t)), 2) == lam
+
+
 def test_isomorphism_reads_no_terms(monkeypatch):
     calls = Counter()
 

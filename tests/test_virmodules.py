@@ -17,7 +17,13 @@ from zzlie.virmodules import (
     irreducible_subquotient,
 )
 
-from reference import Perturbed, act_reference_sweep, reference_coeff, reference_intertwiner
+from reference import (
+    Perturbed,
+    act_reference_sweep,
+    reference_act,
+    reference_coeff,
+    reference_intertwiner,
+)
 
 
 def test_two_parameter_action():
@@ -42,6 +48,39 @@ def test_b_family_kills_v0():
 def test_b_family_exceptional_row():
     m = ModuleSpec("b_paren", 1)
     assert act(m, 2, ModVector.basis(-2)).terms == {0: Fraction(-6)}
+
+
+@pytest.mark.parametrize("m", [
+    ModuleSpec("a_ab", Fraction(1, 2), Fraction(-2, 3)),
+    ModuleSpec("a_paren", Fraction(3, 2)),
+    ModuleSpec("b_paren", -2),
+    irreducible_subquotient(ModuleSpec("a_ab", 2, 0)),
+    irreducible_subquotient(ModuleSpec("a_ab", -1, 1)),
+    Perturbed(ModuleSpec("a_ab", Fraction(1, 2), 3), (1, 2)),
+], ids=["a_ab", "a_paren", "b_paren", "quotient", "submodule", "perturbed"])
+def test_act_matches_reference_coeff(m):
+    # act reads ``numerators``; the reference reads the Fraction formulas
+    rng = range(-4, 5)
+    for i in rng:
+        for k in filter(m.supports, rng):
+            assert act(m, i, ModVector.basis(k)) == reference_act(m, i, ModVector.basis(k))
+        x = ModVector({k: Fraction(k + 7, 3) for k in rng if m.supports(k)})
+        assert act(m, i, x) == reference_act(m, i, x)
+
+
+@pytest.mark.parametrize("i, x", [
+    (Fraction(1, 2), ModVector.basis(0)),
+    (Fraction(1), ModVector.basis(0)),
+    (True, ModVector.basis(0)),
+    (Fraction(1, 2), ModVector({})),
+    (1, ModVector({Fraction(1, 2): 1})),
+    (1, ModVector({Fraction(2): 1})),
+    (1, ModVector({False: 1})),
+])
+def test_act_refuses_an_index_that_is_not_an_int(i, x):
+    for m in (ModuleSpec("a_ab", 1, 0), irreducible_subquotient(ModuleSpec("a_ab", 1, 0))):
+        with pytest.raises(ValueError):
+            act(m, i, x)
 
 
 def test_action_is_linear():
@@ -154,6 +193,9 @@ class MutatedExceptional:
     def numerators(self, i, ks):
         den = self.den
         return [(i + k) * den if k else i * (i * den + self.alpha.numerator) + den for k in ks]
+
+    def offset(self, i, k):
+        return int(k == 0)
 
 
 def test_module_axiom_finds_injected_fault():
